@@ -20,6 +20,7 @@ already built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Hashable
 
 from repro.autodiff.training import TrainingGraph
 from repro.echo.analysis import (
@@ -118,13 +119,19 @@ class EchoPass:
             plan_cache if plan_cache is not None else default_plan_cache()
         )
 
-    def _replan(self, outputs) -> tuple[list, MemoryPlan]:
-        """Schedule + memory-plan the current graph state, memoized."""
-        order = self.plan_cache.schedule_for(outputs)
-        plan = self.plan_cache.plan_for(outputs, order=order)
-        return order, plan
+    def _replan(self, outputs) -> tuple[Hashable, list, MemoryPlan]:
+        """Schedule + memory-plan the current graph state, memoized.
 
-    def _footprint(self, outputs, plan: MemoryPlan) -> int:
+        Also returns the state's graph signature — walked once here and
+        reused for every memo key of this state (schedule, memory plan,
+        packed footprint, iteration cost).
+        """
+        sig = graph_signature(outputs)
+        order = self.plan_cache.schedule_for(outputs, sig=sig)
+        plan = self.plan_cache.plan_for(outputs, order=order, sig=sig)
+        return sig, order, plan
+
+    def _footprint(self, sig: Hashable, plan: MemoryPlan) -> int:
         """The footprint the accept/reject loop scores a graph state by.
 
         Under the greedy memplan mode this is the waterline peak
@@ -133,13 +140,13 @@ class EchoPass:
         lifetime intervals, so candidates are judged by the *packed*
         footprint — a rewrite that only shuffles bytes the packer would
         have overlapped anyway is rolled back instead of accepted.
-        Memoized per graph signature: the rollback loop revisits states.
+        Memoized per graph signature (``sig``, from :meth:`_replan`): the
+        rollback loop revisits states, and the report reuses the scores.
         """
         if memplan_mode() != "color":
             return plan.peak_bytes
         return self.plan_cache.memo(
-            ("packedpeak", graph_signature(outputs)),
-            lambda: packed_peak_bytes(plan),
+            ("packedpeak", sig), lambda: packed_peak_bytes(plan)
         )
 
     def run(self, graph: TrainingGraph) -> EchoReport:
@@ -181,16 +188,17 @@ class EchoPass:
 
             source_fp = fingerprint_outputs(outputs)
 
-        order, baseline_plan = self._replan(outputs)
+        sig, order, baseline_plan = self._replan(outputs)
         # Scored before any rewrite mutates the graph: the memoized packed
         # footprint is keyed by graph signature, which the rewrites change.
-        baseline_foot = self._footprint(outputs, baseline_plan)
+        baseline_foot = self._footprint(sig, baseline_plan)
+        color = memplan_mode() == "color"
         # Keyed by the device's cache token (not just the spec): a
         # calibrated device embeds its calibration epoch, so recalibration
         # invalidates memoized iteration costs automatically.
         device_key = getattr(self.device, "cache_token", self.device.spec)
         iteration = self.plan_cache.memo(
-            ("itercost", graph_signature(outputs), device_key),
+            ("itercost", sig, device_key),
             lambda: estimate_iteration_cost(order, self.device),
         )
         budget = cfg.overhead_budget_fraction * iteration.seconds
@@ -296,23 +304,20 @@ class EchoPass:
 
         if not applied:
             report.optimized_plan = baseline_plan
-            if memplan_mode() == "color":
-                packed = packed_peak_bytes(baseline_plan)
-                report.baseline_packed_bytes = packed
-                report.optimized_packed_bytes = packed
+            if color:
+                report.baseline_packed_bytes = baseline_foot
+                report.optimized_packed_bytes = baseline_foot
             return report
 
-        _new_order, new_plan = self._replan(outputs)
+        new_sig, _new_order, new_plan = self._replan(outputs)
+        new_foot = self._footprint(new_sig, new_plan)
 
         if cfg.verify_with_replan:
             # Footprint safety: drop weakest candidates until the measured
             # footprint actually improves (or nothing is left). Under the
             # color memplan mode "measured" means the interval-packed arena
             # extent, the bytes the executor will really allocate.
-            while (
-                self._footprint(outputs, new_plan) >= baseline_foot
-                and applied
-            ):
+            while new_foot >= baseline_foot and applied:
                 weakest = min(
                     range(len(applied)),
                     key=lambda i: applied[i].candidate.benefit_bytes,
@@ -324,9 +329,8 @@ class EchoPass:
                 extra_kernel -= victim.candidate.kernel_seconds
                 extra_api -= victim.candidate.api_seconds
                 spent = iteration.marginal(extra_kernel, extra_api)
-                _new_order, new_plan = self._replan(outputs)
-            if not applied:
-                _new_order, new_plan = self._replan(outputs)
+                new_sig, _new_order, new_plan = self._replan(outputs)
+                new_foot = self._footprint(new_sig, new_plan)
 
         check_barrier_legality(_new_order)
         self._verify_rewrite(_new_order, output_keys)
@@ -339,9 +343,10 @@ class EchoPass:
         report.recompute_seconds = spent
         report.optimized_peak_bytes = new_plan.peak_bytes
         report.optimized_plan = new_plan
-        if memplan_mode() == "color":
-            report.baseline_packed_bytes = packed_peak_bytes(baseline_plan)
-            report.optimized_packed_bytes = packed_peak_bytes(new_plan)
+        if color:
+            # The packed footprints the accept loop scored, not a re-pack.
+            report.baseline_packed_bytes = baseline_foot
+            report.optimized_packed_bytes = new_foot
         return report
 
 

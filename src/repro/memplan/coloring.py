@@ -14,21 +14,26 @@ waterline of the interval set (max live bytes at any instruction) is the
 planned lower bound, and the gap between the two is fragmentation the
 packer could not close.
 
-The first-fit scan is vectorized: placed intervals are kept in parallel
-numpy arrays, the time-overlapping subset is selected with one mask, and
-the lowest fitting gap falls out of a cumulative-max sweep over the
-overlapping byte ranges. That keeps coloring fast enough to run inside
-Echo's accept/reject loop (see :mod:`repro.memplan.estimate`), not just
-once per compile.
+The first-fit scan is vectorized: placed intervals are kept in one numpy
+array sorted by offset, the time-overlapping subset is selected with one
+mask (already in sweep order — no per-request sort), and the lowest
+fitting gap falls out of a cumulative-max sweep over the overlapping byte
+ranges. That keeps coloring fast enough to run inside Echo's
+accept/reject loop (see :mod:`repro.memplan.estimate`), not just once per
+compile; ``tests/helpers.reference_pack_intervals`` is the unoptimized
+sweep the placements are checked against.
 """
 
 from __future__ import annotations
 
+import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
+
+from repro.obs import metrics as obs_metrics
 
 #: byte alignment of every placed offset; covers any dtype itemsize the
 #: graph layer produces and keeps rows cache-line aligned
@@ -83,47 +88,43 @@ def pack_intervals(
     ``align``-multiple offset whose byte range does not intersect any
     already-placed request with an overlapping lifetime.
     """
+    reg = obs_metrics.registry()
+    start = time.perf_counter() if reg is not None else 0.0
     live = [(k, lo, hi, nb) for (k, lo, hi, nb) in requests if nb > 0]
     n = len(live)
     order = sorted(range(n), key=lambda i: (-live[i][3], live[i][1], i))
-    lo_a = np.empty(n, dtype=np.int64)
-    hi_a = np.empty(n, dtype=np.int64)
-    off_a = np.empty(n, dtype=np.int64)
-    end_a = np.empty(n, dtype=np.int64)
+    # Placed intervals as rows (lo, hi, offset, aligned end), columns kept
+    # sorted by offset: the time-overlapping subset then comes out of the
+    # mask already in sweep order, and rounding ends up once at placement
+    # commutes with the running max below (both are monotone).
+    placed = np.empty((4, n), dtype=np.int64)
+    lo_a, hi_a, off_a, end_a = placed
     offsets: dict[Hashable, int] = {}
     extent = 0
-    count = 0
-    for i in order:
+    for count, i in enumerate(order):
         key, lo, hi, nbytes = live[i]
         off = 0
-        if count:
-            mask = (lo_a[:count] <= hi) & (hi_a[:count] >= lo)
-            if mask.any():
-                starts = off_a[:count][mask]
-                ends = end_a[:count][mask]
-                by_start = np.argsort(starts, kind="stable")
-                starts = starts[by_start]
-                ends = np.maximum.accumulate(ends[by_start])
-                # Candidate cursors: offset 0, then past each blocked
-                # prefix; a gap fits when the next blocked start leaves
-                # ``nbytes`` of room (the sentinel makes "past everything"
-                # always fit).
-                cursors = np.empty(len(starts) + 1, dtype=np.int64)
-                cursors[0] = 0
-                cursors[1:] = -(-ends // align) * align
-                avail = np.empty(len(starts) + 1, dtype=np.int64)
-                avail[:-1] = starts
-                avail[-1] = np.iinfo(np.int64).max
-                fits = np.nonzero(avail - cursors >= nbytes)[0]
-                off = int(cursors[fits[0]])
+        mask = (lo_a[:count] <= hi) & (hi_a[:count] >= lo)
+        starts = off_a[:count][mask]
+        # The lowest gap is [0, first blocked start); otherwise the cursor
+        # moves past each blocked prefix and the request takes the first
+        # gap before the next blocked start with ``nbytes`` of room, or
+        # the end of the last blocked range.
+        if starts.size and starts[0] < nbytes:
+            cursors = np.maximum.accumulate(end_a[:count][mask])
+            fits = starts[1:] - cursors[:-1] >= nbytes
+            j = int(fits.argmax()) if fits.size else 0  # first True, if any
+            off = int(cursors[j] if fits.size and fits[j] else cursors[-1])
+        end = off + nbytes
+        pos = int(off_a[:count].searchsorted(off))
+        placed[:, pos + 1:count + 1] = placed[:, pos:count]
+        placed[:, pos] = (lo, hi, off, _align_up(end, align))
         offsets[key] = off
-        lo_a[count] = lo
-        hi_a[count] = hi
-        off_a[count] = off
-        end_a[count] = off + nbytes
-        count += 1
-        if off + nbytes > extent:
-            extent = off + nbytes
+        if end > extent:
+            extent = end
+    if reg is not None:
+        reg.counter("memplan.pack.calls").inc()
+        reg.histogram("memplan.pack_s").observe(time.perf_counter() - start)
     return PackResult(
         offsets=offsets,
         extent_bytes=extent,

@@ -40,11 +40,19 @@ class SoftmaxCrossEntropyOp(Op):
 
     def compute(self, node, inputs):
         logits, labels = inputs
-        probs = softmax_array(logits.astype(np.float64), axis=-1)
+        # float64 softmax of the picked entries only, through one [N x V]
+        # temporary: subtract-and-widen, exponentiate in place, normalize
+        # just the gathered column — the same per-element operations as
+        # ``softmax_array(logits.astype(float64))[rows, labels]``.
+        e = np.subtract(
+            logits, np.max(logits, axis=-1, keepdims=True), dtype=np.float64
+        )
+        np.exp(e, out=e)
+        total = np.sum(e, axis=-1)
         valid = labels != node.attrs["ignore_label"]
         count = max(int(valid.sum()), 1)
         rows = np.arange(logits.shape[0])[valid]
-        picked = probs[rows, labels[valid]]
+        picked = e[rows, labels[valid]] / total[rows]
         loss = -np.sum(np.log(np.maximum(picked, 1e-30))) / count
         return [np.asarray(loss, dtype=node.out_specs[0].dtype)]
 

@@ -4,9 +4,9 @@ Closes the loop from measurement to decision: calibration records map
 host wall-clock back onto the analytical device model
 (:mod:`repro.pgo.records`, :mod:`repro.pgo.calibrated`), and the
 persistent tuning store (:mod:`repro.pgo.store`) lets a warm process skip
-scheduling, wavefront analysis, bytecode compilation, and backend
-autotuning. Everything activates via ``REPRO_TUNE_DIR``; without it the
-stack behaves exactly as before.
+scheduling, wavefront analysis, and backend autotuning. Everything
+activates via ``REPRO_TUNE_DIR``; without it the stack behaves exactly as
+before.
 
 :mod:`repro.pgo.harvest` (the measurement driver) is imported lazily by
 callers — it pulls in the profiler and scheduler, which this package must
@@ -18,7 +18,6 @@ from repro.pgo.calibrated import (
     default_device,
     device_token,
 )
-from repro.pgo.codecache import BytecodeCache
 from repro.pgo.records import (
     DECAY,
     CalibrationDB,
@@ -44,7 +43,6 @@ __all__ = [
     "CalibratedDeviceModel",
     "default_device",
     "device_token",
-    "BytecodeCache",
     "TuneStore",
     "default_store",
     "graph_fingerprint",

@@ -4,17 +4,16 @@ Layout under ``REPRO_TUNE_DIR``::
 
     calibration.json            decayed cost records (CalibrationDB)
     autotune.json               backend-selection results per config
-    bytecode.bin                marshalled instruction-closure bytecode
     plans/<fp>.order.json       schedule order (canonical topo indices)
     plans/<fp>.<dev>...json     wavefront layout per (device, threads, ...)
     stats/<pid>.json            per-process counter dumps (opt-in)
 
-Everything is versioned JSON (the bytecode file is marshal with a magic
-header) written atomically (temp file + ``os.replace``); a corrupted or
-truncated artifact is counted and ignored — the caller recomputes, exactly
-as a cold process would. Calibration and autotune files are merged
-read-modify-write under a best-effort lock file, so two processes tuning
-into the same directory both land their observations.
+Everything is versioned JSON written atomically (temp file +
+``os.replace``); a corrupted or truncated artifact is counted and ignored
+— the caller recomputes, exactly as a cold process would. Calibration and
+autotune files are merged read-modify-write under a best-effort lock file,
+so two processes tuning into the same directory both land their
+observations.
 
 Cross-process identity is the hard part: node uids (and default
 priorities) are a process-global counter, so nothing uid-shaped may reach
@@ -41,7 +40,6 @@ import numpy as np
 
 from repro.graph.node import Node, Tensor
 from repro.graph.traversal import topo_order
-from repro.pgo.codecache import BytecodeCache
 from repro.pgo.records import CalibrationDB
 from repro.runtime.scheduler import SchedulingError, validate_schedule
 
@@ -156,7 +154,6 @@ class TuneStore:
         self._lock = threading.RLock()
         self.counters: dict[str, int] = {k: 0 for k in _COUNTER_KEYS}
         self._calibration: CalibrationDB | None = None
-        self._code_cache: BytecodeCache | None = None
         self._autotune: dict[str, Any] | None = None
         self._fingerprints: dict[Hashable, str] = {}
         if os.environ.get("REPRO_TUNE_STATS", "").strip():
@@ -447,32 +444,12 @@ class TuneStore:
             if self._autotune is not None:
                 self._autotune[key] = entry
 
-    # -- bytecode ------------------------------------------------------------
-
-    def code_cache(self) -> BytecodeCache:
-        with self._lock:
-            if self._code_cache is None:
-                self._code_cache = BytecodeCache(self.root / "bytecode.bin")
-            return self._code_cache
-
-    def flush_code_cache(self) -> None:
-        with self._lock:
-            cache = self._code_cache
-        if cache is not None:
-            cache.flush()
-
     # -- reporting -----------------------------------------------------------
 
     def stats(self) -> dict[str, int]:
-        """Counter snapshot, including the bytecode cache's hit/miss."""
+        """Counter snapshot."""
         with self._lock:
-            out = dict(self.counters)
-            cache = self._code_cache
-        if cache is not None:
-            out["bytecode_hits"] = cache.hits
-            out["bytecode_misses"] = cache.misses
-            out["load_errors"] = out.get("load_errors", 0) + cache.load_errors
-        return out
+            return dict(self.counters)
 
     def dump_stats(self) -> Path | None:
         """Write this process's counters under ``stats/`` (CI warm check)."""

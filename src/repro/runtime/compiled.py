@@ -10,7 +10,12 @@ for every intermediate on every iteration. This module lowers a schedule
   lookups in the loop;
 * each node becomes one precompiled **instruction closure** with its input
   and output slots and its error context bound at compile time — the run
-  loop is ``for step in steps: step(regs)``;
+  loop is ``for step in steps: step(regs)``. Closures are *templated*:
+  slots, shapes and byte counts are default-argument values, not source
+  literals, so every instruction of one form (across timesteps, buckets
+  and plans) is instantiated from a single code object in the
+  process-wide :data:`TEMPLATES` memo instead of being compiled again
+  (``compile()`` was a measured 12% of a cold NMT build);
 * chains of single-consumer elementwise/activation nodes are **fused** into
   one instruction that streams a single accumulator buffer through the
   chain with ``out=`` kernels (the cuDNN-style pointwise fusion the paper's
@@ -66,8 +71,10 @@ faster.
 
 from __future__ import annotations
 
+import builtins
 import threading
 from dataclasses import dataclass, field
+from types import CodeType, FunctionType
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -75,6 +82,7 @@ import numpy as np
 from repro.graph import Node, Tensor
 from repro.memplan.modes import memplan_mode
 from repro.memplan.planner import plan_buffers
+from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.ops.matmul import gemm_batch_key, stacked_operand
 from repro.runtime.memory import TensorKey
@@ -95,8 +103,63 @@ _SOURCE_OPS = ("placeholder", "variable")
 _ARENA_STRIPES = 8
 
 
+#: ``co_filename`` of every generated closure; profilers and the benchmark
+#: harness attribute plan frames by this name
+PLAN_FILENAME = "<compiled-plan>"
+
+#: globals of every generated closure: bodies reach their compile-time
+#: constants through default arguments, so only builtins resolve here
+_CLOSURE_GLOBALS = {"__builtins__": builtins}
+
+
 class ExecutionError(RuntimeError):
     """Raised on bad feeds or kernel failures."""
+
+
+class TemplateMemo:
+    """Source-keyed memo of generated-closure code objects.
+
+    Generated sources name slots, shapes and byte counts as parameters
+    (bound per instruction as default-argument values), never as literals,
+    so one entry serves every instruction of that form — across timesteps,
+    buckets and plans. Bounded, first-in first-out. ``codes`` is read
+    without the lock (a plain dict lookup); inserts and evictions take it,
+    and two threads compiling the same source store equivalent code.
+    """
+
+    def __init__(self, limit: int = 1024) -> None:
+        self.limit = limit
+        self.codes: dict[str, CodeType] = {}
+        self._lock = threading.Lock()
+
+    def compile(self, src: str) -> CodeType:
+        """Compile ``src`` (a single ``def``) and keep its function code."""
+        module = compile(src, PLAN_FILENAME, "exec")
+        code = next(c for c in module.co_consts if isinstance(c, CodeType))
+        with self._lock:
+            while len(self.codes) >= self.limit:
+                del self.codes[next(iter(self.codes))]
+            self.codes[src] = code
+        return code
+
+
+#: the process-wide memo every :class:`CompiledPlan` instantiates from
+TEMPLATES = TemplateMemo()
+
+
+def _names(prefix: str, n: int) -> tuple[str, ...]:
+    """Parameter names ``prefix0 .. prefix{n-1}`` of a generated closure."""
+    return tuple(f"{prefix}{j}" for j in range(n))
+
+
+def _regs(prefix: str, n: int) -> tuple[str, ...]:
+    """Register reads ``regs[prefix0] ..`` through slot parameters."""
+    return tuple(f"regs[{prefix}{j}]" for j in range(n))
+
+
+def _clear_src(n: int) -> str:
+    """Unrolled register drops through the ``_c*`` slot parameters."""
+    return "".join(f"\n    regs[_c{j}] = None" for j in range(n))
 
 
 def _raw_kernel(node: Node):
@@ -470,7 +533,6 @@ class CompiledPlan:
         threads: int = 1,
         batch_gemms: bool | None = None,
         device: Any | None = None,
-        code_cache: Any | None = None,
         wavefront_artifact: dict[str, Any] | None = None,
         memplan: str | None = None,
     ) -> None:
@@ -489,9 +551,6 @@ class CompiledPlan:
             self.threads > 1 if batch_gemms is None else bool(batch_gemms)
         )
         self._device = device
-        #: optional :class:`repro.pgo.BytecodeCache` routing every
-        #: ``compile`` of generated closure source through a persistent map
-        self._code_cache = code_cache
         #: optional serialized wavefront layout (see
         #: :meth:`wavefront_artifact`); validated, then trusted in place of
         #: re-running the wavefront analysis
@@ -517,6 +576,10 @@ class CompiledPlan:
         self.planned_peak_bytes = 0
         #: achieved extent size of the colored packing
         self.packed_extent_bytes = 0
+        #: closure sources this plan had to ``compile`` / found in the
+        #: process-wide :data:`TEMPLATES` memo
+        self.templates_compiled = 0
+        self.template_hits = 0
         with obs_trace.span(
             "plan.lower", "plan",
             {"nodes": len(self.order), "threads": self.threads,
@@ -792,12 +855,19 @@ class CompiledPlan:
         # a straight-line sequence of step calls with no iterator
         # machinery. Error context is recovered by the step-by-step
         # fallback in :meth:`run`.
-        self._body = self._bake_body(list(range(len(steps))), ())
+        self._body = self._bake_body(range(len(steps)), ())
         self._program = None
         if program_layout is not None:
             self._program = self._bake_program(
                 program_layout, descs, clears_at, static_views
             )
+
+        reg = obs_metrics.registry()
+        if reg is not None:
+            reg.counter("plan.codegen.templates_compiled").inc(
+                self.templates_compiled
+            )
+            reg.counter("plan.codegen.template_hits").inc(self.template_hits)
 
         self.num_nodes = len(order)
         self.num_instructions = len(self._bindings) + len(steps)
@@ -1269,38 +1339,24 @@ class CompiledPlan:
         return program
 
     def _bake_body(
-        self, step_indices: list[int], clears: tuple[int, ...]
+        self, step_indices: Sequence[int], clears: tuple[int, ...]
     ) -> Callable[[list], None]:
         """One straight-line function calling the given steps in order.
 
         Used for the full serial body, for serial program segments, and
         for parallel chunks (no iterator machinery anywhere in the hot
         loop). ``clears`` appends register drops after the last step.
+        The source depends only on the two counts, so same-shape plans
+        and equal-sized chunks share one template.
         """
         if not step_indices and not clears:
             return lambda regs: None
-        env = {"S": self._steps} if step_indices else {}
-        defaults = ", ".join(
-            f"_s{i}=S[{idx}]" for i, idx in enumerate(step_indices)
-        )
-        lines = [f"    _s{i}(regs)" for i in range(len(step_indices))]
-        lines.extend(f"    regs[{s}] = None" for s in clears)
-        head = f"def body(regs{', ' + defaults if defaults else ''}):\n"
-        src = head + "\n".join(lines) + "\n"
-        ns: dict = {}
-        exec(self._compile_source(src), env, ns)  # noqa: S102
-        return ns["body"]
-
-    def _compile_source(self, src: str):
-        """``compile`` the generated source, via the bytecode cache if any.
-
-        ``builtins.compile`` over the thousands of per-instruction sources
-        is the dominant cost of plan construction; the persistent cache
-        turns every repeat into a dict lookup.
-        """
-        if self._code_cache is not None:
-            return self._code_cache.compile(src)
-        return compile(src, "<compiled-plan>", "exec")
+        callees = _names("_s", len(step_indices))
+        params = ", ".join(("regs",) + callees + _names("_c", len(clears)))
+        calls = "".join(f"\n    {name}(regs)" for name in callees)
+        src = f"def body({params}):{calls}{_clear_src(len(clears))}\n"
+        steps = self._steps
+        return self._bake(src, (*[steps[i] for i in step_indices], *clears))
 
     @staticmethod
     def _fuse_chains(
@@ -1363,20 +1419,31 @@ class CompiledPlan:
 
     # -- closure factories ---------------------------------------------------
 
-    def _bake(self, body: str, env: dict, node: Node, defaults: str):
-        """Compile one instruction closure from source.
+    def _bake(
+        self, src: str, values: tuple, node: Node | None = None
+    ) -> Callable[[list], None]:
+        """Instantiate one generated closure from its template.
 
-        ``defaults`` binds compile-time constants (the node, kernels,
-        static buffers) as default arguments — local loads at run time,
-        with no cell or global lookups — and ``body`` is exact minimal
-        bytecode for this instruction (register clears fully unrolled).
+        ``src`` is a single ``def f(regs, <params>)`` whose body is exact
+        minimal bytecode for the instruction (register clears fully
+        unrolled) and reads every compile-time constant — kernels, static
+        buffers, slot numbers, shapes — through its parameters: local
+        loads at run time, no cell or global lookups, and no literal that
+        would make the source unique to one instruction. ``values`` binds
+        the parameters as defaults; the code object comes from the
+        process-wide :data:`TEMPLATES` memo. ``node`` tags instruction
+        steps for the failure-replay path in :meth:`run`.
         """
-        src = f"def step(regs, {defaults}):\n{body}\n"
-        ns: dict = {}
-        exec(self._compile_source(src), env, ns)  # noqa: S102
-        step = ns["step"]
-        step._node = node
-        return step
+        try:
+            code = TEMPLATES.codes[src]
+            self.template_hits += 1
+        except KeyError:
+            code = TEMPLATES.compile(src)
+            self.templates_compiled += 1
+        fn = FunctionType(code, _CLOSURE_GLOBALS, code.co_name, values)
+        if node is not None:
+            fn._node = node
+        return fn
 
     def _make_out_step(self, node, in_slots, out_slots, clear, statics):
         acquire_fresh = self.arena.acquire_fresh
@@ -1384,51 +1451,47 @@ class CompiledPlan:
         specs = [
             (s.shape, s.dtype, s.nbytes) for s in node.out_specs
         ]
-        clear_src = "".join(f"\n    regs[{s}] = None" for s in clear)
-        args = ", ".join(f"regs[{i}]" for i in in_slots)
         if len(out_slots) == 1:
-            out_slot = out_slots[0]
             static = statics[0]
             shape, dtype, nbytes = specs[0]
             kernel = _raw_kernel(node)
-            env = {
-                "node": node,
-                "compute_into": compute_into,
-                "acquire_fresh": acquire_fresh,
-                "kernel": kernel,
-                "static": static,
-                "dtype": dtype,
-            }
-            operands = f"({args},)" if len(in_slots) == 1 else f"({args})"
+            n_in = len(in_slots)
+            args = ", ".join(_regs("_i", n_in))
+            operands = f"({args},)" if n_in == 1 else f"({args})"
             # With a static buffer the step has no allocator at all — the
             # output array is a default-argument constant.
             if static is not None and kernel is not None:
-                body = (
-                    f"    _k({args}, _s)\n"
-                    f"    regs[{out_slot}] = _s{clear_src}"
-                )
-                defaults = "_k=kernel, _s=static"
+                head, values = "_k, _s", (kernel, static)
+                work = f"_k({args}, _s)\n    regs[_o] = _s"
             elif static is not None:
-                body = (
-                    f"    _f(_n, {operands}, (_s,))\n"
-                    f"    regs[{out_slot}] = _s{clear_src}"
-                )
-                defaults = "_n=node, _f=compute_into, _s=static"
+                head, values = "_n, _f, _s", (node, compute_into, static)
+                work = f"_f(_n, {operands}, (_s,))\n    regs[_o] = _s"
             elif kernel is not None:
-                body = (
-                    f"    out = _a({shape!r}, _d, {nbytes})\n"
-                    f"    _k({args}, out)\n"
-                    f"    regs[{out_slot}] = out{clear_src}"
+                head = "_a, _sh, _d, _nb, _k"
+                values = (acquire_fresh, shape, dtype, nbytes, kernel)
+                work = (
+                    f"out = _a(_sh, _d, _nb)\n    _k({args}, out)\n"
+                    "    regs[_o] = out"
                 )
-                defaults = "_a=acquire_fresh, _d=dtype, _k=kernel"
             else:
-                body = (
-                    f"    out = _a({shape!r}, _d, {nbytes})\n"
-                    f"    _f(_n, {operands}, (out,))\n"
-                    f"    regs[{out_slot}] = out{clear_src}"
+                head = "_a, _sh, _d, _nb, _n, _f"
+                values = (
+                    acquire_fresh, shape, dtype, nbytes, node, compute_into,
                 )
-                defaults = "_a=acquire_fresh, _d=dtype, _n=node, _f=compute_into"
-            return self._bake(body, env, node, defaults)
+                work = (
+                    "out = _a(_sh, _d, _nb)\n"
+                    f"    _f(_n, {operands}, (out,))\n    regs[_o] = out"
+                )
+            slots = ", ".join(
+                _names("_i", n_in) + ("_o",) + _names("_c", len(clear))
+            )
+            src = (
+                f"def step(regs, {head}, {slots}):\n"
+                f"    {work}{_clear_src(len(clear))}\n"
+            )
+            return self._bake(
+                src, (*values, *in_slots, out_slots[0], *clear), node
+            )
 
         if all(st is not None for st in statics):
 
@@ -1467,66 +1530,59 @@ class CompiledPlan:
         node = desc["node"]
         group = len(desc["out_slots"])
         spec = node.out_specs[0]
-        env: dict = {
-            "node": node,
-            "mm": np.matmul,
-            "cp": np.copyto,
-            "ExecutionError": ExecutionError,
-        }
-        defaults = ["_mm=mm", "_cp=cp", "_EE=ExecutionError", "_t=node"]
+        params = ["_mm", "_cp", "_EE", "_t"]
+        values: list = [np.matmul, np.copyto, ExecutionError, node]
         lines: list[str] = []
 
-        # Operand A.
-        if desc["shared_a"]:
-            a_expr = f"regs[{desc['a_slots'][0]}]" + (".T" if desc["ta"] else "")
-        else:
-            scratch_a = desc["scratch_a"]
-            env["sav"] = tuple(scratch_a[i] for i in range(group))
-            env["A"] = stacked_operand(scratch_a, desc["ta"])
-            defaults.extend(["_sav=sav", "_A=A"])
+        # Operands: member rows copied into the scratch stack, or the one
+        # shared register read directly.
+        operands = []
+        for side, slots, shared, scratch, trans in (
+            ("x", desc["a_slots"], desc["shared_a"], desc["scratch_a"],
+             desc["ta"]),
+            ("y", desc["b_slots"], desc["shared_b"], desc["scratch_b"],
+             desc["tb"]),
+        ):
+            if shared:
+                params.append(f"_{side}0")
+                values.append(slots[0])
+                operands.append(f"regs[_{side}0]" + (".T" if trans else ""))
+                continue
+            params += [f"_{side}v", f"_{side}s", *_names(f"_{side}", group)]
+            values += [
+                tuple(scratch[i] for i in range(group)),
+                stacked_operand(scratch, trans),
+                *slots,
+            ]
             lines.extend(
-                f"        _cp(_sav[{i}], regs[{s}])"
-                for i, s in enumerate(desc["a_slots"])
+                f"        _cp(_{side}v[{i}], {reg})"
+                for i, reg in enumerate(_regs(f"_{side}", group))
             )
-            a_expr = "_A"
-        # Operand B.
-        if desc["shared_b"]:
-            b_expr = f"regs[{desc['b_slots'][0]}]" + (".T" if desc["tb"] else "")
-        else:
-            scratch_b = desc["scratch_b"]
-            env["sbv"] = tuple(scratch_b[i] for i in range(group))
-            env["B"] = stacked_operand(scratch_b, desc["tb"])
-            defaults.extend(["_sbv=sbv", "_B=B"])
-            lines.extend(
-                f"        _cp(_sbv[{i}], regs[{s}])"
-                for i, s in enumerate(desc["b_slots"])
-            )
-            b_expr = "_B"
+            operands.append(f"_{side}s")
+        a_expr, b_expr = operands
 
-        clear_src = "".join(f"\n    regs[{s}] = None" for s in clear)
         if static is not None:
-            env["ov"] = tuple(static[i] for i in range(group))
-            env["S"] = static
-            defaults.extend(["_ov=ov", "_S=S"])
+            params += ["_ov", "_S"]
+            values += [tuple(static[i] for i in range(group)), static]
             lines.append(f"        _mm({a_expr}, {b_expr}, out=_S)")
-            assigns = "".join(
-                f"\n    regs[{s}] = _ov[{i}]"
-                for i, s in enumerate(desc["out_slots"])
-            )
+            result = "_ov"
         else:
-            env["acquire_fresh"] = self.arena.acquire_fresh
-            env["dtype"] = spec.dtype
-            defaults.append("_a=acquire_fresh, _d=dtype")
-            shape = (group,) + spec.shape
-            lines.insert(
-                0, f"        buf = _a({shape!r}, _d, {group * spec.nbytes})"
-            )
+            params += ["_a", "_sh", "_d", "_nb"]
+            values += [
+                self.arena.acquire_fresh, (group,) + spec.shape, spec.dtype,
+                group * spec.nbytes,
+            ]
+            lines.insert(0, "        buf = _a(_sh, _d, _nb)")
             lines.append(f"        _mm({a_expr}, {b_expr}, out=buf)")
-            assigns = "".join(
-                f"\n    regs[{s}] = buf[{i}]"
-                for i, s in enumerate(desc["out_slots"])
-            )
-        body = (
+            result = "buf"
+        assigns = "".join(
+            f"\n    {reg} = {result}[{i}]"
+            for i, reg in enumerate(_regs("_o", group))
+        )
+        params += [*_names("_o", group), *_names("_c", len(clear))]
+        values += [*desc["out_slots"], *clear]
+        src = (
+            f"def step(regs, {', '.join(params)}):\n"
             "    try:\n"
             + "\n".join(lines) + "\n"
             "    except Exception as exc:\n"
@@ -1534,9 +1590,9 @@ class CompiledPlan:
             "            f'kernel failure in batched GEMM group at "
             "{_t!r}: {exc}'\n"
             "        ) from exc"
-            f"{assigns}{clear_src}"
+            f"{assigns}{_clear_src(len(clear))}\n"
         )
-        step = self._bake(body, env, node, ", ".join(defaults))
+        step = self._bake(src, tuple(values), node)
         step._batched = True
         return step
 
@@ -1547,42 +1603,46 @@ class CompiledPlan:
         # The chain body is fully unrolled: one source line per member,
         # streaming the accumulator ``buf`` through the kernels. Members
         # with a bindable raw kernel (see :func:`_raw_kernel`) skip the
-        # ``compute_into`` wrapper entirely.
-        env: dict = {"chain_members": [node for _op, node, _p in chain]}
-        defaults = []
+        # ``compute_into`` wrapper entirely. External operands are read
+        # through slot parameters numbered along the chain.
+        params: list[str] = []
+        values: list = []
+        in_slots: list[int] = []
         lines = []
         for j, (op, node, pattern) in enumerate(chain):
+            args = []
+            for s in pattern:
+                if s < 0:
+                    args.append("buf")
+                else:
+                    args.append(f"regs[_i{len(in_slots)}]")
+                    in_slots.append(s)
+            args = ", ".join(args)
             kernel = _raw_kernel(node)
             if kernel is not None:
-                env[f"k{j}"] = kernel
-                defaults.append(f"_k{j}=k{j}")
-                args = ", ".join(
-                    "buf" if s < 0 else f"regs[{s}]" for s in pattern
-                )
+                params.append(f"_k{j}")
+                values.append(kernel)
                 lines.append(f"        _k{j}({args}, buf)")
             else:
-                env[f"f{j}"] = op.compute_into
-                env[f"n{j}"] = node
-                defaults.append(f"_f{j}=f{j}, _n{j}=n{j}")
-                args = ", ".join(
-                    "buf" if s < 0 else f"regs[{s}]" for s in pattern
-                )
+                params += [f"_f{j}", f"_n{j}"]
+                values += [op.compute_into, node]
                 comma = "," if len(pattern) == 1 else ""
                 lines.append(f"        _f{j}(_n{j}, ({args}{comma}), (buf,))")
         if static is not None:
-            env["static"] = static
-            defaults.append("_s=static")
+            params.append("_s")
+            values.append(static)
             alloc = "    buf = _s"
         else:
-            env["acquire_fresh"] = self.arena.acquire_fresh
-            env["dtype"] = dtype
-            defaults.append("_a=acquire_fresh, _d=dtype")
-            alloc = f"    buf = _a({shape!r}, _d, {nbytes})"
-        env["ExecutionError"] = ExecutionError
-        env["tail"] = tail
-        defaults.append("_EE=ExecutionError, _t=tail")
-        clear_src = "".join(f"\n    regs[{s}] = None" for s in clear)
-        body = (
+            params += ["_a", "_sh", "_d", "_nb"]
+            values += [self.arena.acquire_fresh, shape, dtype, nbytes]
+            alloc = "    buf = _a(_sh, _d, _nb)"
+        params += [
+            "_EE", "_t", *_names("_i", len(in_slots)), "_o",
+            *_names("_c", len(clear)),
+        ]
+        values += [ExecutionError, tail, *in_slots, out_slot, *clear]
+        src = (
+            f"def step(regs, {', '.join(params)}):\n"
             f"{alloc}\n"
             "    try:\n"
             + "\n".join(lines) + "\n"
@@ -1591,9 +1651,9 @@ class CompiledPlan:
             "            f'kernel failure in fused chain ending at "
             "{_t!r}: {exc}'\n"
             "        ) from exc\n"
-            f"    regs[{out_slot}] = buf{clear_src}"
+            f"    regs[_o] = buf{_clear_src(len(clear))}\n"
         )
-        step = self._bake(body, env, tail, ", ".join(defaults))
+        step = self._bake(src, tuple(values), tail)
         step._fused = True
         return step
 
@@ -1607,39 +1667,46 @@ class CompiledPlan:
         copy kernel would have produced, so downstream kernels are
         bitwise-unchanged; only the copy's launch and its buffer are gone.
         """
-        src = in_slots[0]
-        clear_src = "".join(f"\n    regs[{s}] = None" for s in clear)
-        env: dict = {"node": node}
-        defaults = ["_n=node"]
+        params: list[str] = []
+        values: list = []
         lines = []
-        for j, (o, index) in enumerate(zip(out_slots, indices)):
+        for j, index in enumerate(indices):
             if index is None:
-                lines.append(f"    regs[{o}] = regs[{src}]")
+                lines.append(f"\n    regs[_o{j}] = regs[_i0]")
             else:
-                env[f"ix{j}"] = index
-                defaults.append(f"_ix{j}=ix{j}")
-                lines.append(f"    regs[{o}] = regs[{src}][_ix{j}]")
-        body = "\n".join(lines) + clear_src
-        return self._bake(body, env, node, ", ".join(defaults))
+                params.append(f"_ix{j}")
+                values.append(index)
+                lines.append(f"\n    regs[_o{j}] = regs[_i0][_ix{j}]")
+        params += [
+            "_i0", *_names("_o", len(out_slots)), *_names("_c", len(clear)),
+        ]
+        values += [in_slots[0], *out_slots, *clear]
+        src = (
+            f"def step(regs, {', '.join(params)}):"
+            f"{''.join(lines)}{_clear_src(len(clear))}\n"
+        )
+        return self._bake(src, tuple(values), node)
 
     def _make_view_step(self, node, in_slots, out_slots, clear):
-        out_slot = out_slots[0]
-        clear_src = "".join(f"\n    regs[{s}] = None" for s in clear)
-        env = {"node": node, "compute": node.op.compute}
+        slots = ", ".join(
+            _names("_i", len(in_slots)) + ("_o",) + _names("_c", len(clear))
+        )
         if node.op.name == "reshape" and len(in_slots) == 1:
             # The dominant view op; the target shape is static, so the
             # step is a bare ndarray.reshape (same view ``compute`` makes).
-            shape = node.out_specs[0].shape
-            body = (
-                f"    regs[{out_slot}] = "
-                f"regs[{in_slots[0]}].reshape({shape!r}){clear_src}"
-            )
-            return self._bake(body, env, node, "_n=node")
-        args = ", ".join(f"regs[{i}]" for i in in_slots)
-        body = (
-            f"    regs[{out_slot}] = _c(_n, [{args}])[0]{clear_src}"
+            head, values = "_sh", (node.out_specs[0].shape,)
+            work = "regs[_i0].reshape(_sh)"
+        else:
+            head, values = "_n, _f", (node, node.op.compute)
+            args = ", ".join(_regs("_i", len(in_slots)))
+            work = f"_f(_n, [{args}])[0]"
+        src = (
+            f"def step(regs, {head}, {slots}):\n"
+            f"    regs[_o] = {work}{_clear_src(len(clear))}\n"
         )
-        return self._bake(body, env, node, "_n=node, _c=compute")
+        return self._bake(
+            src, (*values, *in_slots, out_slots[0], *clear), node
+        )
 
     def _make_generic_step(self, node, in_slots, out_slots, clear, guard):
         compute = node.op.compute

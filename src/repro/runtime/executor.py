@@ -29,7 +29,11 @@ from repro.graph import Node, Tensor
 from repro.ops.dropout import set_global_step
 from repro.runtime.compiled import Arena, CompiledPlan, ExecutionError
 from repro.runtime.memory import Category, MemoryPlan, TensorKey
-from repro.runtime.plancache import PlanCache, default_plan_cache
+from repro.runtime.plancache import (
+    PlanCache,
+    default_plan_cache,
+    graph_signature,
+)
 from repro.runtime.workers import default_thread_count
 
 __all__ = [
@@ -117,9 +121,11 @@ class GraphExecutor:
         self.threads = default_thread_count() if threads is None else max(
             1, int(threads)
         )
-        self.order = self.plan_cache.schedule_for(self.outputs)
+        # One graph walk keys all three planning artifacts of this state.
+        sig = graph_signature(self.outputs)
+        self.order = self.plan_cache.schedule_for(self.outputs, sig=sig)
         self.memory_plan: MemoryPlan = self.plan_cache.plan_for(
-            self.outputs, pinned_categories, order=self.order
+            self.outputs, pinned_categories, order=self.order, sig=sig
         )
         self.plan: CompiledPlan = self.plan_cache.compiled_for(
             self.outputs,
@@ -129,6 +135,7 @@ class GraphExecutor:
             threads=self.threads,
             batch_gemms=batch_gemms,
             device=device,
+            sig=sig,
         )
         self._free_after: dict[int, list[TensorKey]] = defaultdict(list)
         output_keys = {t.key for t in self.outputs}

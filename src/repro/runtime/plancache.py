@@ -100,10 +100,9 @@ class PlanCache:
 
     When a persistent tuning store is attached (by default: the
     ``REPRO_TUNE_DIR`` store, when that env var is set), in-process misses
-    consult it before building — schedule orders, wavefront layouts, and
-    closure bytecode load from disk, keyed by cross-process graph
-    fingerprints and device cache tokens — and fresh builds persist their
-    artifacts back. Pass ``store=None`` to opt out.
+    consult it before building — schedule orders and wavefront layouts
+    load from disk, keyed by cross-process graph fingerprints and device
+    cache tokens — and fresh builds persist their artifacts back. Pass ``store=None`` to opt out.
     """
 
     def __init__(self, capacity: int = 64, store: Any = _UNSET) -> None:
@@ -176,8 +175,13 @@ class PlanCache:
         self,
         outputs: Sequence[Tensor],
         memory_aware: bool | None = None,
+        sig: Hashable | None = None,
     ) -> list:
         """Cached ``schedule(outputs)``; returns a fresh list each call.
+
+        ``sig`` is ``graph_signature(outputs)`` when the caller already
+        holds it for this graph state (the signature is a full graph walk;
+        callers planning one state several times compute it once).
 
         ``memory_aware`` (None = ambient memplan mode) is part of the memo
         key and of the persisted-order flavor: the footprint tie-break and
@@ -186,7 +190,8 @@ class PlanCache:
         """
         if memory_aware is None:
             memory_aware = memory_aware_default()
-        sig = graph_signature(outputs)
+        if sig is None:
+            sig = graph_signature(outputs)
         flavor = "memaware" if memory_aware else ""
 
         def build() -> list:
@@ -211,9 +216,11 @@ class PlanCache:
         outputs: Sequence[Tensor],
         pinned_categories: Mapping[TensorKey, Category] | None = None,
         order: Sequence | None = None,
+        sig: Hashable | None = None,
     ) -> MemoryPlan:
         """Cached ``plan_memory`` for the graph (+ pinned categories)."""
-        sig = graph_signature(outputs)
+        if sig is None:
+            sig = graph_signature(outputs)
         pinned_key = (
             tuple(sorted(pinned_categories.items()))
             if pinned_categories
@@ -241,6 +248,7 @@ class PlanCache:
         batch_gemms: bool | None = None,
         device: Any | None = None,
         memplan: str | None = None,
+        sig: Hashable | None = None,
     ) -> CompiledPlan:
         """Cached :class:`CompiledPlan` for (graph, arena, thread config).
 
@@ -251,7 +259,8 @@ class PlanCache:
         same graph are different lowered programs and coexist in the
         cache, as do a greedy-planned and a color-planned one.
         """
-        sig = graph_signature(outputs)
+        if sig is None:
+            sig = graph_signature(outputs)
         mode = memplan_mode(memplan)
         key = (
             "compiled", sig, id(arena), fuse, threads, batch_gemms,
@@ -261,28 +270,25 @@ class PlanCache:
             start = time.perf_counter()
             store = self.store
             resolved_device = device
-            code_cache = None
             artifact = None
             fp = token = None
             bg = threads > 1 if batch_gemms is None else bool(batch_gemms)
-            if store is not None:
-                code_cache = store.code_cache()
-                if threads > 1:
-                    # Wavefront artifacts are keyed by the device's cache
-                    # token, so resolve the ambient device here (the same
-                    # resolution the plan itself would perform).
-                    if resolved_device is None:
-                        from repro.pgo.calibrated import default_device
+            if store is not None and threads > 1:
+                # Wavefront artifacts are keyed by the device's cache
+                # token, so resolve the ambient device here (the same
+                # resolution the plan itself would perform).
+                if resolved_device is None:
+                    from repro.pgo.calibrated import default_device
 
-                        resolved_device = default_device()
-                    token = getattr(resolved_device, "cache_token", None)
-                    if token is None:
-                        spec = getattr(resolved_device, "spec", None)
-                        token = (getattr(spec, "name", "custom"), "analytic")
-                    fp = store.fingerprint_for(outputs, sig)
-                    artifact = store.load_wavefront(
-                        fp, token, threads, fuse, bg, mode
-                    )
+                    resolved_device = default_device()
+                token = getattr(resolved_device, "cache_token", None)
+                if token is None:
+                    spec = getattr(resolved_device, "spec", None)
+                    token = (getattr(spec, "name", "custom"), "analytic")
+                fp = store.fingerprint_for(outputs, sig)
+                artifact = store.load_wavefront(
+                    fp, token, threads, fuse, bg, mode
+                )
             plan = CompiledPlan(
                 order if order is not None else schedule(outputs),
                 outputs,
@@ -291,18 +297,15 @@ class PlanCache:
                 threads=threads,
                 batch_gemms=batch_gemms,
                 device=resolved_device,
-                code_cache=code_cache,
                 wavefront_artifact=artifact,
                 memplan=mode,
             )
-            if store is not None:
-                if fp is not None:
-                    fresh = plan.wavefront_artifact()
-                    if fresh is not None:
-                        store.save_wavefront(
-                            fp, token, threads, fuse, bg, fresh, mode
-                        )
-                store.flush_code_cache()
+            if fp is not None:
+                fresh = plan.wavefront_artifact()
+                if fresh is not None:
+                    store.save_wavefront(
+                        fp, token, threads, fuse, bg, fresh, mode
+                    )
             _maybe_verify(plan)
             reg = obs_metrics.registry()
             if reg is not None:

@@ -157,8 +157,8 @@ class InferenceSession:
         }
         # With a persistent tuning store attached (REPRO_TUNE_DIR), warmup
         # is the ahead-of-time load point: misses above still counted as
-        # "compiled", but their schedules, wavefront layouts, and closure
-        # bytecode came from disk — the store counters say how much.
+        # "compiled", but their schedules and wavefront layouts came from
+        # disk — the store counters say how much.
         store = getattr(self.plan_cache, "store", None)
         if store is not None:
             report["tune_store"] = store.stats()

@@ -52,8 +52,8 @@ class BucketedTrainer:
             # Calibrated when a tuning store has coverage; and since the
             # shared PlanCache below attaches the same store, construction
             # is also the ahead-of-time load point — every bucket's
-            # schedule, wavefront layout, and closure bytecode comes from
-            # disk on a warm start.
+            # schedule and wavefront layout comes from disk on a warm
+            # start.
             from repro.pgo.calibrated import default_device
 
             device = default_device()

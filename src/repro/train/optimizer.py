@@ -37,8 +37,14 @@ class Optimizer:
         scale = 1.0
         if self.clip_norm is not None and norm > self.clip_norm:
             scale = self.clip_norm / (norm + 1e-12)
-        for name, grad in grads.items():
-            self._update_one(name, params[name], grad * scale)
+        if scale == 1.0:
+            # No clipping in effect: ``grad * 1.0`` would only copy every
+            # gradient (bit for bit) before the update reads it.
+            for name, grad in grads.items():
+                self._update_one(name, params[name], grad)
+        else:
+            for name, grad in grads.items():
+                self._update_one(name, params[name], grad * scale)
         return norm
 
     def _update_one(self, name: str, param: np.ndarray, grad: np.ndarray) -> None:

@@ -1,4 +1,5 @@
-"""Shared test utilities: numerical gradient checking against autodiff."""
+"""Shared test utilities: numerical gradient checking against autodiff,
+and reference implementations kept as oracles for optimized code."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import numpy as np
 import repro.ops as O
 from repro.autodiff import build_gradients
 from repro.graph import Tensor
+from repro.memplan.coloring import PackResult, waterline
 from repro.runtime import GraphExecutor
 
 
@@ -77,3 +79,54 @@ def check_gradients(
             atol=atol,
             err_msg=f"gradient mismatch for input {idx}",
         )
+
+
+def reference_pack_intervals(requests, align: int = 64):
+    """The pre-tightening ``pack_intervals`` body, kept as the test oracle.
+
+    Full sorted sweep for every request (mask, stable argsort, running max
+    of ends, first fitting gap); the production packer must reproduce its
+    offsets, extent and planned peak exactly.
+    """
+    live = [(k, lo, hi, nb) for (k, lo, hi, nb) in requests if nb > 0]
+    n = len(live)
+    order = sorted(range(n), key=lambda i: (-live[i][3], live[i][1], i))
+    lo_a = np.empty(n, dtype=np.int64)
+    hi_a = np.empty(n, dtype=np.int64)
+    off_a = np.empty(n, dtype=np.int64)
+    end_a = np.empty(n, dtype=np.int64)
+    offsets = {}
+    extent = 0
+    count = 0
+    for i in order:
+        key, lo, hi, nbytes = live[i]
+        off = 0
+        if count:
+            mask = (lo_a[:count] <= hi) & (hi_a[:count] >= lo)
+            if mask.any():
+                starts = off_a[:count][mask]
+                ends = end_a[:count][mask]
+                by_start = np.argsort(starts, kind="stable")
+                starts = starts[by_start]
+                ends = np.maximum.accumulate(ends[by_start])
+                cursors = np.empty(len(starts) + 1, dtype=np.int64)
+                cursors[0] = 0
+                cursors[1:] = -(-ends // align) * align
+                avail = np.empty(len(starts) + 1, dtype=np.int64)
+                avail[:-1] = starts
+                avail[-1] = np.iinfo(np.int64).max
+                fits = np.nonzero(avail - cursors >= nbytes)[0]
+                off = int(cursors[fits[0]])
+        offsets[key] = off
+        lo_a[count] = lo
+        hi_a[count] = hi
+        off_a[count] = off
+        end_a[count] = off + nbytes
+        count += 1
+        if off + nbytes > extent:
+            extent = off + nbytes
+    return PackResult(
+        offsets=offsets,
+        extent_bytes=extent,
+        planned_peak_bytes=waterline(live),
+    )

@@ -318,3 +318,157 @@ class TestDeterminism:
         r1 = [float(a.run({"x": arr}).outputs[0]) for _ in range(3)]
         r2 = [float(b.run_interpreted({"x": arr}).outputs[0]) for _ in range(3)]
         assert r1 == r2
+
+
+class TestTemplatedCodegen:
+    """Closures are instantiated from source-keyed templates: slot numbers,
+    shapes and byte counts are default-argument values, not literals."""
+
+    @pytest.fixture
+    def fresh_memo(self, monkeypatch):
+        """An empty process memo plus a count of real ``compile`` calls."""
+        import repro.runtime.compiled as compiled_mod
+
+        memo = compiled_mod.TemplateMemo()
+        monkeypatch.setattr(compiled_mod, "TEMPLATES", memo)
+        compiles = []
+
+        def spy(src, filename, mode):
+            compiles.append(filename)
+            return compile(src, filename, mode)
+
+        # a module global shadows the builtin for this module only
+        monkeypatch.setattr(compiled_mod, "compile", spy, raising=False)
+        return memo, compiles
+
+    def test_four_nmt_buckets_share_templates(self, fresh_memo):
+        from repro.data import BucketSpec
+        from repro.models import NmtConfig
+        from repro.nn import Backend
+        from repro.train import Adam
+        from repro.train.bucketed import BucketedTrainer
+
+        memo, compiles = fresh_memo
+        cfg = NmtConfig(
+            src_vocab_size=50, tgt_vocab_size=50, embed_size=8,
+            hidden_size=8, encoder_layers=1, decoder_layers=1,
+            batch_size=2, backend=Backend.CUDNN,
+        )
+        buckets = tuple(
+            BucketSpec(s, t) for s, t in ((4, 6), (8, 10), (12, 14), (16, 16))
+        )
+
+        def build(which):
+            bt = BucketedTrainer(cfg, which, Adam(1e-3), echo=True, threads=1)
+            return [bt.trainer_for(b).executor.executor.plan for b in which]
+
+        plans = build(buckets)
+        # generated instruction closures, plus one dispatch body per plan
+        generated = len(plans) + sum(
+            s.__code__.co_filename == "<compiled-plan>"
+            for p in plans for s in p._steps
+        )
+        assert generated > 2000
+        assert 0 < len(compiles) <= 200
+        assert set(compiles) == {"<compiled-plan>"}
+        assert len(compiles) == len(memo.codes)
+        assert len(compiles) == sum(p.templates_compiled for p in plans)
+        assert sum(p.template_hits for p in plans) == (
+            generated - len(compiles)
+        )
+
+        del compiles[:]
+        (again,) = build(buckets[-1:])
+        assert compiles == [] and again.templates_compiled == 0
+        assert again.template_hits > 0
+
+    def test_same_form_instructions_share_one_code_object(self):
+        model = small_lm()
+        ex = GraphExecutor(model.graph.outputs, plan_cache=PlanCache())
+        generated = [
+            s for s in ex.plan._steps
+            if s.__code__.co_filename == "<compiled-plan>"
+        ]
+        assert len(generated) > 50
+        by_code = {}
+        for step in generated:
+            by_code.setdefault(step.__code__, []).append(step.__defaults__)
+        assert len(by_code) * 4 < len(generated)
+        # one code object, different bound slots/buffers per instruction
+        assert any(
+            len({tuple(map(id, d)) for d in bound}) > 1
+            for bound in by_code.values()
+        )
+        assert ex.plan._body.__code__.co_filename == "<compiled-plan>"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_echo_plan_parity_and_certification(self, threads):
+        from repro.echo import optimize
+
+        model = small_lm(dropout=0.2)
+        cache = PlanCache()
+        optimize(model.graph, plan_cache=cache)
+        params = model.store.initialize(seed=9)
+        feeds = lm_feeds(model.config)
+        ex, oracle = (
+            GraphExecutor(
+                model.graph.outputs, plan_cache=cache, threads=threads
+            )
+            for _ in range(2)
+        )
+        assert ex.verify(equiv=True).ok
+        for _ in range(2):  # same dropout step sequence on both sides
+            got = ex.run(feeds, params).outputs
+            want = oracle.run_interpreted(feeds, params).outputs
+            for a, b in zip(want, got):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_memo_is_bounded_first_in_first_out(self):
+        from repro.runtime.compiled import TemplateMemo
+
+        memo = TemplateMemo(limit=3)
+        sources = [f"def step(regs, _v{i}):\n    return _v{i}\n"
+                   for i in range(5)]
+        for src in sources:
+            assert memo.compile(src).co_name == "step"
+        assert list(memo.codes) == sources[-3:]
+
+    def test_memo_survives_concurrent_compiles(self):
+        import sys
+        import threading
+        from types import FunctionType
+
+        from repro.runtime.compiled import TemplateMemo
+
+        memo = TemplateMemo(limit=8)
+        sources = [f"def step(regs, _v{i}):\n    return regs + {i}\n"
+                   for i in range(24)]
+        failures = []
+
+        def worker(offset):
+            try:
+                for k in range(300):
+                    i = (offset + k) % len(sources)
+                    try:
+                        code = memo.codes[sources[i]]
+                    except KeyError:
+                        code = memo.compile(sources[i])
+                    fn = FunctionType(code, {}, "step", (None,))
+                    if fn(1) != 1 + i or len(memo.codes) > memo.limit:
+                        failures.append((offset, k))
+            except Exception as exc:  # surfaced below, not lost in a thread
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(3 * t,))
+                       for t in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []

@@ -23,7 +23,12 @@ from repro.graph import Stage, scope
 from repro.gpumodel import DeviceModel
 from repro.models import NmtConfig, build_nmt
 from repro.nn import Backend
-from repro.runtime import TrainingExecutor, schedule, validate_schedule
+from repro.runtime import (
+    PlanCache,
+    TrainingExecutor,
+    schedule,
+    validate_schedule,
+)
 
 
 def _o_shape_graph(batch=8, seq=16, hidden=32, steps=4):
@@ -272,6 +277,63 @@ class TestBaselines:
         echo = optimize(m1.graph)
         extreme = recompute_all(m2.graph)
         assert extreme.optimized_peak_bytes <= echo.optimized_peak_bytes * 1.05
+
+
+class TestPlanOncePerGraphState:
+    """The pass and the executor build share one pack and one signature
+    walk per graph state (color planner; greedy never packs)."""
+
+    @pytest.fixture
+    def spied_build(self, monkeypatch):
+        import repro.echo.pass_ as pass_mod
+        import repro.memplan.estimate as estimate_mod
+        import repro.memplan.planner as planner_mod
+        import repro.runtime.executor as executor_mod
+        import repro.runtime.plancache as plancache_mod
+
+        monkeypatch.setenv("REPRO_MEMPLAN", "color")
+        packs, walks = [], []
+
+        def spy_pack(requests, *args):
+            result = real_pack(requests, *args)
+            packs.append(result)
+            return result
+
+        def spy_signature(outputs):
+            walks.append(1)
+            return real_signature(outputs)
+
+        real_pack = estimate_mod.pack_intervals
+        real_signature = plancache_mod.graph_signature
+        for mod in (estimate_mod, planner_mod):
+            monkeypatch.setattr(mod, "pack_intervals", spy_pack)
+        for mod in (pass_mod, executor_mod, plancache_mod):
+            monkeypatch.setattr(mod, "graph_signature", spy_signature)
+
+        model, _ = _tiny_nmt(seed=7)
+        cache = PlanCache(store=None)
+        report = EchoPass(plan_cache=cache).run(model.graph)
+        TrainingExecutor(model.graph, plan_cache=cache, threads=1)
+        return report, packs, walks
+
+    def test_at_most_three_packs_and_three_walks(self, spied_build):
+        report, packs, walks = spied_build
+        assert report.accepted  # both graph states really were planned
+        # baseline state, rewritten state, the lowered stream
+        assert len(packs) == 3
+        # the two Echo states, then the executor's own lookup
+        assert len(walks) == 3
+
+    def test_report_carries_the_scored_footprints(self, spied_build):
+        report, packs, _ = spied_build
+        baseline, rewritten = packs[0], packs[1]
+        assert report.baseline_packed_bytes == (
+            baseline.extent_bytes + report.baseline_plan.workspace_pool_hwm
+        )
+        assert report.optimized_packed_bytes == (
+            rewritten.extent_bytes + report.optimized_plan.workspace_pool_hwm
+        )
+        assert report.optimized_packed_bytes < report.baseline_packed_bytes
 
 
 class TestConfigValidation:

@@ -17,7 +17,9 @@ Four layers of coverage:
 """
 
 import contextlib
+import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -45,6 +47,7 @@ from repro.runtime import (
     schedule,
     validate_schedule,
 )
+from tests.helpers import reference_pack_intervals
 
 
 @contextlib.contextmanager
@@ -121,6 +124,45 @@ class TestPackIntervals:
         # FFD with alignment can fragment, but never past the aligned sum.
         aligned_total = sum(-(-nb // ALIGN) * ALIGN for *_x, nb in requests)
         assert packed.extent_bytes <= aligned_total
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 30),
+                st.integers(0, 30),
+                # few distinct sizes (as real plans have), zero included,
+                # on and off the alignment grid
+                st.sampled_from([0, 1, 63, 64, 65, 128, 1000, 4096]),
+            ),
+            max_size=60,
+        ),
+        st.sampled_from([1, 64, 256]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_identical_to_reference_sweep(self, raw, align):
+        requests = [
+            (i, lo, lo + ext, nb) for i, (lo, ext, nb) in enumerate(raw)
+        ]
+        # offsets, extent and planned peak: PackResult compares all three
+        assert pack_intervals(requests, align) == reference_pack_intervals(
+            requests, align
+        )
+
+    @pytest.mark.parametrize(
+        "name", ["nmt_16x16_echo_node_plan", "wordlm_lowered_stream"]
+    )
+    def test_frozen_corpus_identical_to_reference_sweep(self, name):
+        """Request lists dumped from real plans: the Echo-rewritten NMT
+        (16,16) node-level plan (2 475 requests, 15 sizes) and the word-LM
+        lowered stream (928 requests)."""
+        path = pathlib.Path(__file__).parent / "data" / "pack_corpus.json"
+        cols = json.loads(path.read_text())[name]
+        requests = list(
+            zip(range(len(cols["lo"])), cols["lo"], cols["hi"],
+                cols["nbytes"])
+        )
+        assert len(requests) > 900
+        assert pack_intervals(requests) == reference_pack_intervals(requests)
 
     def test_atomic_tokens_intersect_iff_bytes_do(self):
         tokens = atomic_tokens(

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.dist import DistributedTrainer, run_distributed
 from repro.echo import optimize
+from repro.memplan.modes import memplan_mode
 from repro.models import NmtConfig, WordLmConfig, build_nmt, build_word_lm
 from repro.obs import (
     Counter,
@@ -549,6 +550,13 @@ class TestMetrics:
         snap = json.loads(out)
         assert "plancache.hit_rate" in snap
         assert "train.steps" in snap
+        # compile-path de-duplication is readable from telemetry alone
+        assert snap["plan.codegen.templates_compiled"] >= 0
+        assert snap["plan.codegen.template_hits"] > 0
+        if memplan_mode() == "color":
+            # Echo's two graph states + the lowered stream, once each
+            assert snap["memplan.pack.calls"] == 3
+            assert snap["memplan.pack_s"]["count"] == 3
         validate_chrome_payload(
             json.loads((tmp_path / "t.json").read_text())
         )

@@ -281,6 +281,46 @@ class TestLossForward:
         )
         np.testing.assert_allclose(masked, ref, rtol=1e-6)
 
+    def test_cross_entropy_bitwise_equals_full_softmax_formula(self):
+        """The one-temporary kernel against the formula it replaced (full
+        float64 softmax, then gather), on awkward inputs."""
+        from repro.ops.softmax import softmax_array
+
+        def full_softmax_loss(logits, labels, dtype):
+            probs = softmax_array(logits.astype(np.float64), axis=-1)
+            valid = labels != -1
+            count = max(int(valid.sum()), 1)
+            rows = np.arange(logits.shape[0])[valid]
+            picked = probs[rows, labels[valid]]
+            loss = -np.sum(np.log(np.maximum(picked, 1e-30))) / count
+            return np.asarray(loss, dtype=dtype)
+
+        gen = rng(25)
+        with np.errstate(all="ignore"):
+            for trial in range(200):
+                n = int(gen.integers(1, 24))
+                v = int(gen.choice([1, 2, 5, 33, 400]))
+                dtype = (np.float32, np.float64)[trial % 2]
+                logits = (
+                    gen.standard_normal((n, v)) * gen.choice([1, 30, 300])
+                ).astype(dtype)
+                if trial % 5 == 0:
+                    logits[gen.integers(0, n), gen.integers(0, v)] = (
+                        gen.choice([np.inf, -np.inf, np.nan])
+                    )
+                labels = gen.integers(0, v, size=n).astype(np.int64)
+                labels[gen.random(n) < 0.3] = -1
+                if trial % 17 == 0:
+                    labels[:] = -1
+                node = O.softmax_cross_entropy(
+                    O.placeholder((n, v), dtype, name=f"xe_l{trial}"),
+                    O.placeholder((n,), np.int64, name=f"xe_y{trial}"),
+                ).node
+                (got,) = node.op.compute(node, [logits, labels])
+                want = full_softmax_loss(logits, labels, dtype)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), trial
+
     def test_all_padding_does_not_crash(self):
         logits = rng(24).standard_normal((2, 3)).astype(np.float32)
         labels = np.array([-1, -1], dtype=np.int64)

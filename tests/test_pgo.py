@@ -20,7 +20,6 @@ from repro.backends import Backend
 from repro.backends.microbench import autotune_backend, measure_lstm, pure_lstm_graph
 from repro.gpumodel import DeviceModel
 from repro.pgo import (
-    BytecodeCache,
     CalibratedDeviceModel,
     CalibrationDB,
     CostRecord,
@@ -162,27 +161,6 @@ class TestStoreDurability:
         ts = TuneStore(tmp_path)
         assert ts.calibration().coverage() == 0
         assert ts.stats()["load_errors"] == 1
-
-    def test_truncated_bytecode_falls_back(self, tmp_path):
-        cache = BytecodeCache(tmp_path / "bytecode.bin")
-        code = cache.compile("def body(regs):\n    pass\n")
-        assert cache.flush()
-        blob = (tmp_path / "bytecode.bin").read_bytes()
-        (tmp_path / "bytecode.bin").write_bytes(blob[: len(blob) // 2])
-        cold = BytecodeCache(tmp_path / "bytecode.bin")
-        again = cold.compile("def body(regs):\n    pass\n")
-        assert cold.load_errors == 1
-        assert cold.misses == 1  # recompiled, not served from the torn file
-        assert again.co_code == code.co_code
-
-    def test_bytecode_roundtrip_hits(self, tmp_path):
-        path = tmp_path / "bytecode.bin"
-        cache = BytecodeCache(path)
-        cache.compile("def body(regs):\n    regs[0] = 1\n")
-        cache.flush()
-        warm = BytecodeCache(path)
-        warm.compile("def body(regs):\n    regs[0] = 1\n")
-        assert warm.hits == 1 and warm.misses == 0
 
     def test_corrupted_order_file_is_a_miss(self, tmp_path):
         graph, _, _ = small_graph()
@@ -349,7 +327,6 @@ class TestWarmPlans:
             graph, plan_cache=PlanCache(store=ts), threads=4
         )
         cold_loss, cold_grads, _ = cold_ex.run(feeds, params)
-        ts.flush_code_cache()
         assert not cold_ex.executor.plan.wavefront_from_cache
         stats = ts.stats()
         assert stats["order_misses"] == 1 and stats["wavefront_misses"] == 1
@@ -365,7 +342,6 @@ class TestWarmPlans:
         wstats = warm_store.stats()
         assert wstats["order_hits"] == 1
         assert wstats["wavefront_hits"] == 1
-        assert wstats["bytecode_hits"] > 0 and wstats["bytecode_misses"] == 0
         assert warm_ex.executor.plan.wavefront_from_cache
 
         # params2 initializes identically (same seed path), so execution
@@ -378,7 +354,6 @@ class TestWarmPlans:
         graph, params, feeds = small_graph()
         ts = TuneStore(tune_dir)
         TrainingExecutor(graph, plan_cache=PlanCache(store=ts), threads=4)
-        ts.flush_code_cache()
 
         monkeypatch.setenv("REPRO_VERIFY", "1")
         graph2, _ = pure_lstm_graph(4, 16, 1, 3, Backend.DEFAULT)

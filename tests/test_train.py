@@ -81,6 +81,49 @@ class TestAdam:
             opt.update({"w": np.zeros(1)}, {"w": np.ones(1)})
 
 
+class TestUpdatePassesGradientsThrough:
+    """Unclipped updates hand ``grad`` to the rule uncopied; the result is
+    bit-for-bit what scaling every gradient by 1.0 first produced."""
+
+    @staticmethod
+    def _scaled_copy_update(opt, params, grads):
+        """``Optimizer.update`` as it was: always ``grad * scale``."""
+        opt._step += 1
+        norm = math.sqrt(sum(
+            float(np.sum(g.astype(np.float64) ** 2)) for g in grads.values()
+        ))
+        scale = 1.0
+        if opt.clip_norm is not None and norm > opt.clip_norm:
+            scale = opt.clip_norm / (norm + 1e-12)
+        for name, grad in grads.items():
+            opt._update_one(name, params[name], grad * scale)
+
+    @pytest.mark.parametrize("make", [
+        lambda clip: SGD(0.2, clip_norm=clip),
+        lambda clip: SGD(0.2, momentum=0.9, clip_norm=clip),
+        lambda clip: Adam(1e-2, clip_norm=clip),
+    ])
+    @pytest.mark.parametrize("clip", [None, 1e9, 0.5])
+    def test_bitwise_equal_to_scaled_copy(self, make, clip):
+        gen = np.random.default_rng(3)
+        shapes = {"w": (7, 5), "b": (5,), "s": ()}
+        start = {k: gen.standard_normal(s).astype(np.float32)
+                 for k, s in shapes.items()}
+        new, old = make(clip), make(clip)
+        params_new = {k: v.copy() for k, v in start.items()}
+        params_old = {k: v.copy() for k, v in start.items()}
+        for _ in range(4):
+            grads = {k: gen.standard_normal(s).astype(np.float32)
+                     for k, s in shapes.items()}
+            grads["b"][0] = -0.0
+            kept = {k: g.copy() for k, g in grads.items()}
+            new.update(params_new, grads)
+            self._scaled_copy_update(old, params_old, kept)
+            for k in shapes:
+                assert grads[k].tobytes() == kept[k].tobytes()  # not mutated
+                assert params_new[k].tobytes() == params_old[k].tobytes()
+
+
 class TestMetrics:
     def test_perplexity(self):
         assert perplexity(0.0) == 1.0
