@@ -10,6 +10,10 @@ thread-backend ranks and reports, per world size:
 * bytes moved per step per rank (the ring all-reduce's ~2.S plus the
   per-step loss reduction), straight from the ``DistStats`` counters;
 * the overlap ratio — buckets reduced while backward was still running.
+  At this model size the wavefront gate keeps the ``threads=2`` plan
+  serial (one program item), so every bucket is reduced in the step's one
+  gradient collective after backward and the ratio reads 0; the column
+  stays so a plan that does keep parallel levels shows up here.
 
 Correctness riding along: every world size must reproduce its
 single-process :func:`data_parallel_reference` loss trajectory bitwise
@@ -65,8 +69,8 @@ def _batches(steps: int):
 def _bench_rank(group, cfg, warmup, timed):
     model = build_word_lm(cfg)
     params = model.store.initialize(seed=100 + group.rank)
-    # threads=2 compiles a wavefront plan (a serial plan is one program
-    # item, so no bucket could ever overlap with backward).
+    # threads=2 as in the harness's wordlm_dist2; the gate decides whether
+    # any level (and hence any overlap with backward) survives.
     with DistributedTrainer(
         group, model.graph, params, SGD(0.2), bucket_bytes=1 << 14,
         threads=2,

@@ -20,7 +20,7 @@ given :class:`WavefrontSchedule` against them:
 
 For serial plans — which never ran the wavefront planner —
 :func:`check_plan_races` probes a hypothetical maximally-parallel
-schedule (``threads_probe`` workers, cost gates zeroed): if even that
+schedule (every multi-instruction level parallel): if even that
 admits no race, the hazard structure itself is sound and any cost-gated
 real schedule, which only *merges* levels into serial runs, is too.
 """
@@ -192,8 +192,9 @@ def check_plan_races(plan: Any, threads_probe: int = 4) -> list[Finding]:
 
     A plan compiled with ``threads > 1`` carries the schedule it actually
     executes; that is checked as-is. A serial plan is checked against a
-    maximally-parallel probe (``threads_probe`` workers, cost gates
-    zeroed) — the strictest schedule its hazard edges admit.
+    maximally-parallel probe — its level structure with every
+    multi-instruction level marked parallel (``threads_probe > 1``), the
+    strictest schedule its hazard edges admit.
     """
     low = getattr(plan, "lowering", None)
     infos = (
@@ -208,11 +209,8 @@ def check_plan_races(plan: Any, threads_probe: int = 4) -> list[Finding]:
     if stored is not None:
         findings.extend(check_schedule(infos, stored))
     else:
-        probe = analyze_wavefronts(
-            infos,
-            threads_probe,
-            min_chunk_seconds=0.0,
-            min_level_seconds=0.0,
-        )
+        probe = analyze_wavefronts(infos, threads=1)  # levels, no gate
+        for wf in probe.levels:
+            wf.parallel = threads_probe > 1 and len(wf.instructions) > 1
         findings.extend(check_schedule(infos, probe))
     return findings

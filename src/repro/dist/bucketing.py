@@ -108,10 +108,22 @@ class GradBucketPlan:
     # -- packing -------------------------------------------------------------
 
     def flatten(
-        self, bucket: GradBucket, grads: Mapping[str, np.ndarray]
+        self,
+        bucket: GradBucket,
+        grads: Mapping[str, np.ndarray],
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Copy the bucket's gradients into one flat buffer."""
-        flat = np.empty(bucket.elements, dtype=np.dtype(bucket.dtype))
+        """Copy the bucket's gradients into one flat buffer.
+
+        ``out`` (``bucket.elements`` of the bucket's dtype, e.g. the
+        bucket's span of a buffer shared by several buckets) is filled
+        and returned when given; otherwise a fresh buffer is.
+        """
+        flat = (
+            np.empty(bucket.elements, dtype=np.dtype(bucket.dtype))
+            if out is None
+            else out
+        )
         for seg in bucket.segments:
             grad = grads[seg.name]
             if tuple(grad.shape) != seg.shape:

@@ -12,7 +12,13 @@ reduced in ascending ring position** — ``((x₀ + x₁) + x₂) + …`` — by
 rooting the reduction at position 0 and pipelining chunks along the
 ring (position 0 streams its chunks right; each position adds its own
 contribution and forwards; the last position holds the full sums and
-streams them back around). Consequences:
+streams them back around). The two passes are one pipeline: the last
+position sends chunk ``c``'s sum on the moment it has it, and position 0
+keeps ``K - 1`` chunks of contributions ahead of the sums it has read
+back, so both directions of every link are busy at once (ten separate
+reduce-then-broadcast collectives for 1.3 MB measured 4.0-4.4 ms of
+communicator wait per step on two ranks; the same bytes cross a bare
+pipe in 1.2 ms). Consequences:
 
 * the result is bitwise identical across runs, backends, thread counts,
   and — crucially — **chunk sizes**, because elementwise addition order
@@ -38,6 +44,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from repro.dist.channels import PIPE_BUFFER_BYTES
 from repro.dist.group import ProcessGroup
 from repro.obs import trace as obs_trace
 
@@ -53,6 +60,12 @@ __all__ = [
 
 #: default all-reduce chunk granularity (pipelining quantum)
 DEFAULT_CHUNK_BYTES = 1 << 16
+
+#: Payload bytes the all-reduce lets sit unread towards any one peer. The
+#: lead position sends ahead of what it reads back, so it must never block
+#: in ``send`` (nobody would be left to drain the ring): half of every
+#: pipe's send buffer, the other half being headers and kernel overhead.
+_MAX_IN_FLIGHT_BYTES = PIPE_BUFFER_BYTES // 2
 
 
 def _chunk_slices(size: int, itemsize: int, chunk_bytes: int) -> list[slice]:
@@ -76,12 +89,15 @@ def _traced_io(group: ProcessGroup) -> tuple[Any, Any]:
         ):
             group.send(peer, seq, tag, payload)
 
-    def recv(peer: int, seq: int, tag: Any, timeout_s: float | None) -> Any:
+    def recv(
+        peer: int, seq: int, tag: Any, timeout_s: float | None,
+        into: np.ndarray | None = None,
+    ) -> Any:
         with obs_trace.span(
             "dist.chunk.recv", "dist",
             {"from": peer, "seq": seq, "tag": str(tag)},
         ):
-            return group.recv(peer, seq, tag, timeout_s)
+            return group.recv(peer, seq, tag, timeout_s, into)
 
     return send, recv
 
@@ -106,57 +122,86 @@ def ring_allreduce(
     op: str = "sum",
     chunk_bytes: int = DEFAULT_CHUNK_BYTES,
     timeout_s: float | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """All-reduce ``array`` over the live ring; returns a new array.
 
     Every rank must pass the same shape and dtype. The reduction order
     is canonical (ascending ring position, chunk-independent); see the
-    module docstring. ``op`` is ``"sum"`` or ``"mean"``.
+    module docstring. ``op`` is ``"sum"`` or ``"mean"``. ``out`` — a
+    flat, contiguous array of ``array``'s dtype and size, distinct from
+    it — receives the result instead of a new array (a caller reducing
+    the same megabytes every step keeps one and spares the allocator).
     """
     if op not in ("sum", "mean"):
         raise ValueError(f"unsupported op {op!r}")
     group.stats.on_collective(f"allreduce_{op}")
     k = group.live_size
     flat = np.ascontiguousarray(array).reshape(-1)
+    if out is None:
+        out = np.empty_like(flat)
+    elif (out.shape != flat.shape or out.dtype != flat.dtype
+          or not out.flags.c_contiguous):
+        raise ValueError(
+            f"out must be a contiguous {flat.dtype}{flat.shape} array"
+        )
     if k == 1:
-        out = flat.copy()
+        out[...] = flat
         if op == "mean":
             _apply_mean(out, 1)
         return out.reshape(array.shape)
 
     seq = group.next_seq()
     pos, right, left = group.position, group.right, group.left
-    slices = _chunk_slices(flat.size, flat.itemsize, chunk_bytes)
-    out = np.empty_like(flat)
+    # Position 0 runs ``lag`` chunks of contributions ahead of the sums it
+    # has read back — one per hop of the round trip, so the pipeline stays
+    # full. Towards its right neighbour that leaves at most ``lag + 1``
+    # contributions unread, plus (rings of three and up, where it also
+    # forwards the sums) ``lag`` forwarded chunks; the chunk size is
+    # capped so that window fits the in-flight budget and no send blocks.
+    lag = k - 1
+    window = lag + 1 + (lag if k > 2 else 0)
+    slices = _chunk_slices(
+        flat.size, flat.itemsize,
+        min(int(chunk_bytes), _MAX_IN_FLIGHT_BYTES // window),
+    )
+    n = len(slices)
     send, recv = _io(group)
 
     with obs_trace.span(
         "dist.allreduce", "dist",
         {"gen": group.generation, "seq": seq, "rank": group.rank,
-         "op": op, "chunks": len(slices), "bytes": int(flat.nbytes)},
+         "op": op, "chunks": n, "bytes": int(flat.nbytes)},
     ):
-        # Reduce pass: partial sums flow position 0 -> K-1, each position
-        # adding its contribution in ring order (the canonical fold).
-        for c, sl in enumerate(slices):
-            if pos == 0:
-                send(right, seq, ("ar", c, "red"), flat[sl])
-            else:
-                part = recv(left, seq, ("ar", c, "red"), timeout_s)
-                np.add(part, flat[sl], out=part)
-                if pos < k - 1:
-                    send(right, seq, ("ar", c, "red"), part)
-                else:
-                    out[sl] = part
-
-        # Broadcast pass: the full sums flow K-1 -> 0 -> ... -> K-2.
-        for c, sl in enumerate(slices):
-            if pos == k - 1:
-                send(right, seq, ("ar", c, "bc"), out[sl])
-            else:
-                chunk = recv(left, seq, ("ar", c, "bc"), timeout_s)
-                out[sl] = chunk
-                if pos < k - 2:
-                    send(right, seq, ("ar", c, "bc"), chunk)
+        if pos == k - 1:
+            # Last position: finish each chunk's canonical fold and start
+            # it back round the ring at once.
+            for c, sl in enumerate(slices):
+                total = recv(left, seq, ("ar", c, "red"), timeout_s, out[sl])
+                np.add(total, flat[sl], out=total)
+                send(right, seq, ("ar", c, "bc"), total)
+        else:
+            # Every other position handles contribution ``t`` and then sum
+            # ``t - lag``; its left neighbour sends in exactly that order.
+            # ``out[sl]`` doubles as the partial-sum scratch: the partial
+            # is on the wire before the chunk's sum arrives to replace it.
+            for t in range(n + lag):
+                if t < n:
+                    sl = slices[t]
+                    if pos == 0:
+                        send(right, seq, ("ar", t, "red"), flat[sl])
+                    else:
+                        part = recv(
+                            left, seq, ("ar", t, "red"), timeout_s, out[sl]
+                        )
+                        np.add(part, flat[sl], out=part)
+                        send(right, seq, ("ar", t, "red"), part)
+                c = t - lag
+                if c >= 0:
+                    sl = slices[c]
+                    recv(left, seq, ("ar", c, "bc"), timeout_s, out[sl])
+                    if pos < k - 2:
+                        send(right, seq, ("ar", c, "bc"), out[sl])
 
     if op == "mean":
         _apply_mean(out, k)

@@ -167,6 +167,7 @@ class ProcessGroup:
         seq: int,
         tag: tuple,
         timeout_s: float | None = None,
+        into: np.ndarray | None = None,
     ) -> Any:
         """Next in-generation message from ``src``; must match seq + tag.
 
@@ -176,18 +177,27 @@ class ProcessGroup:
         ``tag`` is a protocol bug and raises — channels are FIFO and all
         ranks run the same collective program, so there is nothing else
         it could be.
+
+        With ``into``, the payload must be an array of ``into``'s dtype
+        and shape and is returned *in* ``into`` — received there directly
+        when the channel can place it, copied otherwise (thread backend,
+        stashed messages). ``into`` may be scribbled on by traffic that is
+        then dropped; it is only meaningful once this call returns.
         """
         deadline = time.monotonic() + (
             self.timeout_s if timeout_s is None else timeout_s
         )
         started = time.monotonic()
         while True:
-            message = self._next_message(src, deadline, tag)
+            message = self._next_message(src, deadline, tag, into)
             waited = time.monotonic() - started
             if message.generation < self.generation:
                 self.stats.on_stale_dropped()
                 continue
             if message.generation > self.generation:
+                if into is not None and message.payload is into:
+                    # The stash outlives this call; ``into`` does not.
+                    message = message._replace(payload=into.copy())
                 self._stash[src].append(message)
                 continue
             if message.seq != seq or message.tag != tag:
@@ -196,9 +206,29 @@ class ProcessGroup:
                     f"rank {src}, got seq={message.seq} tag={message.tag}"
                 )
             self.stats.on_recv_wait(src, waited)
-            return message.payload
+            payload = message.payload
+            if into is not None and payload is not into:
+                if (
+                    not isinstance(payload, np.ndarray)
+                    or payload.dtype != into.dtype
+                    or payload.shape != into.shape
+                ):
+                    raise ProtocolError(
+                        f"rank {self.rank}: payload for seq={seq} tag={tag} "
+                        f"from rank {src} does not match the "
+                        f"{into.dtype}{into.shape} destination"
+                    )
+                into[...] = payload
+                payload = into
+            return payload
 
-    def _next_message(self, src: int, deadline: float, tag: tuple) -> Message:
+    def _next_message(
+        self,
+        src: int,
+        deadline: float,
+        tag: tuple,
+        into: np.ndarray | None = None,
+    ) -> Message:
         stash = self._stash[src]
         for i, message in enumerate(stash):
             if message.generation == self.generation:
@@ -209,7 +239,7 @@ class ProcessGroup:
             self.stats.on_timeout()
             raise CollectiveTimeout(self.rank, src, tag, 0.0)
         try:
-            return self._in[src].recv(timeout=remaining)
+            return self._in[src].recv(timeout=remaining, into=into)
         except ChannelTimeout:
             self.stats.on_timeout()
             raise CollectiveTimeout(self.rank, src, tag, remaining) from None

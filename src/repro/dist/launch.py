@@ -6,8 +6,9 @@
 * **thread backend** — ranks are threads of this process, the mesh is
   in-memory deques. Fast (no fork, no pickling), fully deterministic,
   and a debugger sees every rank at once: the backend the test suite
-  runs hundreds of collectives through. Numpy kernels release the GIL,
-  so rank compute genuinely overlaps.
+  runs hundreds of collectives through. Ranks share one interpreter
+  lock, so their compute overlaps only inside large numpy kernels —
+  a correctness backend, not a performance one.
 * **process backend** — ranks are ``multiprocessing`` children (fork
   where available, spawn otherwise), the mesh is duplex pipes. Real
   address-space isolation: a rank dying — even by ``os._exit`` — closes
@@ -207,6 +208,8 @@ def _run_processes(
     for a in range(world_size):
         for b in range(a + 1, world_size):
             end_a, end_b = ctx.Pipe(duplex=True)
+            PipeChannel.widen(end_a)
+            PipeChannel.widen(end_b)
             conns_by_rank[a][b] = end_a
             conns_by_rank[b][a] = end_b
     result_pipes = [ctx.Pipe(duplex=False) for _ in range(world_size)]

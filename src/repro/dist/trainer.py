@@ -11,12 +11,19 @@ shard_feeds`), so the cohort consumes exactly the batches a single
   the leader, and every rank's gradient-bucket layout fingerprint is
   all-gathered and compared before step one (a mismatched model build
   fails loudly instead of producing garbage numerics);
-* **overlapped reduction** — gradients are packed into flat buckets
-  (:mod:`repro.dist.bucketing`) and each bucket's ring all-reduce is
-  handed to a per-rank communicator thread the moment the wavefront
-  executor retires the program item finalizing the bucket's last
-  gradient (the ``on_item`` level-completion hook), so communication
-  runs under the tail of backward;
+* **one collective per program item** — gradients are packed into flat
+  buckets (:mod:`repro.dist.bucketing`); when the executor retires a
+  program item (the ``on_item`` level-completion hook), every bucket
+  whose last gradient that item finalized is flattened into *one* buffer
+  and handed to a per-rank communicator thread as one chunk-pipelined
+  ring all-reduce. A plan with parallel wavefront levels has several
+  items, so reductions launched by the earlier ones run under the tail
+  of backward; a serial plan is one item, its step one gradient
+  collective plus the loss. Cutting a serial body at the points where
+  buckets become ready, to keep that overlap, was measured and rejected:
+  17.2 ms against 16.0 ms per step on the 2-core host, where the
+  communicator only takes the interpreter lock away from a
+  dispatch-bound main thread;
 * **global clipping** — the optimizer update (and hence ``clip_norm``)
   runs on the *reduced* mean gradients, so the clip norm is the global
   norm — identical on every rank — not a per-shard norm;
@@ -55,6 +62,7 @@ from __future__ import annotations
 
 import queue
 import threading
+import time
 from collections import defaultdict
 from typing import Any, Iterable, Mapping
 
@@ -93,6 +101,21 @@ __all__ = [
     "data_parallel_reference",
     "calibrate_shared",
 ]
+
+
+class _Run:
+    """Same-dtype buckets one program item finalizes: one collective."""
+
+    def __init__(self, buckets: list[GradBucket]) -> None:
+        self.buckets = buckets
+        self.spans: list[slice] = []
+        offset = 0
+        for bucket in buckets:
+            self.spans.append(slice(offset, offset + bucket.elements))
+            offset += bucket.elements
+        dtype = np.dtype(buckets[0].dtype)
+        self.flat = np.empty(offset, dtype)  # this rank's gradients
+        self.reduced = np.empty(offset, dtype)  # the cohort's mean
 
 
 class DistributedTrainer(Trainer):
@@ -149,14 +172,29 @@ class DistributedTrainer(Trainer):
         plan = self.executor.executor.plan
         ready = plan.output_ready_items()
         self._last_item = plan.program_item_count - 1
-        #: program item -> buckets whose last gradient it finalizes
-        self._buckets_at: dict[int, list[GradBucket]] = defaultdict(list)
+        # Buckets by the program item that finalizes their last gradient,
+        # in bucket order (identical on every rank), split where the
+        # dtype changes.
+        runs_at: dict[int, list[list[GradBucket]]] = defaultdict(list)
         for bucket in self.bucket_plan.buckets:
             item = max(
                 ready[self._grad_out_index[seg.name]]
                 for seg in bucket.segments
             )
-            self._buckets_at[item].append(bucket)
+            runs = runs_at[item]
+            if runs and runs[-1][0].dtype == bucket.dtype:
+                runs[-1].append(bucket)
+            else:
+                runs.append([bucket])
+        #: program item -> its runs, each reduced as one collective over
+        #: one flat buffer. The send and result buffers live as long as
+        #: the trainer instead of being allocated by the megabyte every
+        #: step (steps are synchronous: neither is read once the next
+        #: step starts to fill it).
+        self._runs_at: dict[int, list[_Run]] = {
+            item: [_Run(run) for run in runs]
+            for item, runs in runs_at.items()
+        }
 
         if check_layout:
             self._check_layout()
@@ -223,16 +261,20 @@ class DistributedTrainer(Trainer):
                     self._step_done.set()
                 continue
             try:
-                if kind == "bucket":
-                    _, _, bucket, flat, overlapped = job
-                    reduced = ring_allreduce(
+                if kind == "buckets":
+                    _, _, run, overlapped = job
+                    ring_allreduce(
                         self.group,
-                        flat,
+                        run.flat,
                         op="mean",
                         chunk_bytes=self.chunk_bytes,
+                        out=run.reduced,
                     )
-                    self.group.stats.on_bucket(overlapped)
-                    self._reduced_buckets[bucket.index] = reduced
+                    for bucket, span in zip(run.buckets, run.spans):
+                        self.group.stats.on_bucket(overlapped)
+                        self._reduced_buckets[bucket.index] = run.reduced[
+                            span
+                        ]
                 else:  # "loss" — always the step's final job
                     _, _, value = job
                     arr = np.array([value], dtype=np.float64)
@@ -255,22 +297,17 @@ class DistributedTrainer(Trainer):
         if self._comm_error is not None:
             raise self._comm_error
         plan = self.executor.executor.plan
-        for bucket in self._buckets_at.get(item_idx, ()):
-            grads = {
-                seg.name: plan.output_value(
-                    regs, self._grad_out_index[seg.name]
-                )
-                for seg in bucket.segments
-            }
-            flat = self.bucket_plan.flatten(bucket, grads)
+        for run in self._runs_at.get(item_idx, ()):
+            for bucket, span in zip(run.buckets, run.spans):
+                grads = {
+                    seg.name: plan.output_value(
+                        regs, self._grad_out_index[seg.name]
+                    )
+                    for seg in bucket.segments
+                }
+                self.bucket_plan.flatten(bucket, grads, out=run.flat[span])
             self._jobs.put(
-                (
-                    self._epoch,
-                    "bucket",
-                    bucket,
-                    flat,
-                    item_idx < self._last_item,
-                )
+                (self._epoch, "buckets", run, item_idx < self._last_item)
             )
 
     # -- stepping ------------------------------------------------------------
@@ -337,10 +374,16 @@ class DistributedTrainer(Trainer):
         # collective) and skips the rest; anything beyond that budget
         # means the communicator itself is wedged.
         budget = 2.0 * self.group.timeout_s + 60.0
+        waiting = time.perf_counter()
         if not self._step_done.wait(timeout=budget):
             raise DistError(
                 f"rank {self.group.rank}: communicator made no progress "
                 f"for {budget:.0f}s"
+            )
+        if self.metrics is not None:
+            # What the step pays for communication once compute is done.
+            self.metrics.histogram("dist.comm_wait_s").observe(
+                time.perf_counter() - waiting
             )
         if self._comm_error is not None:
             raise self._comm_error

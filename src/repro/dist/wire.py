@@ -14,6 +14,12 @@ A message on the wire is ``(generation, seq, tag, payload)``:
 * ``tag`` — a short tuple naming the step inside the collective, e.g.
   ``("ar", chunk_index, "reduce")``. Matched exactly.
 * ``payload`` — a numpy array or a small picklable object.
+
+Between processes an array payload does not travel inside the pickle: the
+pipe carries the message with an :class:`ArrayHeader` in the payload's
+place, then the array's bytes as one raw buffer the receiver reads
+straight into the destination array (see
+:class:`~repro.dist.channels.PipeChannel`).
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-__all__ = ["Message", "copy_message"]
+__all__ = ["ArrayHeader", "Message", "copy_message"]
 
 
 class Message(NamedTuple):
@@ -30,6 +36,13 @@ class Message(NamedTuple):
     seq: int
     tag: tuple
     payload: Any
+
+
+class ArrayHeader(NamedTuple):
+    """Stands in for an array payload whose bytes follow as a raw buffer."""
+
+    dtype: str
+    shape: tuple[int, ...]
 
 
 def copy_message(message: Any) -> Any:

@@ -28,6 +28,18 @@ _KERNEL_FIXED_SECONDS = 1.2e-6
 #: amortize the wave, bigger kernels saturate DRAM.
 _BANDWIDTH_WAVE_BYTES = 512 * 1024
 
+#: The *host* roofline: what one numpy kernel costs in wall-clock on the
+#: CPU that actually runs the compiled plan. Fixed, deliberately round
+#: numbers measured on the 2-core CI-class host (single-threaded OpenBLAS
+#: sgemm 95-115 GFLOP/s from 64^3 to 512^3; ``np.add`` 22-48 GB/s,
+#: ``np.tanh`` ~17 GB/s of operand traffic; ~1.5 us of interpreter work
+#: per kernel call). Only the wavefront gate reads it, and only to compare
+#: a level's saving with a thread hand-off, so a factor of two either way
+#: moves no decision that matters.
+_HOST_DISPATCH_SECONDS = 1.5e-6
+_HOST_BYTES_PER_SECOND = 20e9
+_HOST_FLOPS_PER_SECOND = 100e9
+
 
 @dataclass(frozen=True)
 class DeviceSpec:
@@ -149,6 +161,25 @@ class DeviceModel:
         t_compute = op.flops(node) / (self.spec.peak_flops * 0.5)
         kernel_seconds = max(t_memory, t_compute) + launches * _KERNEL_FIXED_SECONDS
         return KernelCost(kernel_seconds, api_seconds, nbytes, launches)
+
+    def predict_host_seconds(self, node: Node) -> float:
+        """Predicted *host* wall-clock of one node's numpy kernel(s).
+
+        A fixed roofline over the op's own cost hooks — nothing here
+        depends on the simulated GPU. Calibrated models answer from
+        measured records first (:mod:`repro.pgo.calibrated`).
+        """
+        op = node.op
+        if op.name in ("placeholder", "variable", "constant"):
+            return 0.0
+        launches = op.launch_count(node)
+        nbytes = op.bytes_accessed(node)
+        if nbytes == 0 and launches == 0:
+            return 0.0  # views
+        return launches * _HOST_DISPATCH_SECONDS + max(
+            nbytes / _HOST_BYTES_PER_SECOND,
+            op.flops(node) / _HOST_FLOPS_PER_SECOND,
+        )
 
     def gemm_estimate(self, m: int, n: int, k: int, batch: int = 1):
         """Direct GEMM query (used by the Figure 9 layout microbenchmark)."""

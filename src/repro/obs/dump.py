@@ -1,10 +1,11 @@
 """``python -m repro.obs.dump`` — one snapshot of every metrics surface.
 
 Runs a small instrumented workload (a few word-LM training steps, echo
-on, through the compiled executor) with tracing and metrics enabled,
-absorbs the scattered stats surfaces — plan-cache counters, tuning-store
-hits, the verify wall share — into one :class:`MetricsRegistry`, and
-prints the merged snapshot as JSON (default) or a table.
+on, through the compiled executor, then the same steps under two
+data-parallel rank threads) with tracing and metrics enabled, absorbs
+the scattered stats surfaces — plan-cache counters, tuning-store hits,
+the verify wall share — into one :class:`MetricsRegistry`, and prints the
+merged snapshot as JSON (default) or a table.
 
 Options::
 
@@ -32,9 +33,12 @@ from repro.obs import trace as obs_trace
 
 def run_workload(steps: int = 3, threads: int | None = None) -> dict:
     """Train a tiny word LM with obs enabled; returns the snapshot."""
+    from dataclasses import replace
+
     import numpy as np  # noqa: F401 - ensures numpy present before models
 
     from repro.data import lm_batches, markov_corpus
+    from repro.dist import DistributedTrainer, run_distributed
     from repro.echo import EchoPass
     from repro.models import WordLmConfig, build_word_lm
     from repro.runtime import PlanCache
@@ -56,10 +60,24 @@ def run_workload(steps: int = 3, threads: int | None = None) -> dict:
         threads=threads, metrics=reg,
     )
     corpus = markov_corpus(cfg.vocab_size, 600, seed=3)
-    for feeds in itertools.islice(
+    batches = list(itertools.islice(
         lm_batches(corpus, cfg.batch_size, cfg.seq_len), steps
-    ):
+    ))
+    for feeds in batches:
         trainer.step(feeds)
+
+    # The same global batches under two data-parallel ranks, for the
+    # dist.* surfaces (per-rank DistStats mirror, dist.comm_wait_s).
+    def rank(group) -> None:
+        shard = build_word_lm(replace(cfg, batch_size=cfg.batch_size // 2))
+        with DistributedTrainer(
+            group, shard.graph, shard.store.initialize(seed=0), SGD(0.1),
+            threads=threads, metrics=reg,
+        ) as dist_trainer:
+            for feeds in batches:
+                dist_trainer.step(feeds)
+
+    run_distributed(rank, 2, backend="thread")
 
     # Absorb the surfaces that don't stream into the registry live (the
     # plancache.hits/misses *counters* stream from memo() itself).

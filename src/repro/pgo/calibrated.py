@@ -1,7 +1,7 @@
 """The calibrated device model: measured records first, roofline fallback.
 
-Every cost-driven decision in the stack — Echo accept/reject, the
-wavefront chunking gate, GEMM-batching, FC layout selection — asks a
+Every cost-driven decision in the stack — Echo accept/reject, GEMM
+batching, FC layout selection, the wavefront gate — asks a
 :class:`repro.gpumodel.DeviceModel` to price nodes. This module swaps in a
 subclass that answers from the calibration database whenever a node's
 shape class has measured coverage, and defers to the analytical model
@@ -9,11 +9,14 @@ otherwise, so coverage improves decisions incrementally without ever
 degrading the uncovered ones.
 
 Measured host seconds and simulated device seconds differ by a large
-constant factor (numpy vs. a modeled GPU), so measured values are mapped
-into the model's unit system via the database's geometric-mean domain
-scale before mixing — relative structure (which op dominates, which GEMM
-shape is slower) is what transfers, and relative structure is what every
-consumer compares.
+constant factor (numpy vs. a modeled GPU), so for the *simulated* unit
+system (:meth:`CalibratedDeviceModel.node_cost`) measured values are
+mapped through the database's geometric-mean domain scale before mixing
+— relative structure (which op dominates, which GEMM shape is slower) is
+what transfers. The wavefront gate compares against a thread hand-off
+measured on the host, so it asks in host seconds
+(:meth:`CalibratedDeviceModel.predict_host_seconds`) and gets the records
+unscaled.
 """
 
 from __future__ import annotations
@@ -82,18 +85,18 @@ class CalibratedDeviceModel(DeviceModel):
         )
 
     def predict_host_seconds(self, node: Node) -> float:
-        """Predicted *host* wall-clock of one node (benchmark comparisons).
+        """Predicted *host* wall-clock of one node (the wavefront gate's
+        unit, and the benchmark's comparison against measured timings).
 
         Covered classes answer in measured units directly; uncovered ones
-        map the analytical estimate back through the domain scale.
+        fall back to the fixed host roofline of the base model.
         """
         rec = self.db.record_for(shape_class(node), self.min_weight)
         if rec is not None:
             self.calibrated_hits += 1
             return rec.seconds
         self.analytic_fallbacks += 1
-        base = super().node_cost(node)
-        return base.kernel_seconds / self._scale
+        return super().predict_host_seconds(node)
 
 
 def default_device(spec: DeviceSpec = TITAN_XP) -> DeviceModel:

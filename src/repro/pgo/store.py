@@ -364,10 +364,14 @@ class TuneStore:
     ) -> Path:
         # The memplan mode changes slot aliasing and hazard tokens, which
         # the wavefront layout bakes in — it is part of the artifact key.
+        # So is the gate that decided it: layouts written under the
+        # simulated-seconds gate (``.wavefront.json``, no gate tag) share
+        # the device token but mark nearly every level parallel, and the
+        # structural validation on load would trust them.
         name = (
             f"{fp}.{device_token_string(token)}"
             f".t{threads}.f{int(fuse)}.g{int(batch_gemms)}"
-            f".m{_slug(memplan)}.wavefront.json"
+            f".m{_slug(memplan)}.hostgate.wavefront.json"
         )
         return self.plans_dir / name
 

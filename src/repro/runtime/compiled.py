@@ -34,11 +34,12 @@ for every intermediate on every iteration. This module lowers a schedule
   the run's escaping outputs;
 * with ``threads > 1`` the instruction stream is partitioned into
   **wavefronts** (:mod:`repro.runtime.wavefront`): dependency levels whose
-  instructions execute as cost-balanced chunks on a persistent worker pool
-  (:mod:`repro.runtime.workers`). The numpy kernels release the GIL, so
-  independent chunks overlap on multicore hosts. Levels too small to
-  amortize a thread handoff stay serial (the ``repro.gpumodel`` cost model
-  gates them), Echo stage boundaries remain barriers, and storage-hazard
+  instructions may execute as cost-balanced chunks on a persistent worker
+  pool (:mod:`repro.runtime.workers`). A level is split only when its
+  predicted *host* seconds buy back one measured thread hand-off per
+  extra chunk; everything else stays serial, and a plan with no level
+  worth splitting runs the same single baked body as ``threads=1``.
+  Echo stage boundaries remain barriers, and storage-hazard
   edges (the arena reuses raw pages across slots) serialize any two
   instructions that touch the same page — so parallel execution is
   bitwise-identical to serial execution by construction.
@@ -92,9 +93,8 @@ from repro.runtime.wavefront import (
     Wavefront,
     WavefrontSchedule,
     analyze_wavefronts,
-    partition_chunks,
 )
-from repro.runtime.workers import WorkerPool, shared_pool
+from repro.runtime.workers import shared_pool
 
 _SOURCE_OPS = ("placeholder", "variable")
 
@@ -444,9 +444,11 @@ def build_instr_infos(
 ) -> list[InstrInfo]:
     """Dependence-relevant facts for each instruction descriptor.
 
-    Shared by the wavefront planner (``device`` set: real simulated costs
-    gate parallelism) and the static race analyzer (``device`` None: zero
-    costs — hazard structure only, no cost model construction).
+    Shared by the wavefront planner (``device`` set: each instruction is
+    priced in predicted *host* seconds, the unit the wavefront gate
+    compares with a thread hand-off) and the static race analyzer
+    (``device`` None: zero costs — hazard structure only, no cost model
+    construction).
 
     Storage hazards are labeled by ``id(raw base)`` for greedy plans
     (distinct buffers, distinct bases) and by placement byte-range tokens
@@ -495,9 +497,7 @@ def build_instr_infos(
             cost_nodes = [desc["node"]]
         cost = 0.0
         if device is not None:
-            cost = sum(
-                device.node_cost(n).kernel_seconds for n in cost_nodes
-            )
+            cost = sum(device.predict_host_seconds(n) for n in cost_nodes)
         infos.append(
             InstrInfo(
                 index=idx,
@@ -561,7 +561,6 @@ class CompiledPlan:
         #: cumulative across runs (benchmarks read deltas)
         self.generic_alloc_count = 0
         self._alloc_lock = threading.Lock() if self.threads > 1 else None
-        self._pool: WorkerPool | None = None
         #: program item finalizing each slot's value (wavefront plans);
         #: drives the level-completion hook consumers key overlap off of
         self._item_of_slot: dict[int, int] = {}
@@ -584,8 +583,13 @@ class CompiledPlan:
             "plan.lower", "plan",
             {"nodes": len(self.order), "threads": self.threads,
              "memplan": self.memplan_mode},
-        ):
+        ) as sp:
             self._compile()
+            if self.threads > 1:  # serial plans never reach the gate
+                sp["wavefront_levels"] = self.wavefront_level_count
+                sp["wavefront_levels_parallel"] = self.parallel_level_count
+                sp["wavefront_levels_gated"] = self.gated_level_count
+                sp["wavefront_saving_s"] = self.wavefront_saving_seconds
 
     # -- compilation ---------------------------------------------------------
 
@@ -763,8 +767,13 @@ class CompiledPlan:
         self.wavefront_region_count = 0
         self.wavefront_level_count = 0
         self.parallel_level_count = 0
+        #: multi-instruction levels the host-seconds gate kept serial
+        self.gated_level_count = 0
         self.parallel_instruction_count = 0
         self.max_wavefront_width = 0
+        #: modelled host seconds per run the parallel levels save, net of
+        #: their hand-offs (what the gate priced; 0 for a serial plan)
+        self.wavefront_saving_seconds = 0.0
         program_layout = None
         if self.threads > 1 and descs:
             if self._wavefront_artifact is not None:
@@ -868,6 +877,12 @@ class CompiledPlan:
                 self.templates_compiled
             )
             reg.counter("plan.codegen.template_hits").inc(self.template_hits)
+            for name, count in (
+                ("levels", self.wavefront_level_count),
+                ("levels_parallel", self.parallel_level_count),
+                ("levels_gated", self.gated_level_count),
+            ):
+                reg.counter(f"plan.wavefront.{name}").inc(count)
 
         self.num_nodes = len(order)
         self.num_instructions = len(self._bindings) + len(steps)
@@ -1125,12 +1140,27 @@ class CompiledPlan:
         self._wavefront_infos = infos
 
         schedule = analyze_wavefronts(infos, self.threads)
+        return self._adopt_schedule(schedule)
+
+    def _adopt_schedule(
+        self, schedule: WavefrontSchedule
+    ) -> list[tuple[str, Any]] | None:
+        """Record ``schedule`` on the plan and lay its program out.
+
+        Runs of serial levels merge into one segment; a schedule with no
+        parallel level has no program at all — the plan executes the
+        plain baked body, exactly as ``threads=1`` would.
+        """
         self._wavefront_schedule = schedule
         self.wavefront_region_count = schedule.region_count
         self.wavefront_level_count = len(schedule.levels)
         self.parallel_level_count = len(schedule.parallel_levels)
+        self.gated_level_count = schedule.gated_level_count
         self.parallel_instruction_count = schedule.parallel_instruction_count
         self.max_wavefront_width = schedule.max_width
+        self.wavefront_saving_seconds = schedule.saving_seconds
+        if not self.parallel_level_count:
+            return None
 
         layout: list[tuple[str, Any]] = []
         serial_run: list[int] = []
@@ -1141,20 +1171,9 @@ class CompiledPlan:
             if serial_run:
                 layout.append(("serial", serial_run))
                 serial_run = []
-            chunks = partition_chunks(
-                wf.instructions,
-                [infos[i].cost_seconds for i in wf.instructions],
-                self.threads,
-            )
-            layout.append(("parallel", chunks))
+            layout.append(("parallel", wf.chunks))
         if serial_run:
             layout.append(("serial", serial_run))
-
-        if not any(kind == "parallel" for kind, _ in layout):
-            # Cost gate kept everything serial: fall back to the plain
-            # baked body (identical to threads=1 execution).
-            self.parallel_level_count = 0
-            return None
         return layout
 
     def _layout_from_artifact(
@@ -1184,9 +1203,6 @@ class CompiledPlan:
             return False, None
         seen: list[int] = []
         levels: list[Wavefront] = []
-        layout: list[tuple[str, Any]] = []
-        serial_run: list[int] = []
-        saw_parallel = False
         for entry in raw_levels:
             if not isinstance(entry, dict):
                 return False, None
@@ -1196,13 +1212,13 @@ class CompiledPlan:
             ):
                 return False, None
             seen.extend(idxs)
-            parallel = bool(entry.get("p"))
             try:
                 cost = float(entry.get("c", 0.0))
+                saving = float(entry.get("s", 0.0))
             except (TypeError, ValueError):
                 return False, None
-            if parallel:
-                chunks = entry.get("chunks")
+            chunks = entry.get("chunks", [])
+            if chunks:
                 if not isinstance(chunks, list) or len(chunks) < 2:
                     return False, None
                 flat: list[int] = []
@@ -1212,28 +1228,17 @@ class CompiledPlan:
                     flat.extend(chunk)
                 if sorted(flat) != sorted(idxs):
                     return False, None
-                if serial_run:
-                    layout.append(("serial", serial_run))
-                    serial_run = []
-                layout.append(
-                    ("parallel", [[int(i) for i in c] for c in chunks])
+            levels.append(
+                Wavefront(
+                    list(idxs), cost, bool(chunks),
+                    [list(c) for c in chunks], saving,
                 )
-                saw_parallel = True
-            else:
-                serial_run.extend(idxs)
-            levels.append(Wavefront([int(i) for i in idxs], cost, parallel))
-        if serial_run:
-            layout.append(("serial", serial_run))
-        if sorted(seen) != list(range(n)) or not saw_parallel:
+            )
+        if sorted(seen) != list(range(n)) or not any(
+            wf.parallel for wf in levels
+        ):
             return False, None
-        schedule = WavefrontSchedule(levels, regions)
-        self._wavefront_schedule = schedule
-        self.wavefront_region_count = schedule.region_count
-        self.wavefront_level_count = len(schedule.levels)
-        self.parallel_level_count = len(schedule.parallel_levels)
-        self.parallel_instruction_count = schedule.parallel_instruction_count
-        self.max_wavefront_width = schedule.max_width
-        return True, layout
+        return True, self._adopt_schedule(WavefrontSchedule(levels, regions))
 
     def wavefront_artifact(self) -> dict[str, Any] | None:
         """Serialize this plan's wavefront decision for a tuning store.
@@ -1250,23 +1255,15 @@ class CompiledPlan:
             return None
         if low.program_layout is None or low.schedule is None:
             return {"instructions": len(low.descs), "serial": True}
-        par_chunks = [
-            members for kind, members in low.program_layout
-            if kind == "parallel"
-        ]
         levels_payload: list[dict[str, Any]] = []
-        pi = 0
         for wf in low.schedule.levels:
             entry: dict[str, Any] = {
                 "i": list(wf.instructions),
                 "c": wf.cost_seconds,
-                "p": bool(wf.parallel),
             }
             if wf.parallel:
-                if pi >= len(par_chunks):
-                    return None  # layout/schedule mismatch; don't persist
-                entry["chunks"] = [list(c) for c in par_chunks[pi]]
-                pi += 1
+                entry["chunks"] = [list(c) for c in wf.chunks]
+                entry["s"] = wf.saving_seconds
             levels_payload.append(entry)
         return {
             "instructions": len(low.descs),
@@ -1335,7 +1332,6 @@ class CompiledPlan:
             else:
                 chunk_fns = [self._bake_body(chunk, ()) for chunk in members]
                 program.append(("parallel", chunk_fns, clears))
-        self._pool = shared_pool(self.threads - 1)
         return program
 
     def _bake_body(
@@ -1822,7 +1818,9 @@ class CompiledPlan:
                 if on_item is not None:
                     fire(0)
             else:
-                pool = self._pool
+                # Resolved per run, never cached on the plan: a forked
+                # child inherits the plan but not the pool's threads.
+                pool = shared_pool(self.threads - 1)
                 for item_idx, (kind, payload, clears) in enumerate(
                     self._program
                 ):

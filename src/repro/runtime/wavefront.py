@@ -4,10 +4,9 @@ The compiled plan executes one instruction at a time even though the
 training graph is wide: bidirectional encoder directions, the four LSTM
 gate branches, independent weight-gradient GEMMs. This module partitions
 the instruction stream into *wavefronts* — dependency levels whose
-instructions are mutually independent — and decides, with the
-:mod:`repro.gpumodel` cost model, which levels are worth executing on
-parallel worker threads and which must stay serial because thread handoff
-would swamp the kernels.
+instructions are mutually independent — and decides which levels are
+worth executing on parallel worker threads and which must stay serial
+because the thread hand-off would cost more than the overlap buys.
 
 Dependencies are computed at two granularities:
 
@@ -26,11 +25,27 @@ which is node-based, is untouched). Checkpoint stash points sit on those
 boundaries by construction — a stash is the last forward-stage value a
 backward/recompute run consumes.
 
-Cost gating uses *simulated* device seconds as a relative measure: the
-host's numpy kernels scale with the same bytes/flops the device model
-prices, so a level whose simulated time is tiny (a handful of
-bandwidth-bound elementwise ops) is exactly the level whose host kernels
-are too small to amortize a thread handoff.
+**The gate is priced in host seconds.** Echo accepts a rewrite only when
+its modelled benefit exceeds its modelled overhead; the same rule decides
+parallelism here, with both sides in the unit the overhead is actually
+paid in. ``InstrInfo.cost_seconds`` is the predicted *host* wall-clock of
+the instruction's numpy kernels (measured records when the device model
+is calibrated, a fixed host roofline otherwise — see
+:meth:`repro.gpumodel.DeviceModel.predict_host_seconds`), and a level is
+split into ``k`` chunks only when::
+
+    level cost - heaviest chunk  >  (k - 1) * HANDOFF_SECONDS
+
+i.e. every chunk handed to a worker must buy back its own hand-off. The
+best ``k`` in ``2..threads`` wins; no ``k`` paying means the level stays
+serial. That keeps every level of 1-30 us LSTM-cell kernels serial — a
+plan made only of such levels falls back to the single baked body and is
+instruction-for-instruction the serial plan — while levels of genuinely
+large independent kernels (milliseconds each) keep their chunks.
+Simulated device seconds are no proxy here: the device model prices no
+kernel below ~2.2 us while a hand-off costs the host 12-3000 us, and a
+gate in those units let every two-instruction level through (word-LM
+batch 8: 15.7 ms at ``threads=2`` against 9.7 ms at ``threads=1``).
 """
 
 from __future__ import annotations
@@ -44,20 +59,43 @@ __all__ = [
     "WavefrontSchedule",
     "analyze_wavefronts",
     "partition_chunks",
-    "MIN_CHUNK_SECONDS",
-    "MIN_LEVEL_SECONDS",
+    "HANDOFF_SECONDS",
 ]
 
-#: Minimum simulated seconds of kernel work one chunk must carry before a
-#: thread handoff (queue put + wake + barrier share, ~10-20us of host time)
-#: pays for itself. Simulated device seconds under-report host numpy time
-#: by roughly two orders of magnitude, so this admits chunks of ~100us+ of
-#: real kernel work.
-MIN_CHUNK_SECONDS = 1.5e-6
-
-#: Minimum simulated seconds for a level to be considered at all; below
-#: this even a perfect split cannot beat the barrier cost.
-MIN_LEVEL_SECONDS = 2 * MIN_CHUNK_SECONDS
+#: Host seconds one chunk handed to a worker thread costs the level:
+#: wall-clock of the level run through :meth:`repro.runtime.workers.
+#: WorkerPool.run_level` as two chunks, minus its heavier chunk run alone.
+#: Measured on the 2-core CI-class host (numpy 2.4, OpenBLAS pinned to one
+#: thread); "in plan" rows time the level inside a training iteration
+#: (``on_item`` timestamps), where the worker has idled for tens of
+#: milliseconds, the others a hot loop over the pair.
+#:
+#: =========================================  ========  ========  ========
+#: level (two chunks)                         serial    parallel  overhead
+#: =========================================  ========  ========  ========
+#: no-op                                      -         12 us     12 us
+#: 64 KiB ``np.add`` (4 us each)              6.5 us    84 us     80 us
+#: 128^3 sgemm (46 us)                        93 us     119 us    73 us
+#: 256^3 sgemm (287 us)                       631 us    726 us    439 us
+#: 512^3 sgemm (2.38 ms)                      4.92 ms   2.72 ms   0.33 ms
+#: 4 MiB ``np.add`` (0.57 ms)                 1.00 ms   0.72 ms   0.15 ms
+#: word-LM dW/dh, batch 8 (0.35 ms)           0.84 ms   0.90 ms   0.55 ms
+#: same, in plan: iteration                   9.87 ms   10.2 ms   ~0.7 ms
+#: NMT dW/dh, hidden 128 batch 32 (1.9 ms)    3.4 ms    3.2 ms    1.3 ms
+#: same, in plan: the level's item            4.6-4.9   4.6-5.4   2.3-3.0
+#: =========================================  ========  ========  ========
+#:
+#: The queue put, wake-up and barrier are the first 12-80 us. The rest is
+#: overlap that does not happen: a woken worker needs the interpreter
+#: lock to dispatch, kernels that keep it run back to back, and the
+#: output-layer GEMM pairs that are the only wide *and* heavy levels of
+#: our models did not overlap on this host even with the lock released
+#: (0.90-1.12x over seven operand layouts) — only the square 512^3 pair
+#: and the 4 MiB adds ever won. The constant sits above every in-plan
+#: overhead measured. It is a constant, not an option: the decision must
+#: repeat exactly from run to run (``iter_host_ops`` and the persisted
+#: layouts depend on it).
+HANDOFF_SECONDS = 3e-3
 
 
 @dataclass
@@ -70,7 +108,7 @@ class InstrInfo:
     read_bases: tuple[int, ...]  # storage ids read (static buffers)
     write_bases: tuple[int, ...]  # storage ids written (static + scratch)
     stage: object  # repro.graph.Stage of the instruction's node(s)
-    cost_seconds: float  # simulated kernel seconds (cost-model)
+    cost_seconds: float  # predicted host wall-clock of its kernels
 
 
 @dataclass
@@ -78,8 +116,13 @@ class Wavefront:
     """One dependency level inside a stage region."""
 
     instructions: list[int]  # instruction indices, stream order
-    cost_seconds: float
+    cost_seconds: float  # predicted host seconds, executed serially
     parallel: bool  # cost gate verdict
+    #: the cost-balanced chunks a parallel level executes as (else empty)
+    chunks: list[list[int]] = field(default_factory=list)
+    #: modelled host seconds the split saves net of its hand-offs (0 when
+    #: the level stays serial)
+    saving_seconds: float = 0.0
 
 
 @dataclass
@@ -94,8 +137,21 @@ class WavefrontSchedule:
         return [w for w in self.levels if w.parallel]
 
     @property
+    def gated_level_count(self) -> int:
+        """Multi-instruction levels the cost gate kept serial."""
+        return sum(
+            1 for w in self.levels
+            if len(w.instructions) > 1 and not w.parallel
+        )
+
+    @property
     def parallel_instruction_count(self) -> int:
         return sum(len(w.instructions) for w in self.parallel_levels)
+
+    @property
+    def saving_seconds(self) -> float:
+        """Modelled net host seconds per run the parallel levels buy."""
+        return sum(w.saving_seconds for w in self.levels)
 
     @property
     def max_width(self) -> int:
@@ -138,8 +194,6 @@ def _dependency_edges(infos: Sequence[InstrInfo]) -> list[list[int]]:
 def analyze_wavefronts(
     infos: Sequence[InstrInfo],
     threads: int,
-    min_chunk_seconds: float = MIN_CHUNK_SECONDS,
-    min_level_seconds: float = MIN_LEVEL_SECONDS,
 ) -> WavefrontSchedule:
     """Partition the stream into cost-gated dependency levels.
 
@@ -179,57 +233,67 @@ def analyze_wavefronts(
             by_level.setdefault(level, []).append(i)
         for level in sorted(by_level):
             members = by_level[level]
-            cost = sum(infos[i].cost_seconds for i in members)
-            parallel = (
-                threads > 1
-                and len(members) > 1
-                and cost >= min_level_seconds
-                and _splits_into_chunks(
-                    [infos[i].cost_seconds for i in members],
-                    threads,
-                    min_chunk_seconds,
+            costs = [infos[i].cost_seconds for i in members]
+            chunks, saving = partition_chunks(members, costs, threads)
+            parallel = len(chunks) > 1
+            schedule.levels.append(
+                Wavefront(
+                    members,
+                    sum(costs),
+                    parallel,
+                    chunks if parallel else [],
+                    saving,
                 )
             )
-            schedule.levels.append(Wavefront(members, cost, parallel))
     return schedule
 
 
-def _splits_into_chunks(
-    costs: list[float], threads: int, min_chunk_seconds: float
-) -> bool:
-    """Whether the level yields >= 2 chunks each worth a thread handoff."""
-    chunks = partition_chunks(list(range(len(costs))), costs, threads,
-                              min_chunk_seconds)
-    return len(chunks) >= 2
+def _lpt(
+    costs: Sequence[float], num_chunks: int
+) -> tuple[list[list[int]], float]:
+    """Largest-first onto the lightest chunk; ties broken by position.
 
-
-def partition_chunks(
-    items: list[int],
-    costs: list[float],
-    threads: int,
-    min_chunk_seconds: float = MIN_CHUNK_SECONDS,
-) -> list[list[int]]:
-    """Split a level's items into at most ``threads`` cost-balanced chunks.
-
-    The chunk count is capped so every chunk carries at least
-    ``min_chunk_seconds`` of simulated work; items are dealt
-    largest-first onto the lightest chunk (LPT), then each chunk is
-    restored to stream order for cache-friendly execution. Deterministic:
-    ties broken by position.
+    Returns the chunks (positions into ``costs``) and the heaviest load.
     """
-    total = sum(costs)
-    num_chunks = min(threads, len(items))
-    if min_chunk_seconds > 0:
-        num_chunks = min(num_chunks, max(1, int(total / min_chunk_seconds)))
-    if num_chunks <= 1:
-        return [list(items)]
-    order = sorted(range(len(items)), key=lambda i: (-costs[i], i))
+    order = sorted(range(len(costs)), key=lambda i: (-costs[i], i))
     loads = [0.0] * num_chunks
     chunks: list[list[int]] = [[] for _ in range(num_chunks)]
     for i in order:
         lightest = min(range(num_chunks), key=lambda c: (loads[c], c))
-        chunks[lightest].append(items[i])
+        chunks[lightest].append(i)
         loads[lightest] += costs[i]
-    chunks = [sorted(c) for c in chunks if c]
-    chunks.sort(key=lambda c: c[0])
-    return chunks
+    return chunks, max(loads)
+
+
+def partition_chunks(
+    items: Sequence[int],
+    costs: Sequence[float],
+    threads: int,
+    handoff_seconds: float = HANDOFF_SECONDS,
+) -> tuple[list[list[int]], float]:
+    """The gate: split a level into the chunk set that saves the most.
+
+    For every chunk count ``k`` in ``2..min(threads, len(items))`` the
+    items are dealt largest-first onto the lightest chunk (LPT) and the
+    split is priced at ``total - heaviest chunk - (k - 1) * handoff`` host
+    seconds: what the overlap buys minus one hand-off per chunk given to a
+    worker. Returns ``(chunks, saving)`` for the best positive saving
+    (smallest ``k`` on ties), chunks restored to stream order for
+    cache-friendly execution — or ``([items], 0.0)`` when no split pays
+    and the level stays serial. Deterministic throughout.
+    ``handoff_seconds`` is a parameter for the gate's own tests only;
+    plans always compile with the constant.
+    """
+    best: list[list[int]] | None = None
+    best_saving = 0.0
+    total = sum(costs)
+    for k in range(2, min(threads, len(items)) + 1):
+        chunks, heaviest = _lpt(costs, k)
+        saving = total - heaviest - (k - 1) * handoff_seconds
+        if saving > best_saving:
+            best, best_saving = chunks, saving
+    if best is None:
+        return [list(items)], 0.0
+    placed = [sorted(items[i] for i in chunk) for chunk in best if chunk]
+    placed.sort(key=lambda c: c[0])
+    return placed, best_saving

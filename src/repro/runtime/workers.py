@@ -1,13 +1,19 @@
 """Persistent worker pool executing compiled-plan chunks in parallel.
 
-The compiled executor's kernels are numpy/BLAS calls that release the GIL,
-so dataflow-independent instruction chunks genuinely overlap on multicore
-hosts — the host-side analogue of a GPU executing independent kernels on
-parallel streams. Workers are long-lived daemon threads fed through one
-C-implemented :class:`queue.SimpleQueue`; a dispatch is one queue put plus
-one lock-protected counter decrement, keeping the handoff cost far below
-the kernel times the wavefront cost gate admits (see
-:mod:`repro.runtime.wavefront`).
+Workers are long-lived daemon threads fed through one C-implemented
+:class:`queue.SimpleQueue`; dispatching a chunk is one queue put plus one
+lock-protected counter decrement. That hand-off is *not* free, and chunks
+do not simply overlap because numpy releases the interpreter lock inside
+its kernels: the woken worker and the caller both need the lock to
+dispatch, a kernel that keeps it runs alone, and on the 2-core CI-class
+host even same-sized sgemm pairs overlapped for some operand layouts and
+not for others. Measured there: 12 us for a level of two no-op chunks,
+73-80 us over the heavier chunk for two 46 us sgemms or two 64 KiB
+``np.add`` calls, and 0.7-3.0 ms inside a training iteration, where the
+worker has idled since the previous level — which is why the wavefront
+gate (:mod:`repro.runtime.wavefront`) charges every chunk given to a
+worker ``HANDOFF_SECONDS`` of host time and hands this pool only levels
+whose modelled saving exceeds it.
 
 The calling thread always executes the first chunk itself, so a pool built
 for ``threads`` execution lanes owns ``threads - 1`` workers and a
@@ -16,6 +22,12 @@ all. Pools are shared process-wide by lane count (executors share worker
 threads the way they share arenas), and chunk exceptions propagate to the
 caller after the level barrier — the plan's serial replay fallback then
 attributes the failure to a node.
+
+Pools do not survive ``fork``: only the forking thread exists in the
+child, so an inherited pool would queue chunks nobody drains. The shared
+table is emptied in the child (``os.register_at_fork``) and plans resolve
+their pool through :func:`shared_pool` on every run instead of holding
+one.
 """
 
 from __future__ import annotations
@@ -167,6 +179,17 @@ class WorkerPool:
 
 _SHARED_POOLS: dict[int, WorkerPool] = {}
 _SHARED_LOCK = threading.Lock()
+
+
+def _forget_pools_in_child() -> None:
+    """After ``fork``: the parent's worker threads do not exist here."""
+    global _SHARED_LOCK
+    _SHARED_LOCK = threading.Lock()  # a parent thread may have held it
+    _SHARED_POOLS.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pools_in_child)
 
 
 def shared_pool(num_workers: int) -> WorkerPool:

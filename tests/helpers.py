@@ -9,6 +9,7 @@ import numpy as np
 
 import repro.ops as O
 from repro.autodiff import build_gradients
+from repro.gpumodel import DeviceModel
 from repro.graph import Tensor
 from repro.memplan.coloring import PackResult, waterline
 from repro.runtime import GraphExecutor
@@ -16,6 +17,24 @@ from repro.runtime import GraphExecutor
 
 def rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+class AboveGateDevice(DeviceModel):
+    """Prices every kernel at one host second — far above the wavefront
+    gate's hand-off — so every level with independent instructions goes
+    parallel however small the tensors are. The one device every
+    parallel-execution test compiles with: tiny test graphs would
+    otherwise (correctly) fall back to the serial body and the test would
+    silently stop covering the worker pool. Users assert
+    ``plan.parallel_level_count > 0``. Simulated-GPU pricing
+    (``node_cost``) is the plain analytic model's."""
+
+    @property
+    def cache_token(self) -> tuple:
+        return ("above-gate", "test")
+
+    def predict_host_seconds(self, node) -> float:
+        return 1.0
 
 
 def check_gradients(

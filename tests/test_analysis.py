@@ -39,6 +39,7 @@ from repro.echo.rewrite import _clone_as_mirror
 from repro.graph import Stage, Tensor
 from repro.runtime import Arena, CompiledPlan, PlanCache, schedule
 from repro.runtime.wavefront import InstrInfo, Wavefront, WavefrontSchedule
+from tests.helpers import AboveGateDevice
 
 
 def _small_training_graph():
@@ -332,7 +333,9 @@ class TestRaceDetector:
         )
         tg = build_nmt(cfg).graph
         order = schedule(tg.outputs)
-        plan = CompiledPlan(order, tg.outputs, arena=Arena(), threads=4)
+        plan = CompiledPlan(order, tg.outputs, arena=Arena(), threads=4,
+                            device=AboveGateDevice())
+        assert plan.parallel_level_count > 0
         assert check_plan_races(plan) == []
 
 
@@ -536,17 +539,6 @@ def random_dag_program(draw):
     return steps
 
 
-class _UnitCostDevice:
-    """Prices every node at one simulated second, defeating the cost gate
-    so the wavefront planner parallelizes every eligible level."""
-
-    def node_cost(self, node):
-        class _C:
-            kernel_seconds = 1.0
-
-        return _C()
-
-
 class TestSerialParallelProperty:
     @settings(max_examples=20, deadline=None)
     @given(program=random_dag_program(), seed=st.integers(0, 2**16))
@@ -566,7 +558,7 @@ class TestSerialParallelProperty:
         serial = CompiledPlan(order, outputs, arena=Arena(), threads=1)
         parallel = CompiledPlan(
             order, outputs, arena=Arena(), threads=4,
-            device=_UnitCostDevice(),
+            device=AboveGateDevice(),
         )
 
         # The property's precondition: both plans pass the lifetime
@@ -595,6 +587,6 @@ class TestSerialParallelProperty:
         order = schedule(outputs)
         plan = CompiledPlan(
             order, outputs, arena=Arena(), threads=4,
-            device=_UnitCostDevice(),
+            device=AboveGateDevice(),
         )
         assert plan.parallel_level_count >= 1

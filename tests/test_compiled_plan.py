@@ -18,6 +18,7 @@ from repro.runtime import (
     graph_signature,
     schedule,
 )
+from tests.helpers import AboveGateDevice
 
 
 def small_lm(dropout=0.0):
@@ -412,10 +413,12 @@ class TestTemplatedCodegen:
         feeds = lm_feeds(model.config)
         ex, oracle = (
             GraphExecutor(
-                model.graph.outputs, plan_cache=cache, threads=threads
+                model.graph.outputs, plan_cache=cache, threads=threads,
+                device=AboveGateDevice(),
             )
             for _ in range(2)
         )
+        assert (ex.plan.parallel_level_count > 0) == (threads > 1)
         assert ex.verify(equiv=True).ok
         for _ in range(2):  # same dropout step sequence on both sides
             got = ex.run(feeds, params).outputs

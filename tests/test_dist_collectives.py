@@ -45,6 +45,42 @@ def _allreduce_worker(group, arrays, op, chunk_bytes):
     return out
 
 
+def _coalesced_worker(group, per_rank, op, chunk_bytes):
+    """One collective over the concatenation vs one per piece."""
+    pieces = per_rank[group.rank]
+    mine = np.concatenate(pieces)
+    whole = np.full_like(mine, np.nan)  # a caller-kept result buffer
+    got = ring_allreduce(group, mine, op=op, chunk_bytes=chunk_bytes,
+                         out=whole)
+    assert np.shares_memory(got, whole)
+    apart = [ring_allreduce(group, p, op=op, chunk_bytes=chunk_bytes)
+             for p in pieces]
+    return whole, apart, group.stats.snapshot()
+
+
+def _die_mid_collective_worker(group, arrays, victim):
+    """The last ring position plays one chunk of the protocol, then dies."""
+    assert victim == group.world_size - 1
+    chunk_bytes = 256
+    if group.rank == victim:
+        seq = group.next_seq()
+        first = group.recv(group.left, seq, ("ar", 0, "red"))
+        group.send(group.right, seq, ("ar", 0, "bc"), first)
+        raise RuntimeError("simulated crash mid-collective")
+    with pytest.raises((CollectiveTimeout, PeerGone)):
+        ring_allreduce(group, arrays[group.rank], chunk_bytes=chunk_bytes,
+                       timeout_s=0.5)
+    roster = group.reform(timeout_s=2.0)
+    assert victim not in roster
+    # Leftovers of the aborted collective (raw chunks included) must not
+    # leak into the retry.
+    out = ring_allreduce(group, arrays[group.rank], chunk_bytes=chunk_bytes,
+                         timeout_s=5.0)
+    expected = reference_allreduce([arrays[r] for r in roster])
+    assert np.array_equal(out, expected)
+    return roster
+
+
 def _die_then_reduce_worker(group, arrays, victim):
     if group.rank == victim:
         raise RuntimeError("simulated rank crash")
@@ -141,6 +177,74 @@ class TestAllreduceBitwise:
         expected = reference_allreduce(arrays, op=op)
         for out in results:
             assert np.array_equal(out, expected)
+
+    @staticmethod
+    def _check_coalesced(results, per_rank, op):
+        world = len(per_rank)
+        expected = [
+            reference_allreduce([per_rank[r][i] for r in range(world)], op=op)
+            for i in range(len(per_rank[0]))
+        ]
+        for whole, apart, _ in results:
+            for got, want in zip(apart, expected):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert np.array_equal(whole, np.concatenate(expected))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        world=st.integers(min_value=2, max_value=4),
+        sizes=st.lists(st.integers(1, 300), min_size=1, max_size=5),
+        chunk_bytes=st.integers(min_value=8, max_value=2048),
+        op=st.sampled_from(["sum", "mean"]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_coalesced_equals_per_piece_equals_reference(
+        self, world, sizes, chunk_bytes, op, dtype, seed
+    ):
+        """One collective over several buckets' flattened bytes == one
+        collective per bucket == the serial fold, bitwise (what lets the
+        trainer reduce every bucket of a program item at once)."""
+        rng = np.random.default_rng(seed)
+        per_rank = [
+            [rng.standard_normal(n).astype(dtype) for n in sizes]
+            for _ in range(world)
+        ]
+        results = run_distributed(
+            _coalesced_worker, world, backend="thread",
+            args=(per_rank, op, chunk_bytes),
+        )
+        self._check_coalesced(results, per_rank, op)
+
+    @pytest.mark.parametrize(
+        "world,dtype,chunk_bytes",
+        [(2, np.float32, 1 << 16), (3, np.float64, 1 << 20),
+         (4, np.float32, 4096)],
+    )
+    def test_coalesced_raw_buffers_process_backend(
+        self, world, dtype, chunk_bytes
+    ):
+        """Gradient-sized payloads over real pipes: far more bytes than a
+        pipe buffers, so this also proves the pipelined schedule never
+        blocks a send (a deadlock here would hit the join timeout)."""
+        rng = np.random.default_rng(world)
+        sizes = [70_001, 3, 150_000, 4097]
+        per_rank = [
+            [rng.standard_normal(n).astype(dtype) for n in sizes]
+            for _ in range(world)
+        ]
+        results = run_distributed(
+            _coalesced_worker, world, backend="process",
+            args=(per_rank, "mean", chunk_bytes), join_timeout_s=60.0,
+        )
+        self._check_coalesced(results, per_rank, "mean")
+        # bytes_sent counts payload bytes only (no headers, no framing).
+        # The arrays went round twice (whole, then apart); per round the
+        # last two positions send them once (contributions only / sums
+        # only) and every other position twice.
+        nbytes = 2 * sum(sizes) * np.dtype(dtype).itemsize
+        sent = sorted(snap["bytes_sent"] for _, _, snap in results)
+        assert sent == [nbytes] * 2 + [2 * nbytes] * (world - 2)
 
     def test_mean_rescales_by_live_count(self):
         """op="mean" divides by the ring size — the degrade reweighting."""
@@ -248,6 +352,17 @@ class TestFaults:
         for rank in (0, 2, 3):
             assert results[rank] == (0, 2, 3)
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_dead_rank_mid_collective_reform(self, backend):
+        rng = np.random.default_rng(10)
+        arrays = [rng.standard_normal(640) for _ in range(3)]
+        results = run_distributed(
+            _die_mid_collective_worker, 3, backend=backend,
+            args=(arrays, 2), timeout_s=1.0, return_exceptions=True,
+        )
+        assert isinstance(results[2], Exception)
+        assert results[0] == results[1] == (0, 1)
+
     def test_stale_generation_traffic_is_dropped(self):
         groups = create_thread_groups(2, timeout_s=1.0)
         a, b = groups
@@ -309,6 +424,14 @@ class TestStats:
             assert snap["collectives"]["barrier"] == 1
             assert snap["bytes_sent"] > 0
             assert snap["messages_sent"] > 0
+
+    def test_snapshot_keeps_the_keys_the_harness_reads(self):
+        groups = create_thread_groups(1)
+        snap = groups[0].stats.snapshot()
+        for key in ("bytes_sent", "messages_sent", "collectives",
+                    "recv_wait_s", "overlap_reduced_buckets",
+                    "tail_reduced_buckets", "timeouts", "reforms"):
+            assert key in snap, key
 
     def test_straggler_detection(self):
         groups = create_thread_groups(2, timeout_s=5.0,

@@ -30,6 +30,7 @@ from repro.dist.bucketing import GradBucketPlan
 from repro.echo import optimize
 from repro.models import WordLmConfig, build_word_lm
 from repro.train import SGD
+from tests.helpers import AboveGateDevice
 
 
 # -- fixtures ----------------------------------------------------------------
@@ -250,20 +251,40 @@ class TestBitwiseEquality:
         for name in runs[0][0][2]:
             assert np.array_equal(runs[0][0][2][name], runs[1][0][2][name])
 
+    def test_serial_plan_is_one_gradient_collective_per_step(self):
+        """Every bucket a program item finalizes is reduced in one
+        collective; a serial plan is one item, so a step is that plus the
+        loss — however many buckets the cap makes."""
+        cfg = _cfg(shard_batch=4)
+        steps = 3
+        batches = _global_batches(8, steps=steps)
+        results = run_distributed(
+            _rank_training, 2, backend="thread",
+            args=(cfg, batches, False, (0.2,), dict(bucket_bytes=256)),
+        )
+        for _, _, _, snap in results:
+            assert snap["overlap_reduced_buckets"] == 0
+            buckets, rest = divmod(snap["tail_reduced_buckets"], steps)
+            assert buckets > 3 and rest == 0
+            assert snap["collectives"]["allreduce_mean"] == 2 * steps
+
     def test_overlap_actually_happens(self):
-        """With small buckets and a wavefront plan (threads > 1 — a
-        serial plan is one program item, so everything is "tail"), some
-        reductions launch before backward ends: the stats prove the
-        level-completion hook is doing its job."""
+        """With small buckets and a plan that keeps parallel wavefront
+        levels (priced above the gate — a serial plan is one program
+        item, so everything is "tail"), some reductions launch before
+        backward ends: the stats prove the level-completion hook is
+        doing its job."""
         cfg = _cfg(shard_batch=4)
         batches = _global_batches(8, steps=2)
         results = run_distributed(
             _rank_training, 2, backend="thread",
             args=(cfg, batches, False, (0.2,),
-                  dict(bucket_bytes=512, chunk_bytes=256, threads=2)),
+                  dict(bucket_bytes=512, chunk_bytes=256, threads=2,
+                       device=AboveGateDevice())),
         )
         snap = results[0][3]
         assert snap["overlap_reduced_buckets"] > 0
+        assert snap["tail_reduced_buckets"] > 0
 
 
 # -- global gradient clipping ------------------------------------------------

@@ -38,6 +38,7 @@ from repro.echo.rewrite import _clone_as_mirror
 from repro.graph import Stage, Tensor
 from repro.memplan.elision import inplace_positions
 from repro.runtime import Arena, CompiledPlan, PlanCache, schedule
+from tests.helpers import AboveGateDevice
 
 
 def _codes(findings):
@@ -152,8 +153,12 @@ class TestCleanMatrix:
                         plan = CompiledPlan(
                             order, outs, Arena(), threads=threads,
                             memplan=memplan, batch_gemms=batch,
+                            device=AboveGateDevice(),
                         )
                         tag = (echo, memplan, threads, batch)
+                        assert (plan.parallel_level_count > 0) == (
+                            threads > 1
+                        ), tag
                         assert check_equivalence(plan) == [], tag
                         got = plan.run(feeds, params)
                         if reference is None:
@@ -371,7 +376,7 @@ class TestRandomPipelines:
         order = schedule(outs)
         plan = CompiledPlan(order, outs, Arena(), fuse=fuse,
                             threads=threads, memplan=memplan,
-                            batch_gemms=batch)
+                            batch_gemms=batch, device=AboveGateDevice())
         assert check_equivalence(plan) == []
 
 

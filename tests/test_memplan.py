@@ -47,7 +47,7 @@ from repro.runtime import (
     schedule,
     validate_schedule,
 )
-from tests.helpers import reference_pack_intervals
+from tests.helpers import AboveGateDevice, reference_pack_intervals
 
 
 @contextlib.contextmanager
@@ -215,7 +215,8 @@ def shape_heavy_training_graph(draw):
 def _run_graph(graph, feeds, params, mode, threads):
     with _memplan(mode):
         ex = TrainingExecutor(
-            graph, plan_cache=PlanCache(store=None), threads=threads
+            graph, plan_cache=PlanCache(store=None), threads=threads,
+            device=AboveGateDevice(),
         )
         loss, grads, _ = ex.run(feeds, params)
         plan = ex.executor.plan

@@ -40,6 +40,7 @@ from repro.obs import (
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.train import SGD, Trainer
+from tests.helpers import AboveGateDevice
 from tests.test_memplan import shape_heavy_training_graph, _memplan, _run_graph
 
 
@@ -127,7 +128,10 @@ def _tiny_lm_steps(steps: int = 2, threads: int | None = None,
     if echo:
         optimize(model.graph)
     params = model.store.initialize(seed=seed)
-    trainer = Trainer(model.graph, params, SGD(0.1), threads=threads)
+    trainer = Trainer(model.graph, params, SGD(0.1), threads=threads,
+                      device=AboveGateDevice())
+    plan = trainer.executor.executor.plan
+    assert (plan.parallel_level_count > 0) == (plan.threads > 1)
     gen = np.random.default_rng(seed)
     losses = []
     for _ in range(steps):
@@ -233,7 +237,7 @@ def _nmt_rank(group, batches):
     params = model.store.initialize(seed=11)
     with DistributedTrainer(
         group, model.graph, params, SGD(0.1),
-        threads=2, batch_gemms=True,
+        threads=2, batch_gemms=True, device=AboveGateDevice(),
         batch_axes={"src_tokens": 1, "tgt_tokens": 1, "tgt_labels": 1},
     ) as trainer:
         records = [trainer.step(feeds) for feeds in batches]
@@ -554,9 +558,14 @@ class TestMetrics:
         assert snap["plan.codegen.templates_compiled"] >= 0
         assert snap["plan.codegen.template_hits"] > 0
         if memplan_mode() == "color":
-            # Echo's two graph states + the lowered stream, once each
-            assert snap["memplan.pack.calls"] == 3
-            assert snap["memplan.pack_s"]["count"] == 3
+            # Echo's two graph states + the lowered stream, once each,
+            # then one lowered stream per data-parallel rank
+            assert snap["memplan.pack.calls"] == 3 + 2
+            assert snap["memplan.pack_s"]["count"] == 3 + 2
+        # the wavefront gate's verdicts and the communicator wait
+        for key in ("levels", "levels_parallel", "levels_gated"):
+            assert snap[f"plan.wavefront.{key}"] >= 0
+        assert snap["dist.comm_wait_s"]["count"] == 2  # ranks x steps
         validate_chrome_payload(
             json.loads((tmp_path / "t.json").read_text())
         )

@@ -36,6 +36,7 @@ from repro.runtime import PlanCache
 from repro.runtime.executor import TrainingExecutor
 from repro.runtime.plancache import _UNSET, default_plan_cache
 from repro.runtime.scheduler import schedule
+from tests.helpers import AboveGateDevice
 
 
 @pytest.fixture
@@ -323,11 +324,16 @@ class TestWarmPlans:
         graph, params, feeds = small_graph()
         ts = TuneStore(tune_dir)
 
+        # Priced above the gate, so the persisted layout carries real
+        # parallel levels and their chunks (a serial plan persists only a
+        # marker).
         cold_ex = TrainingExecutor(
-            graph, plan_cache=PlanCache(store=ts), threads=4
+            graph, plan_cache=PlanCache(store=ts), threads=4,
+            device=AboveGateDevice(),
         )
         cold_loss, cold_grads, _ = cold_ex.run(feeds, params)
         assert not cold_ex.executor.plan.wavefront_from_cache
+        assert cold_ex.executor.plan.parallel_level_count > 0
         stats = ts.stats()
         assert stats["order_misses"] == 1 and stats["wavefront_misses"] == 1
 
@@ -336,13 +342,21 @@ class TestWarmPlans:
         params2 = store2.initialize()
         warm_store = TuneStore(tune_dir)
         warm_ex = TrainingExecutor(
-            graph2, plan_cache=PlanCache(store=warm_store), threads=4
+            graph2, plan_cache=PlanCache(store=warm_store), threads=4,
+            device=AboveGateDevice(),
         )
         warm_loss, warm_grads, _ = warm_ex.run(feeds, params2)
         wstats = warm_store.stats()
         assert wstats["order_hits"] == 1
         assert wstats["wavefront_hits"] == 1
-        assert warm_ex.executor.plan.wavefront_from_cache
+        warm_plan = warm_ex.executor.plan
+        assert warm_plan.wavefront_from_cache
+        for attr in ("parallel_level_count", "gated_level_count",
+                     "parallel_instruction_count",
+                     "wavefront_saving_seconds"):
+            assert getattr(warm_plan, attr) == getattr(
+                cold_ex.executor.plan, attr
+            ), attr
 
         # params2 initializes identically (same seed path), so execution
         # through the deserialized plan must be bitwise-identical.
@@ -353,7 +367,8 @@ class TestWarmPlans:
     def test_warm_plan_passes_verifier(self, tune_dir, monkeypatch):
         graph, params, feeds = small_graph()
         ts = TuneStore(tune_dir)
-        TrainingExecutor(graph, plan_cache=PlanCache(store=ts), threads=4)
+        TrainingExecutor(graph, plan_cache=PlanCache(store=ts), threads=4,
+                         device=AboveGateDevice())
 
         monkeypatch.setenv("REPRO_VERIFY", "1")
         graph2, _ = pure_lstm_graph(4, 16, 1, 3, Backend.DEFAULT)
@@ -361,9 +376,11 @@ class TestWarmPlans:
         # assert_plan_safe runs inside the builder and raises on findings;
         # the deserialized schedule is checked against re-derived hazards.
         warm_ex = TrainingExecutor(
-            graph2, plan_cache=PlanCache(store=warm_store), threads=4
+            graph2, plan_cache=PlanCache(store=warm_store), threads=4,
+            device=AboveGateDevice(),
         )
         assert warm_ex.executor.plan.wavefront_from_cache
+        assert warm_ex.executor.plan.parallel_level_count > 0
         report = warm_ex.executor.verify()
         assert report.ok, report.findings
 
@@ -395,6 +412,63 @@ class TestWarmPlans:
         stats = ts2.stats()
         assert stats["wavefront_hits"] == 0
         assert stats["wavefront_misses"] == 1
+
+    def test_old_gate_layout_is_never_trusted(self, tune_dir):
+        """A layout persisted under the simulated-seconds gate has the
+        same (spec, "analytic") device token and would pass the
+        structural validation; its file name lacks the gate tag, so the
+        store misses, the plan is analyzed afresh, and the fresh verdict
+        is what the next process warms up on."""
+        graph, params, feeds = small_graph()
+        device = DeviceModel()
+
+        def build(g):
+            store = TuneStore(tune_dir)
+            ex = TrainingExecutor(
+                g, plan_cache=PlanCache(store=store), device=device,
+                threads=4,
+            )
+            return ex.executor.plan, store.stats()
+
+        plan, _ = build(graph)
+        assert plan.parallel_level_count == 0  # tiny kernels: all gated
+        (fresh_file,) = (tune_dir / "plans").glob("*.wavefront.json")
+        assert ".hostgate." in fresh_file.name
+
+        # What the parent commit would have left behind for this plan:
+        # same key minus the tag, every wide level parallel.
+        levels = [
+            {"i": w.instructions, "c": 1e-5, "p": len(w.instructions) > 1,
+             "chunks": [[i] for i in w.instructions]}
+            for w in plan.lowering.schedule.levels
+        ]
+        assert any(entry["p"] for entry in levels)
+        old_file = fresh_file.with_name(
+            fresh_file.name.replace(".hostgate.", ".")
+        )
+        old_file.write_text(json.dumps({
+            "version": 1,
+            "artifact": {
+                "instructions": len(plan.lowering.descs),
+                "regions": plan.lowering.schedule.region_count,
+                "levels": levels,
+            },
+        }))
+        fresh_file.unlink()
+
+        graph2, _ = pure_lstm_graph(4, 16, 1, 3, Backend.DEFAULT)
+        plan2, stats2 = build(graph2)
+        assert stats2["wavefront_hits"] == 0
+        assert stats2["wavefront_misses"] == 1
+        assert not plan2.wavefront_from_cache
+        assert plan2.parallel_level_count == 0
+        assert plan2.gated_level_count == plan.gated_level_count
+
+        graph3, _ = pure_lstm_graph(4, 16, 1, 3, Backend.DEFAULT)
+        plan3, stats3 = build(graph3)
+        assert stats3["wavefront_hits"] == 1
+        assert plan3.wavefront_from_cache
+        assert plan3._program is None
 
     def test_store_none_means_no_persistence(self, tune_dir):
         graph, _, _ = small_graph()

@@ -1,7 +1,13 @@
-"""Tests for wavefront-parallel execution: analysis, workers, arena safety,
-batched GEMMs, and bitwise parallel/serial parity (incl. the Echo Fig. 13
-configuration)."""
+"""Tests for wavefront-parallel execution: analysis, the host-seconds gate,
+workers (incl. fork safety), arena safety, batched GEMMs, and bitwise
+parallel/serial parity (incl. the Echo Fig. 13 configuration).
 
+Parity tests compile their parallel side with
+:class:`tests.helpers.AboveGateDevice` and assert
+``parallel_level_count > 0``: at test shapes the real gate keeps every
+level serial, which would leave the worker pool untested."""
+
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -9,8 +15,11 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.ops as O
+from repro.gpumodel import DeviceModel
 from repro.graph import Stage, dependency_levels
 from repro.models import NmtConfig, WordLmConfig, build_nmt, build_word_lm
 from repro.nn import Backend
@@ -27,8 +36,9 @@ from repro.runtime import (
     schedule,
     shared_pool,
 )
-from repro.runtime.wavefront import MIN_LEVEL_SECONDS
+from repro.runtime.wavefront import HANDOFF_SECONDS
 from repro.runtime.workers import default_thread_count
+from tests.helpers import AboveGateDevice
 
 SMALL_NMT = NmtConfig(
     src_vocab_size=50, tgt_vocab_size=50, embed_size=8, hidden_size=8,
@@ -120,14 +130,29 @@ class TestWavefrontAnalysis:
         assert [w.instructions for w in sched.levels] == [[0], [1]]
 
     def test_cost_gate_keeps_cheap_levels_serial(self):
-        cheap = [info(i, writes=[i], cost=MIN_LEVEL_SECONDS / 100)
-                 for i in range(4)]
+        # Four independent 30 us kernels: no split buys back a hand-off.
+        cheap = [info(i, writes=[i], cost=30e-6) for i in range(4)]
         sched = analyze_wavefronts(cheap, threads=4)
         assert all(not w.parallel for w in sched.levels)
-        rich = [info(i, writes=[i], cost=MIN_LEVEL_SECONDS)
+        assert sched.gated_level_count == 1
+        assert sched.saving_seconds == 0.0
+        # Four independent kernels of three hand-offs each: worth 4 lanes.
+        rich = [info(i, writes=[i], cost=3 * HANDOFF_SECONDS)
                 for i in range(4)]
         sched = analyze_wavefronts(rich, threads=4)
-        assert any(w.parallel for w in sched.levels)
+        (level,) = sched.levels
+        assert level.parallel and len(level.chunks) == 4
+        assert sched.gated_level_count == 0
+        # 12H serial, 3H heaviest chunk, three hand-offs
+        assert level.saving_seconds == pytest.approx(6 * HANDOFF_SECONDS)
+
+    def test_level_parallel_iff_saving_exceeds_handoff(self):
+        # Two kernels: the saving of a 2-way split is the lighter one.
+        for lighter, want in ((0.9, False), (1.1, True)):
+            pair = [info(0, writes=[0], cost=5 * HANDOFF_SECONDS),
+                    info(1, writes=[1], cost=lighter * HANDOFF_SECONDS)]
+            (level,) = analyze_wavefronts(pair, threads=2).levels
+            assert level.parallel is want, lighter
 
     def test_serial_threads_never_parallel(self):
         rich = [info(i, writes=[i], cost=1.0) for i in range(4)]
@@ -144,15 +169,53 @@ class TestWavefrontAnalysis:
         a = partition_chunks(items, costs, threads=2)
         b = partition_chunks(items, costs, threads=2)
         assert a == b
-        assert len(a) == 2
-        assert sorted(i for c in a for i in c) == items
-        loads = [sum(costs[i] for i in c) for c in a]
+        chunks, saving = a
+        assert len(chunks) == 2
+        assert sorted(i for c in chunks for i in c) == items
+        loads = [sum(costs[i] for i in c) for c in chunks]
         assert max(loads) <= 5.0  # the heavy item sits alone
+        assert saving == pytest.approx(5.0 - HANDOFF_SECONDS)
 
-    def test_partition_respects_min_chunk_cost(self):
-        chunks = partition_chunks([0, 1, 2, 3], [1.0] * 4, threads=4,
-                                  min_chunk_seconds=2.5)
-        assert len(chunks) == 1  # total 4.0 only affords one 2.5s chunk
+    def test_partition_charges_each_chunk_a_handoff(self):
+        # 4 x 1.0 s with a 0.6 s hand-off: two chunks save 2.0 - 0.6,
+        # three save 2.0 - 1.2, four save 3.0 - 1.8 — two chunks win.
+        chunks, saving = partition_chunks(
+            [0, 1, 2, 3], [1.0] * 4, threads=4, handoff_seconds=0.6
+        )
+        assert len(chunks) == 2 and saving == pytest.approx(1.4)
+        # At 2.5 s no chunk count buys its hand-offs back: one chunk.
+        chunks, saving = partition_chunks(
+            [0, 1, 2, 3], [1.0] * 4, threads=4, handoff_seconds=2.5
+        )
+        assert chunks == [[0, 1, 2, 3]] and saving == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        costs=st.lists(st.integers(0, 5000), min_size=1, max_size=9),
+        threads=st.integers(1, 6),
+        handoff=st.integers(0, 3000),
+        scale=st.integers(1, 8),
+        extra=st.integers(0, 3000),
+    )
+    def test_gate_is_monotone(self, costs, threads, handoff, scale, extra):
+        """Scaling every cost up never turns a parallel level serial;
+        raising the hand-off never turns a serial level parallel.
+        (Integer-valued costs keep the float arithmetic exact.)"""
+        items = list(range(len(costs)))
+
+        def parallel(cs, h):
+            chunks, saving = partition_chunks(
+                items, [float(c) for c in cs], threads, float(h)
+            )
+            assert sorted(i for c in chunks for i in c) == items
+            assert (saving > 0) == (len(chunks) > 1)
+            return len(chunks) > 1
+
+        base = parallel(costs, handoff)
+        if base:
+            assert parallel([c * scale for c in costs], handoff)
+        else:
+            assert not parallel(costs, handoff + extra)
 
 
 class TestWorkerPool:
@@ -211,6 +274,103 @@ class TestWorkerPool:
         assert default_thread_count() == 4
         monkeypatch.setenv("REPRO_THREADS", "garbage")
         assert default_thread_count() == 1
+
+
+class TestForkSafety:
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method",
+    )
+    def test_forked_child_runs_parallel_plan(self):
+        """Regression: a forked child inherited the parent's shared pool —
+        a queue whose worker threads exist only in the parent — and every
+        parallel level hung until the launcher's timeout."""
+        x = O.placeholder((6, 6), np.float64, name="fx")
+        y = O.placeholder((6, 6), np.float64, name="fy")
+        outs = [O.matmul(O.add(x, y), O.sub(x, y))]
+        plan = CompiledPlan(schedule(outs), outs, Arena(), threads=2,
+                            device=AboveGateDevice())
+        assert plan.parallel_level_count > 0
+        feeds = {"fx": np.arange(36.0).reshape(6, 6),
+                 "fy": np.eye(6)}
+        want = plan.run(feeds)[0].copy()  # the pool now exists and is warm
+
+        ctx = multiprocessing.get_context("fork")
+        recv_end, send_end = ctx.Pipe(duplex=False)
+
+        def child():
+            try:
+                send_end.send(plan.run(feeds)[0])
+            finally:
+                send_end.close()
+                os._exit(0)
+
+        proc = ctx.Process(target=child, daemon=True)
+        proc.start()
+        send_end.close()
+        try:
+            assert recv_end.poll(30.0), "forked child hung in a parallel level"
+            got = recv_end.recv()
+        finally:
+            if proc.is_alive() and not recv_end.poll(0):
+                proc.terminate()
+            proc.join(timeout=10.0)
+        assert not proc.is_alive()
+        assert np.array_equal(got, want)
+        # ... and the parent's own pool is untouched.
+        assert np.array_equal(plan.run(feeds)[0], want)
+
+
+class TestHostSecondsGate:
+    """The gate on real plans, priced by the plain analytic device."""
+
+    def test_word_lm_harness_shape_stays_serial(self):
+        # benchmarks/harness/spec.py WORDLM: every wide level is a handful
+        # of 1-30 us LSTM-cell kernels (plus one pair of sub-millisecond
+        # output-layer GEMMs) — nothing buys back a hand-off, so the
+        # threads=2 plan *is* the serial batched plan.
+        cfg = WordLmConfig(vocab_size=2000, embed_size=64, hidden_size=64,
+                           num_layers=2, seq_len=20, batch_size=16)
+        model = build_word_lm(cfg)
+        outs = model.graph.outputs
+        order = schedule(outs)
+        gated = CompiledPlan(order, outs, Arena(), threads=2,
+                             device=DeviceModel())
+        serial = CompiledPlan(order, outs, Arena(), threads=1,
+                              batch_gemms=True)
+        assert gated.wavefront_level_count > 0
+        assert gated.parallel_level_count == 0
+        assert gated.gated_level_count > 100
+        assert gated.wavefront_saving_seconds == 0.0
+        assert gated._program is None
+        assert gated.batched_gemm_groups == serial.batched_gemm_groups > 0
+        assert gated.instruction_kinds == serial.instruction_kinds
+        assert (gated._body.__code__.co_code
+                == serial._body.__code__.co_code)
+        assert gated.static_storage_bytes == serial.static_storage_bytes
+
+    def test_large_independent_gemms_stay_parallel(self):
+        # Four independent 512^3 sgemms (~2.7 ms each on the host
+        # roofline): a 2-way split saves ~5 ms for one hand-off.
+        rng = np.random.default_rng(0)
+        x = O.placeholder((512, 512), np.float32, name="gx")
+        ws = [O.variable((512, 512), np.float32, name=f"gw{i}")
+              for i in range(4)]
+        prods = [O.matmul(x, w) for w in ws]
+        outs = [O.add(O.add(prods[0], prods[1]), O.add(prods[2], prods[3]))]
+        order = schedule(outs)
+        feeds = {"gx": rng.standard_normal((512, 512)).astype(np.float32)}
+        params = {f"gw{i}": rng.standard_normal((512, 512)).astype(np.float32)
+                  for i in range(4)}
+        serial = CompiledPlan(order, outs, Arena(), threads=1)
+        parallel = CompiledPlan(order, outs, Arena(), threads=2,
+                                batch_gemms=False, device=DeviceModel())
+        assert parallel.parallel_level_count >= 1
+        assert parallel.wavefront_saving_seconds > 1e-3
+        want = serial.run(feeds, params)[0]
+        for _ in range(2):
+            got = parallel.run(feeds, params)[0]
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestConcurrentArena:
@@ -318,7 +478,8 @@ class TestParallelParity:
         serial = GraphExecutor(model.graph.outputs, plan_cache=PlanCache(),
                                threads=1)
         parallel = GraphExecutor(model.graph.outputs, plan_cache=PlanCache(),
-                                 threads=threads)
+                                 threads=threads, device=AboveGateDevice())
+        assert parallel.plan.parallel_level_count > 0
         for _ in range(3):  # same dropout step sequence on both sides
             want = serial.run(feeds, params).outputs
             got = parallel.run(feeds, params).outputs
@@ -333,7 +494,8 @@ class TestParallelParity:
         serial = GraphExecutor(model.graph.outputs, plan_cache=PlanCache(),
                                threads=1)
         parallel = GraphExecutor(model.graph.outputs, plan_cache=PlanCache(),
-                                 threads=4)
+                                 threads=4, device=AboveGateDevice())
+        assert parallel.plan.parallel_level_count > 0
         for _ in range(3):
             want = serial.run(feeds, params).outputs
             got = parallel.run(feeds, params).outputs
@@ -370,7 +532,8 @@ class TestParallelParity:
         serial = GraphExecutor(model_a.graph.outputs, plan_cache=PlanCache(),
                                threads=1)
         parallel = GraphExecutor(model_b.graph.outputs, plan_cache=PlanCache(),
-                                 threads=4)
+                                 threads=4, device=AboveGateDevice())
+        assert parallel.plan.parallel_level_count > 0
         for _ in range(2):
             want = serial.run(feeds, params).outputs
             got = parallel.run(feeds, params_b).outputs
@@ -423,7 +586,8 @@ class TestGenericOpsInParallel:
         serial = GraphExecutor(graph.outputs, plan_cache=PlanCache(),
                                threads=1)
         parallel = GraphExecutor(graph.outputs, plan_cache=PlanCache(),
-                                 threads=2)
+                                 threads=2, device=AboveGateDevice())
+        assert parallel.plan.parallel_level_count > 0
         arr = np.random.default_rng(5).standard_normal((64, 64))
         for _ in range(3):
             want = serial.run({"dx": arr}).outputs
@@ -491,13 +655,15 @@ class TestWavefrontStats:
     def test_parallel_plan_reports_structure(self):
         model = build_nmt(SMALL_NMT)
         ex = GraphExecutor(model.graph.outputs, plan_cache=PlanCache(),
-                           threads=4)
+                           threads=4, device=AboveGateDevice())
         plan = ex.plan
         assert plan.wavefront_region_count >= 2  # forward + backward runs
         assert plan.wavefront_level_count > 0
         assert plan.max_wavefront_width > 1
-        if plan.parallel_level_count:
-            assert plan.parallel_instruction_count > plan.parallel_level_count
+        assert plan.parallel_level_count > 0
+        assert plan.parallel_instruction_count > plan.parallel_level_count
+        assert plan.gated_level_count == 0
+        assert plan.wavefront_saving_seconds > 0
 
     def test_serial_plan_reports_zero(self):
         model = build_word_lm(SMALL_LM)
