@@ -63,7 +63,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.graph import Node, Stage, Tensor
+from repro.graph import Node, Stage, Tensor, dtype_name
 from repro.memplan.elision import (
     alias_view_indices,
     describe_index,
@@ -113,13 +113,12 @@ class SymbolicTable:
         vn = self._intern.get(key)
         if vn is not None:
             return vn
-        h = hashlib.sha256()
-        h.update(kind.encode("utf-8"))
-        h.update(repr(payload).encode("utf-8"))
-        for child in children:
-            h.update(self._digests[child].encode("ascii"))
-        vn = len(self._digests)
-        self._digests.append(h.hexdigest())
+        # One hash call over the concatenation: kind, payload, then the
+        # children's digests, in that order.
+        digests = self._digests
+        blob = kind + repr(payload) + "".join([digests[c] for c in children])
+        vn = len(digests)
+        digests.append(hashlib.sha256(blob.encode("utf-8")).hexdigest())
         self._intern[key] = vn
         return vn
 
@@ -197,6 +196,9 @@ class _ExprBuilder:
         self.findings: list[Finding] = []
         self.flagged: set[int] = set()
         self._memo: dict[tuple[int, int], int] = {}
+        #: canonical attrs per node object (a node is applied once on the
+        #: graph side and once per instruction executing it)
+        self._attrs: dict[Node, tuple[Any, ...]] = {}
 
     # -- graph side ----------------------------------------------------------
 
@@ -230,7 +232,7 @@ class _ExprBuilder:
         if op in _SOURCE_OPS:
             for i, spec in enumerate(n.out_specs):
                 self._memo[(n.uid, i)] = self.table.expr(
-                    "source", (n.name, spec.shape, str(spec.dtype), i)
+                    "source", (n.name, spec.shape, dtype_name(spec.dtype), i)
                 )
             return
         if op == "constant":
@@ -238,7 +240,7 @@ class _ExprBuilder:
             self._memo[(n.uid, 0)] = self.table.expr(
                 "const",
                 (_array_digest(np.asarray(n.attrs["value"])),
-                 spec.shape, str(spec.dtype)),
+                 spec.shape, dtype_name(spec.dtype)),
             )
             return
         children = tuple(
@@ -335,10 +337,13 @@ class _ExprBuilder:
             a, b = children
             if self.table.digest(b) < self.table.digest(a):
                 children = (b, a)
+        attrs = self._attrs.get(n)
+        if attrs is None:
+            attrs = self._attrs[n] = _canon_attrs(n)
         spec = n.out_specs[index]
         return self.table.expr(
             "app",
-            (n.op.name, _canon_attrs(n), spec.shape, str(spec.dtype), index),
+            (n.op.name, attrs, spec.shape, dtype_name(spec.dtype), index),
             children,
         )
 
@@ -516,7 +521,7 @@ def _check_fused(
             w.members != members
             or w.tail_uid != tail.uid
             or w.shape != tail_spec.shape
-            or w.dtype != str(tail_spec.dtype)
+            or w.dtype != dtype_name(tail_spec.dtype)
         ):
             findings.append(
                 finding(
@@ -597,7 +602,7 @@ def _check_batched(
             or w.ta != desc["ta"]
             or w.tb != desc["tb"]
             or w.shape != spec.shape
-            or w.dtype != str(spec.dtype)
+            or w.dtype != dtype_name(spec.dtype)
         ):
             findings.append(
                 finding(

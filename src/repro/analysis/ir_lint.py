@@ -28,8 +28,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.graph import Node, Stage, Tensor
-from repro.graph.traversal import topo_order
+from repro.graph import GraphFacts, Node, Stage, Tensor
 
 from repro.analysis.findings import Finding, finding
 
@@ -78,6 +77,7 @@ def _find_cycle(roots: Sequence[Node]) -> list[Node] | None:
 def lint_graph(
     outputs: Sequence[Tensor],
     sources: Sequence[Tensor] = (),
+    facts: GraphFacts | None = None,
 ) -> list[Finding]:
     """Lint the graph reachable from ``outputs``; returns all findings.
 
@@ -85,7 +85,11 @@ def lint_graph(
     caller *intends* to bind (e.g. ``TrainingGraph.placeholders`` and
     ``params``); any of them not reachable from the outputs is reported
     as IR006 — the reachability walk alone cannot see them, precisely
-    because nothing consumes them.
+    because nothing consumes them. ``facts`` is the state's
+    :class:`~repro.graph.GraphFacts` record when the caller holds a
+    current one: the reachable set and the consumer lists are read from
+    it (the cycle search and every per-node check still run from
+    scratch).
     """
     findings: list[Finding] = []
 
@@ -105,7 +109,9 @@ def lint_graph(
         # Topological order does not exist; nothing below is meaningful.
         return findings
 
-    nodes = topo_order(outputs)
+    if facts is None:
+        facts = GraphFacts(outputs)
+    nodes = facts.nodes
 
     # IR002: dangling output references (from outputs and from inputs).
     def check_ref(t: Tensor, where: str) -> None:
@@ -194,10 +200,7 @@ def lint_graph(
                 )
 
     # IR006/IR007: source hygiene.
-    consumed: set[tuple[int, int]] = set()
-    for node in nodes:
-        for t in node.inputs:
-            consumed.add(t.key)
+    consumed = facts.consumers
     output_keys = {t.key for t in outputs}
     reachable = {n.uid for n in nodes}
     declared = {t.node.uid: t.node for t in sources}

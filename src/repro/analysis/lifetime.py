@@ -63,27 +63,35 @@ def check_lifetimes(plan: Any) -> list[Finding]:
     descs = low.descs
     findings: list[Finding] = []
 
-    # Recompute def / last-use per slot over the stream. Sources and
-    # constants are defined before instruction 0.
+    # Def / last-use per slot, from the index of the stream as it is now
+    # (re-derived if the descriptors were edited since lowering). Sources
+    # and constants are defined before instruction 0.
+    index = low.slot_index()
     bound = set(low.source_slots) | set(low.constant_slots)
     def_at: dict[int, int] = {s: -1 for s in bound}
+    for s, (idx, _pos) in index.producer.items():
+        def_at.setdefault(s, idx)
     last_use: dict[int, int] = {}
-    for idx, desc in enumerate(descs):
-        for s in desc["in_slots"]:
-            if s not in def_at:
-                findings.append(
-                    finding(
-                        "LT101",
-                        f"instruction {idx} ({desc['node'].name}) reads "
-                        f"slot {s} before any instruction defines it",
-                        _ANALYZER,
-                        instr=idx,
-                        slot=s,
-                    )
-                )
-            last_use[s] = idx
-        for s in desc["out_slots"]:
-            def_at.setdefault(s, idx)
+    early: list[tuple[int, int]] = []
+    for s, readers in index.consumers.items():
+        last_use[s] = readers[-1]
+        d = def_at.get(s)
+        if d is None:
+            early.extend([(idx, s) for idx in readers])
+        elif d >= readers[0]:
+            # An instruction's outputs exist only after it ran.
+            early.extend([(idx, s) for idx in readers if idx <= d])
+    for idx, s in sorted(early):
+        findings.append(
+            finding(
+                "LT101",
+                f"instruction {idx} ({descs[idx]['node'].name}) reads "
+                f"slot {s} before any instruction defines it",
+                _ANALYZER,
+                instr=idx,
+                slot=s,
+            )
+        )
     # A slot never consumed dies at its producer (mirrors the compiler).
     for s, d in def_at.items():
         if d >= 0:

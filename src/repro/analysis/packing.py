@@ -141,22 +141,6 @@ def _check_placements(low: PlanLowering, record: Any) -> list[Finding]:
     return findings
 
 
-def _producer_spec(low: PlanLowering, r: int) -> tuple | None:
-    """(shape, dtype, nbytes) of the buffer backing group root ``r``."""
-    for desc in low.descs:
-        kind = desc["kind"]
-        if kind in ("out", "fused"):
-            for j, s in enumerate(desc["out_slots"]):
-                if s == r:
-                    spec = desc["node"].out_specs[j]
-                    return (spec.shape, spec.dtype, spec.nbytes)
-        elif kind == "batched" and desc["out_slots"][0] == r:
-            spec = desc["node"].out_specs[0]
-            group = len(desc["out_slots"])
-            return ((group,) + spec.shape, spec.dtype, group * spec.nbytes)
-    return None
-
-
 def _inplace_reads(desc: dict[str, Any]) -> list[tuple[int, int]]:
     """(slot, occurrences) at in-place-capable positions, re-derived."""
     reads: list[tuple[int, int]] = []
@@ -185,11 +169,9 @@ def _check_inplace(low: PlanLowering, record: Any) -> list[Finding]:
     findings: list[Finding] = []
     descs = low.descs
     never_freed = low.output_slots | low.source_slots | low.constant_slots
-
-    last_use: dict[int, int] = {}
-    for idx, desc in enumerate(descs):
-        for s in desc["in_slots"]:
-            last_use[s] = idx
+    # One index of the stream as it is now (re-derived if the descriptors
+    # were edited since lowering), not one scan per in-place write.
+    index = low.slot_index()
 
     for rec in record.inplace:
         idx, out, target = rec["instr"], rec["out"], rec["target"]
@@ -249,7 +231,8 @@ def _check_inplace(low: PlanLowering, record: Any) -> list[Finding]:
         # The pre-merge group (recorded before the output joined it) must
         # be entirely dead after this instruction and must not escape.
         for m in rec["members"]:
-            use = last_use.get(m, -1)
+            readers = index.consumers.get(m)
+            use = readers[-1] if readers is not None else -1
             if use > idx:
                 findings.append(
                     finding(
@@ -286,7 +269,7 @@ def _check_inplace(low: PlanLowering, record: Any) -> list[Finding]:
                 )
             )
         spec = desc["node"].out_specs[0]
-        have = _producer_spec(low, rec["root"])
+        have = index.producer_spec(descs, rec["root"])
         want = (spec.shape, spec.dtype, spec.nbytes)
         if have is not None and have != want:
             findings.append(

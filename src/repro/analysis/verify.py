@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 from typing import Any, Iterable, Sequence
 
-from repro.graph import Node, Tensor
+from repro.graph import GraphFacts, Node, Tensor
 
 from repro.analysis.equiv import check_equivalence
 from repro.analysis.findings import AnalysisReport
@@ -105,6 +105,7 @@ def verify_plan(
     threads_probe: int = 4,
     sources: Sequence[Tensor] = (),
     equiv: bool = False,
+    facts: GraphFacts | None = None,
 ) -> AnalysisReport:
     """Run the analyzer families against one compiled plan.
 
@@ -114,12 +115,13 @@ def verify_plan(
     (bindings the plan never consumes are invisible to reachability).
     ``equiv=True`` adds the symbolic equivalence certifier (EQ6xx) — the
     translation-validation tier, proving the lowered stream denotes the
-    source graph's function.
+    source graph's function. ``facts`` is ``outputs``' current
+    :class:`~repro.graph.GraphFacts` record when the caller holds it.
     """
     outputs = plan.outputs if outputs is None else list(outputs)
     order = plan.order if order is None else list(order)
     report = AnalysisReport()
-    report.extend(lint_graph(outputs, sources=sources))
+    report.extend(lint_graph(outputs, sources=sources, facts=facts))
     report.extend(check_recompute_safety(order, {t.key for t in outputs}))
     report.extend(check_lifetimes(plan))
     report.extend(check_packing(plan))
@@ -138,15 +140,17 @@ def assert_plan_safe(
     threads_probe: int = 4,
     ignore: Iterable[str] = (),
     equiv: bool = False,
+    facts: GraphFacts | None = None,
 ) -> AnalysisReport:
     """Verify ``plan`` and raise :class:`PlanVerificationError` on errors.
 
     ``ignore`` suppresses specific finding codes (triaged-benign ones);
-    the returned report is the filtered one.
+    the returned report is the filtered one. ``facts`` as for
+    :func:`verify_plan`.
     """
     report = verify_plan(
         plan, outputs=outputs, order=order, threads_probe=threads_probe,
-        equiv=equiv,
+        equiv=equiv, facts=facts,
     )
     ignore = tuple(ignore)
     if ignore:

@@ -16,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.graph import Node, Stage, Tensor
+from repro.graph import GraphFacts, Node, Stage, Tensor
 
 TensorKey = tuple[int, int]
 
@@ -147,6 +147,7 @@ def mine_candidates(
     allow_gemm: bool = False,
     device=None,
     fanout_limit: int = 4,
+    facts: GraphFacts | None = None,
 ) -> list[Candidate]:
     """Find every connected recompute region with its static cost/benefit.
 
@@ -159,8 +160,14 @@ def mine_candidates(
     regions of their many consumers (e.g. the 30 decoder timesteps all
     reading the shared attention key projection) remain independent
     candidates instead of fusing into one all-or-nothing component.
+
+    ``facts`` is the graph state's :class:`~repro.graph.GraphFacts` record
+    when the caller holds one: region costs are then read from its
+    per-node cost table (priced once per node, shared with the iteration
+    estimate and the executor's timings) instead of re-priced per region.
     """
     stashes = stashed_tensors(order, output_keys)
+    costs = _node_costs(order, device, facts)
 
     fanout: dict[int, int] = {}
     for node in order:
@@ -203,19 +210,30 @@ def mine_candidates(
         if first_bwd_use.get(key, boundary) - boundary >= min_gain_steps
     }
 
+    # Each component reads its own roots and stashed outputs from these
+    # two groupings instead of filtering every stash of the graph.
+    components = _connected_components(cheap_nodes)
+    component_of = {
+        n.uid: i for i, component in enumerate(components) for n in component
+    }
+    roots_of: list[list[Tensor]] = [[] for _ in components]
+    for key, t in eliminable.items():
+        i = component_of.get(key[0])
+        if i is not None:
+            roots_of[i].append(t)
+    stashed_of: dict[int, list[TensorKey]] = {}
+    for key in stashes:
+        stashed_of.setdefault(key[0], []).append(key)
+
     candidates: list[Candidate] = []
-    for component in _connected_components(cheap_nodes):
-        component_uids = {n.uid for n in component}
-        roots = [
-            t for key, t in eliminable.items()
-            if key[0] in component_uids
-        ]
+    for component, roots in zip(components, roots_of):
         if not roots:
             continue
+        component_uids = {n.uid for n in component}
         cid = component[0].uid
         full = _cone_candidate(
-            component, component_uids, roots, stashes, output_keys, device,
-            stop_at_stashed=False,
+            component, component_uids, roots, stashes, stashed_of,
+            output_keys, costs, stop_at_stashed=False,
         )
         if full is not None:
             full.component_id = cid
@@ -227,7 +245,7 @@ def mine_candidates(
         # outweighs its interior (the DS2 recurrent chains), this variant
         # still pays off.
         free = _free_region_candidate(
-            component, roots, stashes, output_keys, device
+            component, roots, stashes, stashed_of, costs
         )
         if free is not None and (
             full is None
@@ -238,12 +256,47 @@ def mine_candidates(
     return candidates
 
 
+def _node_costs(order: Sequence[Node], device, facts: GraphFacts | None):
+    """``uid -> KernelCost`` over ``order`` (None when there is no device)."""
+    if device is None:
+        return None
+    if facts is not None:
+        return facts.node_costs(device)
+    return {n.uid: device.node_cost(n) for n in order}
+
+
+def _preserved(
+    region: list[Node],
+    eliminated: list[Tensor],
+    stashed_of: dict[int, list[TensorKey]],
+) -> frozenset[TensorKey]:
+    """Stashed outputs of ``region`` that stay stashed."""
+    eliminated_keys = {t.key for t in eliminated}
+    return frozenset([
+        key
+        for node in region
+        for key in stashed_of.get(node.uid, ())
+        if key not in eliminated_keys
+    ])
+
+
+def _region_cost(region: list[Node], costs) -> tuple[float, float]:
+    """(kernel, API) seconds of executing ``region`` once."""
+    kernel = api = 0.0
+    if costs is not None:
+        for node in region:
+            cost = costs[node.uid]
+            kernel += cost.kernel_seconds
+            api += cost.api_seconds
+    return kernel, api
+
+
 def _free_region_candidate(
     component: list[Node],
     roots: list[Tensor],
     stashes: dict[TensorKey, Tensor],
-    output_keys: set[TensorKey],
-    device,
+    stashed_of: dict[int, list[TensorKey]],
+    costs,
 ) -> Candidate | None:
     """Largest sub-region with an empty new-stash set (fixpoint growth).
 
@@ -288,18 +341,8 @@ def _free_region_candidate(
     eliminated = [t for t in internal_roots if t.node.uid in needed]
     if not eliminated:
         return None
-    kernel = api = 0.0
-    if device is not None:
-        for node in region:
-            cost = device.node_cost(node)
-            kernel += cost.kernel_seconds
-            api += cost.api_seconds
-    eliminated_keys = {t.key for t in eliminated}
-    needed_uids = {n.uid for n in region}
-    preserved = frozenset(
-        key for key in stashes
-        if key[0] in needed_uids and key not in eliminated_keys
-    )
+    kernel, api = _region_cost(region, costs)
+    preserved = _preserved(region, eliminated, stashed_of)
     return Candidate(
         nodes=region,
         eliminated=eliminated,
@@ -315,8 +358,9 @@ def _cone_candidate(
     component_uids: set[int],
     roots: list[Tensor],
     stashes: dict[TensorKey, Tensor],
+    stashed_of: dict[int, list[TensorKey]],
     output_keys: set[TensorKey],
-    device,
+    costs,
     stop_at_stashed: bool,
 ) -> Candidate | None:
     """Build one candidate from a component's recompute cone.
@@ -357,17 +401,8 @@ def _cone_candidate(
             )
             if not already_free:
                 border[t.key] = t
-    kernel = api = 0.0
-    if device is not None:
-        for node in region:
-            cost = device.node_cost(node)
-            kernel += cost.kernel_seconds
-            api += cost.api_seconds
-    eliminated_keys = {t.key for t in eliminated}
-    preserved = frozenset(
-        key for key in stashes
-        if key[0] in region_uids and key not in eliminated_keys
-    )
+    kernel, api = _region_cost(region, costs)
+    preserved = _preserved(region, eliminated, stashed_of)
     return Candidate(
         nodes=region,
         eliminated=eliminated,
@@ -403,13 +438,12 @@ class IterationCost:
         return new - self.seconds
 
 
-def estimate_iteration_cost(order: Sequence[Node], device) -> IterationCost:
+def estimate_iteration_cost(
+    order: Sequence[Node], device, facts: GraphFacts | None = None
+) -> IterationCost:
     """Baseline per-stream iteration cost for the overhead budget."""
-    kernel = api = 0.0
-    for node in order:
-        if node.op.name in _SOURCE_OPS:
-            continue
-        cost = device.node_cost(node)
-        kernel += cost.kernel_seconds
-        api += cost.api_seconds
+    kernel, api = _region_cost(
+        [n for n in order if n.op.name not in _SOURCE_OPS],
+        _node_costs(order, device, facts),
+    )
     return IterationCost(kernel_seconds=kernel, api_seconds=api)

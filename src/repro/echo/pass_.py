@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable
 
+from repro.graph import GraphFacts
 from repro.autodiff.training import TrainingGraph
 from repro.echo.analysis import (
     Candidate,
@@ -37,7 +38,7 @@ from repro.memplan.modes import memplan_mode
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime.memory import MemoryPlan
-from repro.runtime.plancache import PlanCache, default_plan_cache, graph_signature
+from repro.runtime.plancache import PlanCache, default_plan_cache
 
 
 @dataclass
@@ -119,17 +120,19 @@ class EchoPass:
             plan_cache if plan_cache is not None else default_plan_cache()
         )
 
-    def _replan(self, outputs) -> tuple[Hashable, list, MemoryPlan]:
+    def _replan(self, outputs) -> tuple[GraphFacts, list, MemoryPlan]:
         """Schedule + memory-plan the current graph state, memoized.
 
-        Also returns the state's graph signature — walked once here and
-        reused for every memo key of this state (schedule, memory plan,
-        packed footprint, iteration cost).
+        Also returns the state's facts record — walked once here and read
+        by everything that looks at this state: every memo key (schedule,
+        memory plan, packed footprint, iteration cost), the scheduler, the
+        candidate miner's per-node costs, and — through the plan cache —
+        the executor built after the pass.
         """
-        sig = graph_signature(outputs)
-        order = self.plan_cache.schedule_for(outputs, sig=sig)
-        plan = self.plan_cache.plan_for(outputs, order=order, sig=sig)
-        return sig, order, plan
+        facts = self.plan_cache.facts_for(outputs)
+        order = self.plan_cache.schedule_for(outputs, facts=facts)
+        plan = self.plan_cache.plan_for(outputs, order=order, facts=facts)
+        return facts, order, plan
 
     def _footprint(self, sig: Hashable, plan: MemoryPlan) -> int:
         """The footprint the accept/reject loop scores a graph state by.
@@ -188,7 +191,8 @@ class EchoPass:
 
             source_fp = fingerprint_outputs(outputs)
 
-        sig, order, baseline_plan = self._replan(outputs)
+        facts, order, baseline_plan = self._replan(outputs)
+        sig = facts.signature
         # Scored before any rewrite mutates the graph: the memoized packed
         # footprint is keyed by graph signature, which the rewrites change.
         baseline_foot = self._footprint(sig, baseline_plan)
@@ -199,7 +203,7 @@ class EchoPass:
         device_key = getattr(self.device, "cache_token", self.device.spec)
         iteration = self.plan_cache.memo(
             ("itercost", sig, device_key),
-            lambda: estimate_iteration_cost(order, self.device),
+            lambda: estimate_iteration_cost(order, self.device, facts),
         )
         budget = cfg.overhead_budget_fraction * iteration.seconds
 
@@ -209,6 +213,7 @@ class EchoPass:
             cfg.allow_gemm_recompute,
             self.device,
             fanout_limit=cfg.checkpoint_fanout_limit,
+            facts=facts,
         )
         report = EchoReport(
             baseline_peak_bytes=baseline_plan.peak_bytes,
@@ -309,8 +314,8 @@ class EchoPass:
                 report.optimized_packed_bytes = baseline_foot
             return report
 
-        new_sig, _new_order, new_plan = self._replan(outputs)
-        new_foot = self._footprint(new_sig, new_plan)
+        new_facts, _new_order, new_plan = self._replan(outputs)
+        new_foot = self._footprint(new_facts.signature, new_plan)
 
         if cfg.verify_with_replan:
             # Footprint safety: drop weakest candidates until the measured
@@ -329,8 +334,8 @@ class EchoPass:
                 extra_kernel -= victim.candidate.kernel_seconds
                 extra_api -= victim.candidate.api_seconds
                 spent = iteration.marginal(extra_kernel, extra_api)
-                new_sig, _new_order, new_plan = self._replan(outputs)
-                new_foot = self._footprint(new_sig, new_plan)
+                new_facts, _new_order, new_plan = self._replan(outputs)
+                new_foot = self._footprint(new_facts.signature, new_plan)
 
         check_barrier_legality(_new_order)
         self._verify_rewrite(_new_order, output_keys)

@@ -161,15 +161,16 @@ def _assign_priorities(
         # Taking the minimum over both, propagated in reverse topological
         # order, keeps chain mirrors at the front of the backward pass
         # instead of inverting the schedule.
+        users_of: dict[int, list[Node]] = {n.uid: [] for n in candidate.nodes}
+        for user in candidate.nodes:
+            for uid in {t.node.uid for t in user.inputs}:
+                if uid in users_of:
+                    users_of[uid].append(user)
         for node in reversed(candidate.nodes):
             mirror = mirrors[node.uid]
             direct = first_consumer_priority.get(mirror.uid, float("inf"))
             via_users = min(
-                (
-                    mirrors[user.uid].priority
-                    for user in candidate.nodes
-                    if any(t.node.uid == node.uid for t in user.inputs)
-                ),
+                [mirrors[user.uid].priority for user in users_of[node.uid]],
                 default=float("inf"),
             )
             prio = min(direct, via_users)

@@ -10,11 +10,13 @@ from repro.graph.node import (
     Tensor,
     TensorSpec,
     current_scope,
+    dtype_name,
     scope,
 )
 from repro.graph.op import Op, OpError, get_op, register, registered_ops
 from repro.graph.shapes import ShapeError, broadcast_shapes
 from repro.graph.printing import GraphSummary, format_graph, summarize
+from repro.graph.facts import GraphFacts
 from repro.graph.traversal import (
     ancestors,
     consumers_map,
@@ -29,6 +31,7 @@ __all__ = [
     "TensorSpec",
     "scope",
     "current_scope",
+    "dtype_name",
     "Op",
     "OpError",
     "register",
@@ -40,6 +43,7 @@ __all__ = [
     "consumers_map",
     "ancestors",
     "dependency_levels",
+    "GraphFacts",
     "summarize",
     "format_graph",
     "GraphSummary",

@@ -10,6 +10,7 @@ attention / output), as the paper's breakdown figures do.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from dataclasses import dataclass, field
@@ -34,6 +35,22 @@ class Stage(Enum):
     BACKWARD = "backward"
     RECOMPUTE = "recompute"
 
+    # Members are singletons compared by identity; hashing them by identity
+    # too keeps graph signatures (one stage per node) hashable without a
+    # Python-level call per node.
+    __hash__ = object.__hash__
+
+
+@functools.lru_cache(maxsize=None)
+def dtype_name(dtype: np.dtype) -> str:
+    """``str(dtype)``, remembered per dtype.
+
+    Fingerprints, equivalence digests and rewrite witnesses spell the dtype
+    of every tensor they cover; numpy builds that string in Python on each
+    call, and a model uses a handful of dtypes.
+    """
+    return str(dtype)
+
 
 @dataclass(frozen=True)
 class TensorSpec:
@@ -41,23 +58,24 @@ class TensorSpec:
 
     shape: tuple[int, ...]
     dtype: np.dtype = field(default_factory=lambda: np.dtype(np.float32))
+    #: derived once at construction: planners and cost hooks read these
+    #: several times per tensor per pass
+    num_elements: int = field(init=False, compare=False, repr=False)
+    nbytes: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "shape", tuple(int(d) for d in self.shape))
-        object.__setattr__(self, "dtype", np.dtype(self.dtype))
-        if any(d < 0 for d in self.shape):
-            raise ValueError(f"negative dimension in shape {self.shape}")
-
-    @property
-    def num_elements(self) -> int:
-        n = 1
-        for d in self.shape:
-            n *= d
-        return n
-
-    @property
-    def nbytes(self) -> int:
-        return self.num_elements * self.dtype.itemsize
+        shape = tuple([int(d) for d in self.shape])
+        dtype = np.dtype(self.dtype)
+        count = 1
+        for d in shape:
+            if d < 0:
+                raise ValueError(f"negative dimension in shape {shape}")
+            count *= d
+        put = object.__setattr__
+        put(self, "shape", shape)
+        put(self, "dtype", dtype)
+        put(self, "num_elements", count)
+        put(self, "nbytes", count * dtype.itemsize)
 
     @property
     def rank(self) -> int:
@@ -199,11 +217,14 @@ class Tensor:
     import cycle between the IR and the operator library.
     """
 
-    __slots__ = ("node", "index")
+    __slots__ = ("node", "index", "key")
 
     def __init__(self, node: Node, index: int = 0) -> None:
         self.node = node
         self.index = index
+        #: hashable identity of the value this reference denotes; a plain
+        #: attribute because every pass keys its tables by it
+        self.key: tuple[int, int] = (node.uid, index)
 
     @property
     def spec(self) -> TensorSpec:
@@ -211,20 +232,15 @@ class Tensor:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.spec.shape
+        return self.node.out_specs[self.index].shape
 
     @property
     def dtype(self) -> np.dtype:
-        return self.spec.dtype
+        return self.node.out_specs[self.index].dtype
 
     @property
     def nbytes(self) -> int:
-        return self.spec.nbytes
-
-    @property
-    def key(self) -> tuple[int, int]:
-        """Hashable identity of the value this reference denotes."""
-        return (self.node.uid, self.index)
+        return self.node.out_specs[self.index].nbytes
 
     @property
     def short_name(self) -> str:

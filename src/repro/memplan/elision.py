@@ -32,6 +32,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.graph.shapes import normalize_axis
+from repro.memplan.slotindex import SlotIndex, find_root, resolve_roots
 
 #: descriptor kinds whose single output may take over a dying input's storage
 _INPLACE_KINDS = ("out", "fused")
@@ -108,6 +109,11 @@ def elide_copies(
     their copies — callers own escaping arrays, which must never alias
     plan storage. Returns one record per rewritten instruction for the
     memplan record (consumed by the MP401 analyzer and plan stats).
+
+    A rewritten instruction's outputs are their own group roots until
+    now (only views, which come later in the stream, can have joined
+    them), so joining the source's group is one pointer update per output;
+    every slot is pointed straight at its final root once, at the end.
     """
     records: list[dict[str, Any]] = []
     for idx, desc in enumerate(descs):
@@ -121,10 +127,9 @@ def elide_copies(
         src = desc["in_slots"][0]
         desc["kind"] = "alias"
         desc["alias_index"] = indices
-        target = root[src]
-        remap = {o: target for o in desc["out_slots"]}
-        for i, r in enumerate(root):
-            root[i] = remap.get(r, r)
+        target = find_root(root, src)
+        for o in desc["out_slots"]:
+            root[o] = target
         records.append(
             {
                 "instr": idx,
@@ -137,6 +142,8 @@ def elide_copies(
                 "indices": [describe_index(ix) for ix in indices],
             }
         )
+    if records:
+        resolve_roots(root)
     return records
 
 
@@ -177,6 +184,7 @@ def rewrite_inplace(
     arena_produced: list[bool],
     never_freed: frozenset[int] | set[int],
     storage_specs: dict[int, tuple[tuple[int, ...], Any, int]],
+    index: SlotIndex | None = None,
 ) -> list[dict[str, Any]]:
     """Merge last-use in-place-capable writes into their input's storage.
 
@@ -195,65 +203,60 @@ def rewrite_inplace(
       in-place-capable operand position, and no other operand aliases the
       same storage.
 
-    Returns one record per rewrite for the memplan record (MP403).
+    ``index`` is the stream's :class:`SlotIndex` when the caller holds
+    it. Returns one record per rewrite for the memplan record (MP403).
     """
-    nslots = len(root)
-    last_use: dict[int, int] = {}
-    for idx, desc in enumerate(descs):
-        for s in desc["in_slots"]:
-            last_use[s] = idx
-    for idx, desc in enumerate(descs):
-        for s in desc["out_slots"]:
-            last_use.setdefault(s, idx)
+    if index is None:
+        index = SlotIndex(descs)
 
+    # ``root`` arrives fully resolved; merges below are pointer updates on
+    # a copy, and the table is resolved again once, at the end.
     parent = list(root)
-
-    def find(s: int) -> int:
-        while parent[s] != s:
-            parent[s] = parent[parent[s]]
-            s = parent[s]
-        return s
-
     members: dict[int, list[int]] = {}
-    for s in range(nslots):
-        members.setdefault(find(s), []).append(s)
-    pinned = {r for r, grp in members.items()
-              if any(m in never_freed for m in grp)}
-    group_last_use: dict[int, int] = {
-        r: max(last_use.get(m, 0) for m in grp)
-        for r, grp in members.items()
-    }
+    for s, r in enumerate(root):
+        members.setdefault(r, []).append(s)
+    pinned = {root[s] for s in never_freed}
+    # A group's storage is dead once its last reader ran (a member nothing
+    # reads dies at its producer).
+    group_last_use: dict[int, int] = dict.fromkeys(members, 0)
+    for s, made in index.producer.items():
+        if made[0] > group_last_use[root[s]]:
+            group_last_use[root[s]] = made[0]
+    for s, readers in index.consumers.items():
+        if readers[-1] > group_last_use[root[s]]:
+            group_last_use[root[s]] = readers[-1]
 
     records: list[dict[str, Any]] = []
     for idx, desc in enumerate(descs):
         if desc["kind"] not in _INPLACE_KINDS or len(desc["out_slots"]) != 1:
             continue
         o = desc["out_slots"][0]
-        if find(o) != o or o in pinned:
+        if parent[o] != o or o in pinned:
             continue  # batched member / already aliased / escaping group
         node = desc["node"]
         spec = node.out_specs[0]
         if spec.nbytes <= 0:
             continue
         out_spec = (spec.shape, spec.dtype, spec.nbytes)
-        roots_read = [find(s) for s in desc["in_slots"]]
+        roots_read: list[int] | None = None
         for slot, occurrences in _inplace_positions(desc):
             if occurrences != 1:
                 continue
-            r = find(slot)
+            r = find_root(parent, slot)
             if r in pinned or not arena_produced[r]:
                 continue
             if storage_specs.get(r) != out_spec:
                 continue
             if group_last_use[r] > idx:
                 continue  # some group member is still live
+            if roots_read is None:
+                roots_read = [find_root(parent, s) for s in desc["in_slots"]]
             if roots_read.count(r) > 1:
                 continue  # another operand aliases the same storage
             group = members[r]
             parent[o] = r
-            members[r] = group + members.pop(o, [o])
-            group_last_use[r] = max(group_last_use[r],
-                                    group_last_use.pop(o, last_use.get(o, idx)))
+            members[r] = group + members.pop(o)
+            group_last_use[r] = max(group_last_use[r], group_last_use.pop(o))
             records.append(
                 {
                     "instr": idx,
@@ -266,8 +269,8 @@ def rewrite_inplace(
             break
 
     if records:
-        for i in range(nslots):
-            root[i] = find(root[i])
+        resolve_roots(parent)
+        root[:] = parent
     return records
 
 

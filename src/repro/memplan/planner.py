@@ -40,10 +40,8 @@ import numpy as np
 
 from repro.memplan.coloring import Request, atomic_tokens, pack_intervals
 from repro.memplan.elision import elide_copies, rewrite_inplace
+from repro.memplan.slotindex import SlotIndex, StorageSpec
 from repro.obs import trace as obs_trace
-
-#: storage spec of one alias group's backing buffer
-_Spec = tuple[tuple[int, ...], Any, int]
 
 
 @dataclass
@@ -83,7 +81,7 @@ class BufferAssignment:
 
 
 def _liveness(
-    descs: list[dict[str, Any]],
+    index: SlotIndex,
     root: list[int],
     never_freed: set[int],
     releasable: list[bool],
@@ -95,15 +93,10 @@ def _liveness(
     after its last consuming instruction (or its producer if never
     consumed); sources, constants, and outputs are never freed.
     """
-    def_at: dict[int, int] = {}
-    last_use: dict[int, int] = {}
-    for idx, desc in enumerate(descs):
-        for s in desc["in_slots"]:
-            last_use[s] = idx
-    for idx, desc in enumerate(descs):
-        for s in desc["out_slots"]:
-            def_at.setdefault(s, idx)
-            last_use.setdefault(s, idx)
+    def_at = {s: made[0] for s, made in index.producer.items()}
+    last_use = {s: readers[-1] for s, readers in index.consumers.items()}
+    for s, idx in def_at.items():
+        last_use.setdefault(s, idx)
     frees_at: dict[int, list[tuple[int, int, bool]]] = {}
     for s, idx in last_use.items():
         if s in never_freed:
@@ -130,23 +123,15 @@ def _releasability(
     return releasable, members
 
 
-def _storage_specs(descs: list[dict[str, Any]]) -> dict[int, _Spec]:
+def _storage_specs(
+    descs: list[dict[str, Any]], index: SlotIndex
+) -> dict[int, StorageSpec]:
     """Backing-buffer spec for every arena-produced group root."""
-    specs: dict[int, _Spec] = {}
-    for desc in descs:
-        kind = desc["kind"]
-        if kind in ("out", "fused"):
-            node = desc["node"]
-            for j, s in enumerate(desc["out_slots"]):
-                spec = node.out_specs[j]
-                specs[s] = (spec.shape, spec.dtype, spec.nbytes)
-        elif kind == "batched":
-            node = desc["node"]
-            spec = node.out_specs[0]
-            group = len(desc["out_slots"])
-            specs[desc["out_slots"][0]] = (
-                (group,) + spec.shape, spec.dtype, group * spec.nbytes
-            )
+    specs: dict[int, StorageSpec] = {}
+    for s in index.producer:
+        spec = index.producer_spec(descs, s)
+        if spec is not None:
+            specs[s] = spec
     return specs
 
 
@@ -193,13 +178,14 @@ def _plan_greedy(
     never_freed: set[int],
     output_slots: set[int],
     arena: Any,
+    index: SlotIndex,
 ) -> BufferAssignment:
     """The size-class free-list replay, byte for byte the PR-2 behavior."""
     releasable, _members = _releasability(
         nslots, root, arena_produced, output_slots
     )
     _def_at, _last_use, frees_at = _liveness(
-        descs, root, never_freed, releasable
+        index, root, never_freed, releasable
     )
     static_views: dict[int, np.ndarray] = {}
     sim_refs = [0] * nslots
@@ -242,23 +228,26 @@ def _plan_color(
     never_freed: set[int],
     output_slots: set[int],
     arena: Any,
+    index: SlotIndex,
 ) -> BufferAssignment:
     """Elide copies, rewrite in-place, then color exact live intervals."""
+    # Neither rewrite touches an instruction's slots (elision changes its
+    # kind, in-place merges groups), so one index serves all three stages.
     elided = elide_copies(descs, root, output_slots)
-    storage_specs = _storage_specs(descs)
+    storage_specs = _storage_specs(descs, index)
     inplace = rewrite_inplace(
-        descs, root, arena_produced, never_freed, storage_specs
+        descs, root, arena_produced, never_freed, storage_specs, index
     )
     releasable, members = _releasability(
         nslots, root, arena_produced, output_slots
     )
     def_at, last_use, frees_at = _liveness(
-        descs, root, never_freed, releasable
+        index, root, never_freed, releasable
     )
 
     end = max(len(descs) - 1, 0)
     requests: list[Request] = []
-    specs_of: dict[Hashable, _Spec] = {}
+    specs_of: dict[Hashable, StorageSpec] = {}
     for r, group in members.items():
         if not releasable[r]:
             continue
@@ -357,14 +346,18 @@ def plan_buffers(
     constant_slots: set[int],
     output_slots: set[int],
     arena: Any,
+    index: SlotIndex | None = None,
 ) -> BufferAssignment:
     """Assign static storage for one lowered stream; may rewrite it.
 
     ``descs``, ``root``, and ``arena_produced`` are the compiler's working
     records and are mutated in place (color mode rewrites copies to
-    aliases and merges alias groups). The returned assignment carries the
-    free schedule and static views the closure baker consumes.
+    aliases and merges alias groups). ``index`` is the stream's
+    :class:`SlotIndex` when the caller built one. The returned assignment
+    carries the free schedule and static views the closure baker consumes.
     """
+    if index is None:
+        index = SlotIndex(descs)
     never_freed = set(source_slots) | set(constant_slots) | set(output_slots)
     planner = _plan_color if mode == "color" else _plan_greedy
     with obs_trace.span(
@@ -372,7 +365,7 @@ def plan_buffers(
     ) as sp:
         assignment = planner(
             descs, root, nslots, arena_produced, never_freed, output_slots,
-            arena,
+            arena, index,
         )
         record = assignment.record
         if record is not None:

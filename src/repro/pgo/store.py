@@ -38,8 +38,8 @@ from typing import Any, Hashable, Iterator, Sequence
 
 import numpy as np
 
-from repro.graph.node import Node, Tensor
-from repro.graph.traversal import topo_order
+from repro.graph.facts import GraphFacts
+from repro.graph.node import Node, Tensor, dtype_name
 from repro.pgo.records import CalibrationDB
 from repro.runtime.scheduler import SchedulingError, validate_schedule
 
@@ -88,16 +88,21 @@ def _attr_token(value: Any) -> Any:
     return type(value).__name__
 
 
-def graph_fingerprint(outputs: Sequence[Tensor]) -> str:
+def graph_fingerprint(
+    outputs: Sequence[Tensor], facts: GraphFacts | None = None
+) -> str:
     """Process-stable structural hash of the graph under ``outputs``.
 
     Unlike :func:`repro.runtime.plancache.graph_signature` (uid-based,
     process-local, cheap), this renames nodes to canonical topo indices
     and priorities to ranks, so the same model built in two processes
-    yields the same string.
+    yields the same string. ``facts`` is the state's
+    :class:`~repro.graph.GraphFacts` record when the caller holds one.
     """
-    nodes = topo_order(outputs)
-    index = {n.uid: i for i, n in enumerate(nodes)}
+    if facts is None:
+        facts = GraphFacts(outputs)
+    nodes = facts.nodes
+    index = facts.index
     by_priority = sorted(range(len(nodes)),
                          key=lambda i: (nodes[i].priority, i))
     rank = [0] * len(nodes)
@@ -112,7 +117,7 @@ def graph_fingerprint(outputs: Sequence[Tensor]) -> str:
             rank[i],
             node.scope,
             tuple((index[t.node.uid], t.index) for t in node.inputs),
-            tuple((s.shape, str(s.dtype)) for s in node.out_specs),
+            tuple([(s.shape, dtype_name(s.dtype)) for s in node.out_specs]),
             tuple(
                 (str(k), _attr_token(v))
                 for k, v in sorted(node.attrs.items())
@@ -281,15 +286,16 @@ class TuneStore:
     # -- fingerprints and plan orders ---------------------------------------
 
     def fingerprint_for(
-        self, outputs: Sequence[Tensor], sig: Hashable | None = None
+        self, outputs: Sequence[Tensor], facts: GraphFacts | None = None
     ) -> str:
         """Memoized :func:`graph_fingerprint` (keyed by graph signature)."""
-        if sig is None:
+        if facts is None:
             return graph_fingerprint(outputs)
+        sig = facts.signature
         with self._lock:
             fp = self._fingerprints.get(sig)
         if fp is None:
-            fp = graph_fingerprint(outputs)
+            fp = graph_fingerprint(outputs, facts)
             with self._lock:
                 self._fingerprints[sig] = fp
         return fp
@@ -306,16 +312,18 @@ class TuneStore:
     def load_order(
         self,
         outputs: Sequence[Tensor],
-        sig: Hashable | None = None,
+        facts: GraphFacts | None = None,
         flavor: str = "",
     ) -> list[Node] | None:
         """A persisted schedule order, mapped onto the live graph's nodes."""
-        fp = self.fingerprint_for(outputs, sig)
+        if facts is None:
+            facts = GraphFacts(outputs)
+        fp = self.fingerprint_for(outputs, facts)
         payload = self._read_json(self._order_path(fp, flavor))
         if payload is None:
             self._bump("order_misses")
             return None
-        nodes = topo_order(outputs)
+        nodes = facts.nodes
         perm = payload.get("order")
         if (
             not isinstance(perm, list)
@@ -339,12 +347,13 @@ class TuneStore:
         self,
         outputs: Sequence[Tensor],
         order: Sequence[Node],
-        sig: Hashable | None = None,
+        facts: GraphFacts | None = None,
         flavor: str = "",
     ) -> None:
-        fp = self.fingerprint_for(outputs, sig)
-        nodes = topo_order(outputs)
-        index = {n.uid: i for i, n in enumerate(nodes)}
+        if facts is None:
+            facts = GraphFacts(outputs)
+        fp = self.fingerprint_for(outputs, facts)
+        index = facts.index
         try:
             perm = [index[n.uid] for n in order]
         except KeyError:

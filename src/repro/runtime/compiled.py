@@ -80,14 +80,15 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.graph import Node, Tensor
+from repro.graph import Node, Tensor, dtype_name
 from repro.memplan.modes import memplan_mode
 from repro.memplan.planner import plan_buffers
+from repro.memplan.slotindex import SlotIndex, resolve_roots
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.ops.matmul import gemm_batch_key, stacked_operand
 from repro.runtime.memory import TensorKey
-from repro.runtime.pool import round_up
+from repro.runtime.pool import PAGE_BYTES, round_up
 from repro.runtime.wavefront import (
     InstrInfo,
     Wavefront,
@@ -149,17 +150,17 @@ TEMPLATES = TemplateMemo()
 
 def _names(prefix: str, n: int) -> tuple[str, ...]:
     """Parameter names ``prefix0 .. prefix{n-1}`` of a generated closure."""
-    return tuple(f"{prefix}{j}" for j in range(n))
+    return tuple([f"{prefix}{j}" for j in range(n)])
 
 
 def _regs(prefix: str, n: int) -> tuple[str, ...]:
     """Register reads ``regs[prefix0] ..`` through slot parameters."""
-    return tuple(f"regs[{prefix}{j}]" for j in range(n))
+    return tuple([f"regs[{prefix}{j}]" for j in range(n)])
 
 
 def _clear_src(n: int) -> str:
     """Unrolled register drops through the ``_c*`` slot parameters."""
-    return "".join(f"\n    regs[_c{j}] = None" for j in range(n))
+    return "".join([f"\n    regs[_c{j}] = None" for j in range(n)])
 
 
 def _raw_kernel(node: Node):
@@ -174,8 +175,9 @@ def _raw_kernel(node: Node):
     if len(node.out_specs) != 1:
         return None
     out_dtype = node.out_specs[0].dtype
-    if any(t.dtype != out_dtype for t in node.inputs):
-        return None
+    for t in node.inputs:
+        if t.dtype != out_dtype:
+            return None
     op = node.op
     fn = getattr(op, "_fn", None)
     if isinstance(fn, np.ufunc) and fn.nin == len(node.inputs):
@@ -261,8 +263,6 @@ class Arena:
 
     @staticmethod
     def _stripe_of(size_class: int) -> int:
-        from repro.runtime.pool import PAGE_BYTES
-
         return (size_class // PAGE_BYTES) % _ARENA_STRIPES
 
     def acquire(
@@ -433,6 +433,16 @@ class PlanLowering:
     #: lowering performed (fusion/batching/elision/in-place), consumed by
     #: the equivalence certifier; None only for hand-built fixtures
     witnesses: Any = None
+    #: producer/consumer-by-slot index of ``descs``, built at lowering
+    #: time; read through :meth:`slot_index`, which re-derives it when the
+    #: descriptors were edited since
+    index: SlotIndex | None = None
+
+    def slot_index(self) -> SlotIndex:
+        """The :class:`SlotIndex` of ``descs`` as they are now."""
+        if self.index is None or not self.index.is_current(self.descs):
+            self.index = SlotIndex(self.descs)
+        return self.index
 
 
 def build_instr_infos(
@@ -681,7 +691,7 @@ class CompiledPlan:
                             "members": tuple(m.uid for m in chain),
                             "tail": tail.uid,
                             "shape": tail.out_specs[0].shape,
-                            "dtype": str(tail.out_specs[0].dtype),
+                            "dtype": dtype_name(tail.out_specs[0].dtype),
                         },
                     }
                 )
@@ -729,6 +739,9 @@ class CompiledPlan:
         # arena extent by first-fit-decreasing coloring. Outputs and groups
         # that escape through an output stay dynamic in both modes — they
         # are handed to the caller every run and must never be overwritten.
+        # The stream is final from here on (planning rewrites kinds and
+        # alias groups, never an instruction's slots): index it once.
+        index = SlotIndex(descs)
         assignment = plan_buffers(
             self.memplan_mode,
             descs,
@@ -739,6 +752,7 @@ class CompiledPlan:
             constant_slots,
             output_slots,
             self.arena,
+            index,
         )
         releasable = assignment.releasable
         frees_at = assignment.frees_at
@@ -963,6 +977,7 @@ class CompiledPlan:
             memplan=assignment.record,
             storage_tokens=assignment.storage_tokens,
             witnesses=witness_set,
+            index=index,
         )
 
     def instr_infos(self) -> list[InstrInfo]:
@@ -1089,21 +1104,23 @@ class CompiledPlan:
                     "ta": nodes[0].attrs["ta"],
                     "tb": nodes[0].attrs["tb"],
                     "shape": nodes[0].out_specs[0].shape,
-                    "dtype": str(nodes[0].out_specs[0].dtype),
+                    "dtype": dtype_name(nodes[0].out_specs[0].dtype),
                 },
             }
             merged_at[grp[-1]] = merged
             drop.update(grp[:-1])
             # Member slots form one alias group rooted at the first slot:
             # they are views of one stacked buffer, released together.
+            # (Each member is its own root until now; slots already
+            # aliasing a member follow it when the table is resolved.)
             group_root = out_slots[0]
-            remap = {s: group_root for s in out_slots}
-            for i, r in enumerate(root):
-                root[i] = remap.get(r, r)
+            for s in out_slots:
+                root[s] = group_root
             arena_produced[group_root] = True
             self.batched_gemm_groups += 1
             self.batched_gemm_nodes += len(grp)
 
+        resolve_roots(root)
         rewritten: list[dict[str, Any]] = []
         for idx, desc in enumerate(descs):
             if idx in drop:

@@ -29,11 +29,7 @@ from repro.graph import Node, Tensor
 from repro.ops.dropout import set_global_step
 from repro.runtime.compiled import Arena, CompiledPlan, ExecutionError
 from repro.runtime.memory import Category, MemoryPlan, TensorKey
-from repro.runtime.plancache import (
-    PlanCache,
-    default_plan_cache,
-    graph_signature,
-)
+from repro.runtime.plancache import PlanCache, default_plan_cache
 from repro.runtime.workers import default_thread_count
 
 __all__ = [
@@ -121,11 +117,13 @@ class GraphExecutor:
         self.threads = default_thread_count() if threads is None else max(
             1, int(threads)
         )
-        # One graph walk keys all three planning artifacts of this state.
-        sig = graph_signature(self.outputs)
-        self.order = self.plan_cache.schedule_for(self.outputs, sig=sig)
+        # One facts record serves all three planning artifacts of this
+        # state — the one Echo's final re-plan left in the cache, when the
+        # pass just ran over this graph.
+        facts = self.plan_cache.facts_for(self.outputs)
+        self.order = self.plan_cache.schedule_for(self.outputs, facts=facts)
         self.memory_plan: MemoryPlan = self.plan_cache.plan_for(
-            self.outputs, pinned_categories, order=self.order, sig=sig
+            self.outputs, pinned_categories, order=self.order, facts=facts
         )
         self.plan: CompiledPlan = self.plan_cache.compiled_for(
             self.outputs,
@@ -135,7 +133,7 @@ class GraphExecutor:
             threads=self.threads,
             batch_gemms=batch_gemms,
             device=device,
-            sig=sig,
+            facts=facts,
         )
         self._free_after: dict[int, list[TensorKey]] = defaultdict(list)
         output_keys = {t.key for t in self.outputs}
@@ -173,6 +171,7 @@ class GraphExecutor:
             order=self.order,
             threads_probe=threads_probe,
             equiv=equiv,
+            facts=self.plan_cache.facts_for(self.outputs),
         )
 
     def run(
@@ -278,9 +277,14 @@ class GraphExecutor:
     # -- helpers -------------------------------------------------------------
 
     def _time_nodes(self, nodes: Sequence[Node]) -> list[NodeTiming]:
+        # Priced once per node on the state's facts record: the Echo pass
+        # already costed every node it shares with this schedule.
+        costs = self.plan_cache.facts_for(self.outputs).node_costs(self.device)
         timings = []
         for node in nodes:
-            cost = self.device.node_cost(node)
+            cost = costs.get(node.uid)
+            if cost is None:  # the graph was rewritten under this executor
+                cost = self.device.node_cost(node)
             timings.append(
                 NodeTiming(
                     node=node,

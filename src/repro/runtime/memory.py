@@ -26,7 +26,7 @@ Categories follow the paper's Section 3.2 taxonomy:
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -42,9 +42,16 @@ class Category(Enum):
     FEATURE_MAP = "feature_map"
     WORKSPACE = "workspace"
 
+    # Singletons compared by identity; hashed by identity so the
+    # per-category tallies of the timeline sweep stay C-level lookups.
+    __hash__ = object.__hash__
+
     def __lt__(self, other: "Category") -> bool:  # stable report ordering
-        order = list(Category)
-        return order.index(self) < order.index(other)
+        return _CATEGORY_RANK[self] < _CATEGORY_RANK[other]
+
+
+#: declaration order, the order reports list categories in
+_CATEGORY_RANK = {category: rank for rank, category in enumerate(Category)}
 
 
 @dataclass(frozen=True)
@@ -91,15 +98,8 @@ class MemoryPlan:
         return dict(result)
 
 
-def _category_of(
-    node: Node,
-    out_index: int,
-    last_consumer_stage: Stage | None,
-    pinned: Mapping[TensorKey, Category],
-) -> Category:
-    key = (node.uid, out_index)
-    if key in pinned:
-        return pinned[key]
+def _category_of(node: Node, last_consumer_stage: Stage | None) -> Category:
+    """A tensor's category before any pin is applied."""
     if node.op.name == "placeholder":
         return Category.PLACEHOLDER
     if node.op.name == "variable":
@@ -113,58 +113,106 @@ def _category_of(
     return Category.PLACEHOLDER  # backward temporaries
 
 
+@dataclass
+class ScheduleLiveness:
+    """The order-only half of memory planning.
+
+    Everything about one schedule that does not depend on pinned
+    categories: each tensor's allocation/free step and default category,
+    the order tensors are freed in, and the per-step workspace request. One sweep per schedule; :func:`plan_memory` turns it into a
+    :class:`MemoryPlan` for any set of pinned categories without walking
+    the schedule again.
+    """
+
+    order: list[Node]
+    #: production order — so allocation steps never decrease along it;
+    #: categories are the unpinned defaults
+    lifetimes: dict[TensorKey, TensorLifetime]
+    #: the same keys ordered by free step (production order within a step)
+    free_order: list[TensorKey]
+    #: kernel scratch requested by each step's node
+    workspace: list[int]
+
+
+def schedule_liveness(
+    order: Sequence[Node], outputs: Iterable[Tensor]
+) -> ScheduleLiveness:
+    """Sweep ``order`` once for liveness; ``outputs`` live to the end."""
+    order = list(order)
+    num_steps = len(order)
+    last = num_steps - 1
+    output_keys = {t.key for t in outputs}
+
+    last_use: dict[TensorKey, int] = {}
+    last_stage: dict[TensorKey, Stage] = {}
+    for step, node in enumerate(order):
+        stage = node.stage
+        for t in node.inputs:
+            key = t.key
+            if last_use.get(key, -1) < step:
+                last_use[key] = step
+                last_stage[key] = stage
+
+    lifetimes: dict[TensorKey, TensorLifetime] = {}
+    workspace: list[int] = []
+    for step, node in enumerate(order):
+        pinned_alive = node.op.name in ("placeholder", "variable")
+        for i, spec in enumerate(node.out_specs):
+            key = (node.uid, i)
+            if pinned_alive or key in output_keys:
+                free = last
+            else:
+                free = last_use.get(key, step)
+            lifetimes[key] = TensorLifetime(
+                key=key,
+                nbytes=spec.nbytes,
+                category=_category_of(node, last_stage.get(key)),
+                alloc_step=step,
+                free_step=free,
+                scope=node.scope,
+            )
+        workspace.append(node.op.workspace_bytes(node))
+    keys = list(lifetimes)
+    free_steps = [life.free_step for life in lifetimes.values()]
+    free_order = [
+        keys[i] for i in sorted(range(len(keys)), key=free_steps.__getitem__)
+    ]
+    return ScheduleLiveness(order, lifetimes, free_order, workspace)
+
+
 def plan_memory(
     order: Sequence[Node],
     outputs: Iterable[Tensor],
     pinned_categories: Mapping[TensorKey, Category] | None = None,
+    liveness: ScheduleLiveness | None = None,
 ) -> MemoryPlan:
     """Compute liveness, categories, and the footprint timeline.
 
     ``outputs`` are kept alive to the end of the iteration. ``pinned_categories``
     overrides the category of specific tensors (the training executor pins
-    final parameter gradients as ``GRADIENT``).
+    final parameter gradients as ``GRADIENT``). ``liveness`` is
+    ``schedule_liveness(order, outputs)`` when the caller already holds it
+    for this schedule; re-planning one schedule under different pins then
+    repeats only the categorisation and the timeline.
     """
-    pinned = dict(pinned_categories or {})
-    position = {n.uid: i for i, n in enumerate(order)}
+    if liveness is None:
+        liveness = schedule_liveness(order, outputs)
+    order = liveness.order
     num_steps = len(order)
-    output_keys = {t.key for t in outputs}
+    lifetimes = dict(liveness.lifetimes)
+    for key, category in (pinned_categories or {}).items():
+        life = lifetimes.get(key)
+        if life is not None and life.category is not category:
+            lifetimes[key] = replace(life, category=category)
 
-    last_use: dict[TensorKey, int] = {}
-    last_stage: dict[TensorKey, Stage] = {}
-    for node in order:
-        for t in node.inputs:
-            step = position[node.uid]
-            if last_use.get(t.key, -1) < step:
-                last_use[t.key] = step
-                last_stage[t.key] = node.stage
-
-    lifetimes: dict[TensorKey, TensorLifetime] = {}
-    for node in order:
-        for i, spec in enumerate(node.out_specs):
-            key = (node.uid, i)
-            alloc = position[node.uid]
-            if key in output_keys or node.op.name in ("placeholder", "variable"):
-                free = num_steps - 1
-            else:
-                free = last_use.get(key, alloc)
-            category = _category_of(node, i, last_stage.get(key), pinned)
-            lifetimes[key] = TensorLifetime(
-                key=key,
-                nbytes=spec.nbytes,
-                category=category,
-                alloc_step=alloc,
-                free_step=free,
-                scope=node.scope,
-            )
-
-    # Sweep the timeline.
-    alloc_at: dict[int, list[TensorLifetime]] = defaultdict(list)
-    free_after: dict[int, list[TensorLifetime]] = defaultdict(list)
-    for life in lifetimes.values():
-        alloc_at[life.alloc_step].append(life)
-        free_after[life.free_step].append(life)
-
+    # Sweep the timeline: two cursors, one over the tensors in allocation
+    # order and one in free order.
+    allocs = list(lifetimes.values())
+    frees = [lifetimes[key] for key in liveness.free_order]
+    count = len(allocs)
+    next_alloc = next_free = 0
     live_by_cat: dict[Category, int] = defaultdict(int)
+    live_total = 0
     pool_hwm = 0
     max_ws_live = 0
     timeline: list[int] = []
@@ -173,18 +221,21 @@ def plan_memory(
     peak_by_category: dict[Category, int] = {}
     max_by_category: dict[Category, int] = defaultdict(int)
 
-    for step, node in enumerate(order):
-        for life in alloc_at[step]:
+    for step, ws in enumerate(liveness.workspace):
+        while next_alloc < count and allocs[next_alloc].alloc_step == step:
+            life = allocs[next_alloc]
+            next_alloc += 1
             live_by_cat[life.category] += life.nbytes
-        ws = node.op.workspace_bytes(node)
-        pool_hwm = max(pool_hwm, ws)
+            live_total += life.nbytes
+        if ws > pool_hwm:
+            pool_hwm = ws
 
         # The timeline charges each step its *own* workspace request, not
         # the pool's running high-water mark: the pool holds the largest
         # buffer ever requested, but those bytes only coincide with live
         # tensors at the step that actually requests them. (The HWM itself
         # is still reported, as ``workspace_pool_hwm``.)
-        live = sum(live_by_cat.values()) + ws
+        live = live_total + ws
         timeline.append(live)
         for cat, nbytes in live_by_cat.items():
             if nbytes > max_by_category[cat]:
@@ -200,8 +251,11 @@ def plan_memory(
                 peak_by_category.get(Category.WORKSPACE, 0) + ws
             )
 
-        for life in free_after[step]:
+        while next_free < count and frees[next_free].free_step == step:
+            life = frees[next_free]
+            next_free += 1
             live_by_cat[life.category] -= life.nbytes
+            live_total -= life.nbytes
 
     leftover = {c: b for c, b in live_by_cat.items() if b}
     expected = {

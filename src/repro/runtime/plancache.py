@@ -23,17 +23,23 @@ from typing import Any, Callable, Hashable, Mapping, Sequence
 
 import os
 
-from repro.graph import Tensor
-from repro.graph.traversal import topo_order
+from repro.graph import GraphFacts, Tensor
 from repro.memplan.modes import memory_aware_default, memplan_mode
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime.compiled import Arena, CompiledPlan
-from repro.runtime.memory import Category, MemoryPlan, TensorKey, plan_memory
+from repro.runtime.memory import (
+    Category,
+    MemoryPlan,
+    ScheduleLiveness,
+    TensorKey,
+    plan_memory,
+    schedule_liveness,
+)
 from repro.runtime.scheduler import schedule
 
 
-def _maybe_verify(plan: CompiledPlan) -> None:
+def _maybe_verify(plan: CompiledPlan, facts: GraphFacts) -> None:
     """Statically verify a freshly compiled plan when ``REPRO_VERIFY`` is on.
 
     The env check is inline so the disabled path costs one dict lookup and
@@ -51,7 +57,7 @@ def _maybe_verify(plan: CompiledPlan) -> None:
     with obs_trace.span("plan.verify", "plan",
                         {"tier": "equiv" if raw in ("full", "equiv")
                          else "safety"}):
-        assert_plan_safe(plan, equiv=raw in ("full", "equiv"))
+        assert_plan_safe(plan, equiv=raw in ("full", "equiv"), facts=facts)
     reg = obs_metrics.registry()
     if reg is not None:
         reg.histogram("plan.verify_s").observe(time.perf_counter() - start)
@@ -60,22 +66,11 @@ def _maybe_verify(plan: CompiledPlan) -> None:
 def graph_signature(outputs: Sequence[Tensor]) -> Hashable:
     """Structural fingerprint of the graph reachable from ``outputs``.
 
-    Covers everything the scheduler and memory planner read: node identity,
-    scheduling priority, stage, and the dataflow edges, plus the requested
-    output keys. Attrs and shapes are pinned by uid (nodes are immutable
-    apart from the priority/input rewrites Echo applies, both captured
-    here).
+    The :attr:`~repro.graph.GraphFacts.signature` of the graph's current
+    state; callers that go on to plan the state should hold the
+    :class:`~repro.graph.GraphFacts` record instead (one walk for both).
     """
-    nodes = tuple(
-        (
-            n.uid,
-            n.priority,
-            n.stage,
-            tuple(t.key for t in n.inputs),
-        )
-        for n in topo_order(outputs)
-    )
-    return (nodes, tuple(t.key for t in outputs))
+    return GraphFacts(outputs).signature
 
 
 #: sentinel distinguishing "no store given" (attach the REPRO_TUNE_DIR
@@ -108,6 +103,8 @@ class PlanCache:
     def __init__(self, capacity: int = 64, store: Any = _UNSET) -> None:
         self.capacity = capacity
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()
+        #: latest :class:`GraphFacts` record per output-key tuple
+        self._facts: OrderedDict[Hashable, GraphFacts] = OrderedDict()
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
@@ -169,19 +166,61 @@ class PlanCache:
             self._entries.move_to_end(key)
             return value
 
+    # -- graph facts ----------------------------------------------------------
+
+    def facts_for(self, outputs: Sequence[Tensor]) -> GraphFacts:
+        """The :class:`GraphFacts` record of ``outputs``' current state.
+
+        The cache keeps the latest record per list of outputs and hands it
+        back for as long as :meth:`GraphFacts.is_current` holds — so the
+        Echo pass's final re-plan, the executor built right after it and a
+        later ``verify`` all read one record. A stale record (the graph
+        was rewritten since) is replaced by a fresh walk that inherits its
+        per-node costs.
+        """
+        return self._facts_lookup(outputs)[0]
+
+    def _facts_lookup(
+        self, outputs: Sequence[Tensor], facts: GraphFacts | None = None
+    ) -> tuple[GraphFacts, bool]:
+        """``(record, whether it was reused)``; ``facts`` is the caller's
+        own record, when it holds one."""
+        if facts is not None:
+            return facts, True
+        key = tuple([t.key for t in outputs])
+        reg = obs_metrics.registry()
+        with self._lock:
+            held = self._facts.get(key)
+            if held is not None and held.is_current():
+                self._facts.move_to_end(key)
+                if reg is not None:
+                    reg.counter("plan.facts.reuses").inc()
+                return held, True
+            facts = GraphFacts(outputs, inherit=held)
+            self._remember(key, facts)
+            if reg is not None:
+                reg.counter("plan.facts.builds").inc()
+            return facts, False
+
+    def _remember(self, key: Hashable, facts: GraphFacts) -> None:
+        self._facts[key] = facts
+        self._facts.move_to_end(key)
+        while len(self._facts) > self.capacity:
+            self._facts.popitem(last=False)
+
     # -- planning artifacts --------------------------------------------------
 
     def schedule_for(
         self,
         outputs: Sequence[Tensor],
         memory_aware: bool | None = None,
-        sig: Hashable | None = None,
+        facts: GraphFacts | None = None,
     ) -> list:
         """Cached ``schedule(outputs)``; returns a fresh list each call.
 
-        ``sig`` is ``graph_signature(outputs)`` when the caller already
-        holds it for this graph state (the signature is a full graph walk;
-        callers planning one state several times compute it once).
+        ``facts`` is the :class:`GraphFacts` record of this graph state
+        when the caller already holds it (callers planning one state
+        several times fetch it once, from :meth:`facts_for`).
 
         ``memory_aware`` (None = ambient memplan mode) is part of the memo
         key and of the persisted-order flavor: the footprint tie-break and
@@ -190,25 +229,27 @@ class PlanCache:
         """
         if memory_aware is None:
             memory_aware = memory_aware_default()
-        if sig is None:
-            sig = graph_signature(outputs)
+        facts, reused = self._facts_lookup(outputs, facts)
         flavor = "memaware" if memory_aware else ""
 
         def build() -> list:
             with obs_trace.span(
-                "plan.schedule", "plan", {"memaware": bool(memory_aware)}
+                "plan.schedule", "plan",
+                {"memaware": bool(memory_aware), "facts_reused": reused},
             ):
                 store = self.store
                 if store is not None:
-                    cached = store.load_order(outputs, sig, flavor)
+                    cached = store.load_order(outputs, facts, flavor)
                     if cached is not None:
                         return cached
-                order = schedule(outputs, memory_aware=memory_aware)
+                order = schedule(
+                    outputs, memory_aware=memory_aware, facts=facts
+                )
                 if store is not None:
-                    store.save_order(outputs, order, sig, flavor)
+                    store.save_order(outputs, order, facts, flavor)
                 return order
 
-        order = self.memo(("schedule", sig, memory_aware), build)
+        order = self.memo(("schedule", facts.signature, memory_aware), build)
         return list(order)
 
     def plan_for(
@@ -216,11 +257,16 @@ class PlanCache:
         outputs: Sequence[Tensor],
         pinned_categories: Mapping[TensorKey, Category] | None = None,
         order: Sequence | None = None,
-        sig: Hashable | None = None,
+        facts: GraphFacts | None = None,
     ) -> MemoryPlan:
-        """Cached ``plan_memory`` for the graph (+ pinned categories)."""
-        if sig is None:
-            sig = graph_signature(outputs)
+        """Cached ``plan_memory`` for the graph (+ pinned categories).
+
+        The order-only liveness sweep is kept on the state's facts record,
+        so planning one schedule again under different pins (the training
+        executor's pinned gradients, right after Echo planned the same
+        schedule unpinned) repeats only categorisation and the timeline.
+        """
+        facts, reused = self._facts_lookup(outputs, facts)
         pinned_key = (
             tuple(sorted(pinned_categories.items()))
             if pinned_categories
@@ -229,13 +275,32 @@ class PlanCache:
         # When no order is supplied, one is derived from the ambient
         # memory-aware setting — which therefore keys the plan.
         ambient = memory_aware_default() if order is None else None
+
+        def build() -> MemoryPlan:
+            planned = (
+                list(order) if order is not None
+                else schedule(outputs, facts=facts)
+            )
+            liveness: ScheduleLiveness | None = facts.liveness
+            if liveness is not None and liveness.order != planned:
+                liveness = None  # a different schedule of the same state
+            with obs_trace.span(
+                "plan.memory", "plan",
+                {"pinned": len(pinned_key), "facts_reused": reused,
+                 "liveness_reused": liveness is not None},
+            ):
+                if liveness is None:
+                    liveness = schedule_liveness(planned, outputs)
+                    facts.liveness = liveness
+                    reg = obs_metrics.registry()
+                    if reg is not None:
+                        reg.counter("plan.liveness.builds").inc()
+                return plan_memory(
+                    planned, outputs, pinned_categories, liveness
+                )
+
         return self.memo(
-            ("memory", sig, pinned_key, ambient),
-            lambda: plan_memory(
-                order if order is not None else schedule(outputs),
-                outputs,
-                pinned_categories,
-            ),
+            ("memory", facts.signature, pinned_key, ambient), build
         )
 
     def compiled_for(
@@ -248,7 +313,7 @@ class PlanCache:
         batch_gemms: bool | None = None,
         device: Any | None = None,
         memplan: str | None = None,
-        sig: Hashable | None = None,
+        facts: GraphFacts | None = None,
     ) -> CompiledPlan:
         """Cached :class:`CompiledPlan` for (graph, arena, thread config).
 
@@ -259,8 +324,8 @@ class PlanCache:
         same graph are different lowered programs and coexist in the
         cache, as do a greedy-planned and a color-planned one.
         """
-        if sig is None:
-            sig = graph_signature(outputs)
+        facts = self._facts_lookup(outputs, facts)[0]
+        sig = facts.signature
         mode = memplan_mode(memplan)
         key = (
             "compiled", sig, id(arena), fuse, threads, batch_gemms,
@@ -285,12 +350,13 @@ class PlanCache:
                 if token is None:
                     spec = getattr(resolved_device, "spec", None)
                     token = (getattr(spec, "name", "custom"), "analytic")
-                fp = store.fingerprint_for(outputs, sig)
+                fp = store.fingerprint_for(outputs, facts)
                 artifact = store.load_wavefront(
                     fp, token, threads, fuse, bg, mode
                 )
             plan = CompiledPlan(
-                order if order is not None else schedule(outputs),
+                order if order is not None
+                else schedule(outputs, facts=facts),
                 outputs,
                 arena=arena,
                 fuse=fuse,
@@ -306,7 +372,7 @@ class PlanCache:
                     store.save_wavefront(
                         fp, token, threads, fuse, bg, fresh, mode
                     )
-            _maybe_verify(plan)
+            _maybe_verify(plan, facts)
             reg = obs_metrics.registry()
             if reg is not None:
                 reg.histogram("plan.compile_s").observe(
@@ -339,6 +405,7 @@ class PlanCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._facts.clear()
 
 
 class NullPlanCache(PlanCache):
@@ -356,6 +423,9 @@ class NullPlanCache(PlanCache):
         with self._lock:
             self.misses += 1
             return builder()
+
+    def _remember(self, key: Hashable, facts: GraphFacts) -> None:
+        pass
 
 
 _DEFAULT_CACHE = PlanCache()

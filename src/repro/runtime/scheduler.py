@@ -25,7 +25,7 @@ import heapq
 from collections import defaultdict
 from typing import Iterable, Sequence
 
-from repro.graph import Node, Tensor, topo_order
+from repro.graph import GraphFacts, Node, Tensor
 from repro.memplan.modes import memory_aware_default
 
 
@@ -35,20 +35,27 @@ class SchedulingError(RuntimeError):
 
 
 def schedule(
-    outputs: Iterable[Tensor], memory_aware: bool | None = None
+    outputs: Iterable[Tensor],
+    memory_aware: bool | None = None,
+    facts: GraphFacts | None = None,
 ) -> list[Node]:
     """Priority-driven Kahn's algorithm over all nodes reachable from
     ``outputs``. Deterministic: ties broken by node uid.
 
     ``memory_aware`` turns the footprint tie-break on/off explicitly;
     None resolves it from the ambient memplan mode (on iff ``color``).
+    ``facts`` is the state's :class:`~repro.graph.GraphFacts` record when
+    the caller holds one (its topological order and consumer lists are
+    read instead of walked again).
     """
     if memory_aware is None:
         memory_aware = memory_aware_default()
-    nodes = topo_order(outputs)
+    if facts is None:
+        facts = GraphFacts(outputs)
+    nodes = facts.nodes
     by_uid = {n.uid: n for n in nodes}
 
-    indegree: dict[int, int] = {n.uid: 0 for n in nodes}
+    indegree: dict[int, int] = {}
     dependents: dict[int, list[int]] = defaultdict(list)
     for node in nodes:
         producer_uids = {t.node.uid for t in node.inputs}
@@ -60,33 +67,33 @@ def schedule(
     # tensor still has, and which consumers to re-examine when that count
     # hits one (the next consumer to run frees the tensor).
     remaining: dict[tuple[int, int], int] = {}
-    consumers_of: dict[tuple[int, int], list[int]] = {}
+    consumers_of: dict[tuple[int, int], list[Node]] = {}
     in_keys: dict[int, list[tuple[int, int]]] = {}
     key_bytes: dict[tuple[int, int], int] = {}
     out_bytes: dict[int, int] = {}
     if memory_aware:
-        seen: dict[tuple[int, int], set[int]] = defaultdict(set)
+        consumers_of = facts.consumers
         for node in nodes:
             keys = []
             for t in node.inputs:
                 key = t.key
                 if key not in key_bytes:
-                    key_bytes[key] = t.nbytes
-                if node.uid not in seen[key]:
-                    seen[key].add(node.uid)
-                    consumers_of.setdefault(key, []).append(node.uid)
+                    key_bytes[key] = t.node.out_specs[t.index].nbytes
                 if key not in keys:
                     keys.append(key)
             in_keys[node.uid] = keys
-            out_bytes[node.uid] = sum(s.nbytes for s in node.out_specs)
-        for key, uids in consumers_of.items():
-            remaining[key] = len(uids)
+            total = 0
+            for spec in node.out_specs:
+                total += spec.nbytes
+            out_bytes[node.uid] = total
+        remaining = {key: len(users) for key, users in consumers_of.items()}
 
     def net_frees(uid: int) -> bool:
         """Whether running ``uid`` now frees at least what it allocates."""
-        freed = sum(
-            key_bytes[k] for k in in_keys[uid] if remaining[k] == 1
-        )
+        freed = 0
+        for k in in_keys[uid]:
+            if remaining[k] == 1:
+                freed += key_bytes[k]
         return freed >= out_bytes[uid] and freed > 0
 
     def hoistable(node: Node) -> bool:
@@ -138,9 +145,10 @@ def schedule(
             for key in in_keys[uid]:
                 remaining[key] -= 1
                 if remaining[key] == 1:
-                    for cuid in consumers_of[key]:
+                    for consumer in consumers_of[key]:
+                        cuid = consumer.uid
                         if cuid not in scheduled and indegree[cuid] == 0:
-                            consider(by_uid[cuid])
+                            consider(consumer)
         for dep_uid in dependents[uid]:
             indegree[dep_uid] -= 1
             if indegree[dep_uid] == 0:

@@ -149,3 +149,57 @@ def reference_pack_intervals(requests, align: int = 64):
         extent_bytes=extent,
         planned_peak_bytes=waterline(live),
     )
+
+
+def reference_elide_copies(descs, root, output_slots):
+    """The pre-union-find ``elide_copies``, kept as the test oracle.
+
+    Rewrites the *whole* alias-root table once per elided copy (every slot
+    rooted at one of the copy's outputs is re-rooted at its source's
+    group); the production pass must leave the same table and records.
+    """
+    from repro.memplan.elision import alias_view_indices, describe_index
+
+    records = []
+    for idx, desc in enumerate(descs):
+        if desc["kind"] not in ("out", "generic"):
+            continue
+        if any(s in output_slots for s in desc["out_slots"]):
+            continue
+        indices = alias_view_indices(desc)
+        if indices is None:
+            continue
+        src = desc["in_slots"][0]
+        desc["kind"] = "alias"
+        desc["alias_index"] = indices
+        target = root[src]
+        remap = {o: target for o in desc["out_slots"]}
+        for i, r in enumerate(root):
+            root[i] = remap.get(r, r)
+        records.append(
+            {
+                "instr": idx,
+                "op": desc["node"].op.name,
+                "src_slot": src,
+                "out_slots": list(desc["out_slots"]),
+                "indices": [describe_index(ix) for ix in indices],
+            }
+        )
+    return records
+
+
+def reference_producer_spec(descs, r):
+    """The packing analyzer's old per-lookup scan, kept as the test oracle:
+    (shape, dtype, nbytes) of the buffer backing group root ``r``."""
+    for desc in descs:
+        kind = desc["kind"]
+        if kind in ("out", "fused"):
+            for j, s in enumerate(desc["out_slots"]):
+                if s == r:
+                    spec = desc["node"].out_specs[j]
+                    return (spec.shape, spec.dtype, spec.nbytes)
+        elif kind == "batched" and desc["out_slots"][0] == r:
+            spec = desc["node"].out_specs[0]
+            group = len(desc["out_slots"])
+            return ((group,) + spec.shape, spec.dtype, group * spec.nbytes)
+    return None

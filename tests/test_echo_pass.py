@@ -280,49 +280,80 @@ class TestBaselines:
 
 
 class TestPlanOncePerGraphState:
-    """The pass and the executor build share one pack and one signature
-    walk per graph state (color planner; greedy never packs)."""
+    """The pass, the executor built after it and ``verify`` derive each
+    fact of a graph state once: one pack, one topological walk, one
+    signature, one liveness sweep, at most one cost per node (color
+    planner; greedy never packs)."""
 
     @pytest.fixture
     def spied_build(self, monkeypatch):
-        import repro.echo.pass_ as pass_mod
+        import repro.graph.facts as facts_mod
         import repro.memplan.estimate as estimate_mod
         import repro.memplan.planner as planner_mod
-        import repro.runtime.executor as executor_mod
+        import repro.runtime.memory as memory_mod
         import repro.runtime.plancache as plancache_mod
+        from repro.gpumodel import DeviceModel
 
         monkeypatch.setenv("REPRO_MEMPLAN", "color")
-        packs, walks = [], []
+        packs, walks, records, sweeps, priced = [], [], [], [], []
 
         def spy_pack(requests, *args):
             result = real_pack(requests, *args)
             packs.append(result)
             return result
 
-        def spy_signature(outputs):
+        def spy_walk(outputs):
             walks.append(1)
-            return real_signature(outputs)
+            return real_walk(outputs)
+
+        def spy_record(self, *args, **kwargs):
+            real_record(self, *args, **kwargs)
+            records.append(self.signature)
+
+        def spy_sweep(order, outputs):
+            sweeps.append(1)
+            return real_sweep(order, outputs)
+
+        def spy_cost(self, node):
+            priced.append(node.uid)
+            return real_cost(self, node)
 
         real_pack = estimate_mod.pack_intervals
-        real_signature = plancache_mod.graph_signature
+        real_walk = facts_mod.topo_order
+        real_record = facts_mod.GraphFacts.__init__
+        real_sweep = memory_mod.schedule_liveness
+        real_cost = DeviceModel.node_cost
         for mod in (estimate_mod, planner_mod):
             monkeypatch.setattr(mod, "pack_intervals", spy_pack)
-        for mod in (pass_mod, executor_mod, plancache_mod):
-            monkeypatch.setattr(mod, "graph_signature", spy_signature)
+        monkeypatch.setattr(facts_mod, "topo_order", spy_walk)
+        monkeypatch.setattr(facts_mod.GraphFacts, "__init__", spy_record)
+        for mod in (memory_mod, plancache_mod):
+            monkeypatch.setattr(mod, "schedule_liveness", spy_sweep)
+        monkeypatch.setattr(DeviceModel, "node_cost", spy_cost)
 
         model, _ = _tiny_nmt(seed=7)
         cache = PlanCache(store=None)
-        report = EchoPass(plan_cache=cache).run(model.graph)
-        TrainingExecutor(model.graph, plan_cache=cache, threads=1)
-        return report, packs, walks
+        device = DeviceModel()
+        report = EchoPass(device=device, plan_cache=cache).run(model.graph)
+        training = TrainingExecutor(
+            model.graph, device=device, plan_cache=cache, threads=1
+        )
+        training.simulate_cost()
+        assert training.executor.verify(equiv=True).ok
+        return report, packs, (walks, records, sweeps, priced)
 
-    def test_at_most_three_packs_and_three_walks(self, spied_build):
-        report, packs, walks = spied_build
+    def test_each_fact_once_per_graph_state(self, spied_build):
+        report, packs, (walks, records, sweeps, priced) = spied_build
         assert report.accepted  # both graph states really were planned
+        assert report.rolled_back == 0
         # baseline state, rewritten state, the lowered stream
         assert len(packs) == 3
-        # the two Echo states, then the executor's own lookup
-        assert len(walks) == 3
+        # the two Echo states; the executor, its pinned-gradient memory
+        # plan, its timings and verify all read the second state's record
+        assert len(walks) == 2
+        assert len(records) == 2 and records[0] != records[1]
+        assert len(sweeps) == 2
+        assert len(priced) == len(set(priced))
 
     def test_report_carries_the_scored_footprints(self, spied_build):
         report, packs, _ = spied_build
