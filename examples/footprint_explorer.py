@@ -90,42 +90,29 @@ def main() -> None:
     print("boundary is the peak, backward drains it; Echo flattens the ramp):")
     print(compare_timelines(before, after))
 
-    # -- buffer planner: greedy size-class replay vs colored packing --------
-    # Orthogonal to Echo: the same graph, lowered under each value of
-    # REPRO_MEMPLAN. The colored planner elides copies into alias
+    # -- buffer planner: how tight is the packing? -------------------------
+    # Orthogonal to Echo: the lowered plan elides copies into alias
     # bindings, rewrites last-use elementwise outputs in place, and packs
     # every surviving buffer's live interval into one contiguous extent.
-    import os
-
+    # The planned peak (max live bytes at any instruction) is the lower
+    # bound; the gap to the extent is fragmentation the packer left.
     from repro.runtime import PlanCache
 
     print()
-    rows = []
-    fresh = build_nmt(small)
-    saved = os.environ.get("REPRO_MEMPLAN")
-    try:
-        for mode in ("greedy", "color"):
-            os.environ["REPRO_MEMPLAN"] = mode
-            plan = TrainingExecutor(
-                fresh.graph, plan_cache=PlanCache(store=None)
-            ).executor.plan
-            rows.append((
-                mode,
-                round(plan.static_storage_bytes / 2**20, 2),
-                plan.elided_copy_count,
-                plan.inplace_write_count,
-            ))
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_MEMPLAN", None)
-        else:
-            os.environ["REPRO_MEMPLAN"] = saved
-    greedy_mib, color_mib = rows[0][1], rows[1][1]
+    plan = TrainingExecutor(
+        build_nmt(small).graph, plan_cache=PlanCache(store=None)
+    ).executor.plan
     print(format_table(
-        ["planner", "static MiB", "copies elided", "in-place writes"],
-        rows,
-        f"buffer planner comparison (T=30, B=32): colored packing is "
-        f"{(1 - color_mib / greedy_mib) * 100:.0f}% smaller",
+        ["planned peak MiB", "packed extent MiB", "copies elided",
+         "in-place writes"],
+        [(
+            round(plan.planned_peak_bytes / 2**20, 2),
+            round(plan.packed_extent_bytes / 2**20, 2),
+            plan.elided_copy_count,
+            plan.inplace_write_count,
+        )],
+        f"buffer planner (T=30, B=32): packing efficiency "
+        f"{plan.planned_peak_bytes / max(plan.packed_extent_bytes, 1):.0%}",
     ))
 
 

@@ -1,11 +1,11 @@
 """Arena lifetime sanitizer over a compiled plan's lowering record.
 
-The compiler assigns every intermediate a *static* arena buffer by
-replaying the free lists at compile time (`runtime/compiled.py`): a slot's
-storage is recycled to a later slot the moment its alias group's simulated
-refcount drains. The correctness of that replay — frees strictly after
-last use, reuse strictly after free — is exactly what end-to-end bitwise
-tests can only probe indirectly. This sanitizer recomputes liveness from
+The compiler assigns every intermediate a *static* arena buffer at compile
+time (`runtime/compiled.py`, `memplan/planner.py`): a slice of one shared
+extent, handed to a later slot once its alias group's last use has passed.
+The correctness of that assignment — frees strictly after last use, reuse
+strictly after free — is exactly what end-to-end bitwise tests can only
+probe indirectly. This sanitizer recomputes liveness from
 the instruction descriptors alone and cross-checks every decision the
 compiler recorded:
 
@@ -16,13 +16,13 @@ compiler recorded:
 * **LT103** — two alias groups with overlapping live ranges occupy
   overlapping byte ranges of the same raw arena buffer (the
   silent-corruption class: a later write destroys a value still to be
-  read; under the color memplan mode all groups share one extent, so
-  the byte ranges are what keeps them apart);
+  read; all groups share one extent, so the byte ranges are what keeps
+  them apart);
 * **LT104** — an escaping output (or source/constant) slot is backed by
   plan-static storage (outputs must survive later iterations, so they are
   acquired fresh every run by contract);
 * **LT105** — a produced slot is never freed (warning: a leak keeps its
-  size class out of the free lists but cannot corrupt results).
+  bytes from being reused but cannot corrupt results).
 
 Scope: one plan at a time. Plans sharing an arena overlay each other's
 static pages *by design* (they run one iteration to completion at a time);
@@ -158,7 +158,7 @@ def check_lifetimes(plan: Any) -> list[Finding]:
                 finding(
                     "LT105",
                     f"slot {s} (defined by instruction {d}) is never "
-                    "freed; its size class leaks from the arena replay",
+                    "freed; its bytes leak from the arena packing",
                     _ANALYZER,
                     instr=d,
                     slot=s,
@@ -182,10 +182,9 @@ def check_lifetimes(plan: Any) -> list[Finding]:
 
     end = len(descs)
     # (lo, hi, byte_lo, byte_hi, label) intervals per raw buffer. The
-    # byte bounds matter under the color memplan mode, where *every*
-    # static view is a slice of one shared extent: two groups may share
-    # the raw buffer freely as long as their byte ranges are disjoint or
-    # their live ranges are.
+    # byte bounds matter because *every* static view is a slice of one
+    # shared extent: two groups may share the raw buffer freely as long
+    # as their byte ranges are disjoint or their live ranges are.
     intervals: dict[int, list[tuple[int, int, int, int, str]]] = {}
     for r, view in low.static_views.items():
         if r not in group_def:

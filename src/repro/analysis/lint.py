@@ -6,7 +6,6 @@ Usage::
     python -m repro.analysis.lint --model nmt --json
     python -m repro.analysis.lint --model word-lm --no-echo --threads 4
     python -m repro.analysis.lint --strict --ignore IR006,EC306
-    python -m repro.analysis.lint --memplan greedy       # force a mode
     python -m repro.analysis.lint --equiv --strict       # + certification
     python -m repro.analysis.lint --list-codes           # code catalog
 
@@ -137,14 +136,9 @@ def lint_model(
     echo: bool = True,
     threads: int = 1,
     threads_probe: int = 4,
-    memplan: str | None = None,
     equiv: bool = False,
 ) -> AnalysisReport:
-    """Build one benchmark model, compile its plan, run all analyzers.
-
-    ``memplan`` forces the buffer-planning mode for this compile (None =
-    the ambient ``REPRO_MEMPLAN`` setting).
-    """
+    """Build one benchmark model, compile its plan, run all analyzers."""
     graph, _desc = _MODELS[name]()
     from repro.runtime.compiled import Arena
     from repro.runtime.plancache import PlanCache
@@ -158,7 +152,7 @@ def lint_model(
         outputs = graph.outputs
         order = plan_cache.schedule_for(outputs)
         plan = plan_cache.compiled_for(
-            outputs, Arena(), order=order, threads=threads, memplan=memplan
+            outputs, Arena(), order=order, threads=threads
         )
     sources = [*graph.placeholders.values(), *graph.params.values()]
     return verify_plan(
@@ -200,12 +194,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         type=int,
         default=1,
         help="compile the plan for N wavefront threads (default 1)",
-    )
-    parser.add_argument(
-        "--memplan",
-        choices=("color", "greedy"),
-        default=None,
-        help="force the buffer-planning mode (default: REPRO_MEMPLAN)",
     )
     parser.add_argument(
         "--threads-probe",
@@ -257,7 +245,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             echo=args.echo,
             threads=args.threads,
             threads_probe=args.threads_probe,
-            memplan=args.memplan,
             equiv=args.equiv,
         )
         if ignore:

@@ -1,6 +1,6 @@
 """Memplan packing sanitizer: alias, coloring, and in-place safety.
 
-The color memory planner (:mod:`repro.memplan`) rewrites the lowered
+The buffer planner (:mod:`repro.memplan`) rewrites the lowered
 stream — copies become alias bindings, last-use elementwise writes land
 in a dying input's buffer — and then packs every alias group's live
 interval into one contiguous extent. Each of those decisions has a
@@ -21,8 +21,8 @@ shares no code with the planner's own eligibility logic):
   operand position (or is read more than once), whose storage spec
   disagrees with the output's, or whose group escapes the plan.
 
-Greedy-mode plans carry no record; on them this analyzer only verifies
-that no ``alias`` instruction exists with an inconsistent root table.
+A lowering that lost its record cannot be checked at all; that is itself
+reported under MP402.
 """
 
 from __future__ import annotations
@@ -293,8 +293,18 @@ def check_packing(plan: Any) -> list[Finding]:
     """
     low = _lowering_of(plan)
     findings = _check_aliases(low)
-    record = getattr(low, "memplan", None)
-    if record is not None:
-        findings.extend(_check_placements(low, record))
-        findings.extend(_check_inplace(low, record))
+    record = low.memplan
+    if record is None:
+        findings.append(
+            finding(
+                "MP402",
+                f"lowering with {len(low.static_views)} static buffer(s) "
+                "carries no memplan record: no placement can be checked "
+                "for overlap or extent bounds",
+                _ANALYZER,
+            )
+        )
+        return findings
+    findings.extend(_check_placements(low, record))
+    findings.extend(_check_inplace(low, record))
     return findings

@@ -34,7 +34,6 @@ from repro.echo.rewrite import AppliedCandidate, apply_candidate
 from repro.gpumodel import DeviceModel
 from repro.graph import Node, Stage
 from repro.memplan.estimate import packed_peak_bytes
-from repro.memplan.modes import memplan_mode
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime.memory import MemoryPlan
@@ -56,8 +55,8 @@ class EchoReport:
     iteration_seconds: float = 0.0
     baseline_plan: MemoryPlan | None = None
     optimized_plan: MemoryPlan | None = None
-    #: interval-packed arena footprints (what the color planner actually
-    #: allocates); 0 when the pass ran under the greedy memplan mode
+    #: interval-packed arena footprints (what the buffer planner actually
+    #: allocates), the score the accept/reject loop ran on
     baseline_packed_bytes: int = 0
     optimized_packed_bytes: int = 0
     #: canonical output fingerprint of the *source* graph, captured before
@@ -137,17 +136,13 @@ class EchoPass:
     def _footprint(self, sig: Hashable, plan: MemoryPlan) -> int:
         """The footprint the accept/reject loop scores a graph state by.
 
-        Under the greedy memplan mode this is the waterline peak
-        (``plan.peak_bytes``), matching what the size-class replay
-        allocates. Under ``color`` the executor packs buffers by exact
-        lifetime intervals, so candidates are judged by the *packed*
-        footprint — a rewrite that only shuffles bytes the packer would
-        have overlapped anyway is rolled back instead of accepted.
+        The executor packs buffers by exact lifetime intervals, so
+        candidates are judged by the *packed* footprint, not the waterline
+        peak — a rewrite that only shuffles bytes the packer would have
+        overlapped anyway is rolled back instead of accepted.
         Memoized per graph signature (``sig``, from :meth:`_replan`): the
         rollback loop revisits states, and the report reuses the scores.
         """
-        if memplan_mode() != "color":
-            return plan.peak_bytes
         return self.plan_cache.memo(
             ("packedpeak", sig), lambda: packed_peak_bytes(plan)
         )
@@ -196,7 +191,6 @@ class EchoPass:
         # Scored before any rewrite mutates the graph: the memoized packed
         # footprint is keyed by graph signature, which the rewrites change.
         baseline_foot = self._footprint(sig, baseline_plan)
-        color = memplan_mode() == "color"
         # Keyed by the device's cache token (not just the spec): a
         # calibrated device embeds its calibration epoch, so recalibration
         # invalidates memoized iteration costs automatically.
@@ -309,9 +303,8 @@ class EchoPass:
 
         if not applied:
             report.optimized_plan = baseline_plan
-            if color:
-                report.baseline_packed_bytes = baseline_foot
-                report.optimized_packed_bytes = baseline_foot
+            report.baseline_packed_bytes = baseline_foot
+            report.optimized_packed_bytes = baseline_foot
             return report
 
         new_facts, _new_order, new_plan = self._replan(outputs)
@@ -319,9 +312,9 @@ class EchoPass:
 
         if cfg.verify_with_replan:
             # Footprint safety: drop weakest candidates until the measured
-            # footprint actually improves (or nothing is left). Under the
-            # color memplan mode "measured" means the interval-packed arena
-            # extent, the bytes the executor will really allocate.
+            # footprint actually improves (or nothing is left). "Measured"
+            # means the interval-packed arena extent, the bytes the
+            # executor will really allocate.
             while new_foot >= baseline_foot and applied:
                 weakest = min(
                     range(len(applied)),
@@ -348,10 +341,9 @@ class EchoPass:
         report.recompute_seconds = spent
         report.optimized_peak_bytes = new_plan.peak_bytes
         report.optimized_plan = new_plan
-        if color:
-            # The packed footprints the accept loop scored, not a re-pack.
-            report.baseline_packed_bytes = baseline_foot
-            report.optimized_packed_bytes = new_foot
+        # The packed footprints the accept loop scored, not a re-pack.
+        report.baseline_packed_bytes = baseline_foot
+        report.optimized_packed_bytes = new_foot
         return report
 
 

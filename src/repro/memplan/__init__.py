@@ -8,16 +8,10 @@ planner that orchestrates both and hands :class:`CompiledPlan` its
 buffer assignment (:mod:`repro.memplan.planner`), and the packed-peak
 estimator Echo's accept/reject loop scores candidates with
 (:mod:`repro.memplan.estimate`).
-
-Mode selection is ambient: ``REPRO_MEMPLAN=color`` (the default) runs
-the full optimizer, ``REPRO_MEMPLAN=greedy`` falls back to the PR-2
-size-class free-list replay — byte-for-byte the historical behavior and
-the bitwise reference the property tests compare against.
 """
 
 from __future__ import annotations
 
-from repro.memplan.modes import MEMPLAN_ENV, memory_aware_default, memplan_mode
 from repro.memplan.coloring import (
     PackResult,
     atomic_tokens,
@@ -30,12 +24,9 @@ from repro.memplan.planner import BufferAssignment, MemplanRecord, plan_buffers
 
 __all__ = [
     "BufferAssignment",
-    "MEMPLAN_ENV",
     "MemplanRecord",
     "PackResult",
     "atomic_tokens",
-    "memory_aware_default",
-    "memplan_mode",
     "pack_intervals",
     "packed_peak_bytes",
     "plan_buffers",

@@ -1,10 +1,11 @@
 """Interference-interval buffer coloring: offsets into one arena extent.
 
-Greedy size-class replay (the ``REPRO_MEMPLAN=greedy`` fallback in
-:mod:`repro.memplan.planner`) rounds every request up to a page class and
-never splits or coalesces, so the static footprint carries both rounding
-slack and free-list fragmentation. This module replaces it with classic
-interference coloring over *exact* liveness intervals: every storage
+A size-class free-list allocator rounds every request up to a page class
+and never splits or coalesces, so its footprint carries both rounding
+slack and free-list fragmentation
+(``tests/helpers.reference_size_class_bytes`` replays one as the upper
+bound packed plans are held to). This module is classic interference
+coloring over *exact* liveness intervals instead: every storage
 request is an interval ``[lo, hi]`` over instruction indices plus a byte
 size, two requests interfere iff their intervals overlap, and a
 first-fit-decreasing sweep assigns each request the lowest aligned offset
@@ -137,13 +138,13 @@ def atomic_tokens(
 ) -> dict[Hashable, tuple[int, ...]]:
     """Storage-hazard tokens for byte ranges sharing one extent.
 
-    With every static buffer carved from a single raw extent, the greedy
-    hazard rule — "same storage base ⇒ serialize" — would serialize the
-    whole plan. Instead the extent is cut into *atomic intervals* at every
-    placement boundary and each placement is labeled with the atoms its
-    byte range covers: two placements intersect in memory iff they share
-    an atom, so the wavefront hazard edges stay exact. ``placements`` maps
-    a key to ``(offset, nbytes)``; zero-byte entries get no tokens.
+    With every static buffer carved from a single raw extent, the rule
+    "same storage base ⇒ serialize" would serialize the whole plan.
+    Instead the extent is cut into *atomic intervals* at every placement
+    boundary and each placement is labeled with the atoms its byte range
+    covers: two placements intersect in memory iff they share an atom, so
+    the wavefront hazard edges stay exact. ``placements`` maps a key to
+    ``(offset, nbytes)``; zero-byte entries get no tokens.
     """
     bounds: set[int] = set()
     for off, nbytes in placements.values():

@@ -1,32 +1,23 @@
-"""Buffer planning for compiled plans: greedy replay or interval coloring.
+"""Buffer planning for compiled plans: rewrite, then color live intervals.
 
 This is the memory-optimization stage between scheduling and lowering:
 :class:`repro.runtime.compiled.CompiledPlan` hands it the instruction
 descriptors and the slot alias-root table and gets back everything buffer
 related — releasability, the free schedule, the static buffer views, and
-(in ``color`` mode) the :class:`MemplanRecord` the analyzers and stats
-consume.
+the :class:`MemplanRecord` the analyzers and stats consume.
 
-Two modes, selected by ``REPRO_MEMPLAN``:
+The planner runs copy elision and in-place rewriting
+(:mod:`repro.memplan.elision`) over the stream, recomputes liveness over
+the merged alias groups, and packs every releasable group's exact live
+interval into one contiguous arena extent by first-fit-decreasing
+coloring (:mod:`repro.memplan.coloring`). The extent is acquired from the
+arena's extent pool and immediately parked again, so sibling plans
+sharing an arena (the bucketed trainer) overlay one extent — footprint
+follows the largest plan, not the sum.
 
-* ``greedy`` — the PR-2 behavior, byte for byte: replay the arena's
-  size-class free lists at compile time, one acquire per releasable
-  produced slot, releases when the group's simulated refcount drains.
-  No rewriting, no record; kept as the fallback and the bitwise
-  reference the property tests compare against.
-
-* ``color`` (default) — run copy elision and in-place rewriting
-  (:mod:`repro.memplan.elision`) over the stream, recompute liveness
-  over the merged alias groups, and pack every releasable group's exact
-  live interval into one contiguous arena extent by first-fit-decreasing
-  coloring (:mod:`repro.memplan.coloring`). The extent is acquired from
-  the arena's extent pool and immediately parked again, so sibling plans
-  sharing an arena (the bucketed trainer) overlay one extent — footprint
-  follows the largest plan, exactly like the greedy free lists.
-
-Storage-hazard tokens: with one extent backing every static buffer, the
-wavefront executor's "same raw base" rule would serialize everything, so
-the color path labels each placement with the atomic byte-range tokens of
+Storage-hazard tokens: with one extent backing every static buffer, a
+"same raw base" rule would serialize the whole wavefront schedule, so
+each placement is labeled with the atomic byte-range tokens of
 :func:`repro.memplan.coloring.atomic_tokens`; two instructions conflict
 iff their placements actually intersect in memory.
 """
@@ -46,14 +37,13 @@ from repro.obs import trace as obs_trace
 
 @dataclass
 class MemplanRecord:
-    """What the color planner decided, for analyzers and plan stats.
+    """What the planner decided, for analyzers and plan stats.
 
     ``placements`` maps a storage key — an alias-group root slot, or
     ``("scratch", instr_idx, "a"|"b")`` for batched-GEMM stacking scratch
     — to ``(first_instr, last_instr, offset, nbytes)`` within the extent.
     """
 
-    mode: str
     extent_bytes: int = 0
     planned_peak_bytes: int = 0
     placements: dict[Hashable, tuple[int, int, int, int]] = field(
@@ -72,10 +62,9 @@ class BufferAssignment:
     releasable: list[bool]
     frees_at: dict[int, list[tuple[int, int, bool]]]
     static_views: dict[int, np.ndarray]
-    #: color mode only; None in greedy mode
-    record: MemplanRecord | None = None
-    #: placement byte-range tokens for hazard edges (color mode only)
-    storage_tokens: dict[Hashable, tuple[int, ...]] | None = None
+    record: MemplanRecord
+    #: placement byte-range tokens for hazard edges
+    storage_tokens: dict[Hashable, tuple[int, ...]]
     elided_copy_count: int = 0
     inplace_write_count: int = 0
 
@@ -135,92 +124,7 @@ def _storage_specs(
     return specs
 
 
-def _assign_batched_storage_greedy(
-    arena: Any,
-    desc: dict[str, Any],
-    releasable: list[bool],
-    static_views: dict[int, np.ndarray],
-) -> None:
-    """Arena storage for one batched group: stacked output + scratch.
-
-    The stacked result buffer joins the normal static replay (rooted at
-    the group's first slot, released when every member view dies). Input
-    stacking scratch is acquired once and never released — it is written
-    and fully consumed inside the single batched instruction, but keeping
-    it permanently owned means no other instruction can ever share its
-    pages, which keeps the storage-hazard graph sparse.
-    """
-    node = desc["node"]
-    spec = node.out_specs[0]
-    group = len(desc["out_slots"])
-    group_root = desc["out_slots"][0]
-    stacked_nbytes = group * spec.nbytes
-    if releasable[group_root] and stacked_nbytes > 0:
-        static_views[group_root] = arena.acquire(
-            (group,) + spec.shape, spec.dtype, stacked_nbytes
-        )
-    a, b = node.inputs
-    if not desc["shared_a"]:
-        desc["scratch_a"] = arena.acquire(
-            (group,) + a.shape, a.dtype, group * a.nbytes
-        )
-    if not desc["shared_b"]:
-        desc["scratch_b"] = arena.acquire(
-            (group,) + b.shape, b.dtype, group * b.nbytes
-        )
-
-
-def _plan_greedy(
-    descs: list[dict[str, Any]],
-    root: list[int],
-    nslots: int,
-    arena_produced: list[bool],
-    never_freed: set[int],
-    output_slots: set[int],
-    arena: Any,
-    index: SlotIndex,
-) -> BufferAssignment:
-    """The size-class free-list replay, byte for byte the PR-2 behavior."""
-    releasable, _members = _releasability(
-        nslots, root, arena_produced, output_slots
-    )
-    _def_at, _last_use, frees_at = _liveness(
-        index, root, never_freed, releasable
-    )
-    static_views: dict[int, np.ndarray] = {}
-    sim_refs = [0] * nslots
-    for fs in frees_at.values():
-        for _s, r, _rel in fs:
-            sim_refs[r] += 1
-    for idx, desc in enumerate(descs):
-        if desc["kind"] in ("out", "fused"):
-            node = desc["node"]
-            for j, s in enumerate(desc["out_slots"]):
-                spec = node.out_specs[j]
-                if releasable[s] and spec.nbytes > 0:
-                    static_views[s] = arena.acquire(
-                        spec.shape, spec.dtype, spec.nbytes
-                    )
-        elif desc["kind"] == "batched":
-            _assign_batched_storage_greedy(
-                arena, desc, releasable, static_views
-            )
-        for _s, r, rel in frees_at.get(idx, ()):
-            sim_refs[r] -= 1
-            if rel and sim_refs[r] == 0:
-                view = static_views.get(r)
-                if view is not None:
-                    arena.release(view)
-    return BufferAssignment(
-        releasable=releasable,
-        frees_at=frees_at,
-        static_views=static_views,
-        record=None,
-        storage_tokens=None,
-    )
-
-
-def _plan_color(
+def _assign_storage(
     descs: list[dict[str, Any]],
     root: list[int],
     nslots: int,
@@ -273,9 +177,9 @@ def _plan_color(
             if nbytes <= 0:
                 continue
             key = ("scratch", idx, which)
-            # Scratch is owned for the plan's whole life (as in greedy):
-            # it is rewritten every iteration, so it must never time-share
-            # bytes with any other placement.
+            # Scratch is owned for the plan's whole life: it is rewritten
+            # every iteration, so it must never time-share bytes with any
+            # other placement.
             requests.append((key, idx, end, nbytes))
             specs_of[key] = ((group,) + operand.shape, operand.dtype, nbytes)
 
@@ -318,7 +222,6 @@ def _plan_color(
             )
 
     record = MemplanRecord(
-        mode="color",
         extent_bytes=extent_bytes,
         planned_peak_bytes=packed.planned_peak_bytes,
         placements=placements,
@@ -337,7 +240,6 @@ def _plan_color(
 
 
 def plan_buffers(
-    mode: str,
     descs: list[dict[str, Any]],
     root: list[int],
     nslots: int,
@@ -351,23 +253,20 @@ def plan_buffers(
     """Assign static storage for one lowered stream; may rewrite it.
 
     ``descs``, ``root``, and ``arena_produced`` are the compiler's working
-    records and are mutated in place (color mode rewrites copies to
-    aliases and merges alias groups). ``index`` is the stream's
+    records and are mutated in place (copies are rewritten to aliases,
+    in-place writes merge alias groups). ``index`` is the stream's
     :class:`SlotIndex` when the caller built one. The returned assignment
     carries the free schedule and static views the closure baker consumes.
     """
     if index is None:
         index = SlotIndex(descs)
     never_freed = set(source_slots) | set(constant_slots) | set(output_slots)
-    planner = _plan_color if mode == "color" else _plan_greedy
     with obs_trace.span(
-        "memplan.pack", "plan", {"mode": mode, "instrs": len(descs)}
+        "memplan.pack", "plan", {"instrs": len(descs)}
     ) as sp:
-        assignment = planner(
+        assignment = _assign_storage(
             descs, root, nslots, arena_produced, never_freed, output_slots,
             arena, index,
         )
-        record = assignment.record
-        if record is not None:
-            sp["extent_bytes"] = record.extent_bytes
+        sp["extent_bytes"] = assignment.record.extent_bytes
     return assignment

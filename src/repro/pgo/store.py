@@ -4,7 +4,7 @@ Layout under ``REPRO_TUNE_DIR``::
 
     calibration.json            decayed cost records (CalibrationDB)
     autotune.json               backend-selection results per config
-    plans/<fp>.order.json       schedule order (canonical topo indices)
+    plans/<fp>.memaware.order.json  schedule order (canonical topo indices)
     plans/<fp>.<dev>...json     wavefront layout per (device, threads, ...)
     stats/<pid>.json            per-process counter dumps (opt-in)
 
@@ -300,26 +300,22 @@ class TuneStore:
                 self._fingerprints[sig] = fp
         return fp
 
-    def _order_path(self, fp: str, flavor: str = "") -> Path:
-        # ``flavor`` separates differently-produced orders for the same
-        # graph (e.g. the memory-aware schedule vs the plain priority
-        # order) into distinct files, so switching REPRO_MEMPLAN never
-        # serves a stale permutation.
-        if flavor:
-            return self.plans_dir / f"{fp}.{_slug(flavor)}.order.json"
-        return self.plans_dir / f"{fp}.order.json"
+    def _order_path(self, fp: str) -> Path:
+        # The ``memaware`` tag is kept: older stores hold plain-priority
+        # orders (no footprint tie-break) under ``{fp}.order.json``, valid
+        # permutations the loader would accept.
+        return self.plans_dir / f"{fp}.memaware.order.json"
 
     def load_order(
         self,
         outputs: Sequence[Tensor],
         facts: GraphFacts | None = None,
-        flavor: str = "",
     ) -> list[Node] | None:
         """A persisted schedule order, mapped onto the live graph's nodes."""
         if facts is None:
             facts = GraphFacts(outputs)
         fp = self.fingerprint_for(outputs, facts)
-        payload = self._read_json(self._order_path(fp, flavor))
+        payload = self._read_json(self._order_path(fp))
         if payload is None:
             self._bump("order_misses")
             return None
@@ -348,7 +344,6 @@ class TuneStore:
         outputs: Sequence[Tensor],
         order: Sequence[Node],
         facts: GraphFacts | None = None,
-        flavor: str = "",
     ) -> None:
         if facts is None:
             facts = GraphFacts(outputs)
@@ -358,7 +353,7 @@ class TuneStore:
             perm = [index[n.uid] for n in order]
         except KeyError:
             return  # order mentions nodes outside the graph; don't persist
-        self._write_json(self._order_path(fp, flavor), {"order": perm})
+        self._write_json(self._order_path(fp), {"order": perm})
 
     # -- wavefront layouts ---------------------------------------------------
 
@@ -369,18 +364,18 @@ class TuneStore:
         threads: int,
         fuse: bool,
         batch_gemms: bool,
-        memplan: str = "greedy",
     ) -> Path:
-        # The memplan mode changes slot aliasing and hazard tokens, which
-        # the wavefront layout bakes in — it is part of the artifact key.
-        # So is the gate that decided it: layouts written under the
+        # The buffer planner's slot aliasing and hazard tokens are baked
+        # into the layout, so the ``mcolor`` tag stays in the key (older
+        # stores hold ``mgreedy`` layouts of a retired planner). So does
+        # the gate that decided it: layouts written under the
         # simulated-seconds gate (``.wavefront.json``, no gate tag) share
         # the device token but mark nearly every level parallel, and the
         # structural validation on load would trust them.
         name = (
             f"{fp}.{device_token_string(token)}"
             f".t{threads}.f{int(fuse)}.g{int(batch_gemms)}"
-            f".m{_slug(memplan)}.hostgate.wavefront.json"
+            ".mcolor.hostgate.wavefront.json"
         )
         return self.plans_dir / name
 
@@ -391,7 +386,6 @@ class TuneStore:
         threads: int,
         fuse: bool,
         batch_gemms: bool,
-        memplan: str = "greedy",
     ) -> dict[str, Any] | None:
         """The persisted wavefront artifact for one compiled-plan key.
 
@@ -399,9 +393,7 @@ class TuneStore:
         devices, so recalibration silently invalidates stale layouts (the
         old file keys never match again).
         """
-        path = self._wavefront_path(
-            fp, token, threads, fuse, batch_gemms, memplan
-        )
+        path = self._wavefront_path(fp, token, threads, fuse, batch_gemms)
         payload = self._read_json(path)
         if payload is None or "artifact" not in payload:
             self._bump("wavefront_misses")
@@ -417,13 +409,10 @@ class TuneStore:
         fuse: bool,
         batch_gemms: bool,
         artifact: dict[str, Any] | None,
-        memplan: str = "greedy",
     ) -> None:
         if artifact is None:
             return
-        path = self._wavefront_path(
-            fp, token, threads, fuse, batch_gemms, memplan
-        )
+        path = self._wavefront_path(fp, token, threads, fuse, batch_gemms)
         self._write_json(path, {"artifact": artifact})
 
     # -- autotune ------------------------------------------------------------

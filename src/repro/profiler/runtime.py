@@ -19,7 +19,8 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.runtime.executor import GraphExecutor, NodeTiming
+from repro.runtime.compiled import bind_source
+from repro.runtime.executor import NodeTiming
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph import Node
@@ -184,13 +185,11 @@ def measure_node_timings(
         values: dict[tuple[int, int], np.ndarray] = {}
         for step, node in enumerate(order):
             if node.op.name == "placeholder":
-                values[(node.uid, 0)] = GraphExecutor._bind(
-                    feeds, node, kind="placeholder"
+                values[(node.uid, 0)] = bind_source(
+                    feeds, node, "placeholder"
                 )
             elif node.op.name == "variable":
-                values[(node.uid, 0)] = GraphExecutor._bind(
-                    params, node, kind="variable"
-                )
+                values[(node.uid, 0)] = bind_source(params, node, "variable")
             else:
                 inputs = [values[t.key] for t in node.inputs]
                 start = time.perf_counter()

@@ -1,6 +1,5 @@
 """Execution substrate: scheduler, memory planner, executor (DESIGN.md S4)."""
 
-from repro.memplan.modes import memory_aware_default, memplan_mode
 from repro.runtime.compiled import Arena, CompiledPlan
 from repro.runtime.executor import (
     ExecutionError,
@@ -33,8 +32,6 @@ from repro.runtime.wavefront import (
 from repro.runtime.workers import WorkerPool, default_thread_count, shared_pool
 
 __all__ = [
-    "memory_aware_default",
-    "memplan_mode",
     "schedule",
     "validate_schedule",
     "SchedulingError",

@@ -25,13 +25,13 @@ for every intermediate on every iteration. This module lowers a schedule
   decoder-step attention scoring GEMMs are the signature case — execute as
   one ``np.matmul`` over a leading group axis, cutting kernel dispatches
   where thread parallelism cannot help;
-* an **arena** recycles buffers by size class (the ``pool.py`` rounding
-  rules), and — because a plan's instruction stream repeats identically
-  every iteration — the arena's free-list replay runs *at compile time*:
-  each intermediate gets a **static buffer** reused across slots exactly as
-  the runtime free lists would have, and ``out=`` kernels write straight
-  into those closure-bound arrays. Steady-state iterations allocate only
-  the run's escaping outputs;
+* because a plan's instruction stream repeats identically every iteration,
+  buffer reuse is decided *at compile time* (:mod:`repro.memplan`): copies
+  become aliases, last-use writes land in their dying input, and every
+  remaining intermediate gets a **static buffer** — a slice of one
+  contiguous **arena** extent, packed by exact live interval — that
+  ``out=`` kernels write straight into through closure-bound arrays.
+  Steady-state iterations allocate only the run's escaping outputs;
 * with ``threads > 1`` the instruction stream is partitioned into
   **wavefronts** (:mod:`repro.runtime.wavefront`): dependency levels whose
   instructions may execute as cost-balanced chunks on a persistent worker
@@ -40,19 +40,20 @@ for every intermediate on every iteration. This module lowers a schedule
   extra chunk; everything else stays serial, and a plan with no level
   worth splitting runs the same single baked body as ``threads=1``.
   Echo stage boundaries remain barriers, and storage-hazard
-  edges (the arena reuses raw pages across slots) serialize any two
-  instructions that touch the same page — so parallel execution is
+  edges (the extent's bytes are reused across slots) serialize any two
+  instructions whose placements intersect — so parallel execution is
   bitwise-identical to serial execution by construction.
 
-Plans compiled against a shared arena (the bucketed trainer) draw their
-static buffers from the same free lists, so different bucket plans overlay
-the same storage — footprint follows the largest bucket, not the sum, the
-host-side analogue of the paper's executors sharing one memory pool. This
-is safe because executors run one iteration to completion at a time and
-outputs never alias plan storage. The arena itself is thread-safe (striped
-free lists), so parallel chunks may allocate escaping outputs concurrently.
+Plans compiled against a shared arena (the bucketed trainer) carve their
+static buffers from the same parked extent, so different bucket plans
+overlay the same storage — footprint follows the largest bucket, not the
+sum, the host-side analogue of the paper's executors sharing one memory
+pool. This is safe because executors run one iteration to completion at a
+time and outputs never alias plan storage. The arena itself is thread-safe,
+so parallel chunks may allocate escaping outputs concurrently.
 
-Numerics are bitwise-identical to the interpreted loop: every
+Numerics are bitwise-identical to a plain topological walk calling each
+op's ``compute`` (``tests/helpers.reference_run``): every
 ``compute_into`` implementation reproduces its ``compute`` expression tree
 exactly; fusion only reorders *where* a kernel runs in the schedule (legal
 because the chain's interior values have exactly one consumer); batching
@@ -81,14 +82,13 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from repro.graph import Node, Tensor, dtype_name
-from repro.memplan.modes import memplan_mode
-from repro.memplan.planner import plan_buffers
+from repro.memplan.planner import MemplanRecord, plan_buffers
 from repro.memplan.slotindex import SlotIndex, resolve_roots
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.ops.matmul import gemm_batch_key, stacked_operand
 from repro.runtime.memory import TensorKey
-from repro.runtime.pool import PAGE_BYTES, round_up
+from repro.runtime.pool import round_up
 from repro.runtime.wavefront import (
     InstrInfo,
     Wavefront,
@@ -98,10 +98,6 @@ from repro.runtime.wavefront import (
 from repro.runtime.workers import shared_pool
 
 _SOURCE_OPS = ("placeholder", "variable")
-
-#: free-list stripes of the thread-safe arena; size classes hash across
-#: stripes so concurrent acquire/release rarely contend on one lock
-_ARENA_STRIPES = 8
 
 
 #: ``co_filename`` of every generated closure; profilers and the benchmark
@@ -218,92 +214,42 @@ def bind_source(
 
 
 class Arena:
-    """Size-class buffer recycler backing a plan's ``out=`` kernels.
+    """Extent pool and output allocator behind a plan's ``out=`` kernels.
 
-    Freed buffers go to per-size-class free lists (page-rounded like the
-    ``pool.py`` device pool) and are handed back to later requests of the
-    same class. Buffers are raw byte arrays; ``acquire`` returns a
-    shaped/typed view, ``release`` walks ``.base`` back to the raw buffer.
-    Zero-byte requests are never pooled (a class-0 free list would alias
-    every empty tensor onto one entry).
+    A plan's static buffers are views into one contiguous raw extent
+    (page-rounded like the ``pool.py`` device pool). The buffer planner
+    takes it with :meth:`acquire_extent` at compile time and parks it again
+    with :meth:`release_extent`, so plans sharing an arena overlay one
+    extent. At runtime only :meth:`acquire_fresh` is called, for outputs
+    that escape the plan.
 
-    The free lists are **striped**: size classes hash onto
-    ``_ARENA_STRIPES`` independently-locked shards, so wavefront chunks
-    (and plans compiling concurrently against a shared arena) can
-    acquire/release without funneling through one lock. Counters share a
-    single stats lock — they are off the acquire fast path's hot fields
-    only in the sense that the critical section is a couple of integer
-    adds.
-
-    :class:`CompiledPlan` drives acquire/release during *compilation* to
-    assign static buffers; at runtime only :meth:`acquire_fresh` is called,
-    for outputs that escape the plan.
+    The extent list and the counters each sit behind their own lock:
+    wavefront chunks allocate outputs concurrently, and concurrent session
+    compiles share an arena.
     """
 
     def __init__(self) -> None:
-        self._stripes: list[dict[int, list[np.ndarray]]] = [
-            {} for _ in range(_ARENA_STRIPES)
-        ]
-        self._locks = [threading.Lock() for _ in range(_ARENA_STRIPES)]
         self._stats_lock = threading.Lock()
-        #: parked contiguous extents for interval-colored plans; separate
-        #: from the size-class lists so a colored plan never tears a
-        #: greedy plan's page and vice versa
+        #: parked contiguous extents, reusable by later plans
         self._extents: list[np.ndarray] = []
         self._extent_lock = threading.Lock()
-        #: buffers created outside the free lists (pool misses and escaping
-        #: outputs); steady-state iterations add only the run's outputs
+        #: buffers created fresh (extent misses and escaping outputs);
+        #: steady-state iterations add only the run's outputs
         self.fresh_count = 0
-        #: acquisitions served from a free list
+        #: extent acquisitions served from the parked list
         self.reuse_count = 0
         #: zero-byte acquisitions (served fresh, never pooled)
         self.zero_byte_count = 0
         #: cumulative bytes of fresh buffers
         self.fresh_bytes = 0
 
-    @staticmethod
-    def _stripe_of(size_class: int) -> int:
-        return (size_class // PAGE_BYTES) % _ARENA_STRIPES
-
-    def acquire(
-        self, shape: tuple[int, ...], dtype: np.dtype, nbytes: int
-    ) -> np.ndarray:
-        if nbytes <= 0:
-            with self._stats_lock:
-                self.zero_byte_count += 1
-            return np.empty(shape, dtype=dtype)
-        cls = round_up(nbytes)
-        stripe = self._stripe_of(cls)
-        arr = None
-        with self._locks[stripe]:
-            bucket = self._stripes[stripe].get(cls)
-            if bucket:
-                arr = bucket.pop()
-        if arr is not None:
-            with self._stats_lock:
-                self.reuse_count += 1
-            # Fast path: repeated compilations against a shared arena ask
-            # for the same shapes, so the free list usually hands back a
-            # view already shaped for this request.
-            if arr.shape == shape and arr.dtype == dtype:
-                return arr
-            raw = arr
-            while raw.base is not None:
-                raw = raw.base
-        else:
-            raw = np.empty(cls, dtype=np.uint8)
-            with self._stats_lock:
-                self.fresh_count += 1
-                self.fresh_bytes += cls
-        return raw[:nbytes].view(dtype).reshape(shape)
-
     def acquire_fresh(
         self, shape: tuple[int, ...], dtype: np.dtype, nbytes: int
     ) -> np.ndarray:
         """A buffer that escapes the plan (a graph output).
 
-        Never served from the free lists: a pooled raw buffer may be some
-        plan's static storage, and an output must survive later iterations.
+        Never served from a parked extent: that may be some plan's static
+        storage, and an output must survive later iterations.
         """
         with self._stats_lock:
             if nbytes <= 0:
@@ -313,25 +259,13 @@ class Arena:
                 self.fresh_bytes += nbytes
         return np.empty(shape, dtype=dtype)
 
-    def release(self, arr: np.ndarray) -> None:
-        base = arr
-        while base.base is not None:
-            base = base.base
-        if base.dtype != np.uint8 or base.ndim != 1 or base.nbytes == 0:
-            return  # not an arena buffer (zero-byte or foreign array)
-        # Park the shaped view itself (its .base pins the raw buffer);
-        # acquire re-derives the raw page only on a shape mismatch.
-        stripe = self._stripe_of(base.nbytes)
-        with self._locks[stripe]:
-            self._stripes[stripe].setdefault(base.nbytes, []).append(arr)
-
     def acquire_extent(self, nbytes: int) -> np.ndarray:
-        """One contiguous raw extent for an interval-colored plan.
+        """One contiguous raw extent for a plan's static buffers.
 
         Served from the parked-extent list when a large-enough extent is
         available (smallest fit first — bucketed sibling plans overlay the
-        same extent, so footprint follows the largest plan, exactly like
-        the greedy free lists), else allocated fresh, page-rounded.
+        same extent, so footprint follows the largest plan), else
+        allocated fresh, page-rounded.
         """
         best = None
         with self._extent_lock:
@@ -360,14 +294,9 @@ class Arena:
 
     @property
     def held_bytes(self) -> int:
-        """Bytes currently parked on the free lists and extent list."""
-        total = 0
-        for stripe, lock in zip(self._stripes, self._locks):
-            with lock:
-                total += sum(cls * len(b) for cls, b in stripe.items())
+        """Bytes currently parked on the extent list."""
         with self._extent_lock:
-            total += sum(raw.nbytes for raw in self._extents)
-        return total
+            return sum(raw.nbytes for raw in self._extents)
 
 
 def storage_base(arr: np.ndarray) -> np.ndarray:
@@ -393,8 +322,8 @@ class PlanLowering:
     ``generic`` / ``view`` / ``fused`` / ``batched`` / ``alias``),
     ``node``, ``in_slots`` and ``out_slots``; batched entries
     additionally carry ``nodes``, ``a_slots``/``b_slots`` and
-    ``scratch_a``/``scratch_b`` arrays; alias entries (copy elision,
-    color mode) carry ``alias_index``. They are the compiler's own
+    ``scratch_a``/``scratch_b`` arrays; alias entries (copy elision)
+    carry ``alias_index``. They are the compiler's own
     working records (shared, not copied) — treat them as read-only
     unless deliberately corrupting a fixture.
     """
@@ -414,6 +343,10 @@ class PlanLowering:
     frees_at: dict[int, list[tuple[int, int, bool]]]
     #: root slot -> permanently-assigned static buffer view
     static_views: dict[int, np.ndarray]
+    #: the buffer planner's record (placements, elisions, in-place rewrites)
+    memplan: MemplanRecord
+    #: placement byte-range hazard tokens keyed like ``memplan.placements``
+    storage_tokens: dict[Any, tuple[int, ...]]
     #: wavefront program layout (serial runs / parallel chunk lists) when
     #: the plan compiled a parallel program, else None
     program_layout: list[tuple[str, Any]] | None = None
@@ -423,12 +356,6 @@ class PlanLowering:
     schedule: WavefrontSchedule | None = None
     #: id(raw buffer) -> nbytes for every distinct static storage base
     static_bases: dict[int, int] = field(default_factory=dict)
-    #: color-mode planning record (placements, elisions, in-place
-    #: rewrites); None for greedy plans
-    memplan: Any = None
-    #: placement byte-range hazard tokens keyed like ``memplan.placements``
-    #: (color mode); None means "fall back to id(storage base)"
-    storage_tokens: dict[Any, tuple[int, ...]] | None = None
     #: :class:`repro.analysis.witness.WitnessSet` of every rewrite the
     #: lowering performed (fusion/batching/elision/in-place), consumed by
     #: the equivalence certifier; None only for hand-built fixtures
@@ -448,9 +375,8 @@ class PlanLowering:
 def build_instr_infos(
     descs: Sequence[dict[str, Any]],
     root: Sequence[int],
-    static_views: Mapping[int, np.ndarray],
+    storage_tokens: Mapping[Any, tuple[int, ...]],
     device: Any | None = None,
-    storage_tokens: Mapping[Any, tuple[int, ...]] | None = None,
 ) -> list[InstrInfo]:
     """Dependence-relevant facts for each instruction descriptor.
 
@@ -460,21 +386,14 @@ def build_instr_infos(
     (``device`` None: zero costs — hazard structure only, no cost model
     construction).
 
-    Storage hazards are labeled by ``id(raw base)`` for greedy plans
-    (distinct buffers, distinct bases) and by placement byte-range tokens
-    for colored plans (every static buffer shares one extent, so the base
-    rule would serialize everything; the tokens record exact byte-range
-    intersection instead — see :func:`repro.memplan.coloring.atomic_tokens`).
+    Storage hazards are labeled by placement byte-range tokens: every
+    static buffer shares one extent, so a "same raw base" rule would
+    serialize everything; the tokens record exact byte-range intersection
+    instead — see :func:`repro.memplan.coloring.atomic_tokens`.
     """
 
     def bases_of_slot(slot: int) -> tuple[int, ...]:
-        r = root[slot]
-        if storage_tokens is not None:
-            return storage_tokens.get(r, ())
-        view = static_views.get(r)
-        if view is None:
-            return ()
-        return (id(storage_base(view)),)
+        return storage_tokens.get(root[slot], ())
 
     infos: list[InstrInfo] = []
     for idx, desc in enumerate(descs):
@@ -490,15 +409,13 @@ def build_instr_infos(
             scratch = desc.get(scratch_key)
             if scratch is None:
                 continue
-            if storage_tokens is not None:
-                write_bases.update(
-                    storage_tokens.get(
-                        ("scratch", idx, scratch_key[-1]),
-                        (id(storage_base(scratch)),),
-                    )
+            # Zero-byte scratch has no placement; its own array is its base.
+            write_bases.update(
+                storage_tokens.get(
+                    ("scratch", idx, scratch_key[-1]),
+                    (id(storage_base(scratch)),),
                 )
-            else:
-                write_bases.add(id(storage_base(scratch)))
+            )
         if kind == "fused":
             cost_nodes = [member for _op, member, _p in desc["chain"]]
         elif kind == "batched":
@@ -544,17 +461,12 @@ class CompiledPlan:
         batch_gemms: bool | None = None,
         device: Any | None = None,
         wavefront_artifact: dict[str, Any] | None = None,
-        memplan: str | None = None,
     ) -> None:
         self.order = list(order)
         self.outputs = list(outputs)
         self.arena = arena if arena is not None else Arena()
         self.fuse = fuse
         self.threads = max(1, int(threads))
-        #: buffer-planning mode: "color" (copy elision + in-place rewriting
-        #: + interval coloring, the default) or "greedy" (the PR-2
-        #: size-class replay); ambient REPRO_MEMPLAN unless passed
-        self.memplan_mode = memplan_mode(memplan)
         #: batching defaults on exactly when wavefront execution is on —
         #: the serial default path stays byte-for-byte the PR-1 plan
         self.batch_gemms = (
@@ -576,14 +488,13 @@ class CompiledPlan:
         self._item_of_slot: dict[int, int] = {}
         self._wavefront_infos: list[InstrInfo] | None = None
         self._wavefront_schedule: WavefrontSchedule | None = None
-        self._storage_tokens: dict[Any, tuple[int, ...]] | None = None
-        #: copy kernels rewritten to register-view aliases (color mode)
+        #: copy kernels rewritten to register-view aliases
         self.elided_copy_count = 0
         #: instructions writing ``out=`` into a dying input's storage
         self.inplace_write_count = 0
-        #: interval waterline of the colored packing (lower bound)
+        #: interval waterline of the packed static buffers (lower bound)
         self.planned_peak_bytes = 0
-        #: achieved extent size of the colored packing
+        #: achieved extent size of the packing
         self.packed_extent_bytes = 0
         #: closure sources this plan had to ``compile`` / found in the
         #: process-wide :data:`TEMPLATES` memo
@@ -591,8 +502,7 @@ class CompiledPlan:
         self.template_hits = 0
         with obs_trace.span(
             "plan.lower", "plan",
-            {"nodes": len(self.order), "threads": self.threads,
-             "memplan": self.memplan_mode},
+            {"nodes": len(self.order), "threads": self.threads},
         ) as sp:
             self._compile()
             if self.threads > 1:  # serial plans never reach the gate
@@ -730,20 +640,17 @@ class CompiledPlan:
                 sp["nodes"] = self.batched_gemm_nodes
 
         # Buffer planning (repro.memplan): releasability, liveness, and
-        # static storage assignment. Greedy mode replays the arena's
-        # size-class free lists exactly as the runtime would (the PR-2
-        # behavior, byte for byte); color mode first rewrites the stream —
+        # static storage assignment. The planner first rewrites the stream —
         # view-equivalent copies become ``alias`` instructions, last-use
         # in-place-capable writes take over their dying input's storage —
         # then packs every group's exact live interval into one contiguous
         # arena extent by first-fit-decreasing coloring. Outputs and groups
-        # that escape through an output stay dynamic in both modes — they
-        # are handed to the caller every run and must never be overwritten.
+        # that escape through an output stay dynamic — they are handed to
+        # the caller every run and must never be overwritten.
         # The stream is final from here on (planning rewrites kinds and
         # alias groups, never an instruction's slots): index it once.
         index = SlotIndex(descs)
         assignment = plan_buffers(
-            self.memplan_mode,
             descs,
             root,
             nslots,
@@ -757,12 +664,10 @@ class CompiledPlan:
         releasable = assignment.releasable
         frees_at = assignment.frees_at
         static_views = assignment.static_views
-        self._storage_tokens = assignment.storage_tokens
         self.elided_copy_count = assignment.elided_copy_count
         self.inplace_write_count = assignment.inplace_write_count
-        if assignment.record is not None:
-            self.planned_peak_bytes = assignment.record.planned_peak_bytes
-            self.packed_extent_bytes = assignment.record.extent_bytes
+        self.planned_peak_bytes = assignment.record.planned_peak_bytes
+        self.packed_extent_bytes = assignment.record.extent_bytes
 
         # Per-instruction register clears: drop references to per-run
         # arrays (outputs of generic/dynamic instructions, view objects)
@@ -796,14 +701,15 @@ class CompiledPlan:
                 )
                 self.wavefront_from_cache = ok
             if not self.wavefront_from_cache:
-                program_layout = self._plan_program(descs, root, static_views)
+                program_layout = self._plan_program(
+                    descs, root, assignment.storage_tokens
+                )
 
         inline_clears = clears_at if program_layout is None else {}
 
         # Second pass: bake closures. Static buffers are looked up by
-        # alias-group *root*: greedy-produced slots are their own roots, so
-        # this is the historical behavior there, and in-place-rewritten
-        # slots (color mode) resolve to the dying input's buffer.
+        # alias-group *root*, so in-place-rewritten slots resolve to the
+        # dying input's buffer.
         steps: list[Callable[[list], None]] = []
         stats = {
             "out": 0, "generic": 0, "view": 0, "fused": 0, "batched": 0,
@@ -939,25 +845,24 @@ class CompiledPlan:
                 )
             elif desc["kind"] == "batched":
                 witness_set.batches[idx] = BatchWitness(instr=idx, **payload)
-        if assignment.record is not None:
-            for rec in assignment.record.elided:
-                witness_set.aliases[rec["instr"]] = AliasWitness(
-                    instr=rec["instr"],
-                    op=rec["op"],
-                    src_slot=rec["src_slot"],
-                    out_slots=tuple(rec["out_slots"]),
-                    indices=tuple(rec.get("indices", ())),
-                )
-            witness_set.inplace = tuple(
-                InplaceWitness(
-                    instr=rec["instr"],
-                    out=rec["out"],
-                    target=rec["target"],
-                    root=rec["root"],
-                    members=tuple(rec["members"]),
-                )
-                for rec in assignment.record.inplace
+        for rec in assignment.record.elided:
+            witness_set.aliases[rec["instr"]] = AliasWitness(
+                instr=rec["instr"],
+                op=rec["op"],
+                src_slot=rec["src_slot"],
+                out_slots=tuple(rec["out_slots"]),
+                indices=tuple(rec.get("indices", ())),
             )
+        witness_set.inplace = tuple(
+            InplaceWitness(
+                instr=rec["instr"],
+                out=rec["out"],
+                target=rec["target"],
+                root=rec["root"],
+                members=tuple(rec["members"]),
+            )
+            for rec in assignment.record.inplace
+        )
 
         #: compile-time record for the static analyzers (repro.analysis)
         self.lowering = PlanLowering(
@@ -990,10 +895,7 @@ class CompiledPlan:
         low = self.lowering
         if low.infos is not None:
             return low.infos
-        return build_instr_infos(
-            low.descs, low.root, low.static_views,
-            storage_tokens=low.storage_tokens,
-        )
+        return build_instr_infos(low.descs, low.root, low.storage_tokens)
 
     # -- batched-GEMM pre-pass ----------------------------------------------
 
@@ -1134,7 +1036,7 @@ class CompiledPlan:
         self,
         descs: list[dict[str, Any]],
         root: list[int],
-        static_views: dict[int, np.ndarray],
+        storage_tokens: dict[Any, tuple[int, ...]],
     ) -> list[tuple[str, Any]]:
         """Partition the stream into serial segments and parallel levels.
 
@@ -1150,10 +1052,7 @@ class CompiledPlan:
             device = default_device()
             self._device = device
 
-        infos = build_instr_infos(
-            descs, root, static_views, device,
-            storage_tokens=self._storage_tokens,
-        )
+        infos = build_instr_infos(descs, root, storage_tokens, device)
         self._wavefront_infos = infos
 
         schedule = analyze_wavefronts(infos, self.threads)

@@ -7,18 +7,14 @@ use. GPU-side *performance* (kernel time, CUDA API time, DRAM traffic) is
 accumulated per node from a :class:`repro.gpumodel.DeviceModel`, replacing
 the paper's nvprof measurements on real silicon.
 
-Since the compiled-plan rework, ``run`` executes a
-:class:`repro.runtime.compiled.CompiledPlan` — a slot-indexed instruction
-stream with elementwise fusion and arena buffer reuse — instead of walking
-the schedule through a dict-keyed interpreter. The original interpreted
-loop survives as :meth:`GraphExecutor.run_interpreted` (the parity baseline
-for tests and benchmarks). Simulated cost stays node-based either way, so
-figure reproductions are unaffected by how the host executes kernels.
+``run`` executes a :class:`repro.runtime.compiled.CompiledPlan` — a
+slot-indexed instruction stream with elementwise fusion and arena buffer
+reuse. Simulated cost stays node-based, so figure reproductions are
+unaffected by how the host executes kernels.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -135,11 +131,6 @@ class GraphExecutor:
             device=device,
             facts=facts,
         )
-        self._free_after: dict[int, list[TensorKey]] = defaultdict(list)
-        output_keys = {t.key for t in self.outputs}
-        for life in self.memory_plan.lifetimes.values():
-            if life.key not in output_keys:
-                self._free_after[life.free_step].append(life.key)
         self._iteration = 0
         self._run_timings: list[NodeTiming] | None = None
         self._sim_timings: list[NodeTiming] | None = None
@@ -199,67 +190,6 @@ class GraphExecutor:
             timings = list(self._run_timings)
         return RunResult(outputs=out_arrays, timings=timings)
 
-    def run_interpreted(
-        self,
-        feeds: Mapping[str, np.ndarray] | None = None,
-        params: Mapping[str, np.ndarray] | None = None,
-        collect_timings: bool = False,
-    ) -> RunResult:
-        """Execute one iteration by interpreting the schedule node by node.
-
-        This is the original dict-keyed execution loop, kept as the parity
-        baseline: ``run`` must produce bitwise-identical outputs. It is
-        also what the executor microbenchmark measures the compiled plan
-        against.
-        """
-        feeds = dict(feeds or {})
-        params = dict(params or {})
-        set_global_step(self._iteration)
-        self._iteration += 1
-
-        values: dict[TensorKey, np.ndarray] = {}
-        timings: list[NodeTiming] = []
-
-        for step, node in enumerate(self.order):
-            if node.op.name == "placeholder":
-                values[(node.uid, 0)] = self._bind(
-                    feeds, node, kind="placeholder"
-                )
-            elif node.op.name == "variable":
-                values[(node.uid, 0)] = self._bind(params, node, kind="variable")
-            else:
-                inputs = [values[t.key] for t in node.inputs]
-                try:
-                    results = node.op.compute(node, inputs)
-                except Exception as exc:  # augment with node context
-                    raise ExecutionError(
-                        f"kernel failure in {node!r}: {exc}"
-                    ) from exc
-                for i, arr in enumerate(results):
-                    expected = node.out_specs[i]
-                    if tuple(arr.shape) != expected.shape:
-                        raise ExecutionError(
-                            f"{node.name} output {i}: kernel produced shape "
-                            f"{arr.shape}, spec says {expected.shape}"
-                        )
-                    values[(node.uid, i)] = arr
-            if collect_timings and self.device is not None:
-                cost = self.device.node_cost(node)
-                timings.append(
-                    NodeTiming(
-                        node=node,
-                        kernel_seconds=cost.kernel_seconds,
-                        api_seconds=cost.api_seconds,
-                        dram_bytes=cost.dram_bytes,
-                        launches=cost.launches,
-                    )
-                )
-            for key in self._free_after[step]:
-                values.pop(key, None)
-
-        out_arrays = [values[t.key] for t in self.outputs]
-        return RunResult(outputs=out_arrays, timings=timings)
-
     def simulate_cost(self) -> RunResult:
         """Cost the schedule on the device model without running kernels."""
         if self.device is None:
@@ -295,23 +225,6 @@ class GraphExecutor:
                 )
             )
         return timings
-
-    @staticmethod
-    def _bind(
-        table: Mapping[str, np.ndarray], node: Node, kind: str
-    ) -> np.ndarray:
-        if node.name not in table:
-            raise ExecutionError(f"{kind} {node.name!r} was not bound")
-        arr = np.asarray(table[node.name])
-        spec = node.out_specs[0]
-        if tuple(arr.shape) != spec.shape:
-            raise ExecutionError(
-                f"{kind} {node.name!r}: bound shape {arr.shape} != "
-                f"declared {spec.shape}"
-            )
-        if arr.dtype != spec.dtype:
-            arr = arr.astype(spec.dtype)
-        return arr
 
 
 class TrainingExecutor:

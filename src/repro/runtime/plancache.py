@@ -24,7 +24,6 @@ from typing import Any, Callable, Hashable, Mapping, Sequence
 import os
 
 from repro.graph import GraphFacts, Tensor
-from repro.memplan.modes import memory_aware_default, memplan_mode
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime.compiled import Arena, CompiledPlan
@@ -213,7 +212,6 @@ class PlanCache:
     def schedule_for(
         self,
         outputs: Sequence[Tensor],
-        memory_aware: bool | None = None,
         facts: GraphFacts | None = None,
     ) -> list:
         """Cached ``schedule(outputs)``; returns a fresh list each call.
@@ -221,35 +219,24 @@ class PlanCache:
         ``facts`` is the :class:`GraphFacts` record of this graph state
         when the caller already holds it (callers planning one state
         several times fetch it once, from :meth:`facts_for`).
-
-        ``memory_aware`` (None = ambient memplan mode) is part of the memo
-        key and of the persisted-order flavor: the footprint tie-break and
-        the plain priority order are different permutations of the same
-        graph and must never be served for each other.
         """
-        if memory_aware is None:
-            memory_aware = memory_aware_default()
         facts, reused = self._facts_lookup(outputs, facts)
-        flavor = "memaware" if memory_aware else ""
 
         def build() -> list:
             with obs_trace.span(
-                "plan.schedule", "plan",
-                {"memaware": bool(memory_aware), "facts_reused": reused},
+                "plan.schedule", "plan", {"facts_reused": reused}
             ):
                 store = self.store
                 if store is not None:
-                    cached = store.load_order(outputs, facts, flavor)
+                    cached = store.load_order(outputs, facts)
                     if cached is not None:
                         return cached
-                order = schedule(
-                    outputs, memory_aware=memory_aware, facts=facts
-                )
+                order = schedule(outputs, facts=facts)
                 if store is not None:
-                    store.save_order(outputs, order, facts, flavor)
+                    store.save_order(outputs, order, facts)
                 return order
 
-        order = self.memo(("schedule", facts.signature, memory_aware), build)
+        order = self.memo(("schedule", facts.signature), build)
         return list(order)
 
     def plan_for(
@@ -272,9 +259,6 @@ class PlanCache:
             if pinned_categories
             else ()
         )
-        # When no order is supplied, one is derived from the ambient
-        # memory-aware setting — which therefore keys the plan.
-        ambient = memory_aware_default() if order is None else None
 
         def build() -> MemoryPlan:
             planned = (
@@ -299,9 +283,7 @@ class PlanCache:
                     planned, outputs, pinned_categories, liveness
                 )
 
-        return self.memo(
-            ("memory", facts.signature, pinned_key, ambient), build
-        )
+        return self.memo(("memory", facts.signature, pinned_key), build)
 
     def compiled_for(
         self,
@@ -312,24 +294,21 @@ class PlanCache:
         threads: int = 1,
         batch_gemms: bool | None = None,
         device: Any | None = None,
-        memplan: str | None = None,
         facts: GraphFacts | None = None,
     ) -> CompiledPlan:
         """Cached :class:`CompiledPlan` for (graph, arena, thread config).
 
         Keyed by ``id(arena)``/``id(device)`` — safe because the cached
         plan holds references to both, so the ids cannot be recycled while
-        the entry lives. Thread count, batching, and the memplan mode are
-        part of the key: a serial and a wavefront-parallel plan for the
-        same graph are different lowered programs and coexist in the
-        cache, as do a greedy-planned and a color-planned one.
+        the entry lives. Thread count and batching are part of the key: a
+        serial and a wavefront-parallel plan for the same graph are
+        different lowered programs and coexist in the cache.
         """
         facts = self._facts_lookup(outputs, facts)[0]
         sig = facts.signature
-        mode = memplan_mode(memplan)
         key = (
             "compiled", sig, id(arena), fuse, threads, batch_gemms,
-            id(device) if device is not None else None, mode,
+            id(device) if device is not None else None,
         )
         def build() -> CompiledPlan:
             start = time.perf_counter()
@@ -351,9 +330,7 @@ class PlanCache:
                     spec = getattr(resolved_device, "spec", None)
                     token = (getattr(spec, "name", "custom"), "analytic")
                 fp = store.fingerprint_for(outputs, facts)
-                artifact = store.load_wavefront(
-                    fp, token, threads, fuse, bg, mode
-                )
+                artifact = store.load_wavefront(fp, token, threads, fuse, bg)
             plan = CompiledPlan(
                 order if order is not None
                 else schedule(outputs, facts=facts),
@@ -364,14 +341,11 @@ class PlanCache:
                 batch_gemms=batch_gemms,
                 device=resolved_device,
                 wavefront_artifact=artifact,
-                memplan=mode,
             )
             if fp is not None:
                 fresh = plan.wavefront_artifact()
                 if fresh is not None:
-                    store.save_wavefront(
-                        fp, token, threads, fuse, bg, fresh, mode
-                    )
+                    store.save_wavefront(fp, token, threads, fuse, bg, fresh)
             _maybe_verify(plan, facts)
             reg = obs_metrics.registry()
             if reg is not None:
@@ -383,7 +357,7 @@ class PlanCache:
         def traced_build() -> CompiledPlan:
             with obs_trace.span(
                 "plan.compile", "plan",
-                {"threads": threads, "memplan": mode, "fuse": fuse},
+                {"threads": threads, "fuse": fuse},
             ):
                 return build()
 

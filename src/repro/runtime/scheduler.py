@@ -7,8 +7,7 @@ first backward consumer, so they execute as late as possible and their
 outputs stay live for the minimum interval — the property that makes
 recomputation save memory instead of merely moving it.
 
-With the color memory planner (``REPRO_MEMPLAN``, the default) the
-scheduler additionally applies a **footprint-aware tie-break**: among
+The scheduler additionally applies a **footprint-aware tie-break**: among
 ready default-priority nodes, one whose execution frees at least as many
 bytes as it allocates (its inputs' last remaining consumer, minus its
 outputs) is hoisted ahead of the priority order. Net-freeing nodes can
@@ -26,7 +25,6 @@ from collections import defaultdict
 from typing import Iterable, Sequence
 
 from repro.graph import GraphFacts, Node, Tensor
-from repro.memplan.modes import memory_aware_default
 
 
 class SchedulingError(RuntimeError):
@@ -36,20 +34,15 @@ class SchedulingError(RuntimeError):
 
 def schedule(
     outputs: Iterable[Tensor],
-    memory_aware: bool | None = None,
     facts: GraphFacts | None = None,
 ) -> list[Node]:
     """Priority-driven Kahn's algorithm over all nodes reachable from
     ``outputs``. Deterministic: ties broken by node uid.
 
-    ``memory_aware`` turns the footprint tie-break on/off explicitly;
-    None resolves it from the ambient memplan mode (on iff ``color``).
     ``facts`` is the state's :class:`~repro.graph.GraphFacts` record when
     the caller holds one (its topological order and consumer lists are
     read instead of walked again).
     """
-    if memory_aware is None:
-        memory_aware = memory_aware_default()
     if facts is None:
         facts = GraphFacts(outputs)
     nodes = facts.nodes
@@ -66,27 +59,24 @@ def schedule(
     # Footprint bookkeeping: how many distinct unscheduled consumers each
     # tensor still has, and which consumers to re-examine when that count
     # hits one (the next consumer to run frees the tensor).
-    remaining: dict[tuple[int, int], int] = {}
-    consumers_of: dict[tuple[int, int], list[Node]] = {}
+    consumers_of = facts.consumers
     in_keys: dict[int, list[tuple[int, int]]] = {}
     key_bytes: dict[tuple[int, int], int] = {}
     out_bytes: dict[int, int] = {}
-    if memory_aware:
-        consumers_of = facts.consumers
-        for node in nodes:
-            keys = []
-            for t in node.inputs:
-                key = t.key
-                if key not in key_bytes:
-                    key_bytes[key] = t.node.out_specs[t.index].nbytes
-                if key not in keys:
-                    keys.append(key)
-            in_keys[node.uid] = keys
-            total = 0
-            for spec in node.out_specs:
-                total += spec.nbytes
-            out_bytes[node.uid] = total
-        remaining = {key: len(users) for key, users in consumers_of.items()}
+    for node in nodes:
+        keys = []
+        for t in node.inputs:
+            key = t.key
+            if key not in key_bytes:
+                key_bytes[key] = t.node.out_specs[t.index].nbytes
+            if key not in keys:
+                keys.append(key)
+        in_keys[node.uid] = keys
+        total = 0
+        for spec in node.out_specs:
+            total += spec.nbytes
+        out_bytes[node.uid] = total
+    remaining = {key: len(users) for key, users in consumers_of.items()}
 
     def net_frees(uid: int) -> bool:
         """Whether running ``uid`` now frees at least what it allocates."""
@@ -122,9 +112,8 @@ def schedule(
             in_freeing.add(node.uid)
             heapq.heappush(freeing, (node.priority, node.uid))
 
-    if memory_aware:
-        for _p, uid in ready:
-            consider(by_uid[uid])
+    for _p, uid in ready:
+        consider(by_uid[uid])
 
     order: list[Node] = []
     while ready or freeing:
@@ -141,30 +130,27 @@ def schedule(
         node = by_uid[uid]
         scheduled.add(uid)
         order.append(node)
-        if memory_aware:
-            for key in in_keys[uid]:
-                remaining[key] -= 1
-                if remaining[key] == 1:
-                    for consumer in consumers_of[key]:
-                        cuid = consumer.uid
-                        if cuid not in scheduled and indegree[cuid] == 0:
-                            consider(consumer)
+        for key in in_keys[uid]:
+            remaining[key] -= 1
+            if remaining[key] == 1:
+                for consumer in consumers_of[key]:
+                    cuid = consumer.uid
+                    if cuid not in scheduled and indegree[cuid] == 0:
+                        consider(consumer)
         for dep_uid in dependents[uid]:
             indegree[dep_uid] -= 1
             if indegree[dep_uid] == 0:
                 dep = by_uid[dep_uid]
                 heapq.heappush(ready, (dep.priority, dep.uid))
-                if memory_aware:
-                    consider(dep)
+                consider(dep)
 
     if len(order) != len(nodes):
         raise SchedulingError(
             f"cycle detected: scheduled {len(order)} of {len(nodes)} nodes"
         )
-    if memory_aware:
-        # The hoist must never bend dataflow or drop coverage; guard the
-        # reordered schedule with the full validator.
-        validate_schedule(order)
+    # The hoist must never bend dataflow or drop coverage; guard the
+    # reordered schedule with the full validator.
+    validate_schedule(order)
     return order
 
 
@@ -174,7 +160,7 @@ def validate_schedule(order: Sequence[Node]) -> None:
     Rejects duplicate nodes, consumers whose producer is missing from the
     schedule entirely, and producers scheduled after a consumer. Used by
     tests, Echo checks, the tuning-store order loader, and as the guard
-    on memory-aware schedules.
+    on every schedule the footprint tie-break reordered.
     """
     position: dict[int, int] = {}
     for i, node in enumerate(order):

@@ -3,7 +3,8 @@ and reference implementations kept as oracles for optimized code."""
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from collections import Counter, defaultdict
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -11,8 +12,10 @@ import repro.ops as O
 from repro.autodiff import build_gradients
 from repro.gpumodel import DeviceModel
 from repro.graph import Tensor
+from repro.graph.traversal import topo_order
 from repro.memplan.coloring import PackResult, waterline
-from repro.runtime import GraphExecutor
+from repro.ops.dropout import set_global_step
+from repro.runtime import ExecutionError, GraphExecutor, round_up
 
 
 def rng(seed: int = 0) -> np.random.Generator:
@@ -98,6 +101,79 @@ def check_gradients(
             atol=atol,
             err_msg=f"gradient mismatch for input {idx}",
         )
+
+
+def reference_run(
+    outputs: Sequence[Tensor],
+    feeds: Mapping[str, np.ndarray] | None = None,
+    params: Mapping[str, np.ndarray] | None = None,
+    step: int = 0,
+) -> list[np.ndarray]:
+    """The arena-free evaluator compiled plans must match bitwise.
+
+    A plain topological walk calling each node's ``op.compute``: no
+    schedule, memory plan, arena or generated closure, so it shares no
+    storage code with the path under test. ``step`` is the iteration the
+    counter-based dropout masks are drawn for (an executor's n-th ``run``
+    is step n-1). Bad bindings and kernel failures raise
+    :class:`ExecutionError` naming the node, like the executor.
+    """
+    set_global_step(step)
+    values: dict[tuple[int, int], np.ndarray] = {}
+    for node in topo_order(outputs):
+        kind = node.op.name
+        if kind in ("placeholder", "variable"):
+            table = (feeds if kind == "placeholder" else params) or {}
+            if node.name not in table:
+                raise ExecutionError(f"{kind} {node.name!r} was not bound")
+            arr = np.asarray(table[node.name])
+            spec = node.out_specs[0]
+            if tuple(arr.shape) != spec.shape:
+                raise ExecutionError(
+                    f"{kind} {node.name!r}: bound shape {arr.shape} != "
+                    f"declared {spec.shape}"
+                )
+            values[(node.uid, 0)] = arr.astype(spec.dtype, copy=False)
+            continue
+        try:
+            results = node.op.compute(node, [values[t.key] for t in node.inputs])
+        except Exception as exc:
+            raise ExecutionError(f"kernel failure in {node!r}: {exc}") from exc
+        for i, (arr, spec) in enumerate(zip(results, node.out_specs)):
+            if tuple(arr.shape) != spec.shape:
+                raise ExecutionError(
+                    f"{node.name} output {i}: kernel produced shape "
+                    f"{arr.shape}, spec says {spec.shape}"
+                )
+            values[(node.uid, i)] = arr
+    return [values[t.key] for t in outputs]
+
+
+def reference_size_class_bytes(placements) -> int:
+    """Bytes a size-class free-list allocator reserves for ``placements``.
+
+    The allocator interval packing replaced, replayed over a plan's
+    ``MemplanRecord.placements`` (key -> ``(first_instr, last_instr,
+    offset, nbytes)``): each buffer comes off its page-rounded class's free
+    list at its first instruction, or is reserved fresh, and goes back after
+    its last. A packed plan must never hold more static bytes than this.
+    """
+    starts: dict[int, list[int]] = defaultdict(list)
+    ends: dict[int, list[int]] = defaultdict(list)
+    for lo, hi, _off, nbytes in placements.values():
+        starts[lo].append(round_up(nbytes))
+        ends[hi].append(round_up(nbytes))
+    free: Counter = Counter()
+    reserved = 0
+    for idx in sorted(set(starts) | set(ends)):
+        for cls in starts[idx]:
+            if free[cls]:
+                free[cls] -= 1
+            else:
+                reserved += cls
+        for cls in ends[idx]:
+            free[cls] += 1
+    return reserved
 
 
 def reference_pack_intervals(requests, align: int = 64):

@@ -101,8 +101,7 @@ class TestCompileScalesLinearly:
     @pytest.fixture
     def plain_process(self, monkeypatch):
         """No ambient switch that adds work to a compile."""
-        for name in ("REPRO_VERIFY", "REPRO_THREADS", "REPRO_MEMPLAN",
-                     "REPRO_TUNE_DIR"):
+        for name in ("REPRO_VERIFY", "REPRO_THREADS", "REPRO_TUNE_DIR"):
             monkeypatch.delenv(name, raising=False)
         monkeypatch.setattr(obs_trace, "TRACING", False)
         monkeypatch.setattr(obs_trace, "_tracer", None)
@@ -355,7 +354,7 @@ def describe_all() -> dict:
 class TestSameOutputsAsBefore:
     @pytest.fixture
     def default_process(self, monkeypatch):
-        for name in ("REPRO_THREADS", "REPRO_MEMPLAN", "REPRO_TUNE_DIR"):
+        for name in ("REPRO_THREADS", "REPRO_TUNE_DIR"):
             monkeypatch.delenv(name, raising=False)
 
     @pytest.mark.parametrize("threads", [1, 2])

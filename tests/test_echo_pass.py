@@ -282,8 +282,7 @@ class TestBaselines:
 class TestPlanOncePerGraphState:
     """The pass, the executor built after it and ``verify`` derive each
     fact of a graph state once: one pack, one topological walk, one
-    signature, one liveness sweep, at most one cost per node (color
-    planner; greedy never packs)."""
+    signature, one liveness sweep, at most one cost per node."""
 
     @pytest.fixture
     def spied_build(self, monkeypatch):
@@ -294,7 +293,6 @@ class TestPlanOncePerGraphState:
         import repro.runtime.plancache as plancache_mod
         from repro.gpumodel import DeviceModel
 
-        monkeypatch.setenv("REPRO_MEMPLAN", "color")
         packs, walks, records, sweeps, priced = [], [], [], [], []
 
         def spy_pack(requests, *args):

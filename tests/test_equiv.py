@@ -2,9 +2,9 @@
 
 Three layers of evidence:
 
-* a **clean matrix** — every pass combination ({echo on/off} x {memplan
-  color,greedy} x {threads 1,4} x {batching on/off}) certifies with zero
-  EQ findings AND executes bitwise-identically to the baseline plan;
+* a **clean matrix** — every pass combination ({echo on/off} x {threads
+  1,4} x {batching on/off}) certifies with zero EQ findings AND executes
+  bitwise-identically to the arena-free ``reference_run``;
 * a **mutation corpus** — ten seeded semantic defects, each injected
   into a freshly compiled plan and each caught by exactly the expected
   EQ code with no cascade noise;
@@ -37,8 +37,9 @@ from repro.echo.pass_ import EchoPass
 from repro.echo.rewrite import _clone_as_mirror
 from repro.graph import Stage, Tensor
 from repro.memplan.elision import inplace_positions
+from repro.ops.dropout import set_global_step
 from repro.runtime import Arena, CompiledPlan, PlanCache, schedule
-from tests.helpers import AboveGateDevice
+from tests.helpers import AboveGateDevice, reference_run
 
 
 def _codes(findings):
@@ -82,7 +83,7 @@ def _batched_plan():
 
 
 def _aliased_plan():
-    """split + partial slice_axis, color mode: two alias instructions."""
+    """split + partial slice_axis: two alias instructions."""
     x = O.placeholder((8, 16), name="vx")
     lo, hi = O.split(x, 2, axis=0)
     s = O.slice_axis(x, 0, 0, 4)
@@ -91,8 +92,7 @@ def _aliased_plan():
         O.reduce_mean(O.relu(s)),
     ]
     order = schedule(outputs)
-    plan = CompiledPlan(order, outputs, Arena(), fuse=False,
-                        memplan="color")
+    plan = CompiledPlan(order, outputs, Arena(), fuse=False)
     assert plan.lowering.witnesses.aliases, "fixture must elide"
     return plan
 
@@ -140,34 +140,32 @@ class TestCleanMatrix:
             "w1": rng.standard_normal((12, 16)).astype(np.float32),
             "w2": rng.standard_normal((4, 12)).astype(np.float32),
         }
-        reference: list[np.ndarray] | None = None
+        # The un-rewritten graph, walked without any plan: Echo, batching
+        # and threads must all leave its bits alone.
+        reference = reference_run(_mlp_graph().outputs, feeds, params)
         for echo in (False, True):
             tg = _mlp_graph()
             if echo:
                 EchoPass(plan_cache=PlanCache()).run(tg)
             outs = tg.outputs
             order = schedule(outs)
-            for memplan in ("color", "greedy"):
-                for threads in (1, 4):
-                    for batch in (False, True):
-                        plan = CompiledPlan(
-                            order, outs, Arena(), threads=threads,
-                            memplan=memplan, batch_gemms=batch,
-                            device=AboveGateDevice(),
-                        )
-                        tag = (echo, memplan, threads, batch)
-                        assert (plan.parallel_level_count > 0) == (
-                            threads > 1
-                        ), tag
-                        assert check_equivalence(plan) == [], tag
-                        got = plan.run(feeds, params)
-                        if reference is None:
-                            reference = got
-                            continue
-                        assert len(got) == len(reference), tag
-                        for ref, arr in zip(reference, got):
-                            assert ref.dtype == arr.dtype, tag
-                            assert np.array_equal(ref, arr), tag
+            for threads in (1, 4):
+                for batch in (False, True):
+                    plan = CompiledPlan(
+                        order, outs, Arena(), threads=threads,
+                        batch_gemms=batch, device=AboveGateDevice(),
+                    )
+                    tag = (echo, threads, batch)
+                    assert (plan.parallel_level_count > 0) == (
+                        threads > 1
+                    ), tag
+                    assert check_equivalence(plan) == [], tag
+                    set_global_step(0)
+                    got = plan.run(feeds, params)
+                    assert len(got) == len(reference), tag
+                    for ref, arr in zip(reference, got):
+                        assert ref.dtype == arr.dtype, tag
+                        assert np.array_equal(ref, arr), tag
 
     def test_fixture_plans_certify_clean(self):
         assert check_equivalence(_batched_plan()) == []
@@ -218,12 +216,14 @@ class TestMutationCorpus:
 
     def test_eq602_unexplained_root_merge(self):
         # Mutation 4: two unrelated registers silently share storage in
-        # the alias-root table with no witness explaining the merge.
-        plan, _order, _outs = _mlp_plan(fuse=False, memplan="greedy")
+        # the alias-root table with no witness explaining the merge. Both
+        # are groups of one, which no rewrite of the planner's touched.
+        plan, _order, _outs = _mlp_plan(fuse=False)
         low = plan.lowering
         a, b = sorted(
-            s for s in range(len(low.root)) if low.root[s] == s
+            s for s in range(len(low.root)) if low.root.count(s) == 1
         )[-2:]
+        assert low.root[a] == a and low.root[b] == b
         low.root[b] = a
         assert _codes(check_equivalence(plan)) == {"EQ602"}
 
@@ -253,12 +253,16 @@ class TestMutationCorpus:
     def test_eq604_inplace_redirect_over_live_target(self):
         # Mutation 7: an in-place redirect overwrites a register some
         # later instruction still reads — fabricated witness plus the
-        # matching root merge, so only the value check can object.
-        plan, _order, _outs = _mlp_plan(fuse=False, memplan="greedy")
+        # matching root merge, so only the value check can object. The
+        # instruction is one the planner itself left writing a fresh buffer.
+        plan, _order, _outs = _mlp_plan(fuse=False)
         low = plan.lowering
+        rewritten = {w.instr for w in low.witnesses.inplace}
         chosen = None
         for idx, desc in enumerate(low.descs):
             if desc["kind"] != "out" or len(desc["out_slots"]) != 1:
+                continue
+            if idx in rewritten:
                 continue
             for slot, occurrences in inplace_positions(desc):
                 if occurrences != 1 or slot in low.source_slots:
@@ -346,13 +350,12 @@ class TestRandomPipelines:
         depth=st.integers(1, 3),
         act=st.sampled_from(["tanh", "sigmoid", "relu"]),
         use_dropout=st.booleans(),
-        memplan=st.sampled_from(["color", "greedy"]),
         fuse=st.booleans(),
         batch=st.booleans(),
         threads=st.sampled_from([1, 4]),
     )
     def test_random_training_graph_certifies_clean(
-        self, hidden, depth, act, use_dropout, memplan, fuse, batch, threads
+        self, hidden, depth, act, use_dropout, fuse, batch, threads
     ):
         activation = {"tanh": O.tanh, "sigmoid": O.sigmoid,
                       "relu": O.relu}[act]
@@ -375,8 +378,8 @@ class TestRandomPipelines:
         outs = tg.outputs
         order = schedule(outs)
         plan = CompiledPlan(order, outs, Arena(), fuse=fuse,
-                            threads=threads, memplan=memplan,
-                            batch_gemms=batch, device=AboveGateDevice())
+                            threads=threads, batch_gemms=batch,
+                            device=AboveGateDevice())
         assert check_equivalence(plan) == []
 
 

@@ -4,21 +4,20 @@ Four layers of coverage:
 
 * unit tests + hypothesis properties for the interval packer and the
   atomic byte-range tokens;
-* the headline property — color-planned plans (copy elision, in-place
-  rewriting, interval coloring, memory-aware scheduling) execute
-  bitwise-identically to the ``REPRO_MEMPLAN=greedy`` reference across
-  threads {1, 4} and with/without the Echo rewrite;
+* the headline property — planned executions (copy elision, in-place
+  rewriting, interval coloring, footprint-aware scheduling) are
+  bitwise-identical to the arena-free ``reference_run`` across threads
+  {1, 4} and with/without the Echo rewrite, and never hold more static
+  bytes than a size-class free-list replay of the same placements;
 * seeded-defect fixtures proving the MP401/MP402/MP403 analyzers catch
   a corrupted alias root table, overlapping colorings, and unsafe
   in-place records;
 * the satellite fixes — ``validate_schedule`` coverage/duplicate
-  rejection, per-step workspace accounting in ``plan_memory``, the
-  memplan-keyed plan cache, and the arena extent pool.
+  rejection, per-step workspace accounting in ``plan_memory``, and the
+  arena extent pool.
 """
 
-import contextlib
 import json
-import os
 import pathlib
 
 import numpy as np
@@ -32,12 +31,12 @@ from repro.autodiff import compile_training
 from repro.echo import EchoConfig, optimize
 from repro.memplan import (
     atomic_tokens,
-    memplan_mode,
     pack_intervals,
     packed_peak_bytes,
     waterline,
 )
 from repro.memplan.coloring import ALIGN
+from repro.graph import GraphFacts
 from repro.runtime import (
     Arena,
     PlanCache,
@@ -47,20 +46,12 @@ from repro.runtime import (
     schedule,
     validate_schedule,
 )
-from tests.helpers import AboveGateDevice, reference_pack_intervals
-
-
-@contextlib.contextmanager
-def _memplan(mode):
-    saved = os.environ.get("REPRO_MEMPLAN")
-    os.environ["REPRO_MEMPLAN"] = mode
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_MEMPLAN", None)
-        else:
-            os.environ["REPRO_MEMPLAN"] = saved
+from tests.helpers import (
+    AboveGateDevice,
+    reference_pack_intervals,
+    reference_run,
+    reference_size_class_bytes,
+)
 
 
 # -- interval packer ----------------------------------------------------------
@@ -212,52 +203,42 @@ def shape_heavy_training_graph(draw):
     return graph, rows, cols
 
 
-def _run_graph(graph, feeds, params, mode, threads):
-    with _memplan(mode):
+def _assert_matches_reference(graph, rows, cols, seed):
+    gen = np.random.default_rng(seed)
+    feeds = {"mp_x": gen.standard_normal((rows, cols))}
+    params = {"mp_w": gen.standard_normal((rows, cols))}
+    want = reference_run(graph.outputs, feeds, params)
+    for threads in (1, 4):
         ex = TrainingExecutor(
             graph, plan_cache=PlanCache(store=None), threads=threads,
             device=AboveGateDevice(),
         )
         loss, grads, _ = ex.run(feeds, params)
+        assert loss == float(want[0]), threads
+        for k, ref in zip(graph.grads, want[1:]):
+            np.testing.assert_array_equal(grads[k], ref)
         plan = ex.executor.plan
-    return loss, grads, plan
-
-
-def _assert_modes_agree(graph, rows, cols, seed):
-    gen = np.random.default_rng(seed)
-    feeds = {"mp_x": gen.standard_normal((rows, cols))}
-    params = {"mp_w": gen.standard_normal((rows, cols))}
-    ref_loss, ref_grads, ref_plan = _run_graph(
-        graph, feeds, params, "greedy", 1
-    )
-    for mode in ("greedy", "color"):
-        for threads in (1, 4):
-            loss, grads, plan = _run_graph(
-                graph, feeds, params, mode, threads
-            )
-            assert loss == ref_loss, (mode, threads)
-            for k in ref_grads:
-                np.testing.assert_array_equal(grads[k], ref_grads[k])
-            if mode == "color":
-                assert (
-                    plan.static_storage_bytes
-                    <= ref_plan.static_storage_bytes
-                )
+        assert plan.static_storage_bytes <= reference_size_class_bytes(
+            plan.lowering.memplan.placements
+        )
 
 
 class TestBitwiseIdentity:
+    """Interval-colored plans match the arena-free reference bitwise and
+    never hold more than the greedy size-class replay of their placements."""
+
     @given(shape_heavy_training_graph(), st.integers(0, 2**31 - 1))
     @settings(max_examples=10, deadline=None)
     def test_color_matches_greedy(self, built, seed):
         graph, rows, cols = built
-        _assert_modes_agree(graph, rows, cols, seed)
+        _assert_matches_reference(graph, rows, cols, seed)
 
     @given(shape_heavy_training_graph(), st.integers(0, 2**31 - 1))
     @settings(max_examples=6, deadline=None)
     def test_color_matches_greedy_after_echo(self, built, seed):
         graph, rows, cols = built
         optimize(graph, EchoConfig(overhead_budget_fraction=0.5))
-        _assert_modes_agree(graph, rows, cols, seed)
+        _assert_matches_reference(graph, rows, cols, seed)
 
 
 # -- seeded defects for the MP analyzers --------------------------------------
@@ -265,19 +246,17 @@ class TestBitwiseIdentity:
 
 def _color_plan():
     """A deterministic plan with at least one elision and one in-place."""
-    with _memplan("color"):
-        x = O.placeholder((4, 8), np.float64, name="df_x")
-        w = O.variable((4, 8), np.float64, name="df_w")
-        a = O.add(x, w)
-        s = O.slice_axis(a, 0, 0, 4)
-        lo = O.slice_axis(a, 1, 0, 4)
-        hi = O.slice_axis(a, 1, 4, 8)
-        c = O.concat([lo, hi], 1)
-        u = O.add(O.tanh(c), O.sigmoid(s))
-        loss = O.reduce_mean(u)
-        graph = compile_training(loss, {"df_w": w}, {"df_x": x})
-        plan = PlanCache(store=None).compiled_for(graph.outputs, Arena())
-    return plan
+    x = O.placeholder((4, 8), np.float64, name="df_x")
+    w = O.variable((4, 8), np.float64, name="df_w")
+    a = O.add(x, w)
+    s = O.slice_axis(a, 0, 0, 4)
+    lo = O.slice_axis(a, 1, 0, 4)
+    hi = O.slice_axis(a, 1, 4, 8)
+    c = O.concat([lo, hi], 1)
+    u = O.add(O.tanh(c), O.sigmoid(s))
+    loss = O.reduce_mean(u)
+    graph = compile_training(loss, {"df_w": w}, {"df_x": x})
+    return PlanCache(store=None).compiled_for(graph.outputs, Arena())
 
 
 def _codes(plan):
@@ -288,9 +267,14 @@ class TestSeededPackingDefects:
     def test_healthy_plan_is_clean(self):
         plan = _color_plan()
         record = plan.lowering.memplan
-        assert record is not None
         assert record.elided and record.inplace  # the fixture's premise
         assert _codes(plan) == set()
+
+    def test_mp402_missing_record(self):
+        plan = _color_plan()
+        assert plan.lowering.static_views
+        plan.lowering.memplan = None  # no placement can be checked at all
+        assert _codes(plan) == {"MP402"}
 
     def test_mp401_broken_alias_root(self):
         plan = _color_plan()
@@ -401,10 +385,11 @@ class TestValidateSchedule:
         w = O.variable((4, 4), name="vs_w")
         loss = O.reduce_mean(O.tanh(O.mul(O.add(x, w), x)))
         graph = compile_training(loss, {"vs_w": w}, {"vs_x": x})
-        plain = schedule(graph.outputs, memory_aware=False)
-        aware = schedule(graph.outputs, memory_aware=True)
-        validate_schedule(aware)
-        assert {n.uid for n in aware} == {n.uid for n in plain}
+        order = schedule(graph.outputs)
+        validate_schedule(order)
+        nodes = GraphFacts(graph.outputs).nodes
+        assert len(order) == len(nodes)
+        assert {n.uid for n in order} == {n.uid for n in nodes}
 
 
 # -- satellite: per-step workspace accounting ---------------------------------
@@ -435,42 +420,10 @@ class TestWorkspaceAccounting:
         assert plan.peak_bytes == max(plan.timeline)
 
 
-# -- satellite: plan cache keying + arena extents ----------------------------
+# -- satellite: arena extents + Echo's packed footprint -----------------------
 
 
 class TestMemplanPlumbing:
-    def test_mode_resolution(self):
-        with _memplan("greedy"):
-            assert memplan_mode() == "greedy"
-            assert memplan_mode("color") == "color"
-        with _memplan("color"):
-            assert memplan_mode() == "color"
-        with _memplan("typo"), pytest.raises(ValueError, match="typo"):
-            memplan_mode()
-
-    def test_compiled_plans_keyed_by_mode(self):
-        x = O.placeholder((4, 4), name="pc_x")
-        out = O.reduce_mean(O.tanh(O.add(x, x)))
-        cache = PlanCache(store=None)
-        arena = Arena()
-        greedy = cache.compiled_for([out], arena, memplan="greedy")
-        color = cache.compiled_for([out], arena, memplan="color")
-        assert greedy is not color
-        assert greedy.memplan_mode == "greedy"
-        assert color.memplan_mode == "color"
-        assert cache.compiled_for([out], arena, memplan="greedy") is greedy
-
-    def test_schedules_keyed_by_memory_awareness(self):
-        x = O.placeholder((4, 4), name="pc_y")
-        out = O.reduce_mean(O.tanh(O.add(x, x)))
-        cache = PlanCache(store=None)
-        misses = cache.misses
-        cache.schedule_for([out], memory_aware=False)
-        cache.schedule_for([out], memory_aware=True)
-        assert cache.misses == misses + 2
-        cache.schedule_for([out], memory_aware=True)
-        assert cache.misses == misses + 2  # second aware call hits
-
     def test_arena_extent_pool_reuses_parked_extents(self):
         arena = Arena()
         raw = arena.acquire_extent(1000)
@@ -492,14 +445,13 @@ class TestMemplanPlumbing:
         assert packed > 0
 
     def test_echo_reports_packed_footprint_in_color_mode(self):
-        with _memplan("color"):
-            x = O.placeholder((8, 16), name="ec_x")
-            w = O.variable((16, 16), name="ec_w")
-            h = O.tanh(O.fully_connected(x, w))
-            loss = O.reduce_mean(O.tanh(h))
-            graph = compile_training(loss, {"ec_w": w}, {"ec_x": x})
-            report = optimize(graph, plan_cache=PlanCache(store=None))
-            assert report.baseline_packed_bytes > 0
-            assert (
-                report.optimized_packed_bytes <= report.baseline_packed_bytes
-            )
+        x = O.placeholder((8, 16), name="ec_x")
+        w = O.variable((16, 16), name="ec_w")
+        h = O.tanh(O.fully_connected(x, w))
+        loss = O.reduce_mean(O.tanh(h))
+        graph = compile_training(loss, {"ec_w": w}, {"ec_x": x})
+        report = optimize(graph, plan_cache=PlanCache(store=None))
+        assert report.baseline_packed_bytes > 0
+        assert (
+            report.optimized_packed_bytes <= report.baseline_packed_bytes
+        )

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 from repro.dist import DistributedTrainer, run_distributed
 from repro.echo import optimize
-from repro.memplan.modes import memplan_mode
 from repro.models import NmtConfig, WordLmConfig, build_nmt, build_word_lm
 from repro.obs import (
     Counter,
@@ -39,9 +38,10 @@ from repro.obs import (
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.runtime import PlanCache, TrainingExecutor
 from repro.train import SGD, Trainer
-from tests.helpers import AboveGateDevice
-from tests.test_memplan import shape_heavy_training_graph, _memplan, _run_graph
+from tests.helpers import AboveGateDevice, reference_run
+from tests.test_memplan import shape_heavy_training_graph
 
 
 @pytest.fixture
@@ -370,13 +370,6 @@ class TestCrossRankMerge:
 # -- inertness: tracing + metrics may never change a computed value ----------
 
 
-def _losses_and_grads(graph, rows, cols, seed, mode, threads):
-    gen = np.random.default_rng(seed)
-    feeds = {"mp_x": gen.standard_normal((rows, cols))}
-    params = {"mp_w": gen.standard_normal((rows, cols))}
-    loss, grads, _ = _run_graph(graph, feeds, params, mode, threads)
-    return loss, {k: np.array(v, copy=True) for k, v in grads.items()}
-
 
 class TestInertness:
     @given(shape_heavy_training_graph(), st.integers(0, 2**31 - 1))
@@ -395,31 +388,30 @@ class TestInertness:
 
     def _check_inert(self, built, seed):
         graph, rows, cols = built
+        gen = np.random.default_rng(seed)
+        feeds = {"mp_x": gen.standard_normal((rows, cols))}
+        params = {"mp_w": gen.standard_normal((rows, cols))}
         for echo in (False, True):
             if echo:
                 optimize(graph)
-            for mode in ("greedy", "color"):
-                for threads in (1, 4):
-                    assert obs_trace.tracer() is None
-                    ref_loss, ref_grads = _losses_and_grads(
-                        graph, rows, cols, seed, mode, threads
+            assert obs_trace.tracer() is None
+            want = reference_run(graph.outputs, feeds, params)
+            for threads in (1, 4):
+                obs_trace.enable(fresh=True)
+                obs_metrics.enable(fresh=True)
+                try:
+                    loss, grads, _ = TrainingExecutor(
+                        graph, plan_cache=PlanCache(store=None),
+                        threads=threads, device=AboveGateDevice(),
+                    ).run(feeds, params)
+                finally:
+                    obs_trace.disable()
+                    obs_metrics.disable()
+                assert loss == float(want[0]), (echo, threads)
+                for k, ref in zip(graph.grads, want[1:]):
+                    np.testing.assert_array_equal(
+                        grads[k], ref, err_msg=str((echo, threads, k))
                     )
-                    obs_trace.enable(fresh=True)
-                    obs_metrics.enable(fresh=True)
-                    try:
-                        loss, grads = _losses_and_grads(
-                            graph, rows, cols, seed, mode, threads
-                        )
-                    finally:
-                        obs_trace.disable()
-                        obs_metrics.disable()
-                    assert loss == ref_loss, (echo, mode, threads)
-                    for k in ref_grads:
-                        np.testing.assert_array_equal(
-                            grads[k], ref_grads[k], err_msg=str(
-                                (echo, mode, threads, k)
-                            )
-                        )
 
     def test_traced_trainer_matches_untraced(self, untraced):
         ref_losses, ref_params = _tiny_lm_steps(steps=3, threads=2,
@@ -557,11 +549,10 @@ class TestMetrics:
         # compile-path de-duplication is readable from telemetry alone
         assert snap["plan.codegen.templates_compiled"] >= 0
         assert snap["plan.codegen.template_hits"] > 0
-        if memplan_mode() == "color":
-            # Echo's two graph states + the lowered stream, once each,
-            # then one lowered stream per data-parallel rank
-            assert snap["memplan.pack.calls"] == 3 + 2
-            assert snap["memplan.pack_s"]["count"] == 3 + 2
+        # Echo's two graph states + the lowered stream, once each,
+        # then one lowered stream per data-parallel rank
+        assert snap["memplan.pack.calls"] == 3 + 2
+        assert snap["memplan.pack_s"]["count"] == 3 + 2
         # the wavefront gate's verdicts and the communicator wait
         for key in ("levels", "levels_parallel", "levels_gated"):
             assert snap[f"plan.wavefront.{key}"] >= 0

@@ -19,6 +19,7 @@ import pytest
 from repro.backends import Backend
 from repro.backends.microbench import autotune_backend, measure_lstm, pure_lstm_graph
 from repro.gpumodel import DeviceModel
+from repro.graph import GraphFacts
 from repro.pgo import (
     CalibratedDeviceModel,
     CalibrationDB,
@@ -35,7 +36,7 @@ from repro.profiler import measure_node_timings
 from repro.runtime import PlanCache
 from repro.runtime.executor import TrainingExecutor
 from repro.runtime.plancache import _UNSET, default_plan_cache
-from repro.runtime.scheduler import schedule
+from repro.runtime.scheduler import schedule, validate_schedule
 from tests.helpers import AboveGateDevice
 
 
@@ -169,7 +170,7 @@ class TestStoreDurability:
         order = schedule(graph.outputs)
         ts.save_order(graph.outputs, order)
         fp = graph_fingerprint(graph.outputs)
-        path = tmp_path / "plans" / f"{fp}.order.json"
+        path = tmp_path / "plans" / f"{fp}.memaware.order.json"
         assert path.exists()
         # Torn JSON -> miss; well-formed but wrong permutation -> miss.
         path.write_text('{"version": 1, "order": [0, 1')
@@ -187,7 +188,7 @@ class TestStoreDurability:
         order = schedule(graph.outputs)
         ts.save_order(graph.outputs, order)
         fp = graph_fingerprint(graph.outputs)
-        path = tmp_path / "plans" / f"{fp}.order.json"
+        path = tmp_path / "plans" / f"{fp}.memaware.order.json"
         payload = json.loads(path.read_text())
         payload["order"].reverse()  # valid permutation, invalid schedule
         path.write_text(json.dumps(payload))
@@ -412,6 +413,47 @@ class TestWarmPlans:
         stats = ts2.stats()
         assert stats["wavefront_hits"] == 0
         assert stats["wavefront_misses"] == 1
+
+    def test_retired_planner_artifacts_are_never_served(self, tune_dir):
+        """A store filled under the retired ``REPRO_MEMPLAN=greedy`` holds
+        plain-priority orders in ``{fp}.order.json`` and ``.mgreedy``
+        layouts: valid JSON, a valid schedule, a well-formed layout.
+        Neither file name is ever read, so the build is a cold one."""
+
+        def build():
+            graph, _ = pure_lstm_graph(4, 16, 1, 3, Backend.DEFAULT)
+            store = TuneStore(tune_dir)
+            ex = TrainingExecutor(
+                graph, plan_cache=PlanCache(store=store),
+                device=DeviceModel(), threads=4,
+            )
+            facts = GraphFacts(graph.outputs)
+            perm = [facts.index[n.uid] for n in ex.executor.order]
+            return facts, perm, store.stats()
+
+        facts, cold_perm, _ = build()
+        plans = tune_dir / "plans"
+        (order_file,) = plans.glob("*.order.json")
+        (layout_file,) = plans.glob("*.wavefront.json")
+        # Creation order is the priority-only schedule of an un-rewritten
+        # graph: what a scheduler without the footprint tie-break stored.
+        plain = sorted(facts.nodes, key=lambda n: n.priority)
+        validate_schedule(plain)
+        stale_perm = [facts.index[n.uid] for n in plain]
+        assert stale_perm != cold_perm
+        order_file.with_name(
+            order_file.name.replace(".memaware.", ".")
+        ).write_text(json.dumps({"version": 1, "order": stale_perm}))
+        order_file.unlink()
+        layout_file.rename(layout_file.with_name(
+            layout_file.name.replace(".mcolor.", ".mgreedy.")
+        ))
+
+        _, perm, stats = build()
+        assert perm == cold_perm
+        assert stats["order_hits"] == 0 and stats["order_misses"] == 1
+        assert stats["wavefront_hits"] == 0
+        assert stats["load_errors"] == 0
 
     def test_old_gate_layout_is_never_trusted(self, tune_dir):
         """A layout persisted under the simulated-seconds gate has the

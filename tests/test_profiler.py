@@ -17,9 +17,9 @@ from repro.profiler import (
 from repro.runtime import TrainingExecutor
 
 
-def _scoped_graph():
-    x = O.placeholder((8, 16), name="pf_x")
-    labels = O.placeholder((8,), np.int64, name="pf_y")
+def _scoped_graph(batch=8):
+    x = O.placeholder((batch, 16), name="pf_x")
+    labels = O.placeholder((batch,), np.int64, name="pf_y")
     with scope("rnn"):
         w1 = O.variable((16, 16), name="pf_w1")
         hidden = O.tanh(O.fully_connected(x, w1))
@@ -33,12 +33,10 @@ def _scoped_graph():
 
 
 class TestMemoryProfiler:
-    def test_categories_and_total(self, monkeypatch):
-        # The classic priority order: the memory-aware tie-break can move
-        # the peak step to one where no feature map is live in a graph
-        # this small, and this test is about category accounting.
-        monkeypatch.setenv("REPRO_MEMPLAN", "greedy")
-        ex = TrainingExecutor(_scoped_graph())
+    def test_categories_and_total(self):
+        # At batch 8 the footprint tie-break moves the peak to a step where
+        # no feature map is live; at 32 the hidden activation outweighs it.
+        ex = TrainingExecutor(_scoped_graph(batch=32))
         report = profile_memory(ex.memory_plan, optimizer="sgd")
         assert report.total_bytes == report.tracked_bytes + report.untrackable
         assert report.untrackable >= CUDA_CONTEXT_BYTES

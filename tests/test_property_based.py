@@ -25,6 +25,7 @@ from repro.runtime import (
     validate_schedule,
 )
 from repro.train.metrics import corpus_bleu
+from tests.helpers import reference_run
 
 # -- strategies --------------------------------------------------------------
 
@@ -331,7 +332,7 @@ def _build_chain(steps, placeholders):
 
 class TestFusedExecutionProperties:
     """Compiled (fused, arena-reusing) execution is bitwise-identical to
-    the interpreted baseline on random elementwise/activation chains —
+    the arena-free reference walk on random elementwise/activation chains —
     outputs AND gradients, including broadcast and step-seeded dropout."""
 
     @settings(max_examples=30, deadline=None)
@@ -356,10 +357,9 @@ class TestFusedExecutionProperties:
         }
 
         compiled = GraphExecutor(outputs, plan_cache=PlanCache())
-        interp = GraphExecutor(outputs, plan_cache=PlanCache())
-        for _ in range(2):  # two iterations: dropout steps must track
+        for step in range(2):  # two iterations: dropout steps must track
             got = compiled.run(feeds).outputs
-            want = interp.run_interpreted(feeds).outputs
+            want = reference_run(outputs, feeds, step=step)
             for a, b in zip(want, got):
                 assert a.dtype == b.dtype
                 assert a.shape == b.shape

@@ -384,34 +384,42 @@ class TestConcurrentArena:
             rng = np.random.default_rng(seed)
             count = 0
             try:
-                barrier.wait()
+                barrier.wait(timeout=30)
                 for _ in range(200):
                     n = int(rng.integers(1, 5))
-                    count += n
-                    size = int(rng.integers(1, 2049))
-                    bufs = [
-                        arena.acquire((size,), np.dtype(np.float64), size * 8)
-                        for _ in range(n)
-                    ]
-                    for j, buf in enumerate(bufs):
-                        buf.fill(seed * 1000 + j)
-                    for j, buf in enumerate(bufs):
-                        # no two concurrently-held buffers alias
-                        assert buf[0] == seed * 1000 + j
-                        arena.release(buf)
+                    size = int(rng.integers(1, 16385))
+                    extents = [arena.acquire_extent(size) for _ in range(n)]
+                    out = arena.acquire_fresh((size,), np.dtype(np.uint8), size)
+                    count += n + 1
+                    for j, raw in enumerate(extents):
+                        assert raw.nbytes >= size
+                        raw.fill(seed * 10 + j)
+                    out.fill(255)
+                    for j, raw in enumerate(extents):
+                        # no two concurrently-held extents alias, and an
+                        # escaping output never lands in one
+                        assert raw[0] == raw[-1] == seed * 10 + j
+                        arena.release_extent(raw)
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
             acquired.append(count)
 
         threads = [threading.Thread(target=worker, args=(s,))
                    for s in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
         # counters stay consistent under concurrency: every acquisition was
-        # either a pool hit or a fresh buffer, nothing lost or double-counted
+        # either a parked extent or a fresh buffer, nothing lost or
+        # double-counted
         assert arena.fresh_count + arena.reuse_count == sum(acquired)
         assert arena.held_bytes > 0
 
