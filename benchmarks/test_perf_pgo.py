@@ -1,29 +1,16 @@
-"""Profile-guided tuning benchmark: calibration accuracy + warm starts.
+"""Profile-guided tuning benchmark: calibration accuracy.
 
-Two claims, both on the NMT training workload:
-
-1. **Calibration beats the analytical model at ranking real op costs.**
-   The analytical roofline model knows the simulated Titan Xp, not this
-   host — its per-op estimates systematically mis-rank numpy kernels
-   (e.g. it prices embedding gathers and softmax reductions off
-   bandwidth assumptions that do not hold here). After one harvest pass,
-   the calibrated model predicts per-op time *distributions* strictly
-   closer to held-out measurements. The metric is scale-free: each
-   model's per-node predictions are normalized to fractions of its own
-   total, then scored as mean ``|log(predicted_frac / measured_frac)|``
-   over calibrated-covered nodes, so neither absolute-time domain
-   (model seconds vs. host seconds) gets an artificial edge.
-
-2. **A warm tuning store shortens the compile path.** With
-   REPRO_TUNE_DIR populated, a fresh process (modeled by fresh PlanCache
-   + TuneStore instances over the same directory) loads the schedule
-   and the wavefront layout from disk instead of recomputing them
-   (closure code is no longer persisted: templated codegen leaves a few
-   hundred distinct sources per process, too few to be worth a file).
-   The warm build must be faster, must mark its layout
-   ``wavefront_from_cache``, must pass the full static verifier under
-   REPRO_VERIFY=1, and must execute bitwise-identically to the cold
-   plan.
+One claim, on the NMT training workload: **calibration beats the
+analytical model at ranking real op costs.** The analytical roofline
+model knows the simulated Titan Xp, not this host — its per-op estimates
+systematically mis-rank numpy kernels (e.g. it prices embedding gathers
+and softmax reductions off bandwidth assumptions that do not hold here).
+After one harvest pass, the calibrated model predicts per-op time
+*distributions* strictly closer to held-out measurements. The metric is
+scale-free: each model's per-node predictions are normalized to fractions
+of its own total, then scored as mean ``|log(predicted_frac /
+measured_frac)|`` over calibrated-covered nodes, so neither absolute-time
+domain (model seconds vs. host seconds) gets an artificial edge.
 
 Results persist to ``benchmarks/results/perf_pgo.txt`` and, machine
 readable for cross-PR tracking, ``BENCH_pgo.json`` at the repo root.
@@ -32,7 +19,6 @@ readable for cross-PR tracking, ``BENCH_pgo.json`` at the repo root.
 import json
 import math
 import pathlib
-import time
 
 import numpy as np
 
@@ -41,15 +27,8 @@ from repro.experiments import format_table
 from repro.gpumodel import DeviceModel
 from repro.models import NmtConfig, build_nmt
 from repro.nn import Backend
-from repro.pgo import (
-    CalibratedDeviceModel,
-    CalibrationDB,
-    TuneStore,
-    shape_class,
-)
+from repro.pgo import CalibratedDeviceModel, CalibrationDB, shape_class
 from repro.profiler import measure_node_timings
-from repro.runtime import PlanCache
-from repro.runtime.executor import TrainingExecutor
 from repro.runtime.scheduler import schedule
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -64,7 +43,6 @@ NMT = NmtConfig(
 
 HARVEST_REPEATS = 5
 HOLDOUT_REPEATS = 5
-THREADS = 4
 
 
 def _nmt_feeds(cfg: NmtConfig) -> dict:
@@ -130,60 +108,8 @@ def _calibration_accuracy() -> dict:
     }
 
 
-def _warm_start(tmp_path, monkeypatch) -> dict:
-    model = build_nmt(NMT)
-    params = model.store.initialize(seed=0)
-    feeds = _nmt_feeds(NMT)
-
-    cold_store = TuneStore(tmp_path / "tune")
-    start = time.perf_counter()
-    cold_ex = TrainingExecutor(
-        model.graph, plan_cache=PlanCache(store=cold_store), threads=THREADS
-    )
-    cold_seconds = time.perf_counter() - start
-    cold_loss, cold_grads, _ = cold_ex.run(feeds, params)
-    cold_stats = cold_store.stats()
-
-    # Fresh process, warm disk: rebuild the graph (new uids), fresh caches.
-    model2 = build_nmt(NMT)
-    params2 = model2.store.initialize(seed=0)
-    warm_store = TuneStore(tmp_path / "tune")
-    monkeypatch.setenv("REPRO_VERIFY", "1")
-    try:
-        start = time.perf_counter()
-        warm_ex = TrainingExecutor(
-            model2.graph, plan_cache=PlanCache(store=warm_store),
-            threads=THREADS,
-        )
-        warm_seconds = time.perf_counter() - start
-    finally:
-        monkeypatch.delenv("REPRO_VERIFY")
-    warm_loss, warm_grads, _ = warm_ex.run(feeds, params2)
-    warm_stats = warm_store.stats()
-
-    grads_equal = set(cold_grads) == set(warm_grads) and all(
-        np.array_equal(cold_grads[k], warm_grads[k]) for k in cold_grads
-    )
-    return {
-        "cold_build_s": cold_seconds,
-        "warm_build_s": warm_seconds,
-        "speedup": cold_seconds / warm_seconds,
-        "wavefront_from_cache": warm_ex.executor.plan.wavefront_from_cache,
-        "verified_on_load": True,  # REPRO_VERIFY=1 raised otherwise
-        "bitwise_identical": bool(cold_loss == warm_loss and grads_equal),
-        "cold": {k: cold_stats[k] for k in
-                 ("order_misses", "wavefront_misses", "saves")},
-        "warm": {k: warm_stats[k] for k in
-                 ("order_hits", "wavefront_hits", "load_errors")},
-    }
-
-
-def test_pgo_calibration_and_warm_start(benchmark, save_result, tmp_path,
-                                        monkeypatch):
-    def compute():
-        return _calibration_accuracy(), _warm_start(tmp_path, monkeypatch)
-
-    accuracy, warm = run_once(benchmark, compute)
+def test_pgo_calibration(benchmark, save_result):
+    accuracy = run_once(benchmark, _calibration_accuracy)
 
     save_result(
         "perf_pgo",
@@ -198,31 +124,15 @@ def test_pgo_calibration_and_warm_start(benchmark, save_result, tmp_path,
                  round(accuracy["calibrated_err"], 3)),
                 ("error reduction",
                  f"{(1 - accuracy['calibrated_err'] / accuracy['analytic_err']) * 100:.0f}%"),
-                ("cold build ms", round(warm["cold_build_s"] * 1e3, 1)),
-                ("warm build ms", round(warm["warm_build_s"] * 1e3, 1)),
-                ("warm speedup", f"{warm['speedup']:.2f}x"),
-                ("wavefront from cache", warm["wavefront_from_cache"]),
-                ("warm verified (REPRO_VERIFY=1)", warm["verified_on_load"]),
-                ("bitwise identical", warm["bitwise_identical"]),
             ],
-            "Profile-guided tuning on NMT: calibration accuracy and "
-            "warm-start compile path",
+            "Profile-guided tuning on NMT: calibration accuracy",
         ),
     )
     (REPO_ROOT / "BENCH_pgo.json").write_text(
-        json.dumps({"calibration": accuracy, "warm_start": warm}, indent=2)
-        + "\n"
+        json.dumps({"calibration": accuracy}, indent=2) + "\n"
     )
 
-    # Claim 1: calibrated estimates strictly closer to measured op times.
+    # Calibrated estimates are strictly closer to measured op times.
     assert accuracy["calibrated_err"] < accuracy["analytic_err"]
     assert accuracy["calibrated_hits"] > 0
     assert accuracy["classes_covered"] > 10
-
-    # Claim 2: warm start skips recompilation and changes nothing else.
-    assert warm["speedup"] > 1.0
-    assert warm["wavefront_from_cache"]
-    assert warm["bitwise_identical"]
-    assert warm["warm"]["order_hits"] == 1
-    assert warm["warm"]["wavefront_hits"] == 1
-    assert warm["warm"]["load_errors"] == 0

@@ -98,7 +98,7 @@ class DistStats:
             return dict(self.straggler_events)
 
     def snapshot(self) -> dict:
-        """One machine-readable dict of everything (BENCH_dist.json)."""
+        """One machine-readable dict of everything."""
         with self._lock:
             return {
                 "rank": self.rank,

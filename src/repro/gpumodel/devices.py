@@ -119,8 +119,8 @@ class DeviceModel:
         """Hashable identity of this model's *answers*.
 
         Two devices with equal tokens price every node identically, so the
-        token can key caches of cost-derived artifacts (Echo analyses,
-        wavefront layouts). Calibrated models extend it with their
+        token can key caches of cost-derived results (Echo analyses,
+        autotune entries). Calibrated models extend it with their
         calibration epoch — see :mod:`repro.pgo.calibrated`.
         """
         return (self.spec.name, "analytic")

@@ -1,12 +1,13 @@
-"""Profile-guided optimization (DESIGN.md S9): measured costs + warm caches.
+"""Profile-guided optimization (DESIGN.md S9): measured costs, persisted.
 
 Closes the loop from measurement to decision: calibration records map
 host wall-clock back onto the analytical device model
 (:mod:`repro.pgo.records`, :mod:`repro.pgo.calibrated`), and the
-persistent tuning store (:mod:`repro.pgo.store`) lets a warm process skip
-scheduling, wavefront analysis, and backend autotuning. Everything
-activates via ``REPRO_TUNE_DIR``; without it the stack behaves exactly as
-before.
+persistent tuning store (:mod:`repro.pgo.store`) carries them — and the
+backend autotuner's results — to the next process. Plans are never
+persisted: every process computes them from the graph and the cost model.
+Everything activates via ``REPRO_TUNE_DIR``; without it the stack behaves
+exactly as before.
 
 :mod:`repro.pgo.harvest` (the measurement driver) is imported lazily by
 callers — it pulls in the profiler and scheduler, which this package must
@@ -29,7 +30,6 @@ from repro.pgo.records import (
 from repro.pgo.store import (
     TuneStore,
     default_store,
-    graph_fingerprint,
     reset_default_stores,
 )
 
@@ -45,6 +45,5 @@ __all__ = [
     "device_token",
     "TuneStore",
     "default_store",
-    "graph_fingerprint",
     "reset_default_stores",
 ]

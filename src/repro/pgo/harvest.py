@@ -85,9 +85,9 @@ def calibrate_and_save(
 ) -> CalibrationDB:
     """Measure ``graph``, merge into ``store``, return the merged DB.
 
-    The persisted epoch bumps, so previously cached cost-derived artifacts
-    (Echo analyses, wavefront layouts keyed by calibrated device tokens)
-    stop matching and are rebuilt against the fresh records.
+    The persisted epoch bumps, so cost-derived results keyed by a
+    calibrated device's token (autotune entries) stop matching and are
+    redone against the fresh records.
     """
     with obs_trace.span(
         "pgo.calibrate", "pgo", {"repeats": repeats}

@@ -222,7 +222,7 @@ class CalibrationDB:
     """All cost records of one tuning directory, plus the epoch counter.
 
     The *epoch* increments on every persisted save and is part of every
-    calibrated device's ``cache_token``, so plan artifacts tuned against
+    calibrated device's ``cache_token``, so autotune results tuned against
     one calibration state never serve a process holding a newer one.
     """
 

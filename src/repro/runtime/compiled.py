@@ -91,7 +91,6 @@ from repro.runtime.memory import TensorKey
 from repro.runtime.pool import round_up
 from repro.runtime.wavefront import (
     InstrInfo,
-    Wavefront,
     WavefrontSchedule,
     analyze_wavefronts,
 )
@@ -460,7 +459,6 @@ class CompiledPlan:
         threads: int = 1,
         batch_gemms: bool | None = None,
         device: Any | None = None,
-        wavefront_artifact: dict[str, Any] | None = None,
     ) -> None:
         self.order = list(order)
         self.outputs = list(outputs)
@@ -473,12 +471,6 @@ class CompiledPlan:
             self.threads > 1 if batch_gemms is None else bool(batch_gemms)
         )
         self._device = device
-        #: optional serialized wavefront layout (see
-        #: :meth:`wavefront_artifact`); validated, then trusted in place of
-        #: re-running the wavefront analysis
-        self._wavefront_artifact = wavefront_artifact
-        #: whether this plan's wavefront layout came from the artifact
-        self.wavefront_from_cache = False
         #: result arrays allocated by generic (non-``out=``) instructions,
         #: cumulative across runs (benchmarks read deltas)
         self.generic_alloc_count = 0
@@ -695,15 +687,9 @@ class CompiledPlan:
         self.wavefront_saving_seconds = 0.0
         program_layout = None
         if self.threads > 1 and descs:
-            if self._wavefront_artifact is not None:
-                ok, program_layout = self._layout_from_artifact(
-                    self._wavefront_artifact, descs
-                )
-                self.wavefront_from_cache = ok
-            if not self.wavefront_from_cache:
-                program_layout = self._plan_program(
-                    descs, root, assignment.storage_tokens
-                )
+            program_layout = self._plan_program(
+                descs, root, assignment.storage_tokens
+            )
 
         inline_clears = clears_at if program_layout is None else {}
 
@@ -1037,11 +1023,14 @@ class CompiledPlan:
         descs: list[dict[str, Any]],
         root: list[int],
         storage_tokens: dict[Any, tuple[int, ...]],
-    ) -> list[tuple[str, Any]]:
+    ) -> list[tuple[str, Any]] | None:
         """Partition the stream into serial segments and parallel levels.
 
         Returns a layout: ``("serial", [desc idx...])`` and
         ``("parallel", [[desc idx chunk]...])`` items, in execution order.
+        Runs of serial levels merge into one segment; a schedule with no
+        parallel level has no program at all (None) — the plan executes
+        the plain baked body, exactly as ``threads=1`` would.
         """
         device = self._device
         if device is None:
@@ -1056,17 +1045,6 @@ class CompiledPlan:
         self._wavefront_infos = infos
 
         schedule = analyze_wavefronts(infos, self.threads)
-        return self._adopt_schedule(schedule)
-
-    def _adopt_schedule(
-        self, schedule: WavefrontSchedule
-    ) -> list[tuple[str, Any]] | None:
-        """Record ``schedule`` on the plan and lay its program out.
-
-        Runs of serial levels merge into one segment; a schedule with no
-        parallel level has no program at all — the plan executes the
-        plain baked body, exactly as ``threads=1`` would.
-        """
         self._wavefront_schedule = schedule
         self.wavefront_region_count = schedule.region_count
         self.wavefront_level_count = len(schedule.levels)
@@ -1091,101 +1069,6 @@ class CompiledPlan:
         if serial_run:
             layout.append(("serial", serial_run))
         return layout
-
-    def _layout_from_artifact(
-        self, artifact: Any, descs: list[dict[str, Any]]
-    ) -> tuple[bool, list[tuple[str, Any]] | None]:
-        """Rebuild the wavefront layout from a serialized artifact.
-
-        Returns ``(ok, layout)``. Validation is structural — instruction
-        count, every index present exactly once, chunks covering their
-        level — so a torn or stale file degrades to a fresh analysis, not
-        a broken plan. The reconstructed :class:`WavefrontSchedule` is
-        stored on the lowering, which means ``REPRO_VERIFY=1`` re-checks
-        the *deserialized* level structure against independently re-derived
-        hazard edges before the plan is trusted (see
-        :func:`repro.analysis.races.check_plan_races`).
-        """
-        n = len(descs)
-        if not isinstance(artifact, dict) or artifact.get("instructions") != n:
-            return False, None
-        if artifact.get("serial"):
-            # The analysis previously kept everything serial; skip it and
-            # run the plain baked body, exactly as a fresh compile would.
-            return True, None
-        raw_levels = artifact.get("levels")
-        regions = artifact.get("regions")
-        if not isinstance(raw_levels, list) or not isinstance(regions, int):
-            return False, None
-        seen: list[int] = []
-        levels: list[Wavefront] = []
-        for entry in raw_levels:
-            if not isinstance(entry, dict):
-                return False, None
-            idxs = entry.get("i")
-            if not isinstance(idxs, list) or not all(
-                isinstance(i, int) and 0 <= i < n for i in idxs
-            ):
-                return False, None
-            seen.extend(idxs)
-            try:
-                cost = float(entry.get("c", 0.0))
-                saving = float(entry.get("s", 0.0))
-            except (TypeError, ValueError):
-                return False, None
-            chunks = entry.get("chunks", [])
-            if chunks:
-                if not isinstance(chunks, list) or len(chunks) < 2:
-                    return False, None
-                flat: list[int] = []
-                for chunk in chunks:
-                    if not isinstance(chunk, list) or not chunk:
-                        return False, None
-                    flat.extend(chunk)
-                if sorted(flat) != sorted(idxs):
-                    return False, None
-            levels.append(
-                Wavefront(
-                    list(idxs), cost, bool(chunks),
-                    [list(c) for c in chunks], saving,
-                )
-            )
-        if sorted(seen) != list(range(n)) or not any(
-            wf.parallel for wf in levels
-        ):
-            return False, None
-        return True, self._adopt_schedule(WavefrontSchedule(levels, regions))
-
-    def wavefront_artifact(self) -> dict[str, Any] | None:
-        """Serialize this plan's wavefront decision for a tuning store.
-
-        Freshly analyzed plans only (cached layouts return None — nothing
-        new to persist). A plan whose cost gate kept everything serial
-        persists an explicit serial marker so warm processes skip the
-        analysis too.
-        """
-        if self.threads <= 1 or self.wavefront_from_cache:
-            return None
-        low = self.lowering
-        if not low.descs:
-            return None
-        if low.program_layout is None or low.schedule is None:
-            return {"instructions": len(low.descs), "serial": True}
-        levels_payload: list[dict[str, Any]] = []
-        for wf in low.schedule.levels:
-            entry: dict[str, Any] = {
-                "i": list(wf.instructions),
-                "c": wf.cost_seconds,
-            }
-            if wf.parallel:
-                entry["chunks"] = [list(c) for c in wf.chunks]
-                entry["s"] = wf.saving_seconds
-            levels_payload.append(entry)
-        return {
-            "instructions": len(low.descs),
-            "regions": low.schedule.region_count,
-            "levels": levels_payload,
-        }
 
     def _bake_program(
         self,

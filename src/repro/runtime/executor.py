@@ -16,6 +16,7 @@ unaffected by how the host executes kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -82,12 +83,14 @@ class RunResult:
 class GraphExecutor:
     """Executes a fixed set of output tensors over and over.
 
-    The schedule, memory plan, and compiled plan are computed once at
-    construction (or fetched from a shared :class:`PlanCache`); ``run``
-    then dispatches the plan's flat instruction stream. The arena recycles
-    intermediate buffers, so the process's real memory usage follows the
-    simulated footprint and steady-state iterations allocate almost no new
-    arrays.
+    The schedule and memory plan are computed once at construction (or
+    fetched from a shared :class:`PlanCache`); the compiled :attr:`plan` —
+    lowering, code generation and the arena extent — on first use, so an
+    executor built only to be costed (``simulate_cost``, ``peak_bytes``,
+    ``memory_plan``) allocates nothing. ``run`` dispatches the plan's flat
+    instruction stream. The arena recycles intermediate buffers, so the
+    process's real memory usage follows the simulated footprint and
+    steady-state iterations allocate almost no new arrays.
     """
 
     def __init__(
@@ -113,29 +116,48 @@ class GraphExecutor:
         self.threads = default_thread_count() if threads is None else max(
             1, int(threads)
         )
+        self.fuse = fuse
+        self.batch_gemms = batch_gemms
         # One facts record serves all three planning artifacts of this
         # state — the one Echo's final re-plan left in the cache, when the
         # pass just ran over this graph.
-        facts = self.plan_cache.facts_for(self.outputs)
-        self.order = self.plan_cache.schedule_for(self.outputs, facts=facts)
-        self.memory_plan: MemoryPlan = self.plan_cache.plan_for(
-            self.outputs, pinned_categories, order=self.order, facts=facts
+        self._facts = self.plan_cache.facts_for(self.outputs)
+        self.order = self.plan_cache.schedule_for(
+            self.outputs, facts=self._facts
         )
-        self.plan: CompiledPlan = self.plan_cache.compiled_for(
-            self.outputs,
-            self.arena,
-            fuse=fuse,
-            order=self.order,
-            threads=self.threads,
-            batch_gemms=batch_gemms,
-            device=device,
-            facts=facts,
+        self.memory_plan: MemoryPlan = self.plan_cache.plan_for(
+            self.outputs, pinned_categories, order=self.order,
+            facts=self._facts,
         )
         self._iteration = 0
         self._run_timings: list[NodeTiming] | None = None
         self._sim_timings: list[NodeTiming] | None = None
 
     # -- public API ---------------------------------------------------------
+
+    @cached_property
+    def plan(self) -> CompiledPlan:
+        """The compiled plan, built on first access.
+
+        A plain instance attribute from then on, so ``run`` pays no
+        per-iteration check.
+        """
+        return self.plan_cache.compiled_for(
+            self.outputs,
+            self.arena,
+            fuse=self.fuse,
+            order=self.order,
+            threads=self.threads,
+            batch_gemms=self.batch_gemms,
+            device=self.device,
+            facts=self._facts,
+        )
+
+    def compile(self) -> CompiledPlan:
+        """Build :attr:`plan` now rather than on first use — what trainers
+        and decoders do in their constructors, so no step or request ever
+        pays lowering and code generation."""
+        return self.plan
 
     @property
     def peak_bytes(self) -> int:

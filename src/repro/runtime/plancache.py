@@ -72,8 +72,8 @@ def graph_signature(outputs: Sequence[Tensor]) -> Hashable:
     return GraphFacts(outputs).signature
 
 
-#: sentinel distinguishing "no store given" (attach the REPRO_TUNE_DIR
-#: default) from an explicit ``store=None`` (persistence off)
+#: sentinel distinguishing "no store given" (report the REPRO_TUNE_DIR
+#: default) from an explicit ``store=None``
 _UNSET: Any = object()
 
 
@@ -92,11 +92,11 @@ class PlanCache:
     nest (compiling a serving decoder memoizes its schedule, memory
     plan, and compiled plan through the same cache).
 
-    When a persistent tuning store is attached (by default: the
-    ``REPRO_TUNE_DIR`` store, when that env var is set), in-process misses
-    consult it before building — schedule orders and wavefront layouts
-    load from disk, keyed by cross-process graph fingerprints and device
-    cache tokens — and fresh builds persist their artifacts back. Pass ``store=None`` to opt out.
+    ``store`` plays no part in planning: every artifact is computed from
+    the graph and the cost model. The cache only names the tuning store
+    (by default the ``REPRO_TUNE_DIR`` one) whose counters
+    ``InferenceSession.warmup`` and ``repro.obs.dump`` report; the
+    parameter goes with harness v2 (ROADMAP item 2).
     """
 
     def __init__(self, capacity: int = 64, store: Any = _UNSET) -> None:
@@ -111,12 +111,12 @@ class PlanCache:
 
     @property
     def store(self) -> Any:
-        """The attached tuning store (or None when persistence is off).
+        """The tuning store reports read their counters from (or None).
 
         The default re-resolves on each access until a store exists, so
         setting ``REPRO_TUNE_DIR`` after this cache was constructed (the
         common test pattern — and the process-wide default cache is built
-        at import time) still takes effect. Accessed only on memo misses.
+        at import time) still takes effect.
         """
         if self._store is _UNSET:
             from repro.pgo.store import default_store
@@ -226,15 +226,7 @@ class PlanCache:
             with obs_trace.span(
                 "plan.schedule", "plan", {"facts_reused": reused}
             ):
-                store = self.store
-                if store is not None:
-                    cached = store.load_order(outputs, facts)
-                    if cached is not None:
-                        return cached
-                order = schedule(outputs, facts=facts)
-                if store is not None:
-                    store.save_order(outputs, order, facts)
-                return order
+                return schedule(outputs, facts=facts)
 
         order = self.memo(("schedule", facts.signature), build)
         return list(order)
@@ -312,25 +304,6 @@ class PlanCache:
         )
         def build() -> CompiledPlan:
             start = time.perf_counter()
-            store = self.store
-            resolved_device = device
-            artifact = None
-            fp = token = None
-            bg = threads > 1 if batch_gemms is None else bool(batch_gemms)
-            if store is not None and threads > 1:
-                # Wavefront artifacts are keyed by the device's cache
-                # token, so resolve the ambient device here (the same
-                # resolution the plan itself would perform).
-                if resolved_device is None:
-                    from repro.pgo.calibrated import default_device
-
-                    resolved_device = default_device()
-                token = getattr(resolved_device, "cache_token", None)
-                if token is None:
-                    spec = getattr(resolved_device, "spec", None)
-                    token = (getattr(spec, "name", "custom"), "analytic")
-                fp = store.fingerprint_for(outputs, facts)
-                artifact = store.load_wavefront(fp, token, threads, fuse, bg)
             plan = CompiledPlan(
                 order if order is not None
                 else schedule(outputs, facts=facts),
@@ -339,13 +312,8 @@ class PlanCache:
                 fuse=fuse,
                 threads=threads,
                 batch_gemms=batch_gemms,
-                device=resolved_device,
-                wavefront_artifact=artifact,
+                device=device,
             )
-            if fp is not None:
-                fresh = plan.wavefront_artifact()
-                if fresh is not None:
-                    store.save_wavefront(fp, token, threads, fuse, bg, fresh)
             _maybe_verify(plan, facts)
             reg = obs_metrics.registry()
             if reg is not None:
@@ -386,12 +354,8 @@ class NullPlanCache(PlanCache):
     """A cache that never retains anything (every call rebuilds).
 
     Used by parity tests to prove cached planning changes no results, and
-    available to callers who want the old always-rebuild behavior. Never
-    attaches a tuning store — the rebuild must be a real rebuild.
+    available to callers who want the old always-rebuild behavior.
     """
-
-    def __init__(self, capacity: int = 64, store: Any = None) -> None:
-        super().__init__(capacity, store=None)
 
     def memo(self, key: Hashable, builder: Callable[[], Any]) -> Any:
         with self._lock:

@@ -155,10 +155,9 @@ class InferenceSession:
             # serving plan, before the first request executes
             "verified": verification_enabled(),
         }
-        # With a persistent tuning store attached (REPRO_TUNE_DIR), warmup
-        # is the ahead-of-time load point: misses above still counted as
-        # "compiled", but their schedules and wavefront layouts came from
-        # disk — the store counters say how much.
+        # Every plan above was computed here; the tuning store
+        # (REPRO_TUNE_DIR) only supplied measured costs, and its counters
+        # ride along for the report.
         store = getattr(self.plan_cache, "store", None)
         if store is not None:
             report["tune_store"] = store.stats()

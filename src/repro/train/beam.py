@@ -69,12 +69,14 @@ class BeamSearchDecoder:
         self._encoder = GraphExecutor(
             [build_encoder_inference(config, store)], **exec_kwargs
         )
+        self._encoder.compile()
         step_config = replace(
             config, batch_size=config.batch_size * beam_size
         )
         self._step = GraphExecutor(
             build_decoder_step(step_config, store).outputs, **exec_kwargs
         )
+        self._step.compile()
 
     def translate(
         self,

@@ -49,11 +49,7 @@ class BucketedTrainer:
         self.buckets = buckets
         self.metrics = metrics
         if device is None:
-            # Calibrated when a tuning store has coverage; and since the
-            # shared PlanCache below attaches the same store, construction
-            # is also the ahead-of-time load point — every bucket's
-            # schedule and wavefront layout comes from disk on a warm
-            # start.
+            # Calibrated when a tuning store has coverage.
             from repro.pgo.calibrated import default_device
 
             device = default_device()

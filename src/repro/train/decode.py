@@ -52,8 +52,10 @@ class GreedyDecoder:
         self._encoder = GraphExecutor(
             [build_encoder_inference(config, store)], **exec_kwargs
         )
+        self._encoder.compile()
         step = build_decoder_step(config, store)
         self._step = GraphExecutor(step.outputs, **exec_kwargs)
+        self._step.compile()
 
     def _run_encoder(self, src_tokens: np.ndarray,
                      params: dict[str, np.ndarray]) -> np.ndarray:

@@ -90,6 +90,7 @@ class Trainer:
             threads=threads,
             batch_gemms=batch_gemms,
         )
+        self.executor.executor.compile()
         self.batch_size = batch_size or _infer_batch(graph)
         num_params = sum(int(p.size) for p in params.values())
         cost = self.executor.simulate_cost()

@@ -1,17 +1,21 @@
-"""Profile-guided tuning: calibration records, the persistent store, and
-warm-start plan loading.
+"""Profile-guided tuning: calibration records and the persistent store.
 
 Durability is the point of most of these tests: a tuning directory is an
-*advisory* cache, so corruption, truncation, staleness, and concurrent
-writers must all degrade to cold-path behavior — never to a wrong plan.
+*advisory* cache of measurements, so corruption, truncation and
+concurrent writers must all degrade to cold-path behavior. Plans are
+never persisted, so nothing a directory holds can change one.
 """
 
 from __future__ import annotations
 
+import builtins
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +30,6 @@ from repro.pgo import (
     CostRecord,
     TuneStore,
     default_device,
-    graph_fingerprint,
     reset_default_stores,
     robust_best,
     shape_class,
@@ -37,7 +40,6 @@ from repro.runtime import PlanCache
 from repro.runtime.executor import TrainingExecutor
 from repro.runtime.plancache import _UNSET, default_plan_cache
 from repro.runtime.scheduler import schedule, validate_schedule
-from tests.helpers import AboveGateDevice
 
 
 @pytest.fixture
@@ -134,19 +136,6 @@ class TestRecords:
         assert shape_class(placeholder) is None
 
 
-class TestFingerprint:
-    def test_stable_across_rebuilds(self):
-        g1, _, _ = small_graph()
-        g2, _, _ = small_graph()
-        # Different uids, same structure: the canonical renaming must agree.
-        assert graph_fingerprint(g1.outputs) == graph_fingerprint(g2.outputs)
-
-    def test_distinguishes_shapes(self):
-        g1, _, _ = small_graph()
-        g3, _ = pure_lstm_graph(4, 32, 1, 3, Backend.DEFAULT)
-        assert graph_fingerprint(g1.outputs) != graph_fingerprint(g3.outputs)
-
-
 class TestStoreDurability:
     def test_calibration_roundtrip(self, tmp_path):
         ts = TuneStore(tmp_path)
@@ -163,47 +152,6 @@ class TestStoreDurability:
         ts = TuneStore(tmp_path)
         assert ts.calibration().coverage() == 0
         assert ts.stats()["load_errors"] == 1
-
-    def test_corrupted_order_file_is_a_miss(self, tmp_path):
-        graph, _, _ = small_graph()
-        ts = TuneStore(tmp_path)
-        order = schedule(graph.outputs)
-        ts.save_order(graph.outputs, order)
-        fp = graph_fingerprint(graph.outputs)
-        path = tmp_path / "plans" / f"{fp}.memaware.order.json"
-        assert path.exists()
-        # Torn JSON -> miss; well-formed but wrong permutation -> miss.
-        path.write_text('{"version": 1, "order": [0, 1')
-        assert TuneStore(tmp_path).load_order(graph.outputs) is None
-        payload = {"version": 1, "order": list(range(len(order) - 1))}
-        path.write_text(json.dumps(payload))
-        ts3 = TuneStore(tmp_path)
-        assert ts3.load_order(graph.outputs) is None
-        assert ts3.stats()["load_errors"] == 1
-
-    def test_invalid_order_permutation_rejected(self, tmp_path):
-        """An order that breaks producer-before-consumer must not load."""
-        graph, _, _ = small_graph()
-        ts = TuneStore(tmp_path)
-        order = schedule(graph.outputs)
-        ts.save_order(graph.outputs, order)
-        fp = graph_fingerprint(graph.outputs)
-        path = tmp_path / "plans" / f"{fp}.memaware.order.json"
-        payload = json.loads(path.read_text())
-        payload["order"].reverse()  # valid permutation, invalid schedule
-        path.write_text(json.dumps(payload))
-        assert TuneStore(tmp_path).load_order(graph.outputs) is None
-
-    def test_corrupted_wavefront_artifact_is_a_miss(self, tmp_path):
-        ts = TuneStore(tmp_path)
-        token = ("Titan Xp", "analytic")
-        ts.save_wavefront("f" * 32, token, 4, True, True,
-                          {"instructions": 10, "serial": True})
-        assert ts.load_wavefront("f" * 32, token, 4, True, True) is not None
-        for path in (tmp_path / "plans").glob("*.wavefront.json"):
-            path.write_text("garbage")
-        ts2 = TuneStore(tmp_path)
-        assert ts2.load_wavefront("f" * 32, token, 4, True, True) is None
 
     def test_concurrent_writers_both_land(self, tmp_path):
         script = (
@@ -320,105 +268,27 @@ class TestHarvest:
         assert db.model_scale() != 1.0  # host/model domains really differ
 
 
+RETIRED_PLANS = Path(__file__).parent / "data" / "retired_plans"
+
+
 class TestWarmPlans:
-    def test_cold_then_warm_bitwise_identical(self, tune_dir):
-        graph, params, feeds = small_graph()
-        ts = TuneStore(tune_dir)
+    """What is left of warm starts: a populated directory changes no plan."""
 
-        # Priced above the gate, so the persisted layout carries real
-        # parallel levels and their chunks (a serial plan persists only a
-        # marker).
-        cold_ex = TrainingExecutor(
-            graph, plan_cache=PlanCache(store=ts), threads=4,
-            device=AboveGateDevice(),
-        )
-        cold_loss, cold_grads, _ = cold_ex.run(feeds, params)
-        assert not cold_ex.executor.plan.wavefront_from_cache
-        assert cold_ex.executor.plan.parallel_level_count > 0
-        stats = ts.stats()
-        assert stats["order_misses"] == 1 and stats["wavefront_misses"] == 1
+    def test_retired_planner_artifacts_are_never_served(
+        self, tune_dir, monkeypatch
+    ):
+        """A ``plans/`` directory left by older checkouts changes nothing.
 
-        # Same store, fresh in-process caches == a new process, warm disk.
-        graph2, store2 = pure_lstm_graph(4, 16, 1, 3, Backend.DEFAULT)
-        params2 = store2.initialize()
-        warm_store = TuneStore(tune_dir)
-        warm_ex = TrainingExecutor(
-            graph2, plan_cache=PlanCache(store=warm_store), threads=4,
-            device=AboveGateDevice(),
-        )
-        warm_loss, warm_grads, _ = warm_ex.run(feeds, params2)
-        wstats = warm_store.stats()
-        assert wstats["order_hits"] == 1
-        assert wstats["wavefront_hits"] == 1
-        warm_plan = warm_ex.executor.plan
-        assert warm_plan.wavefront_from_cache
-        for attr in ("parallel_level_count", "gated_level_count",
-                     "parallel_instruction_count",
-                     "wavefront_saving_seconds"):
-            assert getattr(warm_plan, attr) == getattr(
-                cold_ex.executor.plan, attr
-            ), attr
-
-        # params2 initializes identically (same seed path), so execution
-        # through the deserialized plan must be bitwise-identical.
-        assert warm_loss == cold_loss
-        for name in cold_grads:
-            np.testing.assert_array_equal(cold_grads[name], warm_grads[name])
-
-    def test_warm_plan_passes_verifier(self, tune_dir, monkeypatch):
-        graph, params, feeds = small_graph()
-        ts = TuneStore(tune_dir)
-        TrainingExecutor(graph, plan_cache=PlanCache(store=ts), threads=4,
-                         device=AboveGateDevice())
-
-        monkeypatch.setenv("REPRO_VERIFY", "1")
-        graph2, _ = pure_lstm_graph(4, 16, 1, 3, Backend.DEFAULT)
-        warm_store = TuneStore(tune_dir)
-        # assert_plan_safe runs inside the builder and raises on findings;
-        # the deserialized schedule is checked against re-derived hazards.
-        warm_ex = TrainingExecutor(
-            graph2, plan_cache=PlanCache(store=warm_store), threads=4,
-            device=AboveGateDevice(),
-        )
-        assert warm_ex.executor.plan.wavefront_from_cache
-        assert warm_ex.executor.plan.parallel_level_count > 0
-        report = warm_ex.executor.verify()
-        assert report.ok, report.findings
-
-    def test_stale_epoch_invalidates_wavefront(self, tune_dir):
-        graph, params, feeds = small_graph()
-        db = CalibrationDB()
-        harvest_training_graph(graph, feeds, params, db, repeats=1)
-        ts = TuneStore(tune_dir)
-        ts.save_calibration(db)
-
-        dev1 = default_device()
-        TrainingExecutor(
-            graph, plan_cache=PlanCache(store=ts), device=dev1, threads=4
-        )
-        assert ts.stats()["wavefront_misses"] == 1
-
-        # Recalibration bumps the epoch -> new device token -> the cached
-        # layout's filename never matches again (fresh process modeled by
-        # resetting the memoized default store).
-        ts.save_calibration(db)
-        reset_default_stores()
-        dev2 = default_device()
-        assert dev2.cache_token != dev1.cache_token
-        graph2, _ = pure_lstm_graph(4, 16, 1, 3, Backend.DEFAULT)
-        ts2 = TuneStore(tune_dir)
-        TrainingExecutor(
-            graph2, plan_cache=PlanCache(store=ts2), device=dev2, threads=4
-        )
-        stats = ts2.stats()
-        assert stats["wavefront_hits"] == 0
-        assert stats["wavefront_misses"] == 1
-
-    def test_retired_planner_artifacts_are_never_served(self, tune_dir):
-        """A store filled under the retired ``REPRO_MEMPLAN=greedy`` holds
-        plain-priority orders in ``{fp}.order.json`` and ``.mgreedy``
-        layouts: valid JSON, a valid schedule, a well-formed layout.
-        Neither file name is ever read, so the build is a cold one."""
+        ``tests/data/retired_plans`` holds what the last commit that
+        persisted plans wrote for this graph (``DeviceModel()``,
+        ``threads=4``): a valid ``{fp}.memaware.order.json`` and the serial
+        marker as ``.mcolor.hostgate.wavefront.json`` — loading that one
+        skipped the wavefront analysis, leaving the level counters at 0.
+        Beside them, the two retired flavours: a plain-priority order (a
+        valid schedule, not the one ``schedule()`` returns) as
+        ``{fp}.order.json`` and an ``.mgreedy`` layout. None is opened or
+        rewritten, and the build equals the one over an empty directory.
+        """
 
         def build():
             graph, _ = pure_lstm_graph(4, 16, 1, 3, Backend.DEFAULT)
@@ -428,89 +298,62 @@ class TestWarmPlans:
                 device=DeviceModel(), threads=4,
             )
             facts = GraphFacts(graph.outputs)
-            perm = [facts.index[n.uid] for n in ex.executor.order]
-            return facts, perm, store.stats()
+            plan = ex.executor.plan
+            built = {
+                "order": [facts.index[n.uid] for n in ex.executor.order],
+                "instructions": len(plan.lowering.descs),
+                "levels": plan.wavefront_level_count,
+                "gated": plan.gated_level_count,
+                "parallel": plan.parallel_level_count,
+            }
+            return facts, built, store.stats()
 
-        facts, cold_perm, _ = build()
+        facts, cold, _ = build()
+        assert cold["levels"] > 0 and cold["gated"] > 0  # analyzed, all gated
         plans = tune_dir / "plans"
-        (order_file,) = plans.glob("*.order.json")
-        (layout_file,) = plans.glob("*.wavefront.json")
-        # Creation order is the priority-only schedule of an un-rewritten
-        # graph: what a scheduler without the footprint tie-break stored.
+        assert not plans.exists()
+
+        shutil.copytree(RETIRED_PLANS, plans)
+        (order_file,) = plans.glob("*.memaware.order.json")
+        (layout_file,) = plans.glob("*.mcolor.hostgate.wavefront.json")
+        assert json.loads(order_file.read_text())["order"] == cold["order"]
+        assert json.loads(layout_file.read_text())["artifact"] == {
+            "instructions": cold["instructions"], "serial": True,
+        }
         plain = sorted(facts.nodes, key=lambda n: n.priority)
         validate_schedule(plain)
         stale_perm = [facts.index[n.uid] for n in plain]
-        assert stale_perm != cold_perm
+        assert stale_perm != cold["order"]
         order_file.with_name(
             order_file.name.replace(".memaware.", ".")
         ).write_text(json.dumps({"version": 1, "order": stale_perm}))
-        order_file.unlink()
-        layout_file.rename(layout_file.with_name(
+        shutil.copy(layout_file, layout_file.with_name(
             layout_file.name.replace(".mcolor.", ".mgreedy.")
         ))
+        before = {
+            p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+            for p in plans.iterdir()
+        }
+        assert len(before) == 4
 
-        _, perm, stats = build()
-        assert perm == cold_perm
-        assert stats["order_hits"] == 0 and stats["order_misses"] == 1
-        assert stats["wavefront_hits"] == 0
-        assert stats["load_errors"] == 0
+        opened: list[str] = []
+        real_open = builtins.open
 
-    def test_old_gate_layout_is_never_trusted(self, tune_dir):
-        """A layout persisted under the simulated-seconds gate has the
-        same (spec, "analytic") device token and would pass the
-        structural validation; its file name lacks the gate tag, so the
-        store misses, the plan is analyzed afresh, and the fresh verdict
-        is what the next process warms up on."""
-        graph, params, feeds = small_graph()
-        device = DeviceModel()
+        def spy(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
 
-        def build(g):
-            store = TuneStore(tune_dir)
-            ex = TrainingExecutor(
-                g, plan_cache=PlanCache(store=store), device=device,
-                threads=4,
-            )
-            return ex.executor.plan, store.stats()
-
-        plan, _ = build(graph)
-        assert plan.parallel_level_count == 0  # tiny kernels: all gated
-        (fresh_file,) = (tune_dir / "plans").glob("*.wavefront.json")
-        assert ".hostgate." in fresh_file.name
-
-        # What the parent commit would have left behind for this plan:
-        # same key minus the tag, every wide level parallel.
-        levels = [
-            {"i": w.instructions, "c": 1e-5, "p": len(w.instructions) > 1,
-             "chunks": [[i] for i in w.instructions]}
-            for w in plan.lowering.schedule.levels
-        ]
-        assert any(entry["p"] for entry in levels)
-        old_file = fresh_file.with_name(
-            fresh_file.name.replace(".hostgate.", ".")
-        )
-        old_file.write_text(json.dumps({
-            "version": 1,
-            "artifact": {
-                "instructions": len(plan.lowering.descs),
-                "regions": plan.lowering.schedule.region_count,
-                "levels": levels,
-            },
-        }))
-        fresh_file.unlink()
-
-        graph2, _ = pure_lstm_graph(4, 16, 1, 3, Backend.DEFAULT)
-        plan2, stats2 = build(graph2)
-        assert stats2["wavefront_hits"] == 0
-        assert stats2["wavefront_misses"] == 1
-        assert not plan2.wavefront_from_cache
-        assert plan2.parallel_level_count == 0
-        assert plan2.gated_level_count == plan.gated_level_count
-
-        graph3, _ = pure_lstm_graph(4, 16, 1, 3, Backend.DEFAULT)
-        plan3, stats3 = build(graph3)
-        assert stats3["wavefront_hits"] == 1
-        assert plan3.wavefront_from_cache
-        assert plan3._program is None
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "open", spy)
+            patch.setattr(io, "open", spy)
+            _, warm, stats = build()
+        assert warm == cold
+        assert stats["load_errors"] == 0 and stats["saves"] == 0
+        assert not [p for p in opened if p.startswith(str(plans))]
+        assert before == {
+            p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+            for p in plans.iterdir()
+        }
 
     def test_store_none_means_no_persistence(self, tune_dir):
         graph, _, _ = small_graph()

@@ -1,5 +1,7 @@
 """Tests for the scheduler, memory planner, and executor."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -178,3 +180,50 @@ class TestExecutor:
         one = 64 * 64 * 4
         # peak should be a few buffers, nowhere near 50 of them
         assert plan.peak_bytes < 6 * one
+
+
+class TestPlanWithoutCompiling:
+    """Costing an executor lowers nothing and takes no arena extent; the
+    compiled plan exists from the first ``run`` / ``verify`` / ``compile``."""
+
+    def test_costing_never_compiles(self, monkeypatch):
+        import repro.backends.microbench as microbench
+        import repro.experiments.common as common
+        from repro.experiments import ECHO, ZHU_T50, measure_nmt
+        from repro.nn import Backend
+
+        built = []
+
+        def recording(*args, **kwargs):
+            built.append(TrainingExecutor(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(common, "TrainingExecutor", recording)
+        monkeypatch.setattr(microbench, "TrainingExecutor", recording)
+        small = replace(
+            ZHU_T50, src_len=4, tgt_len=4, batch_size=3, hidden_size=24,
+            embed_size=24, src_vocab_size=50, tgt_vocab_size=50,
+        )
+        assert measure_nmt(small, ECHO).total_bytes > 0
+        result = microbench.benchmark_lstm(4, 16, 1, 3, Backend.ECHO)
+        assert result.total_seconds > 0
+        assert len(built) == 2
+        for ex in built:
+            assert "plan" not in vars(ex.executor)
+            assert ex.executor.arena.fresh_bytes == 0
+            assert ex.executor.arena.held_bytes == 0
+        # ... and the same executor still runs: first use compiles.
+        plan = built[1].executor.compile()
+        assert built[1].executor.plan is plan
+        assert built[1].executor.arena.fresh_bytes > 0
+
+    def test_footprint_explorer_example_returns(self, capsys):
+        """The batch-size sweep plans B=2048 graphs; compiling them asked
+        the host for a 16 GiB extent."""
+        import runpy
+        from pathlib import Path
+
+        example = Path(__file__).parent.parent / "examples"
+        ns = runpy.run_path(str(example / "footprint_explorer.py"))
+        ns["main"]()
+        assert "largest fitting batch" in capsys.readouterr().out
