@@ -43,10 +43,18 @@ class Op:
     #: whether the compiled plan's elementwise fusion pass may absorb this
     #: op into a single-buffer chain (single-output elementwise ops only)
     fusion_eligible: bool = False
-    #: input positions whose buffer may alias the output buffer when
-    #: :meth:`compute_into` runs (element i of the output depends only on
-    #: element i of these inputs); fusion chains only thread the
-    #: accumulator through these positions
+    #: whether a fusion chain may *start* at this op although it is not
+    #: elementwise: a single-output ``out=`` kernel that never reads its
+    #: output buffer and declares no ``inplace_operands`` (the GEMM
+    #: family), so the chain's accumulator can be its destination while
+    #: its inputs stay untouched
+    fusion_head: bool = False
+    #: input positions whose buffer may *be* the output buffer when
+    #: :meth:`compute_into` runs: the kernel is done reading that input
+    #: wherever it has started writing (elementwise ops — element i of the
+    #: output depends only on element i of these inputs — and kernels that
+    #: consume the operand in one elementwise first pass); fusion chains
+    #: only thread the accumulator through these positions
     inplace_operands: tuple[int, ...] = ()
     #: whether :meth:`compute` may return a view of an input (reshape,
     #: expand_dims) — such outputs share their input's storage and the

@@ -11,9 +11,10 @@ The planner runs copy elision and in-place rewriting
 the merged alias groups, and packs every releasable group's exact live
 interval into one contiguous arena extent by first-fit-decreasing
 coloring (:mod:`repro.memplan.coloring`). The extent is acquired from the
-arena's extent pool and immediately parked again, so sibling plans
-sharing an arena (the bucketed trainer) overlay one extent — footprint
-follows the largest plan, not the sum.
+arena's extent pool and immediately parked again, so a later sibling plan
+sharing the arena (the bucketed trainer) overlays it when it fits — and
+takes a fresh extent of its own when it does not, which is every plan of
+an ascending bucket list.
 
 Storage-hazard tokens: with one extent backing every static buffer, a
 "same raw base" rule would serialize the whole wavefront schedule, so

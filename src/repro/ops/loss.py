@@ -77,6 +77,10 @@ class SoftmaxCrossEntropyGradOp(Op):
 
     name = "softmax_cross_entropy_grad"
     supports_out = True
+    #: ``compute_into`` reads the logits only through the first
+    #: ``np.subtract(logits, rowmax, out=grad)`` — the row max is a
+    #: temporary taken before it — so ``grad`` may *be* the logits buffer
+    inplace_operands = (0,)
 
     def infer_specs(self, node: Node) -> Sequence[TensorSpec]:
         logits = node.inputs[0]

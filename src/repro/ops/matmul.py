@@ -34,6 +34,7 @@ class MatMulOp(Op):
 
     name = "matmul"
     supports_out = True
+    fusion_head = True
 
     def infer_specs(self, node: Node) -> Sequence[TensorSpec]:
         a, b = node.inputs
@@ -113,6 +114,7 @@ class BatchDotOp(Op):
 
     name = "batch_dot"
     supports_out = True
+    fusion_head = True
 
     def infer_specs(self, node: Node) -> Sequence[TensorSpec]:
         a, b = node.inputs
@@ -188,6 +190,7 @@ class FullyConnectedOp(Op):
 
     name = "fully_connected"
     supports_out = True
+    fusion_head = True
 
     def infer_specs(self, node: Node) -> Sequence[TensorSpec]:
         x, w = node.inputs[0], node.inputs[1]

@@ -19,7 +19,9 @@ for every intermediate on every iteration. This module lowers a schedule
 * chains of single-consumer elementwise/activation nodes are **fused** into
   one instruction that streams a single accumulator buffer through the
   chain with ``out=`` kernels (the cuDNN-style pointwise fusion the paper's
-  Figure 7a launch-bound story rests on);
+  Figure 7a launch-bound story rests on). In the serial lowering a chain
+  may start at a GEMM and never makes a member wait, so fusion shortens
+  the stream without lengthening a live range (``_fuse_chains``);
 * isomorphic single-consumer ``matmul`` nodes are **batched** into one
   stacked GEMM instruction (``batch_gemms``): same-shape groups — the per
   decoder-step attention scoring GEMMs are the signature case — execute as
@@ -45,10 +47,13 @@ for every intermediate on every iteration. This module lowers a schedule
   bitwise-identical to serial execution by construction.
 
 Plans compiled against a shared arena (the bucketed trainer) carve their
-static buffers from the same parked extent, so different bucket plans
-overlay the same storage — footprint follows the largest bucket, not the
-sum, the host-side analogue of the paper's executors sharing one memory
-pool. This is safe because executors run one iteration to completion at a
+static buffers from a parked extent when one is already large enough, so
+sibling plans built largest-first overlay the same storage — the
+host-side analogue of the paper's executors sharing one memory pool.
+Built smallest-first (the order ``default_buckets`` and the harness use)
+every plan outgrows what is parked and takes its own extent: footprint is
+then the *sum* over buckets (``reuse_count`` 0; ROADMAP item 4). Sharing
+is safe because executors run one iteration to completion at a
 time and outputs never alias plan storage. The arena itself is thread-safe,
 so parallel chunks may allocate escaping outputs concurrently.
 
@@ -194,6 +199,25 @@ def _raw_kernel(node: Node):
     return None
 
 
+def _failing_node(step: Any, regs: list) -> Node:
+    """The node to blame when ``step`` raised on the register file ``regs``.
+
+    A fused step runs several kernels: its chain is walked again through
+    plain ``compute`` calls and the first member that raises is named (the
+    tail when none does — a head that had already overwritten its in-place
+    operand may not fail twice).
+    """
+    acc = None
+    for op, member, pattern in getattr(step, "_chain", ()):
+        try:
+            acc = op.compute(
+                member, [acc if s < 0 else regs[s] for s in pattern]
+            )[0]
+        except Exception:
+            return member
+    return step._node
+
+
 def bind_source(
     table: Mapping[str, np.ndarray], node: Node, kind: str
 ) -> np.ndarray:
@@ -262,9 +286,9 @@ class Arena:
         """One contiguous raw extent for a plan's static buffers.
 
         Served from the parked-extent list when a large-enough extent is
-        available (smallest fit first — bucketed sibling plans overlay the
-        same extent, so footprint follows the largest plan), else
-        allocated fresh, page-rounded.
+        available (smallest fit first), else allocated fresh, page-rounded
+        — a parked extent never grows, so sibling plans overlay one extent
+        only when the largest was built first.
         """
         best = None
         with self._extent_lock:
@@ -517,9 +541,13 @@ class CompiledPlan:
             if n.op.name not in _SOURCE_OPS and n.op.name != "constant"
         ]
 
-        chains = self._fuse_chains(body, output_keys) if self.fuse else [
-            [n] for n in body
-        ]
+        if self.fuse:
+            chains = self._fuse_chains(
+                body, output_keys,
+                serial=self.threads == 1 and not self.batch_gemms,
+            )
+        else:
+            chains = [[n] for n in body]
 
         # Slot assignment: sources, constants, and every materialized
         # instruction output. Fused-chain interiors never materialize.
@@ -662,11 +690,14 @@ class CompiledPlan:
         self.packed_extent_bytes = assignment.record.extent_bytes
 
         # Per-instruction register clears: drop references to per-run
-        # arrays (outputs of generic/dynamic instructions, view objects)
-        # when dead. Static slots need no clearing — their buffers persist
-        # by design — so they are filtered out of the hot loop entirely.
+        # arrays (outputs of generic/dynamic instructions and views of
+        # them) when dead. A slot whose alias-group *root* is static —
+        # the buffer itself, a view of it, an in-place-merged output —
+        # holds at most an array header over storage that persists by
+        # design, in a register file that lives for one run, so it is
+        # filtered out of the hot loop entirely.
         clears_at: dict[int, tuple[int, ...]] = {
-            idx: tuple(s for s, _r, _rel in fs if s not in static_views)
+            idx: tuple(s for s, r, _rel in fs if r not in static_views)
             for idx, fs in frees_at.items()
         }
 
@@ -1155,9 +1186,11 @@ class CompiledPlan:
 
     @staticmethod
     def _fuse_chains(
-        body: list[Node], output_keys: set[TensorKey]
+        body: list[Node],
+        output_keys: set[TensorKey],
+        serial: bool = False,
     ) -> list[list[Node]]:
-        """Group the body into maximal single-consumer elementwise chains.
+        """Group the body into maximal single-consumer chains.
 
         An edge producer->consumer fuses when both ops are single-output
         and ``fusion_eligible``, the producer's only consumer is this node
@@ -1166,6 +1199,26 @@ class CompiledPlan:
         value does not escape as a graph output, and both nodes belong to
         the same stage — fusion never crosses a checkpoint boundary, so
         Echo's mirrored recompute regions stay intact.
+
+        A chain executes at its tail's position, so every member it makes
+        wait keeps that member's operands live. The ``serial`` lowering
+        (``threads == 1``, no GEMM batching) therefore adds two rules that
+        keep fusion from lengthening a live range: a chain may also
+        *start* at a ``fusion_head`` GEMM, and of a consumer's fusable
+        producers the one scheduled *last* takes it — the others are
+        complete by then and are read as external operands. Gradient
+        accumulation ``add(acc, matmul(..))`` then lowers to one ``[matmul
+        -> add]`` per timestep at the matmul's own position, reading the
+        running sum: two live buffers per shared weight. First-producer-
+        wins chains every ``add`` at the end of backward instead and keeps
+        all T partial products live until then.
+
+        With ``threads > 1`` or ``batch_gemms`` the stream stays as it
+        was: the batcher and the wavefront gate reason about free-standing
+        ``matmul`` instructions, and GEMM heads at ``threads=2`` dissolved
+        batched groups — measured ``iter_host_ops`` 85 802 -> 86 746
+        (+1.1%, bound 1%) on the harness ``wordlm_dist2``. The condition
+        goes when that layer does (ROADMAP item 2).
         """
         consumers: dict[TensorKey, list[tuple[Node, int]]] = {}
         for n in body:
@@ -1174,8 +1227,12 @@ class CompiledPlan:
 
         next_of: dict[int, Node] = {}
         prev_of: dict[int, Node] = {}
-        for a in body:
-            if not a.op.fusion_eligible or len(a.out_specs) != 1:
+        # Claims are first come, first served: walking the stream backwards
+        # hands each consumer to its last-scheduled producer.
+        for a in reversed(body) if serial else body:
+            if len(a.out_specs) != 1 or not (
+                a.op.fusion_eligible or (serial and a.op.fusion_head)
+            ):
                 continue
             key = (a.uid, 0)
             if key in output_keys:
@@ -1417,12 +1474,12 @@ class CompiledPlan:
             if kernel is not None:
                 params.append(f"_k{j}")
                 values.append(kernel)
-                lines.append(f"        _k{j}({args}, buf)")
+                lines.append(f"    _k{j}({args}, buf)")
             else:
                 params += [f"_f{j}", f"_n{j}"]
                 values += [op.compute_into, node]
                 comma = "," if len(pattern) == 1 else ""
-                lines.append(f"        _f{j}(_n{j}, ({args}{comma}), (buf,))")
+                lines.append(f"    _f{j}(_n{j}, ({args}{comma}), (buf,))")
         if static is not None:
             params.append("_s")
             values.append(static)
@@ -1432,24 +1489,19 @@ class CompiledPlan:
             values += [self.arena.acquire_fresh, shape, dtype, nbytes]
             alloc = "    buf = _a(_sh, _d, _nb)"
         params += [
-            "_EE", "_t", *_names("_i", len(in_slots)), "_o",
-            *_names("_c", len(clear)),
+            *_names("_i", len(in_slots)), "_o", *_names("_c", len(clear)),
         ]
-        values += [ExecutionError, tail, *in_slots, out_slot, *clear]
+        values += [*in_slots, out_slot, *clear]
         src = (
             f"def step(regs, {', '.join(params)}):\n"
             f"{alloc}\n"
-            "    try:\n"
             + "\n".join(lines) + "\n"
-            "    except Exception as exc:\n"
-            "        raise _EE(\n"
-            "            f'kernel failure in fused chain ending at "
-            "{_t!r}: {exc}'\n"
-            "        ) from exc\n"
             f"    regs[_o] = buf{_clear_src(len(clear))}\n"
         )
         step = self._bake(src, tuple(values), tail)
         step._fused = True
+        #: for the failure replay in :meth:`run`, which names the member
+        step._chain = chain
         return step
 
     def _make_alias_step(self, node, in_slots, out_slots, indices, clear):
@@ -1667,7 +1719,7 @@ class CompiledPlan:
             except ExecutionError:
                 raise
             except Exception as exc:
-                node = step._node if step is not None else None
+                node = _failing_node(step, regs) if step is not None else None
                 raise ExecutionError(
                     f"kernel failure in {node!r}: {exc}"
                 ) from exc

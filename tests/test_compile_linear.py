@@ -370,6 +370,21 @@ class TestSameOutputsAsBefore:
         )
 
 
+#: sections no lowering change may move: what the scheduler, the Echo
+#: pass and the simulated device decide, and whether the plan certifies
+UPSTREAM_OF_LOWERING = (
+    "order", "memory_plan", "echo_report", "sim_cost", "verify", "plancache",
+)
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(describe_all(), indent=1, sort_keys=True))
+    committed = json.loads(GOLDEN.read_text())
+    recorded = describe_all()
+    for build, sections in recorded.items():
+        for name in UPSTREAM_OF_LOWERING:
+            assert sections[name] == committed[build][name], (build, name)
+        moved = sorted(
+            n for n in sections if sections[n] != committed[build][n]
+        )
+        print(f"{build}: {', '.join(moved) or 'unchanged'}")
+    GOLDEN.write_text(json.dumps(recorded, indent=1, sort_keys=True))
     print(f"wrote {GOLDEN}")
