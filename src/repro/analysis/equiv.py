@@ -69,7 +69,7 @@ from repro.memplan.elision import (
     describe_index,
     inplace_positions,
 )
-from repro.runtime.compiled import PlanLowering
+from repro.runtime.lowering import PlanLowering
 
 from repro.analysis.findings import Finding, finding
 from repro.analysis.witness import WitnessSet
@@ -376,7 +376,7 @@ def check_equivalence(
     """Certify that a compiled plan denotes its source graph's function.
 
     Accepts a :class:`~repro.runtime.compiled.CompiledPlan` or a bare
-    :class:`~repro.runtime.compiled.PlanLowering` (then ``order`` — the
+    :class:`~repro.runtime.lowering.PlanLowering` (then ``order`` — the
     node schedule the plan was lowered from — is required). Returns EQ6xx
     findings; an empty list is the certificate.
     """

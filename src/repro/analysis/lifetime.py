@@ -1,7 +1,7 @@
-"""Arena lifetime sanitizer over a compiled plan's lowering record.
+"""Arena lifetime sanitizer over a plan's lowering record.
 
 The compiler assigns every intermediate a *static* arena buffer at compile
-time (`runtime/compiled.py`, `memplan/planner.py`): a slice of one shared
+time (`runtime/lowering.py`, `memplan/planner.py`): a slice of one shared
 extent, handed to a later slot once its alias group's last use has passed.
 The correctness of that assignment — frees strictly after last use, reuse
 strictly after free — is exactly what end-to-end bitwise tests can only
@@ -35,7 +35,8 @@ from typing import Any
 
 from numpy.lib.array_utils import byte_bounds
 
-from repro.runtime.compiled import PlanLowering, storage_base
+from repro.runtime.arena import storage_base
+from repro.runtime.lowering import PlanLowering
 
 from repro.analysis.findings import Finding, finding
 
@@ -57,7 +58,7 @@ def check_lifetimes(plan: Any) -> list[Finding]:
     """Sanity-check a plan's slot liveness and static storage assignment.
 
     ``plan`` is a :class:`repro.runtime.compiled.CompiledPlan` or its
-    :class:`~repro.runtime.compiled.PlanLowering` record.
+    :class:`~repro.runtime.lowering.PlanLowering` record.
     """
     low = _lowering_of(plan)
     descs = low.descs

@@ -140,7 +140,7 @@ def lint_model(
 ) -> AnalysisReport:
     """Build one benchmark model, compile its plan, run all analyzers."""
     graph, _desc = _MODELS[name]()
-    from repro.runtime.compiled import Arena
+    from repro.runtime.arena import Arena
     from repro.runtime.plancache import PlanCache
 
     plan_cache = PlanCache()

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.runtime.compiled import PlanLowering
+from repro.runtime.lowering import PlanLowering
 
 from repro.analysis.findings import Finding, finding
 
@@ -289,7 +289,7 @@ def check_packing(plan: Any) -> list[Finding]:
     """Re-derive every memplan rewrite/packing safety condition.
 
     ``plan`` is a :class:`repro.runtime.compiled.CompiledPlan` or its
-    :class:`~repro.runtime.compiled.PlanLowering` record.
+    :class:`~repro.runtime.lowering.PlanLowering` record.
     """
     low = _lowering_of(plan)
     findings = _check_aliases(low)

@@ -33,6 +33,7 @@ from repro.runtime.wavefront import (
     InstrInfo,
     WavefrontSchedule,
     analyze_wavefronts,
+    build_instr_infos,
 )
 
 from repro.analysis.findings import Finding, finding
@@ -188,24 +189,21 @@ def check_schedule(
 
 
 def check_plan_races(plan: Any, threads_probe: int = 4) -> list[Finding]:
-    """Race-check a compiled plan's schedule (stored or probed).
+    """Race-check a plan's schedule (stored or probed).
 
-    A plan compiled with ``threads > 1`` carries the schedule it actually
-    executes; that is checked as-is. A serial plan is checked against a
+    ``plan`` is a compiled plan or its lowering record. A plan compiled
+    with ``threads > 1`` carries the schedule it actually executes; that
+    is checked as-is. A serial plan is checked against a
     maximally-parallel probe — its level structure with every
     multi-instruction level marked parallel (``threads_probe > 1``), the
     strictest schedule its hazard edges admit.
     """
-    low = getattr(plan, "lowering", None)
-    infos = (
-        plan.instr_infos()
-        if hasattr(plan, "instr_infos")
-        else low.infos if low is not None else None
-    )
-    if infos is None:
-        raise TypeError(f"cannot derive InstrInfos from {type(plan)!r}")
+    low = getattr(plan, "lowering", plan)
+    infos = low.infos
+    if infos is None:  # serial: hazard structure only, costs zeroed
+        infos = build_instr_infos(low.descs, low.root, low.storage_tokens)
     findings: list[Finding] = []
-    stored = low.schedule if low is not None else None
+    stored = low.schedule
     if stored is not None:
         findings.extend(check_schedule(infos, stored))
     else:

@@ -18,7 +18,7 @@ of *why* it is legal, in terms the equivalence certifier
   mirror additionally carries ``mirror_of`` on the node itself).
 
 A :class:`WitnessSet` aggregates the plan-level witnesses and travels on
-:class:`repro.runtime.compiled.PlanLowering`. The certifier treats a
+:class:`repro.runtime.lowering.PlanLowering`. The certifier treats a
 rewrite *without* a witness as a finding (EQ602) and a witness that fails
 its own checks as EQ603/EQ604/EQ605 — the witnesses are claims to be
 verified, never trusted. This module is dependency-free so every layer

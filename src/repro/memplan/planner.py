@@ -1,7 +1,7 @@
 """Buffer planning for compiled plans: rewrite, then color live intervals.
 
 This is the memory-optimization stage between scheduling and lowering:
-:class:`repro.runtime.compiled.CompiledPlan` hands it the instruction
+:func:`repro.runtime.lowering.lower` hands it the instruction
 descriptors and the slot alias-root table and gets back everything buffer
 related — releasability, the free schedule, the static buffer views, and
 the :class:`MemplanRecord` the analyzers and stats consume.
@@ -58,7 +58,7 @@ class MemplanRecord:
 
 @dataclass
 class BufferAssignment:
-    """Everything :class:`CompiledPlan` needs back from buffer planning."""
+    """Everything the lowering needs back from buffer planning."""
 
     releasable: list[bool]
     frees_at: dict[int, list[tuple[int, int, bool]]]
@@ -66,8 +66,6 @@ class BufferAssignment:
     record: MemplanRecord
     #: placement byte-range tokens for hazard edges
     storage_tokens: dict[Hashable, tuple[int, ...]]
-    elided_copy_count: int = 0
-    inplace_write_count: int = 0
 
 
 def _liveness(
@@ -235,8 +233,6 @@ def _assign_storage(
         static_views=static_views,
         record=record,
         storage_tokens=atomic_tokens(byte_ranges),
-        elided_copy_count=sum(len(e["out_slots"]) for e in elided),
-        inplace_write_count=len(inplace),
     )
 
 

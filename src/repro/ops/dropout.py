@@ -37,10 +37,11 @@ def set_global_step(step: int) -> None:
     _GLOBAL_STEP = int(step)
 
 
-def _mask(node: Node, shape: tuple[int, ...]) -> np.ndarray:
+def _mask(node: Node, x: np.ndarray) -> np.ndarray:
+    """Scaled keep mask in ``x``'s dtype (the mask output's spec)."""
     rng = np.random.default_rng((node.attrs["seed"], _GLOBAL_STEP))
     keep = 1.0 - node.attrs["p"]
-    return (rng.random(shape) < keep).astype(np.float32) / np.float32(keep)
+    return (rng.random(x.shape) < keep).astype(x.dtype) / x.dtype.type(keep)
 
 
 class DropoutOp(Op):
@@ -61,7 +62,7 @@ class DropoutOp(Op):
         if node.attrs["p"] <= 0.0:
             mask = np.ones_like(x)
         else:
-            mask = _mask(node, x.shape)
+            mask = _mask(node, x)
         return [np.asarray(x * mask, dtype=x.dtype), mask]
 
     def gradient(self, node, out_grads):

@@ -218,7 +218,10 @@ class FullyConnectedOp(Op):
             y = x @ w.T
         if len(inputs) == 3:
             y = y + inputs[2]
-        return [np.asarray(y, dtype=node.out_specs[0].dtype)]
+        # C-ordered like the buffer ``compute_into`` fills: the COL_MAJOR
+        # product is a transposed view, and a reduction downstream rounds
+        # in memory order.
+        return [np.ascontiguousarray(y, dtype=node.out_specs[0].dtype)]
 
     def compute_into(self, node, inputs, outs):
         x, w = inputs[0], inputs[1]

@@ -1,6 +1,7 @@
 """Execution substrate: scheduler, memory planner, executor (DESIGN.md S4)."""
 
-from repro.runtime.compiled import Arena, CompiledPlan
+from repro.runtime.arena import Arena
+from repro.runtime.compiled import CompiledPlan
 from repro.runtime.executor import (
     ExecutionError,
     GraphExecutor,
@@ -20,7 +21,6 @@ from repro.runtime.plancache import (
     default_plan_cache,
     graph_signature,
 )
-from repro.runtime.pool import PoolStats, round_up, simulate_pool
 from repro.runtime.scheduler import SchedulingError, schedule, validate_schedule
 from repro.runtime.wavefront import (
     InstrInfo,
@@ -44,9 +44,6 @@ __all__ = [
     "RunResult",
     "NodeTiming",
     "ExecutionError",
-    "simulate_pool",
-    "PoolStats",
-    "round_up",
     "Arena",
     "CompiledPlan",
     "PlanCache",

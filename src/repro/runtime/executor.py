@@ -24,7 +24,8 @@ import numpy as np
 from repro.autodiff.training import TrainingGraph
 from repro.graph import Node, Tensor
 from repro.ops.dropout import set_global_step
-from repro.runtime.compiled import Arena, CompiledPlan, ExecutionError
+from repro.runtime.arena import Arena
+from repro.runtime.compiled import CompiledPlan, ExecutionError
 from repro.runtime.memory import Category, MemoryPlan, TensorKey
 from repro.runtime.plancache import PlanCache, default_plan_cache
 from repro.runtime.workers import default_thread_count
@@ -100,9 +101,7 @@ class GraphExecutor:
         pinned_categories: Mapping[TensorKey, Category] | None = None,
         arena: Arena | None = None,
         plan_cache: PlanCache | None = None,
-        fuse: bool = True,
         threads: int | None = None,
-        batch_gemms: bool | None = None,
     ) -> None:
         self.outputs = list(outputs)
         self.device = device
@@ -116,8 +115,6 @@ class GraphExecutor:
         self.threads = default_thread_count() if threads is None else max(
             1, int(threads)
         )
-        self.fuse = fuse
-        self.batch_gemms = batch_gemms
         # One facts record serves all three planning artifacts of this
         # state — the one Echo's final re-plan left in the cache, when the
         # pass just ran over this graph.
@@ -145,10 +142,8 @@ class GraphExecutor:
         return self.plan_cache.compiled_for(
             self.outputs,
             self.arena,
-            fuse=self.fuse,
             order=self.order,
             threads=self.threads,
-            batch_gemms=self.batch_gemms,
             device=self.device,
             facts=self._facts,
         )
@@ -263,7 +258,6 @@ class TrainingExecutor:
         arena: Arena | None = None,
         plan_cache: PlanCache | None = None,
         threads: int | None = None,
-        batch_gemms: bool | None = None,
     ) -> None:
         self.graph = graph
         pinned = {g.key: Category.GRADIENT for g in graph.grads.values()}
@@ -274,7 +268,6 @@ class TrainingExecutor:
             arena=arena,
             plan_cache=plan_cache,
             threads=threads,
-            batch_gemms=batch_gemms,
         )
 
     @property

@@ -26,7 +26,8 @@ import os
 from repro.graph import GraphFacts, Tensor
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.runtime.compiled import Arena, CompiledPlan
+from repro.runtime.arena import Arena
+from repro.runtime.compiled import CompiledPlan
 from repro.runtime.memory import (
     Category,
     MemoryPlan,
@@ -281,10 +282,8 @@ class PlanCache:
         self,
         outputs: Sequence[Tensor],
         arena: Arena,
-        fuse: bool = True,
         order: Sequence | None = None,
         threads: int = 1,
-        batch_gemms: bool | None = None,
         device: Any | None = None,
         facts: GraphFacts | None = None,
     ) -> CompiledPlan:
@@ -292,14 +291,14 @@ class PlanCache:
 
         Keyed by ``id(arena)``/``id(device)`` — safe because the cached
         plan holds references to both, so the ids cannot be recycled while
-        the entry lives. Thread count and batching are part of the key: a
-        serial and a wavefront-parallel plan for the same graph are
-        different lowered programs and coexist in the cache.
+        the entry lives. The thread count is part of the key: a serial
+        and a wavefront-parallel plan for the same graph are different
+        lowered programs and coexist in the cache.
         """
         facts = self._facts_lookup(outputs, facts)[0]
         sig = facts.signature
         key = (
-            "compiled", sig, id(arena), fuse, threads, batch_gemms,
+            "compiled", sig, id(arena), threads,
             id(device) if device is not None else None,
         )
         def build() -> CompiledPlan:
@@ -309,9 +308,7 @@ class PlanCache:
                 else schedule(outputs, facts=facts),
                 outputs,
                 arena=arena,
-                fuse=fuse,
                 threads=threads,
-                batch_gemms=batch_gemms,
                 device=device,
             )
             _maybe_verify(plan, facts)
@@ -325,7 +322,7 @@ class PlanCache:
         def traced_build() -> CompiledPlan:
             with obs_trace.span(
                 "plan.compile", "plan",
-                {"threads": threads, "fuse": fuse},
+                {"threads": threads},
             ):
                 return build()
 

@@ -46,19 +46,34 @@ Simulated device seconds are no proxy here: the device model prices no
 kernel below ~2.2 us while a hand-off costs the host 12-3000 us, and a
 gate in those units let every two-instruction level through (word-LM
 batch 8: 15.7 ms at ``threads=2`` against 9.7 ms at ``threads=1``).
+
+This module is also the program half of a ``threads > 1``
+:class:`repro.runtime.compiled.CompiledPlan`: :func:`plan_program` turns a
+lowering's schedule into a layout of serial segments and parallel levels,
+and :func:`bake_program` bakes it through the plan's code generator with
+register clears re-homed to program items. A plan with no level worth
+splitting has no program and runs the same single baked body as
+``threads=1`` — so parallel execution only ever overlaps instructions with
+no value or storage hazard between them, and stays bitwise-identical to
+serial execution by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Mapping, Sequence
+
+from repro.runtime.arena import storage_base
 
 __all__ = [
     "InstrInfo",
     "Wavefront",
     "WavefrontSchedule",
     "analyze_wavefronts",
+    "bake_program",
+    "build_instr_infos",
     "partition_chunks",
+    "plan_program",
     "HANDOFF_SECONDS",
 ]
 
@@ -297,3 +312,187 @@ def partition_chunks(
     placed = [sorted(items[i] for i in chunk) for chunk in best if chunk]
     placed.sort(key=lambda c: c[0])
     return placed, best_saving
+
+
+def build_instr_infos(
+    descs: Sequence[dict[str, Any]],
+    root: Sequence[int],
+    storage_tokens: Mapping[Any, tuple[int, ...]],
+    device: Any | None = None,
+) -> list[InstrInfo]:
+    """Dependence-relevant facts for each instruction descriptor.
+
+    Shared by the wavefront planner (``device`` set: each instruction is
+    priced in predicted *host* seconds, the unit the wavefront gate
+    compares with a thread hand-off) and the static race analyzer
+    (``device`` None: zero costs — hazard structure only, no cost model
+    construction).
+
+    Storage hazards are labeled by placement byte-range tokens: every
+    static buffer shares one extent, so a "same raw base" rule would
+    serialize everything; the tokens record exact byte-range intersection
+    instead — see :func:`repro.memplan.coloring.atomic_tokens`.
+    """
+
+    def bases_of_slot(slot: int) -> tuple[int, ...]:
+        return storage_tokens.get(root[slot], ())
+
+    infos: list[InstrInfo] = []
+    for idx, desc in enumerate(descs):
+        kind = desc["kind"]
+        read_bases: set[int] = set()
+        write_bases: set[int] = set()
+        for s in desc["in_slots"]:
+            read_bases.update(bases_of_slot(s))
+        if kind not in ("view", "alias"):  # views touch no storage themselves
+            for s in desc["out_slots"]:
+                write_bases.update(bases_of_slot(s))
+        for scratch_key in ("scratch_a", "scratch_b"):
+            scratch = desc.get(scratch_key)
+            if scratch is None:
+                continue
+            # Zero-byte scratch has no placement; its own array is its base.
+            write_bases.update(
+                storage_tokens.get(
+                    ("scratch", idx, scratch_key[-1]),
+                    (id(storage_base(scratch)),),
+                )
+            )
+        if kind == "fused":
+            cost_nodes = [member for _op, member, _p in desc["chain"]]
+        elif kind == "batched":
+            cost_nodes = desc["nodes"]
+        else:
+            cost_nodes = [desc["node"]]
+        cost = 0.0
+        if device is not None:
+            cost = sum(device.predict_host_seconds(n) for n in cost_nodes)
+        infos.append(
+            InstrInfo(
+                index=idx,
+                reads=tuple(desc["in_slots"]),
+                writes=tuple(desc["out_slots"]),
+                read_bases=tuple(sorted(read_bases)),
+                write_bases=tuple(sorted(write_bases)),
+                stage=desc["node"].stage,
+                cost_seconds=cost,
+            )
+        )
+    return infos
+
+
+def plan_program(
+    plan: Any, low: Any, device: Any | None
+) -> list[tuple[str, Any]] | None:
+    """Partition a lowering's stream into serial segments and parallel
+    levels.
+
+    Returns a layout: ``("serial", [desc idx...])`` and
+    ``("parallel", [[desc idx chunk]...])`` items, in execution order.
+    Runs of serial levels merge into one segment; a schedule with no
+    parallel level has no program at all (None) — the plan executes
+    the plain baked body, exactly as ``threads=1`` would. The infos,
+    schedule and layout are recorded on the lowering ``low``, the level
+    statistics on ``plan``.
+    """
+    if device is None:
+        # The ambient default: calibrated when a tuning store has
+        # coverage (REPRO_TUNE_DIR), plain analytical otherwise.
+        from repro.pgo.calibrated import default_device
+
+        device = default_device()
+
+    infos = build_instr_infos(low.descs, low.root, low.storage_tokens, device)
+    low.infos = infos
+
+    schedule = analyze_wavefronts(infos, plan.threads)
+    low.schedule = schedule
+    plan.wavefront_region_count = schedule.region_count
+    plan.wavefront_level_count = len(schedule.levels)
+    plan.parallel_level_count = len(schedule.parallel_levels)
+    plan.gated_level_count = schedule.gated_level_count
+    plan.parallel_instruction_count = schedule.parallel_instruction_count
+    plan.max_wavefront_width = schedule.max_width
+    plan.wavefront_saving_seconds = schedule.saving_seconds
+    if not plan.parallel_level_count:
+        return None
+
+    layout: list[tuple[str, Any]] = []
+    serial_run: list[int] = []
+    for wf in schedule.levels:
+        if not wf.parallel:
+            serial_run.extend(wf.instructions)
+            continue
+        if serial_run:
+            layout.append(("serial", serial_run))
+            serial_run = []
+        layout.append(("parallel", wf.chunks))
+    if serial_run:
+        layout.append(("serial", serial_run))
+    low.program_layout = layout
+    return layout
+
+
+def bake_program(
+    plan: Any,
+    codegen: Any,
+    layout: list[tuple[str, Any]],
+    descs: list[dict[str, Any]],
+    clears_at: dict[int, tuple[int, ...]],
+) -> list[tuple[Any, ...]]:
+    """Bake the wavefront layout into executable program items.
+
+    Clears are re-homed from stream positions to program items: a slot
+    is dropped after the *last program item* that consumes it (levels
+    may execute a stream-later consumer before a stream-earlier one,
+    so the serial clear placement would be unsafe). Each item becomes
+    ``(runner, chunks_or_None, clear_slots)``; bodies are baked by
+    ``codegen`` (a :class:`repro.runtime.codegen.PlanCodegen`).
+    """
+    item_of: dict[int, int] = {}
+    for item_idx, (_kind, members) in enumerate(layout):
+        idxs = (
+            [i for chunk in members for i in chunk]
+            if _kind == "parallel"
+            else members
+        )
+        for i in idxs:
+            item_of[i] = item_idx
+
+    # Which program item finalizes each written slot: consumers of the
+    # level-completion hook (distributed gradient overlap) use this to
+    # know when an output register may be read mid-run.
+    plan._item_of_slot = {}
+    for idx, desc in enumerate(descs):
+        for s in desc["out_slots"]:
+            plan._item_of_slot[s] = max(
+                plan._item_of_slot.get(s, -1), item_of[idx]
+            )
+
+    clear_slots: set[int] = set()
+    for slots in clears_at.values():
+        clear_slots.update(slots)
+    last_item: dict[int, int] = {}
+    for idx, desc in enumerate(descs):
+        item = item_of[idx]
+        for s in desc["in_slots"]:
+            if s in clear_slots:
+                last_item[s] = max(last_item.get(s, -1), item)
+        for s in desc["out_slots"]:
+            if s in clear_slots:
+                last_item.setdefault(s, item)
+    item_clears: dict[int, list[int]] = {}
+    for s, item in last_item.items():
+        item_clears.setdefault(item, []).append(s)
+
+    program: list[tuple[Any, ...]] = []
+    for item_idx, (kind, members) in enumerate(layout):
+        clears = tuple(sorted(item_clears.get(item_idx, ())))
+        if kind == "serial":
+            program.append(
+                ("serial", codegen.bake_body(members, clears), None)
+            )
+        else:
+            chunk_fns = [codegen.bake_body(chunk, ()) for chunk in members]
+            program.append(("parallel", chunk_fns, clears))
+    return program

@@ -55,7 +55,6 @@ class BeamSearchDecoder:
         arena: Any | None = None,
         plan_cache: Any | None = None,
         threads: int | None = None,
-        batch_gemms: bool | None = None,
     ) -> None:
         if beam_size < 1:
             raise ValueError("beam_size must be at least 1")
@@ -65,7 +64,7 @@ class BeamSearchDecoder:
         self.bos = bos
         self.eos = eos
         exec_kwargs = dict(arena=arena, plan_cache=plan_cache,
-                           threads=threads, batch_gemms=batch_gemms)
+                           threads=threads)
         self._encoder = GraphExecutor(
             [build_encoder_inference(config, store)], **exec_kwargs
         )

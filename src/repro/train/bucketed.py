@@ -41,7 +41,6 @@ class BucketedTrainer:
         echo_config: EchoConfig | None = None,
         device: DeviceModel | None = None,
         threads: int | None = None,
-        batch_gemms: bool | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if not buckets:
@@ -86,7 +85,6 @@ class BucketedTrainer:
                 arena=self.arena,
                 plan_cache=self.plan_cache,
                 threads=threads,
-                batch_gemms=batch_gemms,
                 metrics=metrics,
             )
         self.store = store

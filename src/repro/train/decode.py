@@ -32,7 +32,7 @@ from repro.runtime import GraphExecutor
 class GreedyDecoder:
     """Greedy (argmax) decoder over a trained NMT parameter set.
 
-    ``arena``/``plan_cache``/``threads``/``batch_gemms`` plumb straight
+    ``arena``/``plan_cache``/``threads`` plumb straight
     into the underlying :class:`GraphExecutor`\\ s so callers (the serving
     layer's per-bucket sessions, chiefly) can share one arena and one
     thread-safe plan cache across many decoders.
@@ -42,13 +42,12 @@ class GreedyDecoder:
                  bos: int = 1, eos: int = 2,
                  arena: Any | None = None,
                  plan_cache: Any | None = None,
-                 threads: int | None = None,
-                 batch_gemms: bool | None = None) -> None:
+                 threads: int | None = None) -> None:
         self.config = config
         self.bos = bos
         self.eos = eos
         exec_kwargs = dict(arena=arena, plan_cache=plan_cache,
-                           threads=threads, batch_gemms=batch_gemms)
+                           threads=threads)
         self._encoder = GraphExecutor(
             [build_encoder_inference(config, store)], **exec_kwargs
         )

@@ -72,7 +72,6 @@ class Trainer:
         arena: Arena | None = None,
         plan_cache: PlanCache | None = None,
         threads: int | None = None,
-        batch_gemms: bool | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self.graph = graph
@@ -88,7 +87,6 @@ class Trainer:
             arena=arena,
             plan_cache=plan_cache,
             threads=threads,
-            batch_gemms=batch_gemms,
         )
         self.executor.executor.compile()
         self.batch_size = batch_size or _infer_batch(graph)

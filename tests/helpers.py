@@ -15,7 +15,8 @@ from repro.graph import Tensor
 from repro.graph.traversal import topo_order
 from repro.memplan.coloring import PackResult, waterline
 from repro.ops.dropout import set_global_step
-from repro.runtime import ExecutionError, GraphExecutor, round_up
+from repro.runtime import ExecutionError, GraphExecutor
+from repro.runtime.arena import round_up
 
 
 def rng(seed: int = 0) -> np.random.Generator:
@@ -116,7 +117,9 @@ def reference_run(
     storage code with the path under test. ``step`` is the iteration the
     counter-based dropout masks are drawn for (an executor's n-th ``run``
     is step n-1). Bad bindings and kernel failures raise
-    :class:`ExecutionError` naming the node, like the executor.
+    :class:`ExecutionError` naming the node, like the executor; so does a
+    kernel whose result breaks its op's contract (a dtype or shape other
+    than the spec's, or a non-C-ordered result from an ``out=`` op).
     """
     set_global_step(step)
     values: dict[tuple[int, int], np.ndarray] = {}
@@ -140,10 +143,18 @@ def reference_run(
         except Exception as exc:
             raise ExecutionError(f"kernel failure in {node!r}: {exc}") from exc
         for i, (arr, spec) in enumerate(zip(results, node.out_specs)):
-            if tuple(arr.shape) != spec.shape:
+            if tuple(arr.shape) != spec.shape or arr.dtype != spec.dtype:
                 raise ExecutionError(
-                    f"{node.name} output {i}: kernel produced shape "
-                    f"{arr.shape}, spec says {spec.shape}"
+                    f"{node.name} output {i}: kernel produced "
+                    f"{arr.dtype}{arr.shape}, spec says "
+                    f"{spec.dtype}{spec.shape}"
+                )
+            # An ``out=`` op's plan writes a C-ordered buffer; its
+            # ``compute`` must hand downstream reductions the same order.
+            if node.op.supports_out and not arr.flags.c_contiguous:
+                raise ExecutionError(
+                    f"{node.name} output {i}: kernel produced a "
+                    f"non-C-contiguous array"
                 )
             values[(node.uid, i)] = arr
     return [values[t.key] for t in outputs]

@@ -159,8 +159,8 @@ class TestLifetimeSanitizer:
         )
         tg = build_nmt(cfg).graph
         order = schedule(tg.outputs)
-        plan = CompiledPlan(order, tg.outputs, arena=Arena(),
-                            batch_gemms=True)
+        plan = CompiledPlan(order, tg.outputs, arena=Arena(), threads=2)
+        assert plan.batched_gemm_groups > 0
         assert check_lifetimes(plan) == []
 
     def test_corrupted_slot_assignment_is_lt103(self):

@@ -17,6 +17,7 @@ from repro.runtime import (
     graph_signature,
     schedule,
 )
+from repro.runtime.lowering import _fuse_chains
 from tests.helpers import AboveGateDevice, reference_run
 
 
@@ -59,17 +60,14 @@ class TestParity:
         model = small_lm()
         params = model.store.initialize(seed=2)
         feeds = lm_feeds(model.config)
-        fused = GraphExecutor(
-            model.graph.outputs, plan_cache=PlanCache(), fuse=True
-        )
-        unfused = GraphExecutor(
-            model.graph.outputs, plan_cache=PlanCache(), fuse=False
-        )
-        assert fused.plan.fused_chain_count > 0
-        assert unfused.plan.fused_chain_count == 0
+        outputs = model.graph.outputs
+        order = schedule(outputs)
+        fused = CompiledPlan(order, outputs, Arena(), fuse=True)
+        unfused = CompiledPlan(order, outputs, Arena(), fuse=False)
+        assert fused.fused_chain_count > 0
+        assert unfused.fused_chain_count == 0
         for a, b in zip(
-            fused.run(feeds, params).outputs,
-            unfused.run(feeds, params).outputs,
+            fused.run(feeds, params), unfused.run(feeds, params)
         ):
             assert np.array_equal(a, b)
 
@@ -151,7 +149,7 @@ class TestFusion:
                 pass  # structural guarantee checked at compile; smoke only
         # explicit check on the compiled chains:
         plan = ex.plan
-        chains = CompiledPlan._fuse_chains(
+        chains = _fuse_chains(
             [
                 n
                 for n in plan.order
@@ -317,10 +315,10 @@ class TestTemplatedCodegen:
     @pytest.fixture
     def fresh_memo(self, monkeypatch):
         """An empty process memo plus a count of real ``compile`` calls."""
-        import repro.runtime.compiled as compiled_mod
+        import repro.runtime.codegen as codegen_mod
 
-        memo = compiled_mod.TemplateMemo()
-        monkeypatch.setattr(compiled_mod, "TEMPLATES", memo)
+        memo = codegen_mod.TemplateMemo()
+        monkeypatch.setattr(codegen_mod, "TEMPLATES", memo)
         compiles = []
 
         def spy(src, filename, mode):
@@ -328,7 +326,7 @@ class TestTemplatedCodegen:
             return compile(src, filename, mode)
 
         # a module global shadows the builtin for this module only
-        monkeypatch.setattr(compiled_mod, "compile", spy, raising=False)
+        monkeypatch.setattr(codegen_mod, "compile", spy, raising=False)
         return memo, compiles
 
     def test_four_nmt_buckets_share_templates(self, fresh_memo):
@@ -413,7 +411,7 @@ class TestTemplatedCodegen:
                 assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_memo_is_bounded_first_in_first_out(self):
-        from repro.runtime.compiled import TemplateMemo
+        from repro.runtime.codegen import TemplateMemo
 
         memo = TemplateMemo(limit=3)
         sources = [f"def step(regs, _v{i}):\n    return _v{i}\n"
@@ -427,7 +425,7 @@ class TestTemplatedCodegen:
         import threading
         from types import FunctionType
 
-        from repro.runtime.compiled import TemplateMemo
+        from repro.runtime.codegen import TemplateMemo
 
         memo = TemplateMemo(limit=8)
         sources = [f"def step(regs, _v{i}):\n    return regs + {i}\n"

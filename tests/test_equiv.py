@@ -76,8 +76,7 @@ def _batched_plan():
     out = O.reduce_mean(O.add(O.matmul(x1, w), O.matmul(x2, w)))
     outputs = [out]
     order = schedule(outputs)
-    plan = CompiledPlan(order, outputs, Arena(), fuse=False,
-                        batch_gemms=True)
+    plan = CompiledPlan(order, outputs, Arena(), fuse=False, threads=2)
     assert plan.lowering.witnesses.batches, "fixture must batch"
     return plan
 
@@ -140,8 +139,8 @@ class TestCleanMatrix:
             "w1": rng.standard_normal((12, 16)).astype(np.float32),
             "w2": rng.standard_normal((4, 12)).astype(np.float32),
         }
-        # The un-rewritten graph, walked without any plan: Echo, batching
-        # and threads must all leave its bits alone.
+        # The un-rewritten graph, walked without any plan: Echo and
+        # threads (which batch GEMMs) must all leave its bits alone.
         reference = reference_run(_mlp_graph().outputs, feeds, params)
         for echo in (False, True):
             tg = _mlp_graph()
@@ -150,22 +149,19 @@ class TestCleanMatrix:
             outs = tg.outputs
             order = schedule(outs)
             for threads in (1, 4):
-                for batch in (False, True):
-                    plan = CompiledPlan(
-                        order, outs, Arena(), threads=threads,
-                        batch_gemms=batch, device=AboveGateDevice(),
-                    )
-                    tag = (echo, threads, batch)
-                    assert (plan.parallel_level_count > 0) == (
-                        threads > 1
-                    ), tag
-                    assert check_equivalence(plan) == [], tag
-                    set_global_step(0)
-                    got = plan.run(feeds, params)
-                    assert len(got) == len(reference), tag
-                    for ref, arr in zip(reference, got):
-                        assert ref.dtype == arr.dtype, tag
-                        assert np.array_equal(ref, arr), tag
+                plan = CompiledPlan(
+                    order, outs, Arena(), threads=threads,
+                    device=AboveGateDevice(),
+                )
+                tag = (echo, threads)
+                assert (plan.parallel_level_count > 0) == (threads > 1), tag
+                assert check_equivalence(plan) == [], tag
+                set_global_step(0)
+                got = plan.run(feeds, params)
+                assert len(got) == len(reference), tag
+                for ref, arr in zip(reference, got):
+                    assert ref.dtype == arr.dtype, tag
+                    assert np.array_equal(ref, arr), tag
 
     def test_fixture_plans_certify_clean(self):
         assert check_equivalence(_batched_plan()) == []
@@ -351,11 +347,10 @@ class TestRandomPipelines:
         act=st.sampled_from(["tanh", "sigmoid", "relu"]),
         use_dropout=st.booleans(),
         fuse=st.booleans(),
-        batch=st.booleans(),
         threads=st.sampled_from([1, 4]),
     )
     def test_random_training_graph_certifies_clean(
-        self, hidden, depth, act, use_dropout, fuse, batch, threads
+        self, hidden, depth, act, use_dropout, fuse, threads
     ):
         activation = {"tanh": O.tanh, "sigmoid": O.sigmoid,
                       "relu": O.relu}[act]
@@ -378,8 +373,7 @@ class TestRandomPipelines:
         outs = tg.outputs
         order = schedule(outs)
         plan = CompiledPlan(order, outs, Arena(), fuse=fuse,
-                            threads=threads, batch_gemms=batch,
-                            device=AboveGateDevice())
+                            threads=threads, device=AboveGateDevice())
         assert check_equivalence(plan) == []
 
 

@@ -237,7 +237,7 @@ def _nmt_rank(group, batches):
     params = model.store.initialize(seed=11)
     with DistributedTrainer(
         group, model.graph, params, SGD(0.1),
-        threads=2, batch_gemms=True, device=AboveGateDevice(),
+        threads=2, device=AboveGateDevice(),
         batch_axes={"src_tokens": 1, "tgt_tokens": 1, "tgt_labels": 1},
     ) as trainer:
         records = [trainer.step(feeds) for feeds in batches]

@@ -123,6 +123,23 @@ class TestMatmulForward:
         np.testing.assert_allclose(row, x @ w.T + bias, rtol=1e-5)
         np.testing.assert_allclose(col, row, rtol=1e-5)
 
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("layout", [Layout.ROW_MAJOR, Layout.COL_MAJOR])
+    def test_fully_connected_compute_equals_compute_into(self, layout, bias):
+        x = rng(6).standard_normal((4, 8)).astype(np.float32)
+        w = rng(7).standard_normal((6, 8)).astype(np.float32)
+        inputs = [x, w]
+        tensors = [place("x", x), place("w", w)]
+        if bias:
+            inputs.append(rng(8).standard_normal(6).astype(np.float32))
+            tensors.append(place("b", inputs[-1]))
+        node = O.fully_connected(*tensors, layout=layout).node
+        (got,) = node.op.compute(node, inputs)
+        out = np.empty((4, 6), np.float32)
+        node.op.compute_into(node, inputs, [out])
+        assert got.flags.c_contiguous
+        assert got.dtype == out.dtype and np.array_equal(got, out)
+
     def test_batch_dot(self):
         a = rng(9).standard_normal((2, 3, 5))
         b = rng(10).standard_normal((2, 5, 4))
@@ -371,6 +388,22 @@ class TestDropoutForward:
         x = np.ones((400, 400), np.float32)
         out = run_op(O.dropout(place("x", x), 0.3, seed=1), {"x": x})
         assert abs(out.mean() - 1.0) < 0.02
+
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    def test_mask_takes_the_input_dtype(self, p):
+        masks = {}
+        for dtype in (np.float32, np.float64):
+            x = rng(28).standard_normal((16, 16)).astype(dtype)
+            node = O.dropout(place("x", x), p, seed=3).node
+            y, mask = node.op.compute(node, [x])
+            assert y.dtype == mask.dtype == np.dtype(dtype)
+            scale = dtype(1.0) / dtype(1.0 - p)
+            assert set(np.unique(mask)) <= {0.0, scale}
+            assert np.array_equal(y, x * mask)
+            masks[dtype] = mask
+        # one keep pattern, whatever the dtype
+        assert np.array_equal(masks[np.float32] > 0, masks[np.float64] > 0)
+        assert 0 < np.count_nonzero(masks[np.float64]) < 16 * 16
 
     def test_invalid_probability_rejected(self):
         x = O.placeholder((2, 2), name="dp_x")

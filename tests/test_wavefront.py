@@ -36,6 +36,7 @@ from repro.runtime import (
     schedule,
     shared_pool,
 )
+from repro.runtime.lowering import lower
 from repro.runtime.wavefront import HANDOFF_SECONDS
 from repro.runtime.workers import default_thread_count
 from tests.helpers import AboveGateDevice
@@ -328,7 +329,7 @@ class TestHostSecondsGate:
         # benchmarks/harness/spec.py WORDLM: every wide level is a handful
         # of 1-30 us LSTM-cell kernels (plus one pair of sub-millisecond
         # output-layer GEMMs) — nothing buys back a hand-off, so the
-        # threads=2 plan *is* the serial batched plan.
+        # threads=2 plan *is* its batched lowering baked as one body.
         cfg = WordLmConfig(vocab_size=2000, embed_size=64, hidden_size=64,
                            num_layers=2, seq_len=20, batch_size=16)
         model = build_word_lm(cfg)
@@ -336,35 +337,43 @@ class TestHostSecondsGate:
         order = schedule(outs)
         gated = CompiledPlan(order, outs, Arena(), threads=2,
                              device=DeviceModel())
-        serial = CompiledPlan(order, outs, Arena(), threads=1,
-                              batch_gemms=True)
+        low = lower(order, outs, Arena(), threads=2)
         assert gated.wavefront_level_count > 0
         assert gated.parallel_level_count == 0
         assert gated.gated_level_count > 100
         assert gated.wavefront_saving_seconds == 0.0
         assert gated._program is None
-        assert gated.batched_gemm_groups == serial.batched_gemm_groups > 0
-        assert gated.instruction_kinds == serial.instruction_kinds
-        assert (gated._body.__code__.co_code
-                == serial._body.__code__.co_code)
-        assert gated.static_storage_bytes == serial.static_storage_bytes
+        assert gated.lowering.program_layout is None
+        assert gated.batched_gemm_groups > 0
+        assert [d["kind"] for d in gated.lowering.descs] == [
+            d["kind"] for d in low.descs
+        ]
+        # one straight-line body over every step, clears inlined
+        assert gated._body.__defaults__ == tuple(gated._steps)
+        assert gated.lowering.clears_at == low.clears_at
+        assert gated.static_storage_bytes == sum(low.static_bases.values())
 
     def test_large_independent_gemms_stay_parallel(self):
-        # Four independent 512^3 sgemms (~2.7 ms each on the host
-        # roofline): a 2-way split saves ~5 ms for one hand-off.
+        # Four independent ~512^3 sgemms (~2.7 ms each on the host
+        # roofline): a 2-way split saves ~5 ms for one hand-off. Distinct
+        # inner dimensions keep the batcher from stacking them.
         rng = np.random.default_rng(0)
-        x = O.placeholder((512, 512), np.float32, name="gx")
-        ws = [O.variable((512, 512), np.float32, name=f"gw{i}")
-              for i in range(4)]
-        prods = [O.matmul(x, w) for w in ws]
+        inner = (448, 480, 512, 544)
+        xs = [O.placeholder((512, k), np.float32, name=f"gx{i}")
+              for i, k in enumerate(inner)]
+        ws = [O.variable((k, 512), np.float32, name=f"gw{i}")
+              for i, k in enumerate(inner)]
+        prods = [O.matmul(x, w) for x, w in zip(xs, ws)]
         outs = [O.add(O.add(prods[0], prods[1]), O.add(prods[2], prods[3]))]
         order = schedule(outs)
-        feeds = {"gx": rng.standard_normal((512, 512)).astype(np.float32)}
-        params = {f"gw{i}": rng.standard_normal((512, 512)).astype(np.float32)
-                  for i in range(4)}
+        feeds = {f"gx{i}": rng.standard_normal((512, k)).astype(np.float32)
+                 for i, k in enumerate(inner)}
+        params = {f"gw{i}": rng.standard_normal((k, 512)).astype(np.float32)
+                  for i, k in enumerate(inner)}
         serial = CompiledPlan(order, outs, Arena(), threads=1)
         parallel = CompiledPlan(order, outs, Arena(), threads=2,
-                                batch_gemms=False, device=DeviceModel())
+                                device=DeviceModel())
+        assert parallel.batched_gemm_groups == 0
         assert parallel.parallel_level_count >= 1
         assert parallel.wavefront_saving_seconds > 1e-3
         want = serial.run(feeds, params)[0]
@@ -428,8 +437,7 @@ class TestBatchedGemms:
     def test_nmt_attention_gemms_batched(self):
         model = build_nmt(SMALL_NMT)
         order = schedule(model.graph.outputs)
-        plan = CompiledPlan(order, model.graph.outputs, Arena(),
-                            batch_gemms=True)
+        plan = CompiledPlan(order, model.graph.outputs, Arena(), threads=2)
         assert plan.batched_gemm_groups > 0
         assert plan.batched_gemm_nodes >= 2 * plan.batched_gemm_groups
         assert plan.instruction_kinds["batched"] == plan.batched_gemm_groups
@@ -441,7 +449,8 @@ class TestBatchedGemms:
         order = schedule(model.graph.outputs)
         plain = CompiledPlan(order, model.graph.outputs, Arena())
         batched = CompiledPlan(order, model.graph.outputs, Arena(),
-                               batch_gemms=True)
+                               threads=2)
+        assert batched.batched_gemm_groups > 0
         set_global_step(0)
         want = plain.run(feeds, params)
         for _ in range(3):
@@ -454,7 +463,7 @@ class TestBatchedGemms:
         x = O.placeholder((4, 4), np.float64, name="bx")
         w = O.variable((4, 4), np.float64, name="bw")
         outs = [O.matmul(x, w), O.matmul(w, x)]
-        plan = CompiledPlan(schedule(outs), outs, Arena(), batch_gemms=True)
+        plan = CompiledPlan(schedule(outs), outs, Arena(), threads=2)
         assert plan.batched_gemm_groups == 0  # both escape as outputs
         got = plan.run({"bx": np.eye(4)}, {"bw": np.arange(16.0).reshape(4, 4)})
         assert np.array_equal(got[0], np.arange(16.0).reshape(4, 4))
