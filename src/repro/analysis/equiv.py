@@ -50,7 +50,7 @@ Findings:
 What is provable: value equality of every register up to the normalized
 theory above (no associativity, no algebraic simplification — exactly
 the identities the executor relies on for bitwise reproduction). What is
-not: kernel implementations themselves (``compute_into`` ≡ ``compute``
+not: kernel implementations themselves (``kernel`` ≡ ``compute``
 is the op contract, tested dynamically), and scheduling/liveness safety,
 which the other five analyzer families own. DESIGN.md §12 documents the
 witness format and these rules.

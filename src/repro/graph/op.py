@@ -16,14 +16,11 @@ Echo pass and the GPU model need:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.graph.node import Node, Tensor, TensorSpec
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 
 class OpError(RuntimeError):
@@ -37,24 +34,24 @@ class Op:
     name: str = "op"
     #: whether the Echo pass may mirror this op into the backward pass
     recompute_cheap: bool = False
-    #: whether :meth:`compute_into` avoids allocating its outputs (the
-    #: compiled executor only routes arena buffers to ops that opt in)
+    #: whether :meth:`kernel` writes its outputs without allocating them
+    #: (the compiled executor only routes arena buffers to ops that opt in)
     supports_out: bool = False
     #: whether the compiled plan's elementwise fusion pass may absorb this
     #: op into a single-buffer chain (single-output elementwise ops only)
     fusion_eligible: bool = False
     #: whether a fusion chain may *start* at this op although it is not
-    #: elementwise: a single-output ``out=`` kernel that never reads its
+    #: elementwise: a single-output :meth:`kernel` that never reads its
     #: output buffer and declares no ``inplace_operands`` (the GEMM
     #: family), so the chain's accumulator can be its destination while
     #: its inputs stay untouched
     fusion_head: bool = False
-    #: input positions whose buffer may *be* the output buffer when
-    #: :meth:`compute_into` runs: the kernel is done reading that input
-    #: wherever it has started writing (elementwise ops — element i of the
-    #: output depends only on element i of these inputs — and kernels that
-    #: consume the operand in one elementwise first pass); fusion chains
-    #: only thread the accumulator through these positions
+    #: input positions whose buffer may *be* the output buffer when the
+    #: :meth:`kernel` runs: it is done reading that input wherever it has
+    #: started writing (elementwise ops — element i of the output depends
+    #: only on element i of these inputs — and kernels that consume the
+    #: operand in one elementwise first pass); fusion chains only thread
+    #: the accumulator through these positions
     inplace_operands: tuple[int, ...] = ()
     #: whether :meth:`compute` may return a view of an input (reshape,
     #: expand_dims) — such outputs share their input's storage and the
@@ -89,24 +86,27 @@ class Op:
         """Run the numpy kernel; must return one array per output."""
         raise NotImplementedError
 
-    def compute_into(
-        self,
-        node: Node,
-        inputs: Sequence[np.ndarray],
-        outs: Sequence[np.ndarray],
-    ) -> None:
-        """Run the kernel writing results into pre-allocated ``outs``.
+    def kernel(self, node: Node) -> Callable[..., None]:
+        """The kernel of ``node`` as a bare ``k(*inputs, *outs)`` callable.
 
-        Must be bitwise-identical to :meth:`compute`. The generic fallback
-        materializes :meth:`compute`'s results first and copies, which is
-        always alias-safe (inputs are fully read before any write);
-        subclasses that set ``supports_out`` override it with a
-        zero-allocation path.
+        Called once per instruction when a plan is baked: ``k`` writes the
+        node's results into pre-allocated ``outs`` and must be
+        bitwise-identical to :meth:`compute`, with every attribute
+        (transpose flags, layout, axis, index tuples, scalars) resolved
+        here, not on each call. Where the kernel is a plain ufunc it is
+        returned as is, so no Python frame runs. This default materializes
+        :meth:`compute`'s results and copies, which is always alias-safe
+        (inputs are fully read before any write); ops that set
+        ``supports_out`` override it with a zero-allocation kernel.
         """
-        results = self.compute(node, inputs)
-        for out, arr in zip(outs, results):
-            if out is not arr:
-                np.copyto(out, arr, casting="unsafe")
+        compute, n_in = self.compute, len(node.inputs)
+
+        def k(*arrays):
+            for out, arr in zip(arrays[n_in:], compute(node, arrays[:n_in])):
+                if out is not arr:
+                    np.copyto(out, arr, casting="unsafe")
+
+        return k
 
     # -- cost hooks ----------------------------------------------------------
 

@@ -58,8 +58,8 @@ class TanhOp(_ElementwiseSameShape):
     def compute(self, node, inputs):
         return [np.tanh(inputs[0])]
 
-    def compute_into(self, node, inputs, outs):
-        np.tanh(inputs[0], out=outs[0])
+    def kernel(self, node):
+        return np.tanh
 
     def gradient(self, node, out_grads):
         (dy,) = out_grads
@@ -85,11 +85,13 @@ class TanhGradOp(Op):
         y, dy = inputs
         return [np.asarray(dy * (1.0 - y * y), dtype=y.dtype)]
 
-    def compute_into(self, node, inputs, outs):
-        y, dy = inputs
-        t = np.multiply(y, y)
-        np.subtract(1.0, t, out=t)
-        np.multiply(dy, t, out=outs[0])
+    def kernel(self, node):
+        def k(y, dy, out):
+            t = np.multiply(y, y)
+            np.subtract(1.0, t, out=t)
+            np.multiply(dy, t, out=out)
+
+        return k
 
 
 class SigmoidOp(_ElementwiseSameShape):
@@ -98,8 +100,8 @@ class SigmoidOp(_ElementwiseSameShape):
     def compute(self, node, inputs):
         return [np.asarray(_sigmoid(inputs[0]), dtype=inputs[0].dtype)]
 
-    def compute_into(self, node, inputs, outs):
-        _sigmoid_into(inputs[0], outs[0])
+    def kernel(self, node):
+        return _sigmoid_into
 
     def gradient(self, node, out_grads):
         (dy,) = out_grads
@@ -125,11 +127,13 @@ class SigmoidGradOp(Op):
         y, dy = inputs
         return [np.asarray(dy * y * (1.0 - y), dtype=y.dtype)]
 
-    def compute_into(self, node, inputs, outs):
-        y, dy = inputs
-        t = np.subtract(1.0, y)
-        np.multiply(dy, y, out=outs[0])
-        np.multiply(outs[0], t, out=outs[0])
+    def kernel(self, node):
+        def k(y, dy, out):
+            t = np.subtract(1.0, y)
+            np.multiply(dy, y, out=out)
+            np.multiply(out, t, out=out)
+
+        return k
 
 
 class ReluOp(_ElementwiseSameShape):
@@ -138,8 +142,8 @@ class ReluOp(_ElementwiseSameShape):
     def compute(self, node, inputs):
         return [np.maximum(inputs[0], 0.0)]
 
-    def compute_into(self, node, inputs, outs):
-        np.maximum(inputs[0], 0.0, out=outs[0])
+    def kernel(self, node):
+        return lambda x, out: np.maximum(x, 0.0, out=out)
 
     def gradient(self, node, out_grads):
         (dy,) = out_grads
@@ -165,10 +169,8 @@ class ReluGradOp(Op):
         x, dy = inputs
         return [np.asarray(dy * (x > 0.0), dtype=x.dtype)]
 
-    def compute_into(self, node, inputs, outs):
-        x, dy = inputs
-        m = np.greater(x, 0.0)
-        np.multiply(dy, m, out=outs[0])
+    def kernel(self, node):
+        return lambda x, dy, out: np.multiply(dy, np.greater(x, 0.0), out=out)
 
 
 _TANH = register(TanhOp())

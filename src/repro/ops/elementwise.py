@@ -7,7 +7,8 @@ Echo recomputation targets (broadcast arithmetic, scaling, masking).
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from functools import partial
+from typing import Sequence
 
 import numpy as np
 
@@ -40,7 +41,7 @@ class BinaryOp(Op):
     fusion_eligible = True
     inplace_operands = (0, 1)
 
-    def __init__(self, name: str, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+    def __init__(self, name: str, fn: np.ufunc):
         self.name = name
         self._fn = fn
 
@@ -57,14 +58,14 @@ class BinaryOp(Op):
         out = self._fn(inputs[0], inputs[1])
         return [np.asarray(out, dtype=node.out_specs[0].dtype)]
 
-    def compute_into(self, node, inputs, outs):
-        try:
-            self._fn(inputs[0], inputs[1], out=outs[0])
-        except TypeError:
-            # Result dtype not castable same-kind into the out buffer
-            # (e.g. integer division); fall back to compute-and-copy,
-            # which applies the same unsafe cast ``compute`` does.
-            super().compute_into(node, inputs, outs)
+    def kernel(self, node):
+        # Same-dtype float loops write ``out=`` exactly as ``compute``
+        # computes; any other result dtype (integer division, say) takes
+        # the compute-and-copy fallback, which applies the same unsafe
+        # cast ``compute`` does.
+        if node.out_specs[0].dtype.kind == "f":
+            return self._fn
+        return super().kernel(node)
 
 
 class _AddOp(BinaryOp):
@@ -121,7 +122,8 @@ class _DivOp(BinaryOp):
 
 
 class ScalarOp(Op):
-    """Elementwise op combining a tensor with a python scalar attribute."""
+    """Elementwise ufunc combining a tensor with a python scalar attribute
+    (``ufunc(x, c)``, or ``ufunc(c, x)`` when ``scalar_first``)."""
 
     recompute_cheap = True
     supports_out = True
@@ -129,40 +131,36 @@ class ScalarOp(Op):
     inplace_operands = (0,)
 
     def __init__(
-        self,
-        name: str,
-        fn: Callable[[np.ndarray, float], np.ndarray],
-        into_fn: Callable[[np.ndarray, float, np.ndarray], None] | None = None,
+        self, name: str, ufunc: np.ufunc, scalar_first: bool = False
     ) -> None:
         self.name = name
-        self._fn = fn
-        self._into_fn = into_fn
+        self._ufunc = ufunc
+        self._scalar_first = scalar_first
 
     def infer_specs(self, node: Node) -> Sequence[TensorSpec]:
         (a,) = node.inputs
         return [TensorSpec(a.shape, a.dtype)]
 
     def compute(self, node: Node, inputs: Sequence[np.ndarray]) -> list[np.ndarray]:
-        out = self._fn(inputs[0], node.attrs["scalar"])
+        c = node.attrs["scalar"]
+        if self._scalar_first:
+            out = self._ufunc(c, inputs[0])
+        else:
+            out = self._ufunc(inputs[0], c)
         return [np.asarray(out, dtype=node.out_specs[0].dtype)]
 
-    def compute_into(self, node, inputs, outs):
-        if self._into_fn is None:
-            super().compute_into(node, inputs, outs)
-            return
-        try:
-            self._into_fn(inputs[0], node.attrs["scalar"], outs[0])
-        except TypeError:
-            super().compute_into(node, inputs, outs)
+    def kernel(self, node):
+        if node.out_specs[0].dtype.kind != "f":
+            return super().kernel(node)
+        ufunc, c = self._ufunc, node.attrs["scalar"]
+        if self._scalar_first:
+            return partial(ufunc, c)  # ufunc(c, x, out)
+        return lambda x, out: ufunc(x, c, out)
 
 
 class _AddScalarOp(ScalarOp):
     def __init__(self) -> None:
-        super().__init__(
-            "add_scalar",
-            lambda x, c: x + c,
-            lambda x, c, out: np.add(x, c, out=out),
-        )
+        super().__init__("add_scalar", np.add)
 
     def gradient(self, node, out_grads):
         (dy,) = out_grads
@@ -171,11 +169,7 @@ class _AddScalarOp(ScalarOp):
 
 class _MulScalarOp(ScalarOp):
     def __init__(self) -> None:
-        super().__init__(
-            "mul_scalar",
-            lambda x, c: x * c,
-            lambda x, c, out: np.multiply(x, c, out=out),
-        )
+        super().__init__("mul_scalar", np.multiply)
 
     def gradient(self, node, out_grads):
         (dy,) = out_grads
@@ -188,11 +182,7 @@ class _RSubScalarOp(ScalarOp):
     """c - x."""
 
     def __init__(self) -> None:
-        super().__init__(
-            "rsub_scalar",
-            lambda x, c: c - x,
-            lambda x, c, out: np.subtract(c, x, out=out),
-        )
+        super().__init__("rsub_scalar", np.subtract, scalar_first=True)
 
     def gradient(self, node, out_grads):
         (dy,) = out_grads
@@ -203,11 +193,7 @@ class _RSubScalarOp(ScalarOp):
 
 class _PowScalarOp(ScalarOp):
     def __init__(self) -> None:
-        super().__init__(
-            "pow_scalar",
-            lambda x, c: np.power(x, c),
-            lambda x, c, out: np.power(x, c, out=out),
-        )
+        super().__init__("pow_scalar", np.power)
 
     def gradient(self, node, out_grads):
         (dy,) = out_grads
@@ -226,7 +212,7 @@ class UnaryOp(Op):
     fusion_eligible = True
     inplace_operands = (0,)
 
-    def __init__(self, name: str, fn: Callable[[np.ndarray], np.ndarray]):
+    def __init__(self, name: str, fn: np.ufunc):
         self.name = name
         self._fn = fn
 
@@ -238,11 +224,10 @@ class UnaryOp(Op):
         out = self._fn(inputs[0])
         return [np.asarray(out, dtype=node.out_specs[0].dtype)]
 
-    def compute_into(self, node, inputs, outs):
-        try:
-            self._fn(inputs[0], out=outs[0])
-        except TypeError:
-            super().compute_into(node, inputs, outs)
+    def kernel(self, node):
+        if node.out_specs[0].dtype.kind == "f":
+            return self._fn
+        return super().kernel(node)
 
 
 class _NegOp(UnaryOp):

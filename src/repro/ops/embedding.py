@@ -28,9 +28,10 @@ class EmbeddingOp(Op):
         weight, indices = inputs
         return [weight[indices]]
 
-    def compute_into(self, node, inputs, outs):
-        weight, indices = inputs
-        np.take(weight, indices, axis=0, out=outs[0])
+    def kernel(self, node):
+        return lambda weight, indices, out: np.take(
+            weight, indices, axis=0, out=out
+        )
 
     def gradient(self, node, out_grads):
         (dy,) = out_grads
@@ -60,12 +61,14 @@ class EmbeddingGradOp(Op):
         np.add.at(dw, indices.reshape(-1), dy.reshape(-1, hidden))
         return [dw]
 
-    def compute_into(self, node, inputs, outs):
-        indices, dy = inputs
+    def kernel(self, node):
         hidden = node.out_specs[0].shape[1]
-        dw = outs[0]
-        dw.fill(0)
-        np.add.at(dw, indices.reshape(-1), dy.reshape(-1, hidden))
+
+        def k(indices, dy, dw):
+            dw.fill(0)
+            np.add.at(dw, indices.reshape(-1), dy.reshape(-1, hidden))
+
+        return k
 
 
 _EMBEDDING = register(EmbeddingOp())

@@ -34,6 +34,18 @@ def _split_gates(gates: np.ndarray) -> tuple[np.ndarray, ...]:
     )
 
 
+def _lstm_gates_into(gates, c_prev, h_out, c_out):
+    i, f, g, o = _split_gates(gates)
+    # Same expression tree as ``compute``: c = (f*c_prev) + (i*g),
+    # h = o * tanh(c); the gate temporaries i/g are dead afterwards and
+    # double as scratch.
+    np.multiply(f, c_prev, out=c_out)
+    np.multiply(i, g, out=i)
+    np.add(c_out, i, out=c_out)
+    np.tanh(c_out, out=g)
+    np.multiply(o, g, out=h_out)
+
+
 class LstmGatesOp(Op):
     """(h, c) = LSTMPointwise(gates [B x 4H], c_prev [B x H])."""
 
@@ -64,18 +76,8 @@ class LstmGatesOp(Op):
         dtype = gates.dtype
         return [np.asarray(h, dtype=dtype), np.asarray(c, dtype=dtype)]
 
-    def compute_into(self, node, inputs, outs):
-        gates, c_prev = inputs
-        h_out, c_out = outs
-        i, f, g, o = _split_gates(gates)
-        # Same expression tree as ``compute``: c = (f*c_prev) + (i*g),
-        # h = o * tanh(c); the gate temporaries i/g are dead afterwards
-        # and double as scratch.
-        np.multiply(f, c_prev, out=c_out)
-        np.multiply(i, g, out=i)
-        np.add(c_out, i, out=c_out)
-        np.tanh(c_out, out=g)
-        np.multiply(o, g, out=h_out)
+    def kernel(self, node):
+        return _lstm_gates_into
 
     def gradient(self, node, out_grads):
         from repro.ops.source import zeros
@@ -149,22 +151,28 @@ class LstmGatesGradOp(Op):
             np.asarray(dc_prev, dtype=dtype),
         ]
 
-    def compute_into(self, node, inputs, outs):
-        gates, c_prev, c, dh, dc = inputs
-        dgates_out, dc_prev_out = outs
-        i, f, g, o = _split_gates(gates)
-        tanh_c = np.tanh(c)
-        dc_total = dc + dh * o * (1.0 - tanh_c * tanh_c)
-        do = dh * tanh_c
-        di = dc_total * g
-        df = dc_total * c_prev
-        dg = dc_total * i
-        np.multiply(dc_total, f, out=dc_prev_out)
-        h = gates.shape[-1] // 4
-        dgates_out[:, 0 * h:1 * h] = di * i * (1.0 - i)
-        dgates_out[:, 1 * h:2 * h] = df * f * (1.0 - f)
-        dgates_out[:, 2 * h:3 * h] = dg * (1.0 - g * g)
-        dgates_out[:, 3 * h:4 * h] = do * o * (1.0 - o)
+    def kernel(self, node):
+        h = node.out_specs[1].shape[-1]
+        # ``[:, j*h:(j+1)*h]`` for the four gate blocks of ``dgates``
+        bi, bf, bg, bo = [
+            (slice(None), slice(j * h, (j + 1) * h)) for j in range(4)
+        ]
+
+        def k(gates, c_prev, c, dh, dc, dgates_out, dc_prev_out):
+            i, f, g, o = _split_gates(gates)
+            tanh_c = np.tanh(c)
+            dc_total = dc + dh * o * (1.0 - tanh_c * tanh_c)
+            do = dh * tanh_c
+            di = dc_total * g
+            df = dc_total * c_prev
+            dg = dc_total * i
+            np.multiply(dc_total, f, out=dc_prev_out)
+            dgates_out[bi] = di * i * (1.0 - i)
+            dgates_out[bf] = df * f * (1.0 - f)
+            dgates_out[bg] = dg * (1.0 - g * g)
+            dgates_out[bo] = do * o * (1.0 - o)
+
+        return k
 
     def flops(self, node: Node) -> int:
         return 20 * node.inputs[0].spec.num_elements

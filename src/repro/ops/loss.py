@@ -77,7 +77,7 @@ class SoftmaxCrossEntropyGradOp(Op):
 
     name = "softmax_cross_entropy_grad"
     supports_out = True
-    #: ``compute_into`` reads the logits only through the first
+    #: ``kernel`` reads the logits only through the first
     #: ``np.subtract(logits, rowmax, out=grad)`` — the row max is a
     #: temporary taken before it — so ``grad`` may *be* the logits buffer
     inplace_operands = (0,)
@@ -98,20 +98,25 @@ class SoftmaxCrossEntropyGradOp(Op):
         grad *= np.float32(dloss) / count
         return [np.asarray(grad, dtype=logits.dtype)]
 
-    def compute_into(self, node, inputs, outs):
-        logits, labels, dloss = inputs
-        grad = outs[0]
-        # softmax_array written into the out buffer, then the same
-        # in-place adjustments ``compute`` applies to its fresh probs.
-        np.subtract(logits, np.max(logits, axis=-1, keepdims=True), out=grad)
-        np.exp(grad, out=grad)
-        np.divide(grad, np.sum(grad, axis=-1, keepdims=True), out=grad)
-        valid = labels != node.attrs["ignore_label"]
-        count = max(int(valid.sum()), 1)
-        rows = np.arange(logits.shape[0])[valid]
-        grad[rows, labels[valid]] -= 1.0
-        grad[~valid] = 0.0
-        grad *= np.float32(dloss) / count
+    def kernel(self, node):
+        ignore_label = node.attrs["ignore_label"]
+
+        def k(logits, labels, dloss, grad):
+            # softmax_array written into the out buffer, then the same
+            # in-place adjustments ``compute`` applies to its fresh probs.
+            np.subtract(
+                logits, np.max(logits, axis=-1, keepdims=True), out=grad
+            )
+            np.exp(grad, out=grad)
+            np.divide(grad, np.sum(grad, axis=-1, keepdims=True), out=grad)
+            valid = labels != ignore_label
+            count = max(int(valid.sum()), 1)
+            rows = np.arange(logits.shape[0])[valid]
+            grad[rows, labels[valid]] -= 1.0
+            grad[~valid] = 0.0
+            grad *= np.float32(dloss) / count
+
+        return k
 
 
 _SOFTMAX_CROSS_ENTROPY = register(SoftmaxCrossEntropyOp())

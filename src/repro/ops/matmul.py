@@ -55,13 +55,15 @@ class MatMulOp(Op):
             b = b.T
         return [np.asarray(a @ b, dtype=node.out_specs[0].dtype)]
 
-    def compute_into(self, node, inputs, outs):
-        a, b = inputs
-        if node.attrs["ta"]:
-            a = a.T
-        if node.attrs["tb"]:
-            b = b.T
-        np.matmul(a, b, out=outs[0])
+    def kernel(self, node):
+        ta, tb = node.attrs["ta"], node.attrs["tb"]
+        if ta and tb:
+            return lambda a, b, out: np.matmul(a.T, b.T, out=out)
+        if ta:
+            return lambda a, b, out: np.matmul(a.T, b, out=out)
+        if tb:
+            return lambda a, b, out: np.matmul(a, b.T, out=out)
+        return np.matmul
 
     def gradient(self, node, out_grads):
         (dy,) = out_grads
@@ -142,13 +144,18 @@ class BatchDotOp(Op):
             b = np.swapaxes(b, 1, 2)
         return [np.asarray(a @ b, dtype=node.out_specs[0].dtype)]
 
-    def compute_into(self, node, inputs, outs):
-        a, b = inputs
-        if node.attrs["ta"]:
-            a = np.swapaxes(a, 1, 2)
-        if node.attrs["tb"]:
-            b = np.swapaxes(b, 1, 2)
-        np.matmul(a, b, out=outs[0])
+    def kernel(self, node):
+        ta, tb = node.attrs["ta"], node.attrs["tb"]
+        swap = np.swapaxes
+        if ta and tb:
+            return lambda a, b, out: np.matmul(
+                swap(a, 1, 2), swap(b, 1, 2), out=out
+            )
+        if ta:
+            return lambda a, b, out: np.matmul(swap(a, 1, 2), b, out=out)
+        if tb:
+            return lambda a, b, out: np.matmul(a, swap(b, 1, 2), out=out)
+        return np.matmul
 
     def gradient(self, node, out_grads):
         (dy,) = out_grads
@@ -218,24 +225,25 @@ class FullyConnectedOp(Op):
             y = x @ w.T
         if len(inputs) == 3:
             y = y + inputs[2]
-        # C-ordered like the buffer ``compute_into`` fills: the COL_MAJOR
+        # C-ordered like the buffer ``kernel`` fills: the COL_MAJOR
         # product is a transposed view, and a reduction downstream rounds
         # in memory order.
         return [np.ascontiguousarray(y, dtype=node.out_specs[0].dtype)]
 
-    def compute_into(self, node, inputs, outs):
-        x, w = inputs[0], inputs[1]
-        out = outs[0]
+    def kernel(self, node):
+        bias = len(node.inputs) == 3
         if node.attrs["layout"] is Layout.COL_MAJOR:
-            y = (w @ x.T).T
-            if len(inputs) == 3:
-                np.add(y, inputs[2], out=out)
-            else:
-                np.copyto(out, y)
-        else:
+            if bias:
+                return lambda x, w, b, out: np.add((w @ x.T).T, b, out=out)
+            return lambda x, w, out: np.copyto(out, (w @ x.T).T)
+        if not bias:
+            return lambda x, w, out: np.matmul(x, w.T, out=out)
+
+        def k(x, w, b, out):
             np.matmul(x, w.T, out=out)
-            if len(inputs) == 3:
-                np.add(out, inputs[2], out=out)
+            np.add(out, b, out=out)
+
+        return k
 
     def gradient(self, node, out_grads):
         from repro.ops.reduce import reduce_sum
@@ -282,7 +290,7 @@ def gemm_batch_key(node: Node):
     one stacked ``np.matmul`` over a leading group axis — numerically the
     same per-slice BLAS call, issued once. Returns ``None`` for nodes the
     pre-pass must not touch: non-GEMMs, mixed-dtype GEMMs (whose
-    ``compute_into`` cast path the stacked kernel would not reproduce),
+    ``kernel`` cast path the stacked kernel would not reproduce),
     and empty outputs. The ``layout`` attr is deliberately excluded — it
     steers the *cost model*, not the numerics, and the simulated cost
     stays node-based regardless of batching.

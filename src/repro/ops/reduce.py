@@ -31,15 +31,14 @@ class ReduceSumOp(_ReduceBase):
                      keepdims=node.attrs["keepdims"])
         return [np.asarray(out, dtype=node.out_specs[0].dtype)]
 
-    def compute_into(self, node, inputs, outs):
+    def kernel(self, node):
         # ``out=`` forces accumulation in the out dtype; for floats that
         # matches the default, for ints numpy widens to int64 first, so
         # only the float path keeps bitwise parity with ``compute``.
-        if not np.issubdtype(outs[0].dtype, np.floating):
-            super().compute_into(node, inputs, outs)
-            return
-        np.sum(inputs[0], axis=self._np_axis(node),
-               keepdims=node.attrs["keepdims"], out=outs[0])
+        if node.out_specs[0].dtype.kind != "f":
+            return super().kernel(node)
+        axis, keepdims = self._np_axis(node), node.attrs["keepdims"]
+        return lambda x, out: np.sum(x, axis=axis, keepdims=keepdims, out=out)
 
     def gradient(self, node, out_grads):
         from repro.ops.shape_ops import broadcast_to, reshape
@@ -61,14 +60,12 @@ class ReduceMeanOp(_ReduceBase):
                       keepdims=node.attrs["keepdims"])
         return [np.asarray(out, dtype=node.out_specs[0].dtype)]
 
-    def compute_into(self, node, inputs, outs):
-        if not np.issubdtype(outs[0].dtype, np.floating) or not np.issubdtype(
-            inputs[0].dtype, np.floating
-        ):
-            super().compute_into(node, inputs, outs)
-            return
-        np.mean(inputs[0], axis=self._np_axis(node),
-                keepdims=node.attrs["keepdims"], out=outs[0])
+    def kernel(self, node):
+        # input and output share the dtype (``infer_specs``)
+        if node.out_specs[0].dtype.kind != "f":
+            return super().kernel(node)
+        axis, keepdims = self._np_axis(node), node.attrs["keepdims"]
+        return lambda x, out: np.mean(x, axis=axis, keepdims=keepdims, out=out)
 
     def gradient(self, node, out_grads):
         from repro.ops.elementwise import mul_scalar
@@ -94,9 +91,9 @@ class ReduceMaxOp(_ReduceBase):
                      keepdims=node.attrs["keepdims"])
         return [np.asarray(out, dtype=node.out_specs[0].dtype)]
 
-    def compute_into(self, node, inputs, outs):
-        np.max(inputs[0], axis=self._np_axis(node),
-               keepdims=node.attrs["keepdims"], out=outs[0])
+    def kernel(self, node):
+        axis, keepdims = self._np_axis(node), node.attrs["keepdims"]
+        return lambda x, out: np.max(x, axis=axis, keepdims=keepdims, out=out)
 
     def gradient(self, node, out_grads):
         (dy,) = out_grads

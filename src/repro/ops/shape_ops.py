@@ -16,6 +16,15 @@ from repro.graph import Node, Op, ShapeError, Tensor, TensorSpec, register
 from repro.graph.shapes import broadcast_shapes, normalize_axis, num_elements
 
 
+def _axis_index(node: Node, ndim: int) -> tuple[slice, ...]:
+    """``[begin:end]`` along ``node.attrs["axis"]`` of a rank-``ndim`` array."""
+    index = [slice(None)] * ndim
+    index[normalize_axis(node.attrs["axis"], ndim)] = slice(
+        node.attrs["begin"], node.attrs["end"]
+    )
+    return tuple(index)
+
+
 class ReshapeOp(Op):
     name = "reshape"
     recompute_cheap = True
@@ -64,8 +73,9 @@ class TransposeOp(Op):
     def compute(self, node, inputs):
         return [np.ascontiguousarray(np.transpose(inputs[0], node.attrs["perm"]))]
 
-    def compute_into(self, node, inputs, outs):
-        np.copyto(outs[0], np.transpose(inputs[0], node.attrs["perm"]))
+    def kernel(self, node):
+        perm = node.attrs["perm"]
+        return lambda x, out: np.copyto(out, np.transpose(x, perm))
 
     def gradient(self, node, out_grads):
         (dy,) = out_grads
@@ -99,16 +109,11 @@ class SliceAxisOp(Op):
         return [TensorSpec(shape, x.dtype)]
 
     def compute(self, node, inputs):
-        axis = normalize_axis(node.attrs["axis"], inputs[0].ndim)
-        index = [slice(None)] * inputs[0].ndim
-        index[axis] = slice(node.attrs["begin"], node.attrs["end"])
-        return [np.ascontiguousarray(inputs[0][tuple(index)])]
+        return [np.ascontiguousarray(inputs[0][_axis_index(node, inputs[0].ndim)])]
 
-    def compute_into(self, node, inputs, outs):
-        axis = normalize_axis(node.attrs["axis"], inputs[0].ndim)
-        index = [slice(None)] * inputs[0].ndim
-        index[axis] = slice(node.attrs["begin"], node.attrs["end"])
-        np.copyto(outs[0], inputs[0][tuple(index)])
+    def kernel(self, node):
+        index = _axis_index(node, len(node.out_specs[0].shape))
+        return lambda x, out: np.copyto(out, x[index])
 
     def gradient(self, node, out_grads):
         (dy,) = out_grads
@@ -142,20 +147,17 @@ class SliceAxisGradOp(Op):
     def compute(self, node, inputs):
         (dy,) = inputs
         out = np.zeros(node.attrs["like_shape"], dtype=dy.dtype)
-        axis = normalize_axis(node.attrs["axis"], out.ndim)
-        index = [slice(None)] * out.ndim
-        index[axis] = slice(node.attrs["begin"], node.attrs["end"])
-        out[tuple(index)] = dy
+        out[_axis_index(node, out.ndim)] = dy
         return [out]
 
-    def compute_into(self, node, inputs, outs):
-        (dy,) = inputs
-        out = outs[0]
-        out.fill(0)
-        axis = normalize_axis(node.attrs["axis"], out.ndim)
-        index = [slice(None)] * out.ndim
-        index[axis] = slice(node.attrs["begin"], node.attrs["end"])
-        out[tuple(index)] = dy
+    def kernel(self, node):
+        index = _axis_index(node, len(node.attrs["like_shape"]))
+
+        def k(dy, out):
+            out.fill(0)
+            out[index] = dy
+
+        return k
 
 
 class ConcatOp(Op):
@@ -185,9 +187,12 @@ class ConcatOp(Op):
         axis = normalize_axis(node.attrs["axis"], inputs[0].ndim)
         return [np.concatenate(inputs, axis=axis)]
 
-    def compute_into(self, node, inputs, outs):
-        axis = normalize_axis(node.attrs["axis"], inputs[0].ndim)
-        np.concatenate(inputs, axis=axis, out=outs[0])
+    def kernel(self, node):
+        axis = normalize_axis(node.attrs["axis"], len(node.out_specs[0].shape))
+        n = len(node.inputs)
+        return lambda *arrays: np.concatenate(
+            arrays[:n], axis=axis, out=arrays[n]
+        )
 
     def gradient(self, node, out_grads):
         (dy,) = out_grads
@@ -233,11 +238,15 @@ class SplitOp(Op):
             for part in np.split(inputs[0], node.attrs["sections"], axis=axis)
         ]
 
-    def compute_into(self, node, inputs, outs):
-        axis = normalize_axis(node.attrs["axis"], inputs[0].ndim)
-        parts = np.split(inputs[0], node.attrs["sections"], axis=axis)
-        for out, part in zip(outs, parts):
-            np.copyto(out, part)
+    def kernel(self, node):
+        axis = normalize_axis(node.attrs["axis"], len(node.out_specs[0].shape))
+        sections = node.attrs["sections"]
+
+        def k(x, *outs):
+            for out, part in zip(outs, np.split(x, sections, axis=axis)):
+                np.copyto(out, part)
+
+        return k
 
     def gradient(self, node, out_grads):
         from repro.ops.source import zeros
@@ -279,8 +288,9 @@ class BroadcastToOp(Op):
             )
         ]
 
-    def compute_into(self, node, inputs, outs):
-        np.copyto(outs[0], np.broadcast_to(inputs[0], node.attrs["shape"]))
+    def kernel(self, node):
+        shape = node.attrs["shape"]
+        return lambda x, out: np.copyto(out, np.broadcast_to(x, shape))
 
     def gradient(self, node, out_grads):
         from repro.ops.elementwise import _unbroadcast

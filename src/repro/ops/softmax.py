@@ -38,12 +38,15 @@ class SoftmaxOp(Op):
         out = softmax_array(inputs[0], node.attrs["axis"])
         return [np.asarray(out, dtype=node.out_specs[0].dtype)]
 
-    def compute_into(self, node, inputs, outs):
-        x, out = inputs[0], outs[0]
+    def kernel(self, node):
         axis = node.attrs["axis"]
-        np.subtract(x, np.max(x, axis=axis, keepdims=True), out=out)
-        np.exp(out, out=out)
-        np.divide(out, np.sum(out, axis=axis, keepdims=True), out=out)
+
+        def k(x, out):
+            np.subtract(x, np.max(x, axis=axis, keepdims=True), out=out)
+            np.exp(out, out=out)
+            np.divide(out, np.sum(out, axis=axis, keepdims=True), out=out)
+
+        return k
 
     def gradient(self, node, out_grads):
         (dy,) = out_grads
@@ -81,13 +84,15 @@ class SoftmaxGradOp(Op):
         inner = np.sum(dy * y, axis=axis, keepdims=True)
         return [np.asarray(y * (dy - inner), dtype=y.dtype)]
 
-    def compute_into(self, node, inputs, outs):
-        y, dy = inputs
-        out = outs[0]
+    def kernel(self, node):
         axis = node.attrs["axis"]
-        inner = np.sum(dy * y, axis=axis, keepdims=True)
-        np.subtract(dy, inner, out=out)
-        np.multiply(y, out, out=out)
+
+        def k(y, dy, out):
+            inner = np.sum(dy * y, axis=axis, keepdims=True)
+            np.subtract(dy, inner, out=out)
+            np.multiply(y, out, out=out)
+
+        return k
 
 
 _SOFTMAX = register(SoftmaxOp())

@@ -66,8 +66,8 @@ class ZerosOp(Op):
         spec = node.out_specs[0]
         return [np.zeros(spec.shape, dtype=spec.dtype)]
 
-    def compute_into(self, node, inputs, outs):
-        outs[0].fill(0)
+    def kernel(self, node):
+        return lambda out: out.fill(0)
 
     def gradient(self, node, out_grads):
         return []

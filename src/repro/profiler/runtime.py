@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.runtime.compiled import bind_source
+from repro.runtime.codegen import bind_source
 from repro.runtime.executor import NodeTiming
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

@@ -8,22 +8,27 @@ kernels, static buffers and byte counts are default-argument values, not
 source literals, so every instruction of one form (across timesteps,
 buckets and plans) is instantiated from a single code object in the
 process-wide :data:`TEMPLATES` memo instead of being compiled again
-(``compile()`` was a measured 12% of a cold NMT build). ``out=`` kernels
-write straight into the static buffers the lowering assigned, so
-steady-state iterations allocate only the run's escaping outputs.
+(``compile()`` was a measured 12% of a cold NMT build). Each instruction
+calls its node's :meth:`~repro.graph.Op.kernel`, built once here with
+every attribute resolved, writing straight into the static buffers the
+lowering assigned, so steady-state iterations allocate only the run's
+escaping outputs. Views of static storage are computed once, here, and
+placed in the register file every run starts from
+(:meth:`PlanCodegen.bake_steps`), and one generated binder per plan
+binds the feeds.
 
-Every closure reproduces its op's ``compute`` bit for bit: raw kernels are
-bound only where provably identical to ``compute_into`` (see
-:func:`_raw_kernel`), and a stacked GEMM issues the same per-slice BLAS
-call as the matmuls it replaces.
+Every closure reproduces its op's ``compute`` bit for bit: kernels are
+bitwise-identical to ``compute`` by contract, and a stacked GEMM issues
+the same per-slice BLAS call as the matmuls it replaces.
 """
 
 from __future__ import annotations
 
 import builtins
+import functools
 import threading
 from types import CodeType, FunctionType
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -43,6 +48,24 @@ _CLOSURE_GLOBALS = {"__builtins__": builtins}
 
 class ExecutionError(RuntimeError):
     """Raised on bad feeds or kernel failures."""
+
+
+def bind_source(
+    table: Mapping[str, np.ndarray], node: Node, kind: str
+) -> np.ndarray:
+    """Validate and normalize one feed/param binding (shared error contract)."""
+    if node.name not in table:
+        raise ExecutionError(f"{kind} {node.name!r} was not bound")
+    arr = np.asarray(table[node.name])
+    spec = node.out_specs[0]
+    if tuple(arr.shape) != spec.shape:
+        raise ExecutionError(
+            f"{kind} {node.name!r}: bound shape {arr.shape} != "
+            f"declared {spec.shape}"
+        )
+    if arr.dtype != spec.dtype:
+        arr = arr.astype(spec.dtype)
+    return arr
 
 
 class TemplateMemo:
@@ -91,40 +114,88 @@ def _clear_src(n: int) -> str:
     return "".join([f"\n    regs[_c{j}] = None" for j in range(n)])
 
 
-def _raw_kernel(node: Node):
-    """Bare ``k(*inputs, out)`` callable bypassing ``compute_into``, or None.
+@functools.lru_cache(maxsize=1024)
+def _out_source(n_in: int, n_clear: int, fresh: tuple[bool, ...]) -> str:
+    """``_k(regs[_i0], .., _s0, ..)`` for an ``out`` instruction; output
+    ``j`` is the bound buffer ``_sj``, or allocated from ``_a`` where
+    ``fresh[j]``. Memoized by form: most instructions share a handful."""
+    params, lines = ["_k", "_a"], []
+    for j, is_fresh in enumerate(fresh):
+        if is_fresh:
+            params += [f"_sh{j}", f"_d{j}", f"_nb{j}"]
+            lines.append(f"    _s{j} = _a(_sh{j}, _d{j}, _nb{j})")
+        else:
+            params.append(f"_s{j}")
+    n_out = len(fresh)
+    args = ", ".join(_regs("_i", n_in) + _names("_s", n_out))
+    lines.append(f"    _k({args})")
+    lines += [f"    regs[_o{j}] = _s{j}" for j in range(n_out)]
+    params += [
+        *_names("_i", n_in), *_names("_o", n_out), *_names("_c", n_clear),
+    ]
+    return (
+        f"def step(regs, {', '.join(params)}):\n"
+        + "\n".join(lines) + f"{_clear_src(n_clear)}\n"
+    )
 
-    Only bound when the specialization is provably bit-identical to the
-    op's ``compute_into``: a single output whose dtype exactly matches
-    every input (so the wrapper's cast-fallback path cannot trigger) and a
-    kernel that is a plain ufunc application. This removes one Python call
-    plus argument packing from the hottest instructions.
-    """
-    if len(node.out_specs) != 1:
+
+@functools.lru_cache(maxsize=1024)
+def _fused_source(
+    members: tuple[tuple[bool, ...], ...], fresh: bool, n_clear: int
+) -> str:
+    """A fused chain: one ``_kj(.., buf)`` line per member, streaming the
+    accumulator ``buf`` (``members[j][p]``: operand ``p`` of member ``j``
+    is ``buf``) through the kernels, external operands read through slot
+    parameters numbered along the chain."""
+    lines = ["    buf = _a(_sh, _d, _nb)" if fresh else "    buf = _s"]
+    n_in = 0
+    for j, pattern in enumerate(members):
+        args = []
+        for is_buf in pattern:
+            if is_buf:
+                args.append("buf")
+            else:
+                args.append(f"regs[_i{n_in}]")
+                n_in += 1
+        lines.append(f"    _k{j}({', '.join(args)}, buf)")
+    params = [
+        *_names("_k", len(members)),
+        *(("_a", "_sh", "_d", "_nb") if fresh else ("_s",)),
+        *_names("_i", n_in), "_o", *_names("_c", n_clear),
+    ]
+    return (
+        f"def step(regs, {', '.join(params)}):\n"
+        + "\n".join(lines) + "\n"
+        f"    regs[_o] = buf{_clear_src(n_clear)}\n"
+    )
+
+
+def _fold(
+    desc: dict[str, Any], fixed: dict[int, np.ndarray]
+) -> list[np.ndarray] | None:
+    """The views a ``view`` / ``alias`` descriptor binds, computed at bake
+    time — or None unless its one input is ``fixed`` and every view
+    shares that array's memory (a reshape that copies keeps its step)."""
+    if len(desc["in_slots"]) != 1:
         return None
-    out_dtype = node.out_specs[0].dtype
-    for t in node.inputs:
-        if t.dtype != out_dtype:
+    src = fixed.get(desc["in_slots"][0])
+    if src is None:
+        return None
+    if desc["kind"] == "alias":
+        views = [
+            src if index is None else src[index]
+            for index in desc["alias_index"]
+        ]
+    else:
+        node = desc["node"]
+        if node.op.name == "reshape":
+            views = [src.reshape(node.out_specs[0].shape)]
+        else:
+            views = [node.op.compute(node, [src])[0]]
+    for view in views:
+        if not np.may_share_memory(view, src):
             return None
-    op = node.op
-    fn = getattr(op, "_fn", None)
-    if isinstance(fn, np.ufunc) and fn.nin == len(node.inputs):
-        return fn  # ufuncs take ``out`` positionally
-    into_fn = getattr(op, "_into_fn", None)
-    if into_fn is not None and np.issubdtype(out_dtype, np.floating):
-        scalar = node.attrs["scalar"]
-
-        def k(x, out, _f=into_fn, _c=scalar):
-            _f(x, _c, out)
-
-        return k
-    if op.name == "tanh":
-        return np.tanh
-    if op.name == "sigmoid":
-        from repro.ops.activation import _sigmoid_into
-
-        return _sigmoid_into
-    return None
+    return views
 
 
 class PlanCodegen:
@@ -141,80 +212,121 @@ class PlanCodegen:
         self.plan = plan
         self.arena = arena
         self.lock = threading.Lock() if threads > 1 else None
-        self.steps: list[Callable[[list], None]] = []
+        #: one entry per descriptor, None where a view was folded
+        self.steps: list[Callable[[list], None] | None] = []
         self.templates_compiled = 0
         self.template_hits = 0
 
     def bake_steps(
-        self, low: PlanLowering, clears_at: dict[int, tuple[int, ...]]
-    ) -> list[Callable[[list], None]]:
+        self,
+        low: PlanLowering,
+        clears_at: dict[int, tuple[int, ...]],
+        template: list,
+    ) -> list[Callable[[list], None] | None]:
         """One closure per descriptor; ``clears_at`` inlines register
         clears (empty when a wavefront program re-homes them). Static
         buffers are looked up by alias-group *root*, so in-place-rewritten
-        slots resolve to the dying input's buffer."""
+        slots resolve to the dying input's buffer.
+
+        A ``view`` / ``alias`` descriptor is *folded* — its entry is None
+        and its views are written into ``template``, the register file
+        every run starts from — when its input register holds the same
+        array on every run (a static buffer an earlier step writes, or an
+        earlier folded view) and each view shares that array's memory. Slots
+        are single-assignment, static-rooted registers are never cleared
+        and a static buffer's address is fixed for the plan's life, so the
+        register holds exactly the view the step would have bound.
+        """
         root, static_views = low.root, low.static_views
+        #: slot -> the array its register holds on every run
+        fixed: dict[int, np.ndarray] = {}
         steps = self.steps
         for idx, desc in enumerate(low.descs):
             clear = clears_at.get(idx, ())
             kind = desc["kind"]
-            if kind == "fused":
-                steps.append(
-                    self._make_fused_step(
-                        desc["chain"],
-                        desc["out_slots"][0],
-                        clear,
-                        static_views.get(root[desc["out_slots"][0]]),
-                    )
-                )
-            elif kind == "batched":
-                steps.append(
-                    self._make_batched_step(
-                        desc, clear,
-                        static_views.get(root[desc["out_slots"][0]]),
-                    )
-                )
-            elif kind == "out":
-                steps.append(
-                    self._make_out_step(
-                        desc["node"],
-                        desc["in_slots"],
-                        desc["out_slots"],
-                        clear,
-                        tuple(
-                            static_views.get(root[s])
-                            for s in desc["out_slots"]
-                        ),
-                    )
+            out_slots = desc["out_slots"]
+            if kind == "view" or kind == "alias":
+                views = None if clear else _fold(desc, fixed)
+                if views is not None:
+                    for s, view in zip(out_slots, views):
+                        template[s] = fixed[s] = view
+                    steps.append(None)
+                    continue
+            if kind == "view":
+                step = self._make_view_step(
+                    desc["node"], desc["in_slots"], out_slots, clear
                 )
             elif kind == "alias":
-                steps.append(
-                    self._make_alias_step(
-                        desc["node"],
-                        desc["in_slots"],
-                        desc["out_slots"],
-                        desc["alias_index"],
-                        clear,
-                    )
+                step = self._make_alias_step(
+                    desc["node"], desc["in_slots"], out_slots,
+                    desc["alias_index"], clear,
                 )
-            elif kind == "view":
-                steps.append(
-                    self._make_view_step(
-                        desc["node"], desc["in_slots"], desc["out_slots"], clear
-                    )
-                )
-            else:
+            elif kind == "batched":
+                static = static_views.get(root[out_slots[0]])
+                members = None
+                if static is not None:
+                    members = tuple(static[i] for i in range(len(out_slots)))
+                    fixed.update(zip(out_slots, members))
+                step = self._make_batched_step(desc, clear, static, members)
+            elif kind == "generic":
                 guard = tuple(
                     s
                     for s in dict.fromkeys(desc["in_slots"])
                     if root[s] in static_views
                 )
-                steps.append(
-                    self._make_generic_step(
-                        desc["node"], desc["in_slots"], desc["out_slots"],
-                        clear, guard,
-                    )
+                step = self._make_generic_step(
+                    desc["node"], desc["in_slots"], out_slots, clear, guard
                 )
+            else:
+                statics = [static_views.get(root[s]) for s in out_slots]
+                for s, static in zip(out_slots, statics):
+                    if static is not None:
+                        fixed[s] = static
+                if kind == "fused":
+                    step = self._make_fused_step(
+                        desc["chain"], out_slots[0], clear, statics[0]
+                    )
+                else:
+                    step = self._make_out_step(
+                        desc["node"], desc["in_slots"], out_slots, clear,
+                        statics,
+                    )
+            steps.append(step)
         return steps
+
+    def bake_binder(
+        self, template: list, bindings: Sequence[tuple[int, Node, str]]
+    ) -> Callable[..., list]:
+        """``bind(feeds, params) -> regs``: a copy of ``template`` with every
+        source bound, one unrolled block per ``(slot, node, kind)``.
+
+        A value that is exactly an ``ndarray`` of the declared shape and
+        dtype is bound as is; anything else — a missing key, a list, a
+        subclass, another shape or dtype — goes through
+        :func:`bind_source`, which raises or converts exactly as before.
+        Nothing is cached across runs.
+        """
+        params = ["_t", "_nd", "_bs"]
+        values: list = [template, np.ndarray, bind_source]
+        lines = ["    regs = _t[:]"]
+        for j, (slot, node, kind) in enumerate(bindings):
+            table = "feeds" if kind == "placeholder" else "params"
+            spec = node.out_specs[0]
+            params += [f"_n{j}", f"_sh{j}", f"_d{j}", f"_b{j}", f"_r{j}"]
+            values += [node.name, spec.shape, spec.dtype, node, slot]
+            lines.append(
+                f"    v = {table}.get(_n{j})\n"
+                f"    if type(v) is _nd and v.shape == _sh{j} "
+                f"and v.dtype == _d{j}:\n"
+                f"        regs[_r{j}] = v\n"
+                "    else:\n"
+                f"        regs[_r{j}] = _bs({table}, _b{j}, {kind!r})"
+            )
+        src = (
+            f"def bind(feeds, params, {', '.join(params)}):\n"
+            + "\n".join(lines) + "\n    return regs\n"
+        )
+        return self._bake(src, tuple(values))
 
     def bake_body(
         self, step_indices: Sequence[int], clears: tuple[int, ...]
@@ -223,18 +335,22 @@ class PlanCodegen:
 
         Used for the full serial body, for serial program segments, and
         for parallel chunks (no iterator machinery anywhere in the hot
-        loop). ``clears`` appends register drops after the last step.
-        The source depends only on the two counts, so same-shape plans
-        and equal-sized chunks share one template.
+        loop); folded descriptors have no step and are skipped. ``clears``
+        appends register drops after the last step. The source depends
+        only on the two counts, so same-shape plans and equal-sized chunks
+        share one template.
         """
-        if not step_indices and not clears:
+        all_steps = self.steps
+        steps = [
+            all_steps[i] for i in step_indices if all_steps[i] is not None
+        ]
+        if not steps and not clears:
             return lambda regs: None
-        callees = _names("_s", len(step_indices))
+        callees = _names("_s", len(steps))
         params = ", ".join(("regs",) + callees + _names("_c", len(clears)))
         calls = "".join(f"\n    {name}(regs)" for name in callees)
         src = f"def body({params}):{calls}{_clear_src(len(clears))}\n"
-        steps = self.steps
-        return self._bake(src, (*[steps[i] for i in step_indices], *clears))
+        return self._bake(src, (*steps, *clears))
 
     # -- closure factories ---------------------------------------------------
 
@@ -265,86 +381,29 @@ class PlanCodegen:
         return fn
 
     def _make_out_step(self, node, in_slots, out_slots, clear, statics):
-        acquire_fresh = self.arena.acquire_fresh
-        compute_into = node.op.compute_into
-        specs = [
-            (s.shape, s.dtype, s.nbytes) for s in node.out_specs
-        ]
-        if len(out_slots) == 1:
-            static = statics[0]
-            shape, dtype, nbytes = specs[0]
-            kernel = _raw_kernel(node)
-            n_in = len(in_slots)
-            args = ", ".join(_regs("_i", n_in))
-            operands = f"({args},)" if n_in == 1 else f"({args})"
-            # With a static buffer the step has no allocator at all — the
-            # output array is a default-argument constant.
-            if static is not None and kernel is not None:
-                head, values = "_k, _s", (kernel, static)
-                work = f"_k({args}, _s)\n    regs[_o] = _s"
-            elif static is not None:
-                head, values = "_n, _f, _s", (node, compute_into, static)
-                work = f"_f(_n, {operands}, (_s,))\n    regs[_o] = _s"
-            elif kernel is not None:
-                head = "_a, _sh, _d, _nb, _k"
-                values = (acquire_fresh, shape, dtype, nbytes, kernel)
-                work = (
-                    f"out = _a(_sh, _d, _nb)\n    _k({args}, out)\n"
-                    "    regs[_o] = out"
-                )
+        """The node's kernel writes each output into its static buffer, or
+        into an array fresh from the arena where the output has none."""
+        values = [node.op.kernel(node), self.arena.acquire_fresh]
+        fresh: tuple[bool, ...] = ()
+        for static, spec in zip(statics, node.out_specs):
+            if static is None:
+                values += [spec.shape, spec.dtype, spec.nbytes]
             else:
-                head = "_a, _sh, _d, _nb, _n, _f"
-                values = (
-                    acquire_fresh, shape, dtype, nbytes, node, compute_into,
-                )
-                work = (
-                    "out = _a(_sh, _d, _nb)\n"
-                    f"    _f(_n, {operands}, (out,))\n    regs[_o] = out"
-                )
-            slots = ", ".join(
-                _names("_i", n_in) + ("_o",) + _names("_c", len(clear))
-            )
-            src = (
-                f"def step(regs, {head}, {slots}):\n"
-                f"    {work}{_clear_src(len(clear))}\n"
-            )
-            return self._bake(
-                src, (*values, *in_slots, out_slots[0], *clear), node
-            )
+                values.append(static)
+            fresh += (static is None,)
+        src = _out_source(len(in_slots), len(clear), fresh)
+        values += [*in_slots, *out_slots, *clear]
+        return self._bake(src, tuple(values), node)
 
-        if all(st is not None for st in statics):
-
-            def step(regs):
-                compute_into(node, [regs[s] for s in in_slots], statics)
-                for s, arr in zip(out_slots, statics):
-                    regs[s] = arr
-                for s in clear:
-                    regs[s] = None
-
-        else:
-
-            def step(regs):
-                outs = [
-                    st if st is not None else acquire_fresh(sh, dt, nb)
-                    for st, (sh, dt, nb) in zip(statics, specs)
-                ]
-                compute_into(node, [regs[s] for s in in_slots], outs)
-                for s, arr in zip(out_slots, outs):
-                    regs[s] = arr
-                for s in clear:
-                    regs[s] = None
-
-        step._node = node
-        return step
-
-    def _make_batched_step(self, desc, clear, static):
+    def _make_batched_step(self, desc, clear, static, members):
         """One stacked GEMM instruction covering a batched group.
 
         Member inputs are copied into permanent scratch stacks (skipped
         when the operand is shared by every member — the attention-scoring
         case, where one key matrix serves all decoder steps), the stacked
         kernel runs once, and each member's register receives its slice of
-        the stacked result.
+        the stacked result: ``members``, the slices of the ``static``
+        stack, or slices of a fresh one.
         """
         node = desc["node"]
         group = len(desc["out_slots"])
@@ -382,7 +441,7 @@ class PlanCodegen:
 
         if static is not None:
             params += ["_ov", "_S"]
-            values += [tuple(static[i] for i in range(group)), static]
+            values += [members, static]
             lines.append(f"        _mm({a_expr}, {b_expr}, out=_S)")
             result = "_ov"
         else:
@@ -417,55 +476,26 @@ class PlanCodegen:
 
     def _make_fused_step(self, chain, out_slot, clear, static):
         tail = chain[-1][1]
-        spec = tail.out_specs[0]
-        shape, dtype, nbytes = spec.shape, spec.dtype, spec.nbytes
-        # The chain body is fully unrolled: one source line per member,
-        # streaming the accumulator ``buf`` through the kernels. Members
-        # with a bindable raw kernel (see :func:`_raw_kernel`) skip the
-        # ``compute_into`` wrapper entirely. External operands are read
-        # through slot parameters numbered along the chain.
-        params: list[str] = []
-        values: list = []
-        in_slots: list[int] = []
-        lines = []
-        for j, (op, node, pattern) in enumerate(chain):
-            args = []
+        kernels, in_slots = [], []
+        members: tuple[tuple[bool, ...], ...] = ()
+        for op, node, pattern in chain:
+            kernels.append(op.kernel(node))
+            member: tuple[bool, ...] = ()
             for s in pattern:
-                if s < 0:
-                    args.append("buf")
-                else:
-                    args.append(f"regs[_i{len(in_slots)}]")
+                member += (s < 0,)
+                if s >= 0:
                     in_slots.append(s)
-            args = ", ".join(args)
-            kernel = _raw_kernel(node)
-            if kernel is not None:
-                params.append(f"_k{j}")
-                values.append(kernel)
-                lines.append(f"    _k{j}({args}, buf)")
-            else:
-                params += [f"_f{j}", f"_n{j}"]
-                values += [op.compute_into, node]
-                comma = "," if len(pattern) == 1 else ""
-                lines.append(f"    _f{j}(_n{j}, ({args}{comma}), (buf,))")
-        if static is not None:
-            params.append("_s")
-            values.append(static)
-            alloc = "    buf = _s"
+            members += (member,)
+        if static is None:
+            spec = tail.out_specs[0]
+            buffer = (self.arena.acquire_fresh, spec.shape, spec.dtype,
+                      spec.nbytes)
         else:
-            params += ["_a", "_sh", "_d", "_nb"]
-            values += [self.arena.acquire_fresh, shape, dtype, nbytes]
-            alloc = "    buf = _a(_sh, _d, _nb)"
-        params += [
-            *_names("_i", len(in_slots)), "_o", *_names("_c", len(clear)),
-        ]
-        values += [*in_slots, out_slot, *clear]
-        src = (
-            f"def step(regs, {', '.join(params)}):\n"
-            f"{alloc}\n"
-            + "\n".join(lines) + "\n"
-            f"    regs[_o] = buf{_clear_src(len(clear))}\n"
+            buffer = (static,)
+        src = _fused_source(members, static is None, len(clear))
+        step = self._bake(
+            src, (*kernels, *buffer, *in_slots, out_slot, *clear), tail
         )
-        step = self._bake(src, tuple(values), tail)
         step._fused = True
         #: for the plan's failure replay, which names the member
         step._chain = chain

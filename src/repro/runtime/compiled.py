@@ -14,8 +14,9 @@ walk done once, in four steps, each owned by its own module:
    worker pool (:mod:`repro.runtime.workers`);
 3. :mod:`repro.runtime.codegen` — one templated closure per instruction
    and a straight-line dispatch body;
-4. :meth:`CompiledPlan.run` — bind the feeds, call the body, hand back
-   the outputs; on a kernel failure, replay step by step to name the node.
+4. :meth:`CompiledPlan.run` — bind the feeds through the plan's generated
+   binder, call the body, hand back the outputs; on a kernel failure,
+   replay step by step to name the node.
 
 Numerics are bitwise-identical to a plain topological walk calling each
 op's ``compute`` (``tests/helpers.reference_run``). The simulated *cost*
@@ -58,24 +59,6 @@ def _failing_node(step: Any, regs: list) -> Node:
         except Exception:
             return member
     return step._node
-
-
-def bind_source(
-    table: Mapping[str, np.ndarray], node: Node, kind: str
-) -> np.ndarray:
-    """Validate and normalize one feed/param binding (shared error contract)."""
-    if node.name not in table:
-        raise ExecutionError(f"{kind} {node.name!r} was not bound")
-    arr = np.asarray(table[node.name])
-    spec = node.out_specs[0]
-    if tuple(arr.shape) != spec.shape:
-        raise ExecutionError(
-            f"{kind} {node.name!r}: bound shape {arr.shape} != "
-            f"declared {spec.shape}"
-        )
-    if arr.dtype != spec.dtype:
-        arr = arr.astype(spec.dtype)
-    return arr
 
 
 class CompiledPlan:
@@ -143,39 +126,43 @@ class CompiledPlan:
         if self.threads > 1 and descs:
             layout = plan_program(self, low, device)
 
+        # The register file a run starts from: constants and folded views
+        # of static storage in place, sources bound per run.
+        template: list[np.ndarray | None] = [None] * len(slot_of)
+        bindings: list[tuple[int, Node, str]] = []
+        for n in order:
+            if n.op.name == "constant":
+                template[slot_of[(n.uid, 0)]] = n.attrs["value"]
+            elif n.op.name in SOURCE_OPS:
+                bindings.append((slot_of[(n.uid, 0)], n, n.op.name))
+
         gen = PlanCodegen(self, self.arena, self.threads)
         # In program mode register clears move to segment/level
         # boundaries — level order may execute a slot's stream-last
         # consumer before another consumer in a deeper level, so inline
         # clears keyed by stream position would be unsafe.
-        self._steps = gen.bake_steps(
-            low, low.clears_at if layout is None else {}
+        steps = gen.bake_steps(
+            low, low.clears_at if layout is None else {}, template
         )
+        #: the baked steps in stream order (folded views have none)
+        self._steps = [step for step in steps if step is not None]
+        #: descriptors folded into the template instead of baked
+        self.folded_view_count = len(steps) - len(self._steps)
         # The dispatch loop itself is baked as one generated function —
         # a straight-line sequence of step calls with no iterator
         # machinery. Error context is recovered by the step-by-step
         # fallback in :meth:`run`.
-        self._body = gen.bake_body(range(len(self._steps)), ())
+        self._body = gen.bake_body(range(len(steps)), ())
         self._program = None
         if layout is not None:
             self._program = bake_program(
                 self, gen, layout, descs, low.clears_at
             )
+        self._bind = gen.bake_binder(template, bindings)
         #: closure sources this plan had to ``compile`` / found in the
         #: process-wide :data:`repro.runtime.codegen.TEMPLATES` memo
         self.templates_compiled = gen.templates_compiled
         self.template_hits = gen.template_hits
-
-        # The register file a run starts from: constants in place, sources
-        # bound per run.
-        self._template: list[np.ndarray | None] = [None] * len(slot_of)
-        for n in order:
-            if n.op.name == "constant":
-                self._template[slot_of[(n.uid, 0)]] = n.attrs["value"]
-        self._bindings: list[tuple[int, Node, str]] = [
-            (slot_of[(n.uid, 0)], n, n.op.name)
-            for n in order if n.op.name in SOURCE_OPS
-        ]
         self._slot_of = slot_of
         self._output_slots = [slot_of[t.key] for t in self.outputs]
 
@@ -200,7 +187,7 @@ class CompiledPlan:
             kinds[desc["kind"]] += 1
         self.instruction_kinds = kinds
         self.num_nodes = len(order)
-        self.num_instructions = len(self._bindings) + len(self._steps)
+        self.num_instructions = len(bindings) + len(descs)
         self.fused_chain_count = kinds["fused"]
         self.fused_node_count = sum(
             len(d["chain"]) for d in descs if d["kind"] == "fused"
@@ -271,11 +258,7 @@ class CompiledPlan:
         """
         feeds = feeds or {}
         params = params or {}
-        regs = self._template[:]
-        for slot, node, kind in self._bindings:
-            regs[slot] = bind_source(
-                feeds if kind == "placeholder" else params, node, kind
-            )
+        regs = self._bind(feeds, params)
         hook_error: list[BaseException] = []
 
         def fire(item_idx: int) -> None:
@@ -337,11 +320,7 @@ class CompiledPlan:
             # registers to attribute the failure to a node. Kernels are
             # deterministic (dropout is counter-based on the already-set
             # global step), so the replay reproduces the same failure.
-            regs = self._template[:]
-            for slot, node, kind in self._bindings:
-                regs[slot] = bind_source(
-                    feeds if kind == "placeholder" else params, node, kind
-                )
+            regs = self._bind(feeds, params)
             step = None
             try:
                 for step in self._steps:

@@ -102,8 +102,12 @@ class Adam(Optimizer):
         self._v: dict[str, np.ndarray] = {}
 
     def _update_one(self, name, param, grad):
-        m = self._m.setdefault(name, np.zeros_like(param))
-        v = self._v.setdefault(name, np.zeros_like(param))
+        m = self._m.get(name)
+        if m is None:
+            m = self._m[name] = np.zeros_like(param)
+        v = self._v.get(name)
+        if v is None:
+            v = self._v[name] = np.zeros_like(param)
         m *= self.beta1
         m += (1 - self.beta1) * grad
         v *= self.beta2

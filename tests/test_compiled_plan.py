@@ -83,6 +83,10 @@ class TestParity:
         assert float(want[0]) == loss
 
 
+class _NdarraySubclass(np.ndarray):
+    pass
+
+
 class TestErrorContract:
     def test_missing_placeholder(self):
         x = O.placeholder((2, 2), np.float64, name="px")
@@ -104,6 +108,47 @@ class TestErrorContract:
         ex = GraphExecutor([y], plan_cache=PlanCache())
         with pytest.raises(ExecutionError, match="variable 'vw' was not bound"):
             ex.run({}, {})
+
+    @pytest.mark.parametrize("case", [
+        "float64-into-float32", "list", "ndarray-subclass", "feeds-none",
+        "shape-reassigned",
+    ])
+    def test_binder_contract(self, case):
+        """Only an exact ``ndarray`` of the declared shape and dtype skips
+        ``bind_source``; everything else is converted or refused as before,
+        and nothing is cached from one run to the next."""
+        x = O.placeholder((2, 3), np.float32, name="bx")
+        w = O.variable((2, 3), np.float32, name="bw")
+        y = O.mul(O.add_scalar(x, 0.5), w)
+        # the sources themselves are outputs: the plan returns what it bound
+        plan = CompiledPlan(schedule([y, x, w]), [y, x, w])
+        value = np.arange(6, dtype=np.float64).reshape(2, 3) / 7.0
+        weight = np.linspace(-1.0, 1.0, 6, dtype=np.float32).reshape(2, 3)
+        exact = value.astype(np.float32)
+        want = plan.run({"bx": exact}, {"bw": weight})
+        assert want[1] is exact and want[2] is weight
+
+        if case == "feeds-none":
+            with pytest.raises(ExecutionError,
+                               match="placeholder 'bx' was not bound"):
+                plan.run(None, {"bw": weight})
+            return
+        if case == "shape-reassigned":
+            plan.run({"bx": exact}, {"bw": weight})
+            weight.shape = (3, 2)  # same object, new shape
+            with pytest.raises(ExecutionError,
+                               match=r"variable 'bw': bound shape \(3, 2\)"):
+                plan.run({"bx": exact}, {"bw": weight})
+            return
+        fed = {
+            "float64-into-float32": value,
+            "list": exact.tolist(),
+            "ndarray-subclass": exact.view(_NdarraySubclass),
+        }[case]
+        got = plan.run({"bx": fed}, {"bw": weight})
+        assert type(got[1]) is np.ndarray and got[1].dtype == np.float32
+        for a, b in zip(want, got):
+            assert np.array_equal(a, b)
 
 
 class TestFusion:
@@ -351,8 +396,9 @@ class TestTemplatedCodegen:
             return [bt.trainer_for(b).executor.executor.plan for b in which]
 
         plans = build(buckets)
-        # generated instruction closures, plus one dispatch body per plan
-        generated = len(plans) + sum(
+        # generated instruction closures, plus one dispatch body and one
+        # binder per plan
+        generated = 2 * len(plans) + sum(
             s.__code__.co_filename == "<compiled-plan>"
             for p in plans for s in p._steps
         )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repro.ops as O
-from repro.graph import ShapeError
+from repro.graph import Node, ShapeError, get_op, registered_ops
 from repro.layout import Layout
 from repro.runtime import GraphExecutor
 from tests.helpers import rng
@@ -122,23 +122,6 @@ class TestMatmulForward:
                      feeds)
         np.testing.assert_allclose(row, x @ w.T + bias, rtol=1e-5)
         np.testing.assert_allclose(col, row, rtol=1e-5)
-
-    @pytest.mark.parametrize("bias", [True, False])
-    @pytest.mark.parametrize("layout", [Layout.ROW_MAJOR, Layout.COL_MAJOR])
-    def test_fully_connected_compute_equals_compute_into(self, layout, bias):
-        x = rng(6).standard_normal((4, 8)).astype(np.float32)
-        w = rng(7).standard_normal((6, 8)).astype(np.float32)
-        inputs = [x, w]
-        tensors = [place("x", x), place("w", w)]
-        if bias:
-            inputs.append(rng(8).standard_normal(6).astype(np.float32))
-            tensors.append(place("b", inputs[-1]))
-        node = O.fully_connected(*tensors, layout=layout).node
-        (got,) = node.op.compute(node, inputs)
-        out = np.empty((4, 6), np.float32)
-        node.op.compute_into(node, inputs, [out])
-        assert got.flags.c_contiguous
-        assert got.dtype == out.dtype and np.array_equal(got, out)
 
     def test_batch_dot(self):
         a = rng(9).standard_normal((2, 3, 5))
@@ -426,3 +409,138 @@ class TestSourceOps:
         np.testing.assert_array_equal(
             out, np.arange(6, dtype=np.float32).reshape(2, 3)
         )
+
+
+# -- the kernel contract, registry-wide ---------------------------------------
+
+
+def _f32(seed, shape, low=None):
+    """float32 normals, or uniforms in ``[low, low + 2)`` (log/sqrt)."""
+    gen = rng(seed)
+    if low is not None:
+        return gen.uniform(low, low + 2.0, shape).astype(np.float32)
+    return gen.standard_normal(shape).astype(np.float32)
+
+
+def _i64(*values):
+    return np.asarray(values, np.int64)
+
+
+_A, _B, _ROW = _f32(1, (3, 4)), _f32(2, (3, 4)), _f32(3, (4,))
+_POS = _f32(4, (3, 4), low=0.5)
+_INT_A, _INT_B = _i64([5, -7, 9], [3, 2, 8]), _i64([2, 3, -4], [1, 5, 3])
+_X3 = _f32(5, (2, 3, 4))
+_LOGITS = _f32(6, (6, 9)) * 4
+
+#: (case id, op name, inputs, attrs): every attribute variant of every
+#: ``supports_out`` op — transposes, layouts +- bias, negative axes,
+#: keepdims, 2- and 3-input concat — plus integer dtypes, which take the
+#: compute-and-copy fallback
+KERNEL_CASES = [
+    *[(name, name, [_A, _B], {})
+      for name in ("add", "sub", "mul", "div")],
+    ("add-broadcast", "add", [_A, _ROW], {}),
+    ("add-int64", "add", [_INT_A, _INT_B], {}),
+    ("div-int64", "div", [_INT_A, _INT_B], {}),
+    *[(name, name, [_A], {"scalar": 1.5})
+      for name in ("add_scalar", "mul_scalar", "rsub_scalar")],
+    ("pow_scalar", "pow_scalar", [_POS], {"scalar": 1.5}),
+    ("mul_scalar-int64", "mul_scalar", [_INT_A], {"scalar": 2.5}),
+    *[(name, name, [_A], {}) for name in ("neg", "exp", "tanh", "sigmoid",
+                                          "relu")],
+    *[(name, name, [_POS], {}) for name in ("log", "sqrt")],
+    ("neg-int64", "neg", [_INT_A], {}),
+    *[(name, name, [np.tanh(_A), _B], {})
+      for name in ("tanh_grad", "sigmoid_grad", "relu_grad")],
+    *[(f"matmul-ta{int(ta)}-tb{int(tb)}", "matmul",
+       [_f32(7, (5, 3) if ta else (3, 5)), _f32(8, (4, 5) if tb else (5, 4))],
+       {"ta": ta, "tb": tb, "layout": Layout.ROW_MAJOR})
+      for ta in (False, True) for tb in (False, True)],
+    *[(f"batch_dot-ta{int(ta)}-tb{int(tb)}", "batch_dot",
+       [_f32(9, (2, 5, 3) if ta else (2, 3, 5)),
+        _f32(10, (2, 4, 5) if tb else (2, 5, 4))],
+       {"ta": ta, "tb": tb})
+      for ta in (False, True) for tb in (False, True)],
+    *[(f"fully_connected-{layout.value}-bias{int(bias)}", "fully_connected",
+       [_f32(11, (4, 8)), _f32(12, (6, 8))] + ([_f32(13, (6,))] if bias
+                                               else []),
+       {"layout": layout})
+      for layout in (Layout.ROW_MAJOR, Layout.COL_MAJOR)
+      for bias in (False, True)],
+    *[(f"{name}-axis{axis}-keep{int(keep)}", name, [_X3],
+       {"axis": axis, "keepdims": keep})
+      for name in ("reduce_sum", "reduce_mean", "reduce_max")
+      for axis, keep in ((None, False), (0, True), (-1, False), (1, True))],
+    ("reduce_sum-int64", "reduce_sum", [_INT_A], {"axis": -1,
+                                                  "keepdims": False}),
+    ("transpose-2d", "transpose", [_A], {"perm": (1, 0)}),
+    ("transpose-3d", "transpose", [_X3], {"perm": (2, 0, 1)}),
+    *[(f"slice_axis-axis{axis}", "slice_axis", [_X3],
+       {"axis": axis, "begin": 1, "end": 3})
+      for axis in (1, -1, -2)],
+    *[(f"slice_axis_grad-axis{axis}", "slice_axis_grad", [_f32(14, shape)],
+       {"axis": axis, "begin": 1, "end": 3, "like_shape": (2, 3, 4)})
+      for axis, shape in ((-1, (2, 3, 2)), (1, (2, 2, 4)))],
+    ("concat-2-axis0", "concat", [_A, _B], {"axis": 0}),
+    ("concat-3-axis-1", "concat", [_A, _B, _POS], {"axis": -1}),
+    ("split-2-axis0", "split", [_f32(15, (4, 3))], {"sections": 2,
+                                                   "axis": 0}),
+    ("split-3-axis-1", "split", [_f32(16, (2, 6))], {"sections": 3,
+                                                    "axis": -1}),
+    ("broadcast_to", "broadcast_to", [_f32(17, (3, 1))],
+     {"shape": (2, 3, 5)}),
+    ("softmax-axis-1", "softmax", [_X3], {"axis": -1}),
+    ("softmax-axis0", "softmax", [_X3], {"axis": 0}),
+    *[(f"softmax_grad-axis{axis}", "softmax_grad", [_A, _B], {"axis": axis})
+      for axis in (-1, 0)],
+    *[(f"softmax_cross_entropy_grad-{name}", "softmax_cross_entropy_grad",
+       [_LOGITS, _i64(*labels), np.asarray(0.75, np.float32)],
+       {"ignore_label": -1})
+      for name, labels in (("all-valid", [0, 3, 8, 2, 5, 1]),
+                           ("ignored-rows", [0, -1, 8, -1, 5, 1]),
+                           ("all-ignored", [-1] * 6))],
+    ("embedding", "embedding", [_f32(18, (10, 4)), _i64([0, 9], [3, 3])], {}),
+    ("embedding_grad", "embedding_grad",
+     [_i64([0, 9], [3, 3]), _f32(19, (2, 2, 4))], {"vocab_size": 10}),
+    ("lstm_gates", "lstm_gates", [_f32(20, (3, 8)), _f32(21, (3, 2))], {}),
+    ("lstm_gates_grad", "lstm_gates_grad",
+     [_f32(22, (3, 8)), *[_f32(23 + j, (3, 2)) for j in range(4)]], {}),
+    ("zeros", "zeros", [], {"shape": (2, 3), "dtype": np.dtype(np.float32)}),
+]
+
+
+class TestKernelContract:
+    """``op.kernel(node)(*inputs, *outs)`` is ``compute``, bit for bit."""
+
+    def test_every_out_op_has_a_case(self):
+        out_ops = {n for n, op in registered_ops().items() if op.supports_out}
+        assert out_ops == {case[1] for case in KERNEL_CASES}
+
+    @pytest.mark.parametrize(
+        "name,inputs,attrs", [case[1:] for case in KERNEL_CASES],
+        ids=[case[0] for case in KERNEL_CASES],
+    )
+    def test_kernel_matches_compute(self, name, inputs, attrs):
+        op = get_op(name)
+        node = Node(op, [place(f"k{j}", a) for j, a in enumerate(inputs)],
+                    attrs)
+        want = op.compute(node, [a.copy() for a in inputs])
+        specs = node.out_specs
+        assert [w.dtype for w in want] == [s.dtype for s in specs]
+        kernel = op.kernel(node)
+
+        args = [a.copy() for a in inputs]
+        outs = [np.empty(s.shape, s.dtype) for s in specs]
+        kernel(*args, *outs)
+        for got, exp in zip(outs, want):
+            assert np.array_equal(got, exp), name
+        for arg, a in zip(args, inputs):
+            assert np.array_equal(arg, a), "kernel wrote an input"
+
+        # ``out`` *is* the input at every in-place position
+        for pos in op.inplace_operands:
+            if inputs[pos].shape != specs[0].shape:
+                continue  # a broadcast operand cannot be the output
+            args = [a.copy() for a in inputs]
+            kernel(*args, args[pos])
+            assert np.array_equal(args[pos], want[0]), (name, pos)

@@ -75,6 +75,27 @@ class TestAdam:
     def test_state_copies_for_profiler(self):
         assert Adam().state_copies == 2.0
 
+    def test_moments_are_allocated_once(self, monkeypatch):
+        """Two zero moment arrays per parameter on the first step only."""
+        import repro.train.optimizer as optimizer_mod
+
+        made = []
+        real = np.zeros_like
+
+        def spy(*args, **kwargs):
+            made.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer_mod.np, "zeros_like", spy)
+        shapes = ((3,), (2, 4), (5,))
+        opt = Adam(learning_rate=0.01)
+        params = {f"p{j}": np.ones(s, np.float32) for j, s in enumerate(shapes)}
+        for step in range(3):
+            grads = {n: np.full(p.shape, step + 1.0, np.float32)
+                     for n, p in params.items()}
+            opt.update(params, grads)
+        assert len(made) == 2 * len(params)
+
     def test_base_class_abstract(self):
         opt = Optimizer(0.1)
         with pytest.raises(NotImplementedError):
