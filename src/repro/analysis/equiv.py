@@ -243,9 +243,11 @@ class _ExprBuilder:
                  spec.shape, dtype_name(spec.dtype)),
             )
             return
-        children = tuple(
-            self._memo.get(t.key, self._opaque(t)) for t in n.inputs
-        )
+        memo = self._memo
+        children = tuple([
+            memo[t.key] if t.key in memo else self._opaque(t)
+            for t in n.inputs
+        ])
         original = n.mirror_of
         if original is not None:
             self._eval_mirror(n, original, children)
@@ -307,9 +309,11 @@ class _ExprBuilder:
         # Substitute by the original regardless: downstream consumers are
         # then compared against the source program, and a broken mirror
         # surfaces exactly once (above) instead of cascading.
+        memo = self._memo
         for i in range(len(n.out_specs)):
-            self._memo[(n.uid, i)] = self._memo.get(
-                (original.uid, i), self._opaque(Tensor(n, i))
+            key = (original.uid, i)
+            memo[(n.uid, i)] = (
+                memo[key] if key in memo else self._opaque(Tensor(n, i))
             )
 
     def _flag(self, f: Finding, uid: int) -> None:
@@ -318,7 +322,8 @@ class _ExprBuilder:
             self.flagged.add(uid)
 
     def _opaque(self, t: Tensor) -> int:
-        """Fallback leaf for an unresolvable reference (cyclic/corrupt)."""
+        """Fallback leaf for an unresolvable reference (cyclic/corrupt);
+        built only on a memo miss, so a clean graph interns none."""
         return self.table.expr("unresolved", (t.node.uid, t.index))
 
     # -- shared application (graph and stream sides) -------------------------

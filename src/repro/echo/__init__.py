@@ -13,7 +13,7 @@ from repro.echo.pass_ import (
     check_barrier_legality,
     optimize,
 )
-from repro.echo.rewrite import AppliedCandidate, apply_candidate
+from repro.echo.rewrite import AppliedCandidate, ConsumerIndex, apply_candidate
 
 __all__ = [
     "EchoConfig",
@@ -27,6 +27,7 @@ __all__ = [
     "is_recompute_cheap",
     "apply_candidate",
     "AppliedCandidate",
+    "ConsumerIndex",
 ]
 
 from repro.echo.manual import apply_manual_recompute, recompute_region

@@ -22,8 +22,8 @@ from repro.autodiff.training import TrainingGraph
 from repro.echo.analysis import Candidate, estimate_iteration_cost
 from repro.echo.config import EchoConfig
 from repro.echo.pass_ import EchoPass, EchoReport
-from repro.echo.rewrite import apply_candidate
-from repro.graph import Node, Stage
+from repro.echo.rewrite import ConsumerIndex, apply_candidate
+from repro.graph import GraphFacts, Node, Stage
 from repro.gpumodel import DeviceModel
 from repro.runtime.memory import plan_memory
 from repro.runtime.scheduler import schedule
@@ -41,7 +41,8 @@ def sublinear_checkpoint(
     outputs = graph.outputs
     output_keys = {t.key for t in outputs}
 
-    order = schedule(outputs)
+    facts = GraphFacts(outputs)
+    order = schedule(outputs, facts=facts)
     baseline_plan = plan_memory(order, outputs)
     iteration = estimate_iteration_cost(order, device)
 
@@ -73,6 +74,7 @@ def sublinear_checkpoint(
         baseline_plan=baseline_plan,
     )
 
+    index = ConsumerIndex(order, facts)
     extra_kernel = extra_api = 0.0
     # Skip the final segment: its interior is needed immediately when the
     # backward pass starts, so recomputing it saves nothing.
@@ -82,7 +84,7 @@ def sublinear_checkpoint(
         )
         if candidate is None:
             continue
-        apply_candidate(candidate, order, output_keys, workspace_sharing=True)
+        apply_candidate(candidate, index, output_keys, workspace_sharing=True)
         extra_kernel += candidate.kernel_seconds
         extra_api += candidate.api_seconds
         report.accepted.append(candidate)

@@ -25,8 +25,8 @@ from typing import Iterator
 from repro.autodiff.training import TrainingGraph
 from repro.echo.analysis import Candidate, estimate_iteration_cost
 from repro.echo.pass_ import EchoReport
-from repro.echo.rewrite import apply_candidate
-from repro.graph import Node, Stage
+from repro.echo.rewrite import ConsumerIndex, apply_candidate
+from repro.graph import GraphFacts, Node, Stage
 from repro.gpumodel import DeviceModel
 from repro.runtime.memory import plan_memory
 from repro.runtime.scheduler import schedule
@@ -90,7 +90,8 @@ def apply_manual_recompute(
     device = device or DeviceModel()
     outputs = graph.outputs
     output_keys = {t.key for t in outputs}
-    order = schedule(outputs)
+    facts = GraphFacts(outputs)
+    order = schedule(outputs, facts=facts)
     baseline_plan = plan_memory(order, outputs)
     iteration = estimate_iteration_cost(order, device)
 
@@ -113,6 +114,7 @@ def apply_manual_recompute(
         iteration_seconds=iteration.seconds,
         baseline_plan=baseline_plan,
     )
+    index = ConsumerIndex(order, facts)
     extra_kernel = extra_api = 0.0
     for component in _connected_components(marked):
         component_uids = {n.uid for n in component}
@@ -141,7 +143,7 @@ def apply_manual_recompute(
             kernel_seconds=kernel,
             api_seconds=api,
         )
-        apply_candidate(candidate, order, output_keys)
+        apply_candidate(candidate, index, output_keys)
         extra_kernel += kernel
         extra_api += api
         report.candidates_found += 1

@@ -6,7 +6,8 @@ After rewriting, the pass re-plans the memory timeline and rolls back the
 weakest candidates if the *measured* peak failed to improve — recomputation
 must never increase the footprint (the paper's safety property; naive
 checkpointing can violate it through stash-set growth or eager workspace
-spikes).
+spikes). The peak scored is the memory plan's waterline, the same figure
+the report carries.
 
 Planning artifacts (schedule, memory plan, iteration cost) are memoized in
 a :class:`repro.runtime.plancache.PlanCache` keyed by graph signature: the
@@ -20,7 +21,6 @@ already built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable
 
 from repro.graph import GraphFacts
 from repro.autodiff.training import TrainingGraph
@@ -30,10 +30,9 @@ from repro.echo.analysis import (
     mine_candidates,
 )
 from repro.echo.config import EchoConfig
-from repro.echo.rewrite import AppliedCandidate, apply_candidate
+from repro.echo.rewrite import AppliedCandidate, ConsumerIndex, apply_candidate
 from repro.gpumodel import DeviceModel
 from repro.graph import Node, Stage
-from repro.memplan.estimate import packed_peak_bytes
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime.memory import MemoryPlan
@@ -55,10 +54,6 @@ class EchoReport:
     iteration_seconds: float = 0.0
     baseline_plan: MemoryPlan | None = None
     optimized_plan: MemoryPlan | None = None
-    #: interval-packed arena footprints (what the buffer planner actually
-    #: allocates), the score the accept/reject loop ran on
-    baseline_packed_bytes: int = 0
-    optimized_packed_bytes: int = 0
     #: canonical output fingerprint of the *source* graph, captured before
     #: any rewrite when REPRO_VERIFY is armed (else ""); mirror-normalized,
     #: so a faithful rewrite leaves it unchanged
@@ -124,28 +119,15 @@ class EchoPass:
 
         Also returns the state's facts record — walked once here and read
         by everything that looks at this state: every memo key (schedule,
-        memory plan, packed footprint, iteration cost), the scheduler, the
-        candidate miner's per-node costs, and — through the plan cache —
-        the executor built after the pass.
+        memory plan, iteration cost), the scheduler, the candidate miner's
+        per-node costs, the rewrite's consumer index, and — through the
+        plan cache — the executor built after the pass. The memory plan's
+        ``peak_bytes`` is the score the accept/rollback guard compares.
         """
         facts = self.plan_cache.facts_for(outputs)
         order = self.plan_cache.schedule_for(outputs, facts=facts)
         plan = self.plan_cache.plan_for(outputs, order=order, facts=facts)
         return facts, order, plan
-
-    def _footprint(self, sig: Hashable, plan: MemoryPlan) -> int:
-        """The footprint the accept/reject loop scores a graph state by.
-
-        The executor packs buffers by exact lifetime intervals, so
-        candidates are judged by the *packed* footprint, not the waterline
-        peak — a rewrite that only shuffles bytes the packer would have
-        overlapped anyway is rolled back instead of accepted.
-        Memoized per graph signature (``sig``, from :meth:`_replan`): the
-        rollback loop revisits states, and the report reuses the scores.
-        """
-        return self.plan_cache.memo(
-            ("packedpeak", sig), lambda: packed_peak_bytes(plan)
-        )
 
     def run(self, graph: TrainingGraph) -> EchoReport:
         """Run the pass; one ``echo.pass`` span covers the whole search."""
@@ -188,9 +170,6 @@ class EchoPass:
 
         facts, order, baseline_plan = self._replan(outputs)
         sig = facts.signature
-        # Scored before any rewrite mutates the graph: the memoized packed
-        # footprint is keyed by graph signature, which the rewrites change.
-        baseline_foot = self._footprint(sig, baseline_plan)
         # Keyed by the device's cache token (not just the spec): a
         # calibrated device embeds its calibration epoch, so recalibration
         # invalidates memoized iteration costs automatically.
@@ -260,6 +239,7 @@ class EchoPass:
             )
             return c.eliminated_bytes - cost
 
+        consumer_index = ConsumerIndex(order, facts)
         extra_kernel = extra_api = 0.0
         for cand in viable:
             if cand.component_id in decided_components:
@@ -292,7 +272,8 @@ class EchoPass:
                 continue
             applied.append(
                 apply_candidate(
-                    chosen, order, output_keys, cfg.workspace_sharing
+                    chosen, consumer_index, output_keys,
+                    cfg.workspace_sharing,
                 )
             )
             extra_kernel += chosen.kernel_seconds
@@ -303,19 +284,14 @@ class EchoPass:
 
         if not applied:
             report.optimized_plan = baseline_plan
-            report.baseline_packed_bytes = baseline_foot
-            report.optimized_packed_bytes = baseline_foot
             return report
 
-        new_facts, _new_order, new_plan = self._replan(outputs)
-        new_foot = self._footprint(new_facts.signature, new_plan)
+        _, new_order, new_plan = self._replan(outputs)
 
         if cfg.verify_with_replan:
-            # Footprint safety: drop weakest candidates until the measured
-            # footprint actually improves (or nothing is left). "Measured"
-            # means the interval-packed arena extent, the bytes the
-            # executor will really allocate.
-            while new_foot >= baseline_foot and applied:
+            # Footprint safety: drop weakest candidates until the re-planned
+            # peak actually improves on the baseline (or nothing is left).
+            while new_plan.peak_bytes >= baseline_plan.peak_bytes and applied:
                 weakest = min(
                     range(len(applied)),
                     key=lambda i: applied[i].candidate.benefit_bytes,
@@ -327,11 +303,10 @@ class EchoPass:
                 extra_kernel -= victim.candidate.kernel_seconds
                 extra_api -= victim.candidate.api_seconds
                 spent = iteration.marginal(extra_kernel, extra_api)
-                new_facts, _new_order, new_plan = self._replan(outputs)
-                new_foot = self._footprint(new_facts.signature, new_plan)
+                _, new_order, new_plan = self._replan(outputs)
 
-        check_barrier_legality(_new_order)
-        self._verify_rewrite(_new_order, output_keys)
+        check_barrier_legality(new_order)
+        self._verify_rewrite(new_order, output_keys)
         report.mirror_witnesses = [
             w for a in applied for w in a.witnesses
         ]
@@ -341,9 +316,6 @@ class EchoPass:
         report.recompute_seconds = spent
         report.optimized_peak_bytes = new_plan.peak_bytes
         report.optimized_plan = new_plan
-        # The packed footprints the accept loop scored, not a re-pack.
-        report.baseline_packed_bytes = baseline_foot
-        report.optimized_packed_bytes = new_foot
         return report
 
 

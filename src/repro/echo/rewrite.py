@@ -13,6 +13,10 @@ regions of successive timesteps share one workspace interval. With
 ``workspace_sharing=False`` every mirror is instead hoisted to the start of
 the backward pass — the ablation reproducing the O(B x T^2 x H) workspace
 spike the paper warns about.
+
+Re-pointing reads a :class:`ConsumerIndex` of the graph state the pass
+started from, so applying a candidate visits only its region's consumers
+instead of the whole schedule.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.graph import Node, Stage, Tensor
+from repro.graph import GraphFacts, Node, Stage, Tensor
 from repro.echo.analysis import Candidate, TensorKey
 from repro.obs import trace as obs_trace
 
@@ -48,6 +52,38 @@ class RewriteError(RuntimeError):
     """Raised when a rewrite would produce an inconsistent graph."""
 
 
+class ConsumerIndex:
+    """Who consumes each tensor of one graph state, in schedule order.
+
+    Built once per pass from the state's :class:`~repro.graph.GraphFacts`
+    (``consumers``) and its schedule ``order``, before any rewrite. A
+    rewrite only ever replaces region tensors with mirror tensors, and a
+    rollback restores them, so every later state's consumers of a region
+    tensor are among this state's: re-pointing visits those and reads
+    their live ``inputs``.
+    """
+
+    __slots__ = ("order", "_consumers", "_position")
+
+    def __init__(self, order: Sequence[Node], facts: GraphFacts) -> None:
+        self.order = order
+        self._consumers = facts.consumers
+        self._position = {n.uid: i for i, n in enumerate(order)}
+
+    def backward_users(self, region: Sequence[Node]) -> list[Node]:
+        """Distinct non-forward consumers of ``region``'s outputs, in
+        schedule order."""
+        consumers, position = self._consumers, self._position
+        users = {
+            position[user.uid]: user
+            for node in region
+            for i in range(len(node.out_specs))
+            for user in consumers.get((node.uid, i), ())
+            if user.stage is not Stage.FORWARD
+        }
+        return [users[p] for p in sorted(users)]
+
+
 def _clone_as_mirror(node: Node, input_map: dict[TensorKey, Tensor]) -> Node:
     inputs = [input_map.get(t.key, t) for t in node.inputs]
     mirror = Node.__new__(Node)
@@ -69,7 +105,7 @@ def _clone_as_mirror(node: Node, input_map: dict[TensorKey, Tensor]) -> Node:
 
 def apply_candidate(
     candidate: Candidate,
-    order: Sequence[Node],
+    index: ConsumerIndex,
     output_keys: set[TensorKey],
     workspace_sharing: bool = True,
 ) -> AppliedCandidate:
@@ -80,13 +116,13 @@ def apply_candidate(
          "benefit_bytes": candidate.benefit_bytes},
     ):
         return _apply_candidate(
-            candidate, order, output_keys, workspace_sharing
+            candidate, index, output_keys, workspace_sharing
         )
 
 
 def _apply_candidate(
     candidate: Candidate,
-    order: Sequence[Node],
+    index: ConsumerIndex,
     output_keys: set[TensorKey],
     workspace_sharing: bool = True,
 ) -> AppliedCandidate:
@@ -119,9 +155,7 @@ def _apply_candidate(
         ],
     )
     first_consumer_priority: dict[int, float] = {}
-    for consumer in order:
-        if consumer.stage is Stage.FORWARD:
-            continue
+    for consumer in index.backward_users(candidate.nodes):
         new_inputs: list[Tensor] | None = None
         for idx, t in enumerate(consumer.inputs):
             if (
@@ -141,7 +175,8 @@ def _apply_candidate(
             consumer.inputs = tuple(new_inputs)
 
     _assign_priorities(
-        candidate, mirrors, first_consumer_priority, order, workspace_sharing
+        candidate, mirrors, first_consumer_priority, index.order,
+        workspace_sharing,
     )
     return applied
 

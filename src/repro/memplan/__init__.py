@@ -5,9 +5,7 @@ elision and in-place rewriting over the instruction stream
 (:mod:`repro.memplan.elision`), interference-interval buffer coloring
 into one contiguous arena extent (:mod:`repro.memplan.coloring`), the
 planner that orchestrates both and hands :class:`CompiledPlan` its
-buffer assignment (:mod:`repro.memplan.planner`), and the packed-peak
-estimator Echo's accept/reject loop scores candidates with
-(:mod:`repro.memplan.estimate`).
+buffer assignment (:mod:`repro.memplan.planner`).
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from repro.memplan.coloring import (
     pack_intervals,
     waterline,
 )
-from repro.memplan.estimate import packed_peak_bytes
 from repro.memplan.planner import BufferAssignment, MemplanRecord, plan_buffers
 
 
@@ -28,7 +25,6 @@ __all__ = [
     "PackResult",
     "atomic_tokens",
     "pack_intervals",
-    "packed_peak_bytes",
     "plan_buffers",
     "waterline",
 ]

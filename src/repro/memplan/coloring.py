@@ -19,9 +19,8 @@ The first-fit scan is vectorized: placed intervals are kept in one numpy
 array sorted by offset, the time-overlapping subset is selected with one
 mask (already in sweep order — no per-request sort), and the lowest
 fitting gap falls out of a cumulative-max sweep over the overlapping byte
-ranges. That keeps coloring fast enough to run inside Echo's
-accept/reject loop (see :mod:`repro.memplan.estimate`), not just once per
-compile; ``tests/helpers.reference_pack_intervals`` is the unoptimized
+ranges. The buffer planner (:mod:`repro.memplan.planner`) is its one
+caller; ``tests/helpers.reference_pack_intervals`` is the unoptimized
 sweep the placements are checked against.
 """
 

@@ -290,3 +290,51 @@ def reference_producer_spec(descs, r):
             group = len(desc["out_slots"])
             return ((group,) + spec.shape, spec.dtype, group * spec.nbytes)
     return None
+
+
+def reference_apply_candidate(candidate, order, output_keys,
+                              workspace_sharing=True):
+    """Echo's old whole-schedule re-pointing scan, kept as the test oracle
+    for :class:`repro.echo.rewrite.ConsumerIndex`: mirror the region, then
+    visit *every* non-forward node of ``order`` and re-point its inputs."""
+    from repro.echo.rewrite import (
+        AppliedCandidate,
+        _assign_priorities,
+        _clone_as_mirror,
+    )
+    from repro.graph import Stage
+
+    region_uids = {n.uid for n in candidate.nodes}
+    input_map = {}
+    mirrors = {}
+    for node in candidate.nodes:
+        mirror = _clone_as_mirror(node, input_map)
+        mirrors[node.uid] = mirror
+        for i in range(len(node.out_specs)):
+            input_map[(node.uid, i)] = Tensor(mirror, i)
+    applied = AppliedCandidate(candidate=candidate, mirrors=mirrors)
+    first_consumer_priority = {}
+    for consumer in order:
+        if consumer.stage is Stage.FORWARD:
+            continue
+        new_inputs = None
+        for idx, t in enumerate(consumer.inputs):
+            if (
+                t.node.uid not in region_uids
+                or t.key in output_keys
+                or t.key in candidate.preserved
+            ):
+                continue
+            if new_inputs is None:
+                new_inputs = list(consumer.inputs)
+            new_inputs[idx] = input_map[t.key]
+            mirror_uid = input_map[t.key].node.uid
+            prio = first_consumer_priority.get(mirror_uid, consumer.priority)
+            first_consumer_priority[mirror_uid] = min(prio, consumer.priority)
+        if new_inputs is not None:
+            applied.repointed.append((consumer, consumer.inputs))
+            consumer.inputs = tuple(new_inputs)
+    _assign_priorities(
+        candidate, mirrors, first_consumer_priority, order, workspace_sharing
+    )
+    return applied

@@ -8,9 +8,11 @@ Three layers:
   (a pass that rescans the stream per rewrite shows as 2.4-2.7x) and the
   ``seq_len`` 20 build stays under an absolute ceiling;
 * **indices equal the scans they replaced** — the union-find alias roots
-  against the old whole-table remap over random alias chains, and the
+  against the old whole-table remap over random alias chains, the
   lowering's slot index against the old per-lookup producer scan on the
-  harness NMT lowering (both oracles live in ``tests/helpers.py``);
+  harness NMT lowering, and Echo's consumer index against the old
+  whole-schedule re-pointing scan (the oracles live in
+  ``tests/helpers.py``);
 * **same outputs as before the rewrite** — schedule orders, memory plans,
   placements, witnesses and Echo reports of the harness NMT (16, 16) and
   word-LM builds at threads {1, 2}, digested and compared with the
@@ -20,6 +22,7 @@ Three layers:
 """
 
 import hashlib
+import itertools
 import json
 import pathlib
 import sys
@@ -29,8 +32,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.echo.pass_ as pass_mod
+import repro.graph.node as node_mod
 import repro.ops as O
 from repro.echo import EchoConfig, EchoPass
+from repro.experiments import TINY
 from repro.gpumodel import DeviceModel
 from repro.graph import topo_order
 from repro.memplan.elision import elide_copies
@@ -40,7 +46,11 @@ from repro.nn import Backend
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime import PlanCache, TrainingExecutor
-from tests.helpers import reference_elide_copies, reference_producer_spec
+from tests.helpers import (
+    reference_apply_candidate,
+    reference_elide_copies,
+    reference_producer_spec,
+)
 
 #: the benchmark harness's frozen shapes (benchmarks/harness/spec.py)
 HARNESS_NMT = dict(
@@ -226,6 +236,57 @@ class TestIndicesMatchScans:
             s: readers[-1] for s, readers in index.consumers.items()
         }
 
+    @pytest.mark.parametrize("sharing", [True, False])
+    @pytest.mark.parametrize("model", ["tiny_nmt", "wordlm"])
+    def test_consumer_index_repoints_like_the_schedule_scan(
+        self, monkeypatch, model, sharing
+    ):
+        """Every rewrite the pass applies — and a rollback followed by a
+        re-apply — re-points the same consumers, in the same order, and
+        gives the mirrors the same priorities as the whole-schedule scan."""
+        real_apply = pass_mod.apply_candidate
+        applied = []
+
+        def record(app):
+            return (
+                [(c.uid, [t.key for t in before], [t.key for t in c.inputs])
+                 for c, before in app.repointed],
+                sorted((u, m.uid, m.priority) for u, m in app.mirrors.items()),
+            )
+
+        def checked_apply(candidate, index, output_keys, workspace_sharing):
+            # both runs draw the same mirror uids from a restarted counter
+            start = next(node_mod._NODE_COUNTER)
+            node_mod._NODE_COUNTER = itertools.count(start)
+            ref = reference_apply_candidate(
+                candidate, index.order, output_keys, workspace_sharing
+            )
+            want = record(ref)
+            ref.rollback()
+            node_mod._NODE_COUNTER = itertools.count(start)
+            got = real_apply(candidate, index, output_keys, workspace_sharing)
+            assert record(got) == want
+            assert got.repointed
+            applied.append((got, index, output_keys))
+            return got
+
+        monkeypatch.setattr(pass_mod, "apply_candidate", checked_apply)
+        graph = (
+            build_nmt(TINY.with_backend(Backend.CUDNN)).graph
+            if model == "tiny_nmt" else _wordlm_graph()
+        )
+        report = EchoPass(
+            EchoConfig(workspace_sharing=sharing), DeviceModel(),
+            plan_cache=PlanCache(store=None),
+        ).run(graph)
+        assert len(applied) == len(report.accepted) + report.rolled_back > 0
+        if not sharing and model == "tiny_nmt":
+            assert report.rolled_back > 0
+
+        app, index, output_keys = applied[len(applied) // 2]
+        app.rollback()  # a no-op if the pass already rolled it back
+        checked_apply(app.candidate, index, output_keys, sharing)
+
     def test_edited_descriptors_rebuild_the_index(self):
         _, executor, _ = _compiled(_wordlm_graph(4))
         low = executor.executor.plan.lowering
@@ -317,9 +378,7 @@ def describe_build(graph, threads) -> dict:
             "counts": [report.baseline_peak_bytes,
                        report.optimized_peak_bytes, report.candidates_found,
                        report.rejected_low_benefit, report.rejected_budget,
-                       report.rolled_back, report.baseline_packed_bytes,
-                       report.optimized_packed_bytes,
-                       len(report.mirror_witnesses)],
+                       report.rolled_back, len(report.mirror_witnesses)],
             "seconds": [report.recompute_seconds, report.iteration_seconds],
             "accepted": [
                 [[n.uid - base for n in c.nodes],

@@ -11,8 +11,12 @@ from repro.echo.analysis import (
     mine_candidates,
     stashed_tensors,
 )
-from repro.echo.rewrite import AppliedCandidate, apply_candidate
-from repro.graph import Stage, scope
+from repro.echo.rewrite import (
+    AppliedCandidate,
+    ConsumerIndex,
+    apply_candidate,
+)
+from repro.graph import GraphFacts, Stage, scope
 from repro.gpumodel import DeviceModel
 from repro.runtime import schedule
 
@@ -154,11 +158,11 @@ class TestRewriteMechanics:
         keys = {t.key for t in tg.outputs}
         cands = mine_candidates(order, keys, device=DeviceModel())
         cand = max(cands, key=lambda c: c.benefit_bytes)
-        return tg, order, keys, cand
+        return tg, ConsumerIndex(order, GraphFacts(tg.outputs)), keys, cand
 
     def test_mirrors_scheduled_after_forward(self):
-        tg, order, keys, cand = self._one_candidate()
-        apply_candidate(cand, order, keys)
+        tg, index, keys, cand = self._one_candidate()
+        apply_candidate(cand, index, keys)
         new_order = schedule(tg.outputs)
         stage_seq = [n.stage for n in new_order
                      if n.op.name not in ("placeholder", "variable",
@@ -167,11 +171,12 @@ class TestRewriteMechanics:
         assert Stage.FORWARD not in stage_seq[first_recompute:]
 
     def test_rollback_restores_graph_exactly(self):
-        tg, order, keys, cand = self._one_candidate()
+        tg, index, keys, cand = self._one_candidate()
+        order = index.order
         inputs_before = {
             n.uid: n.inputs for n in order if n.stage is Stage.BACKWARD
         }
-        applied = apply_candidate(cand, order, keys)
+        applied = apply_candidate(cand, index, keys)
         assert isinstance(applied, AppliedCandidate)
         changed = [
             uid for uid, ins in inputs_before.items()

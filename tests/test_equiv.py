@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 import repro.ops as O
 from repro.analysis import AnalysisReport, InplaceWitness, check_equivalence
-from repro.analysis.equiv import fingerprint_outputs
+from repro.analysis.equiv import SymbolicTable, fingerprint_outputs
 from repro.analysis.findings import CODES, Severity, finding
 from repro.analysis.lint import list_codes
 from repro.autodiff import compile_training
@@ -37,8 +37,16 @@ from repro.echo.pass_ import EchoPass
 from repro.echo.rewrite import _clone_as_mirror
 from repro.graph import Stage, Tensor
 from repro.memplan.elision import inplace_positions
+from repro.models import WordLmConfig, build_word_lm
+from repro.nn import Backend
 from repro.ops.dropout import set_global_step
-from repro.runtime import Arena, CompiledPlan, PlanCache, schedule
+from repro.runtime import (
+    Arena,
+    CompiledPlan,
+    PlanCache,
+    TrainingExecutor,
+    schedule,
+)
 from tests.helpers import AboveGateDevice, reference_run
 
 
@@ -337,6 +345,50 @@ class TestMutationCorpus:
         corpus = {"EQ601", "EQ602", "EQ603", "EQ604", "EQ605", "EQ606",
                   "EQ607"}
         assert corpus == {c for c in CODES if c.startswith("EQ")}
+
+
+class TestOpaqueLeaves:
+    """The fallback leaf of an unresolvable operand is interned only when
+    the operand's value really is missing."""
+
+    @pytest.fixture
+    def interned(self, monkeypatch):
+        kinds = []
+        real = SymbolicTable.expr
+
+        def spy(self, kind, payload, children=()):
+            kinds.append(kind)
+            return real(self, kind, payload, children)
+
+        monkeypatch.setattr(SymbolicTable, "expr", spy)
+        return kinds
+
+    def test_clean_harness_plan_interns_no_unresolved_leaf(self, interned):
+        # the benchmark harness's word-LM shape, Echo on (mirrors included)
+        cfg = WordLmConfig(
+            vocab_size=2000, embed_size=64, hidden_size=64, num_layers=2,
+            seq_len=20, batch_size=16, backend=Backend.DEFAULT,
+        )
+        graph = build_word_lm(cfg).graph
+        cache = PlanCache(store=None)
+        assert EchoPass(plan_cache=cache).run(graph).accepted
+        ex = TrainingExecutor(graph, plan_cache=cache, threads=1)
+        assert check_equivalence(ex.executor.plan) == []
+        assert interned and "unresolved" not in interned
+
+    def test_corrupted_input_reference_keeps_its_opaque_leaf(self, interned):
+        plan, _order, _outs = _mlp_plan(fuse=False)
+        idx, node = next(
+            (i, d["node"]) for i, d in enumerate(plan.lowering.descs)
+            if d["kind"] == "out" and d["node"].op.name == "sub"
+        )
+        a, b = node.inputs
+        node.inputs = (a, Tensor(b.node, 3))  # b.node has one output
+        fs = check_equivalence(plan)
+        assert interned.count("unresolved") == 1
+        assert [(f.code, f.instr, f.node) for f in fs] == [
+            ("EQ601", idx, node.name)
+        ]
 
 
 class TestRandomPipelines:

@@ -32,7 +32,6 @@ from repro.echo import EchoConfig, optimize
 from repro.memplan import (
     atomic_tokens,
     pack_intervals,
-    packed_peak_bytes,
     waterline,
 )
 from repro.memplan.coloring import ALIGN
@@ -420,7 +419,7 @@ class TestWorkspaceAccounting:
         assert plan.peak_bytes == max(plan.timeline)
 
 
-# -- satellite: arena extents + Echo's packed footprint -----------------------
+# -- satellite: arena extents + Echo's scored footprint -----------------------
 
 
 class TestMemplanPlumbing:
@@ -435,23 +434,16 @@ class TestMemplanPlumbing:
         assert again is raw  # smallest parked fit is reused
         assert arena.acquire_extent(2 * raw.nbytes) is not raw
 
-    def test_packed_peak_bounded_by_waterline_peak(self):
-        x = O.placeholder((8, 8), name="pp_x")
-        w = O.variable((8, 8), name="pp_w")
-        loss = O.reduce_mean(O.tanh(O.mul(O.add(x, w), x)))
-        graph = compile_training(loss, {"pp_w": w}, {"pp_x": x})
-        plan = plan_memory(schedule(graph.outputs), graph.outputs)
-        packed = packed_peak_bytes(plan)
-        assert packed > 0
-
-    def test_echo_reports_packed_footprint_in_color_mode(self):
+    def test_echo_reports_waterline_footprint(self):
         x = O.placeholder((8, 16), name="ec_x")
         w = O.variable((16, 16), name="ec_w")
         h = O.tanh(O.fully_connected(x, w))
         loss = O.reduce_mean(O.tanh(h))
         graph = compile_training(loss, {"ec_w": w}, {"ec_x": x})
         report = optimize(graph, plan_cache=PlanCache(store=None))
-        assert report.baseline_packed_bytes > 0
+        assert report.baseline_peak_bytes > 0
+        assert report.baseline_peak_bytes == report.baseline_plan.peak_bytes
         assert (
-            report.optimized_packed_bytes <= report.baseline_packed_bytes
+            report.optimized_peak_bytes == report.optimized_plan.peak_bytes
         )
+        assert report.optimized_peak_bytes <= report.baseline_peak_bytes
