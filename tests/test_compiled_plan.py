@@ -5,6 +5,7 @@ import pytest
 
 import repro.ops as O
 from repro.autodiff import compile_training
+from repro.graph import Node, Op, TensorSpec
 from repro.models import WordLmConfig, build_word_lm
 from repro.runtime import (
     Arena,
@@ -85,6 +86,76 @@ class TestParity:
 
 class _NdarraySubclass(np.ndarray):
     pass
+
+
+class _GenericView(Op):
+    """A generic (non-``out=``) op whose ``compute`` hands back its input
+    itself (``how="self"``) or a view of it (``how="view"``), or a result
+    of the wrong shape (``how="bad-shape"``)."""
+
+    name = "test_generic_view"
+
+    def infer_specs(self, node):
+        (a,) = node.inputs
+        return [TensorSpec(a.shape, a.dtype)]
+
+    def compute(self, node, inputs):
+        (a,) = inputs
+        how = node.attrs["how"]
+        if how == "self":
+            return [a]
+        if how == "view":
+            return [a[...]]
+        return [a[:1]]
+
+
+def _generic_view(x, how):
+    return Node(_GenericView(), [x], attrs={"how": how}).out()
+
+
+class TestGenericStep:
+    """Contracts of the one instruction kind that calls ``compute``."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("how", ["self", "view"])
+    def test_result_aliasing_a_static_input_is_detached(self, how, threads):
+        x = O.placeholder((4, 3), np.float64, name="gx")
+        a = O.mul_scalar(x, 2.0)
+        v = _generic_view(a, how)
+        # ``a`` dies at the generic step; ``w`` is then packed into a's
+        # storage and overwrites it (unfused, so ``w`` is a static buffer)
+        w = O.add(v, x)
+        e = O.tanh(w)
+        plan = CompiledPlan(
+            schedule([v, e]), [v, e], fuse=False, threads=threads
+        )
+        low = plan.lowering
+        a_slot, w_slot = low.slot_of[a.key], low.slot_of[w.key]
+        assert np.may_share_memory(
+            low.static_views[low.root[a_slot]],
+            low.static_views[low.root[w_slot]],
+        )
+        assert [d["node"] for d in low.descs if d["kind"] == "generic"] == [
+            v.node
+        ]
+        feed = np.arange(12, dtype=np.float64).reshape(4, 3)
+        for scale in (1.0, 3.0):  # steady state, not only the first run
+            got_v, got_e = plan.run({"gx": feed * scale})
+            assert np.array_equal(got_v, 2.0 * scale * feed)
+            assert np.array_equal(got_e, np.tanh(3.0 * scale * feed))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_wrong_output_shape_names_node_and_specs(self, threads):
+        x = O.placeholder((4, 3), np.float64, name="gx")
+        v = _generic_view(O.mul_scalar(x, 2.0), "bad-shape")
+        plan = CompiledPlan(schedule([v]), [v], threads=threads)
+        msg = (
+            f"{v.node.name} output 0: kernel produced shape (1, 3), "
+            "spec says (4, 3)"
+        )
+        with pytest.raises(ExecutionError) as err:
+            plan.run({"gx": np.ones((4, 3))})
+        assert str(err.value) == msg
 
 
 class TestErrorContract:
