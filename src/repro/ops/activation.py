@@ -26,19 +26,19 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid_into(x: np.ndarray, out: np.ndarray) -> None:
-    # Numerically stable without masked gathers: t = exp(-|x|) never
-    # overflows, and per element the arithmetic is exactly the classic
-    # piecewise form — 1/(1+exp(-x)) for x >= 0, exp(x)/(1+exp(x))
-    # otherwise — so results are bit-identical to it. Alias-safe when
-    # ``out is x``: x is only read before the first write to out.
-    pos = x >= 0
+    # Numerically stable and branch-free: t = exp(-|x|) never overflows
+    # and is <= 1, so max(t, [x >= 0]) is 1 where x >= 0 and t elsewhere,
+    # and one division by 1 + t gives exactly the classic piecewise form —
+    # 1/(1+exp(-x)) for x >= 0, exp(x)/(1+exp(x)) otherwise — bit for bit
+    # (NaN stays NaN: it fails x >= 0 and wins the max). Alias-safe when
+    # ``out is x``: x is only read up to the first write to out.
     t = np.abs(x)
     np.negative(t, out=t)
     np.exp(t, out=t)
-    denom = t + 1.0
-    np.divide(t, denom, out=t)  # negative branch: exp(x) / (1 + exp(x))
-    np.divide(1.0, denom, out=denom)  # positive branch: 1 / (1 + exp(-x))
-    out[...] = np.where(pos, denom, t)
+    np.greater_equal(x, 0, out=out)
+    np.maximum(t, out, out=out)
+    np.add(t, 1.0, out=t)
+    np.divide(out, t, out=out)
 
 
 class _ElementwiseSameShape(Op):

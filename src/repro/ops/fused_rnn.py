@@ -23,14 +23,15 @@ from repro.ops.activation import _sigmoid
 
 def _split_gates(gates: np.ndarray) -> tuple[np.ndarray, ...]:
     h = gates.shape[-1] // 4
-    # input|forget are adjacent columns: one sigmoid call covers both
-    # (elementwise, so bit-identical to two per-gate calls).
-    in_forget = _sigmoid(gates[:, 0 * h:2 * h])
+    # One sigmoid pass over all four gate blocks, sliced for i, f and o:
+    # sigmoid is elementwise, so each slice is bit-identical to a
+    # per-gate call (the g~ columns of the pass go unused).
+    act = _sigmoid(gates)
     return (
-        in_forget[:, :h],
-        in_forget[:, h:],
+        act[:, 0 * h:1 * h],
+        act[:, 1 * h:2 * h],
         np.tanh(gates[:, 2 * h:3 * h]),
-        _sigmoid(gates[:, 3 * h:4 * h]),
+        act[:, 3 * h:4 * h],
     )
 
 

@@ -8,7 +8,7 @@ executors sharing one memory pool. A parked extent never grows: sibling
 plans built largest-first share one extent; built smallest-first (the
 order ``default_buckets`` and the harness use) every plan outgrows what is
 parked and takes its own, so footprint is then the *sum* over buckets
-(``reuse_count`` 0; ROADMAP item 4). Sharing is safe because executors
+(``reuse_count`` 0; ROADMAP item 3). Sharing is safe because executors
 run one iteration to completion at a time and outputs never alias plan
 storage.
 """

@@ -12,10 +12,17 @@ process-wide :data:`TEMPLATES` memo instead of being compiled again
 calls its node's :meth:`~repro.graph.Op.kernel`, built once here with
 every attribute resolved, writing straight into the static buffers the
 lowering assigned, so steady-state iterations allocate only the run's
-escaping outputs. Views of static storage are computed once, here, and
-placed in the register file every run starts from
-(:meth:`PlanCodegen.bake_steps`), and one generated binder per plan
-binds the feeds.
+escaping outputs; the few ops without an ``out=`` kernel (``generic``
+instructions) call ``compute`` through the same kind of template.
+
+What a run never decides is baked (:meth:`PlanCodegen.bake_steps`): a
+register that holds the same array on every run — a constant, a static
+buffer, a batched member, a view of static storage — is *fixed*. Its
+array is placed in the register file every run starts from, no step
+writes it, and every step that reads it binds the array itself as a
+default instead of loading it from the register file; views of static
+storage are computed here once and their steps dropped. One generated
+binder per plan binds the feeds.
 
 Every closure reproduces its op's ``compute`` bit for bit: kernels are
 bitwise-identical to ``compute`` by contract, and a stacked GEMM issues
@@ -104,21 +111,58 @@ def _names(prefix: str, n: int) -> tuple[str, ...]:
     return tuple([f"{prefix}{j}" for j in range(n)])
 
 
-def _regs(prefix: str, n: int) -> tuple[str, ...]:
-    """Register reads ``regs[prefix0] ..`` through slot parameters."""
-    return tuple([f"regs[{prefix}{j}]" for j in range(n)])
-
-
 def _clear_src(n: int) -> str:
     """Unrolled register drops through the ``_c*`` slot parameters."""
     return "".join([f"\n    regs[_c{j}] = None" for j in range(n)])
 
 
+def _read(prefix: str, j: int, fixed: bool) -> tuple[str, str]:
+    """``(parameter, expression)`` of operand ``j``: the slot ``{prefix}j``
+    read through the register file, or — where the register is fixed —
+    its array, bound as ``{prefix}vj``."""
+    if fixed:
+        return f"{prefix}v{j}", f"{prefix}v{j}"
+    return f"{prefix}{j}", f"regs[{prefix}{j}]"
+
+
+def _reads(prefix: str, fixed: tuple[bool, ...]) -> tuple[list, list]:
+    """Parameters and expressions of operands ``prefix0 ..`` (``fixed[j]``:
+    operand ``j`` is a fixed register), as :func:`_read` names them."""
+    params, exprs = [], []
+    for j, is_fixed in enumerate(fixed):
+        param, expr = _read(prefix, j, is_fixed)
+        params.append(param)
+        exprs.append(expr)
+    return params, exprs
+
+
+def _operands(
+    slots: Sequence[int], template: list
+) -> tuple[tuple[bool, ...], list]:
+    """Which of ``slots`` are fixed, and the default each binds: the
+    register's array where it is fixed, else the slot number."""
+    fixed: tuple[bool, ...] = ()
+    values: list = []
+    for s in slots:
+        value = template[s]
+        if value is None:
+            fixed += (False,)
+            values += [s]
+        else:
+            fixed += (True,)
+            values += [value]
+    return fixed, values
+
+
 @functools.lru_cache(maxsize=1024)
-def _out_source(n_in: int, n_clear: int, fresh: tuple[bool, ...]) -> str:
-    """``_k(regs[_i0], .., _s0, ..)`` for an ``out`` instruction; output
-    ``j`` is the bound buffer ``_sj``, or allocated from ``_a`` where
-    ``fresh[j]``. Memoized by form: most instructions share a handful."""
+def _out_source(
+    ins: tuple[bool, ...], n_clear: int, fresh: tuple[bool, ...]
+) -> str:
+    """``_k(<inputs>, _s0, ..)`` for an ``out`` instruction (``ins[j]``:
+    input ``j`` is fixed); output ``j`` is the bound static buffer ``_sj``
+    — a fixed register nothing writes — or, where ``fresh[j]``, allocated
+    from ``_a`` and stored to ``regs[_oj]``. Memoized by form: most
+    instructions share a handful."""
     params, lines = ["_k", "_a"], []
     for j, is_fresh in enumerate(fresh):
         if is_fresh:
@@ -126,13 +170,14 @@ def _out_source(n_in: int, n_clear: int, fresh: tuple[bool, ...]) -> str:
             lines.append(f"    _s{j} = _a(_sh{j}, _d{j}, _nb{j})")
         else:
             params.append(f"_s{j}")
-    n_out = len(fresh)
-    args = ", ".join(_regs("_i", n_in) + _names("_s", n_out))
-    lines.append(f"    _k({args})")
-    lines += [f"    regs[_o{j}] = _s{j}" for j in range(n_out)]
-    params += [
-        *_names("_i", n_in), *_names("_o", n_out), *_names("_c", n_clear),
-    ]
+    in_params, args = _reads("_i", ins)
+    params += in_params
+    lines.append(f"    _k({', '.join(args + list(_names('_s', len(fresh))))})")
+    for j, is_fresh in enumerate(fresh):
+        if is_fresh:
+            params.append(f"_o{j}")
+            lines.append(f"    regs[_o{j}] = _s{j}")
+    params += _names("_c", n_clear)
     return (
         f"def step(regs, {', '.join(params)}):\n"
         + "\n".join(lines) + f"{_clear_src(n_clear)}\n"
@@ -141,44 +186,129 @@ def _out_source(n_in: int, n_clear: int, fresh: tuple[bool, ...]) -> str:
 
 @functools.lru_cache(maxsize=1024)
 def _fused_source(
-    members: tuple[tuple[bool, ...], ...], fresh: bool, n_clear: int
+    members: tuple[tuple[str, ...], ...], fresh: bool, n_clear: int
 ) -> str:
-    """A fused chain: one ``_kj(.., buf)`` line per member, streaming the
-    accumulator ``buf`` (``members[j][p]``: operand ``p`` of member ``j``
-    is ``buf``) through the kernels, external operands read through slot
-    parameters numbered along the chain."""
-    lines = ["    buf = _a(_sh, _d, _nb)" if fresh else "    buf = _s"]
-    n_in = 0
+    """A fused chain: one ``_kj(.., acc)`` line per member, streaming the
+    accumulator through the kernels. ``members[j][p]`` says what operand
+    ``p`` of member ``j`` is: ``"acc"``, a register (``"reg"``) or a fixed
+    register's array (``"fix"``); external operands are numbered along
+    the chain. The accumulator is the bound static buffer ``_s`` (a fixed
+    register: nothing stores it) or, where ``fresh``, allocated from
+    ``_a`` and stored to ``regs[_o]``."""
+    acc = "buf" if fresh else "_s"
+    lines = ["    buf = _a(_sh, _d, _nb)"] if fresh else []
+    in_params: list[str] = []
     for j, pattern in enumerate(members):
         args = []
-        for is_buf in pattern:
-            if is_buf:
-                args.append("buf")
+        for how in pattern:
+            if how == "acc":
+                args.append(acc)
             else:
-                args.append(f"regs[_i{n_in}]")
-                n_in += 1
-        lines.append(f"    _k{j}({', '.join(args)}, buf)")
+                param, expr = _read("_i", len(in_params), how == "fix")
+                in_params.append(param)
+                args.append(expr)
+        lines.append(f"    _k{j}({', '.join(args)}, {acc})")
+    if fresh:
+        lines.append("    regs[_o] = buf")
     params = [
         *_names("_k", len(members)),
-        *(("_a", "_sh", "_d", "_nb") if fresh else ("_s",)),
-        *_names("_i", n_in), "_o", *_names("_c", n_clear),
+        *(("_a", "_sh", "_d", "_nb", *in_params, "_o") if fresh
+          else ("_s", *in_params)),
+        *_names("_c", n_clear),
     ]
     return (
         f"def step(regs, {', '.join(params)}):\n"
-        + "\n".join(lines) + "\n"
-        f"    regs[_o] = buf{_clear_src(n_clear)}\n"
+        + "\n".join(lines) + f"{_clear_src(n_clear)}\n"
     )
 
 
-def _fold(
-    desc: dict[str, Any], fixed: dict[int, np.ndarray]
-) -> list[np.ndarray] | None:
+@functools.lru_cache(maxsize=1024)
+def _generic_source(
+    ins: tuple[bool, ...], n_out: int, guards: tuple[bool, ...],
+    n_clear: int,
+) -> str:
+    """A ``generic`` instruction: ``_f(_n, [<inputs>])`` — the node's
+    ``compute`` — with each result's shape checked against its spec and
+    detached (copied) when it is, or is a view of, a *guard*: an input
+    whose static buffer later instructions overwrite (``guards[g]``: guard
+    ``g`` is fixed). Every result is stored to ``regs[_oj]``."""
+    in_params, args = _reads("_i", ins)
+    guard_params, guard_exprs = _reads("_g", guards)
+    params = ["_f", "_n", "_nm", "_EE", "_ms", *in_params, *guard_params]
+    results = _names("_r", n_out)
+    target = ", ".join(results) + ("," if n_out == 1 else "")
+    lines = [f"    {target} = _f(_n, [{', '.join(args)}])"]
+    for j, r in enumerate(results):
+        params.append(f"_sh{j}")
+        lines.append(
+            f"    if {r}.shape != _sh{j}:\n"
+            "        raise _EE(\n"
+            f"            f'{{_nm}} output {j}: kernel produced shape "
+            f"{{{r}.shape}}, spec says {{_sh{j}}}'\n"
+            "        )"
+        )
+        if guard_exprs:
+            same = " or ".join([f"{r} is {g}" for g in guard_exprs])
+            shares = " or ".join([f"_ms({r}, {g})" for g in guard_exprs])
+            if len(guard_exprs) > 1:
+                shares = f"({shares})"
+            lines.append(
+                f"    if {same} or {r}.base is not None and {shares}:\n"
+                f"        {r} = {r}.copy()"
+            )
+        lines.append(f"    regs[_o{j}] = {r}")
+    params += [*_names("_o", n_out), *_names("_c", n_clear)]
+    return (
+        f"def step(regs, {', '.join(params)}):\n"
+        + "\n".join(lines) + f"{_clear_src(n_clear)}\n"
+    )
+
+
+@functools.lru_cache(maxsize=1024)
+def _alias_source(
+    fixed: bool, indexed: tuple[bool, ...], n_clear: int
+) -> str:
+    """An ``alias`` instruction: output ``j`` is the input itself or, where
+    ``indexed[j]``, the input indexed by ``_ixj`` (``fixed``: the input is
+    a fixed register, bound as ``_iv0``)."""
+    src_param, src_expr = _read("_i", 0, fixed)
+    params = [f"_ix{j}" for j, has in enumerate(indexed) if has]
+    lines = [
+        f"\n    regs[_o{j}] = {src_expr}" + (f"[_ix{j}]" if has else "")
+        for j, has in enumerate(indexed)
+    ]
+    params += [src_param, *_names("_o", len(indexed)), *_names("_c", n_clear)]
+    return (
+        f"def step(regs, {', '.join(params)}):"
+        f"{''.join(lines)}{_clear_src(n_clear)}\n"
+    )
+
+
+@functools.lru_cache(maxsize=1024)
+def _view_source(ins: tuple[bool, ...], n_clear: int, reshape: bool) -> str:
+    """A ``view`` instruction: ``<input>.reshape(_sh)`` where ``reshape``,
+    else the first result of ``_f(_n, [<inputs>])`` (``ins[j]``: input
+    ``j`` is fixed), stored to ``regs[_o]``."""
+    in_params, args = _reads("_i", ins)
+    if reshape:
+        head, work = "_sh", f"{args[0]}.reshape(_sh)"
+    else:
+        head, work = "_n, _f", f"_f(_n, [{', '.join(args)}])[0]"
+    params = [head, *in_params, "_o", *_names("_c", n_clear)]
+    return (
+        f"def step(regs, {', '.join(params)}):\n"
+        f"    regs[_o] = {work}{_clear_src(n_clear)}\n"
+    )
+
+
+def _fold(desc: dict[str, Any], template: list) -> list[np.ndarray] | None:
     """The views a ``view`` / ``alias`` descriptor binds, computed at bake
-    time — or None unless its one input is ``fixed`` and every view
-    shares that array's memory (a reshape that copies keeps its step)."""
+    time — or None unless its one input is fixed (``template`` holds its
+    array) and every view shares that array's memory (a reshape that
+    copies keeps its step)."""
     if len(desc["in_slots"]) != 1:
         return None
-    src = fixed.get(desc["in_slots"][0])
+    src = template[desc["in_slots"][0]]
     if src is None:
         return None
     if desc["kind"] == "alias":
@@ -201,19 +331,17 @@ def _fold(
 class PlanCodegen:
     """Bakes one plan's closures from its lowering.
 
-    ``plan`` owns ``generic_alloc_count``, which generic steps bump on
-    every run (under a lock when ``threads > 1``: wavefront chunks run
-    them concurrently). ``templates_compiled`` / ``template_hits`` count
+    ``generic_outputs`` counts the results the plan's generic steps
+    allocate per run. ``templates_compiled`` / ``template_hits`` count
     closure sources this plan had to ``compile`` / found in
     :data:`TEMPLATES`.
     """
 
-    def __init__(self, plan: Any, arena: Arena, threads: int) -> None:
-        self.plan = plan
+    def __init__(self, arena: Arena) -> None:
         self.arena = arena
-        self.lock = threading.Lock() if threads > 1 else None
         #: one entry per descriptor, None where a view was folded
         self.steps: list[Callable[[list], None] | None] = []
+        self.generic_outputs = 0
         self.templates_compiled = 0
         self.template_hits = 0
 
@@ -228,70 +356,83 @@ class PlanCodegen:
         buffers are looked up by alias-group *root*, so in-place-rewritten
         slots resolve to the dying input's buffer.
 
+        ``template`` — the register file every run starts from, holding
+        the plan's constants on entry — also records which registers are
+        *fixed*: those holding the same array on every run. Slots are
+        single-assignment, static-rooted registers are never cleared and a
+        static buffer's address is fixed for the plan's life, so each
+        static ``out`` / ``fused`` output and batched member is fixed: its
+        array goes into ``template`` and its step stores nothing. Every
+        step reading a fixed register binds its array as a default instead
+        of loading the register.
+
         A ``view`` / ``alias`` descriptor is *folded* — its entry is None
-        and its views are written into ``template``, the register file
-        every run starts from — when its input register holds the same
-        array on every run (a static buffer an earlier step writes, or an
-        earlier folded view) and each view shares that array's memory. Slots
-        are single-assignment, static-rooted registers are never cleared
-        and a static buffer's address is fixed for the plan's life, so the
-        register holds exactly the view the step would have bound.
+        and its views are written into ``template`` — when its input
+        register is fixed and each view shares that array's memory: the
+        register then holds exactly the view the step would have bound.
         """
         root, static_views = low.root, low.static_views
-        #: slot -> the array its register holds on every run
-        fixed: dict[int, np.ndarray] = {}
-        steps = self.steps
-        for idx, desc in enumerate(low.descs):
-            clear = clears_at.get(idx, ())
+        descs = low.descs
+        steps: list[Callable[[list], None] | None] = [None] * len(descs)
+        for idx, desc in enumerate(descs):
+            clear = clears_at[idx] if idx in clears_at else ()
             kind = desc["kind"]
             out_slots = desc["out_slots"]
             if kind == "view" or kind == "alias":
-                views = None if clear else _fold(desc, fixed)
+                views = None if clear else _fold(desc, template)
                 if views is not None:
                     for s, view in zip(out_slots, views):
-                        template[s] = fixed[s] = view
-                    steps.append(None)
+                        template[s] = view
                     continue
             if kind == "view":
                 step = self._make_view_step(
-                    desc["node"], desc["in_slots"], out_slots, clear
+                    desc["node"], desc["in_slots"], out_slots, clear,
+                    template,
                 )
             elif kind == "alias":
                 step = self._make_alias_step(
                     desc["node"], desc["in_slots"], out_slots,
-                    desc["alias_index"], clear,
+                    desc["alias_index"], clear, template,
                 )
             elif kind == "batched":
-                static = static_views.get(root[out_slots[0]])
-                members = None
+                head = root[out_slots[0]]
+                static = static_views[head] if head in static_views else None
+                step = self._make_batched_step(desc, clear, static, template)
                 if static is not None:
-                    members = tuple(static[i] for i in range(len(out_slots)))
-                    fixed.update(zip(out_slots, members))
-                step = self._make_batched_step(desc, clear, static, members)
+                    for i, s in enumerate(out_slots):
+                        template[s] = static[i]
             elif kind == "generic":
-                guard = tuple(
-                    s
-                    for s in dict.fromkeys(desc["in_slots"])
-                    if root[s] in static_views
-                )
+                guard: tuple[int, ...] = ()
+                for s in desc["in_slots"]:
+                    if root[s] in static_views and s not in guard:
+                        guard += (s,)
                 step = self._make_generic_step(
-                    desc["node"], desc["in_slots"], out_slots, clear, guard
+                    desc["node"], desc["in_slots"], out_slots, clear, guard,
+                    template,
                 )
+                self.generic_outputs += len(out_slots)
             else:
-                statics = [static_views.get(root[s]) for s in out_slots]
-                for s, static in zip(out_slots, statics):
-                    if static is not None:
-                        fixed[s] = static
+                statics: list[np.ndarray | None] = []
+                for s in out_slots:
+                    statics += [
+                        static_views[root[s]] if root[s] in static_views
+                        else None
+                    ]
                 if kind == "fused":
                     step = self._make_fused_step(
-                        desc["chain"], out_slots[0], clear, statics[0]
+                        desc["chain"], out_slots[0], clear, statics[0],
+                        template,
                     )
                 else:
                     step = self._make_out_step(
                         desc["node"], desc["in_slots"], out_slots, clear,
-                        statics,
+                        statics, template,
                     )
-            steps.append(step)
+                for s, static in zip(out_slots, statics):
+                    if static is not None:
+                        template[s] = static
+            steps[idx] = step
+        self.steps = steps
         return steps
 
     def bake_binder(
@@ -380,30 +521,35 @@ class PlanCodegen:
             fn._node = node
         return fn
 
-    def _make_out_step(self, node, in_slots, out_slots, clear, statics):
+    def _make_out_step(self, node, in_slots, out_slots, clear, statics,
+                       template):
         """The node's kernel writes each output into its static buffer, or
         into an array fresh from the arena where the output has none."""
         values = [node.op.kernel(node), self.arena.acquire_fresh]
         fresh: tuple[bool, ...] = ()
-        for static, spec in zip(statics, node.out_specs):
+        outs: list[int] = []
+        for j, static in enumerate(statics):
             if static is None:
+                spec = node.out_specs[j]
                 values += [spec.shape, spec.dtype, spec.nbytes]
+                outs += [out_slots[j]]
+                fresh += (True,)
             else:
-                values.append(static)
-            fresh += (static is None,)
-        src = _out_source(len(in_slots), len(clear), fresh)
-        values += [*in_slots, *out_slots, *clear]
-        return self._bake(src, tuple(values), node)
+                values += [static]
+                fresh += (False,)
+        ins, operands = _operands(in_slots, template)
+        src = _out_source(ins, len(clear), fresh)
+        return self._bake(src, (*values, *operands, *outs, *clear), node)
 
-    def _make_batched_step(self, desc, clear, static, members):
+    def _make_batched_step(self, desc, clear, static, template):
         """One stacked GEMM instruction covering a batched group.
 
         Member inputs are copied into permanent scratch stacks (skipped
         when the operand is shared by every member — the attention-scoring
         case, where one key matrix serves all decoder steps), the stacked
         kernel runs once, and each member's register receives its slice of
-        the stacked result: ``members``, the slices of the ``static``
-        stack, or slices of a fresh one.
+        the stacked result — except over a ``static`` stack, whose slices
+        are fixed registers nothing stores.
         """
         node = desc["node"]
         group = len(desc["out_slots"])
@@ -421,44 +567,44 @@ class PlanCodegen:
             ("y", desc["b_slots"], desc["shared_b"], desc["scratch_b"],
              desc["tb"]),
         ):
+            fixed, bound = _operands(slots[:1] if shared else slots, template)
+            side_params, exprs = _reads(f"_{side}", fixed)
             if shared:
-                params.append(f"_{side}0")
-                values.append(slots[0])
-                operands.append(f"regs[_{side}0]" + (".T" if trans else ""))
+                params += side_params
+                values += bound
+                operands.append(exprs[0] + (".T" if trans else ""))
                 continue
-            params += [f"_{side}v", f"_{side}s", *_names(f"_{side}", group)]
+            params += [f"_{side}d", f"_{side}s", *side_params]
             values += [
                 tuple(scratch[i] for i in range(group)),
                 stacked_operand(scratch, trans),
-                *slots,
+                *bound,
             ]
             lines.extend(
-                f"        _cp(_{side}v[{i}], {reg})"
-                for i, reg in enumerate(_regs(f"_{side}", group))
+                f"        _cp(_{side}d[{i}], {expr})"
+                for i, expr in enumerate(exprs)
             )
             operands.append(f"_{side}s")
         a_expr, b_expr = operands
 
+        assigns = ""
         if static is not None:
-            params += ["_ov", "_S"]
-            values += [members, static]
+            params.append("_S")
+            values.append(static)
             lines.append(f"        _mm({a_expr}, {b_expr}, out=_S)")
-            result = "_ov"
         else:
-            params += ["_a", "_sh", "_d", "_nb"]
+            params += ["_a", "_sh", "_d", "_nb", *_names("_o", group)]
             values += [
                 self.arena.acquire_fresh, (group,) + spec.shape, spec.dtype,
-                group * spec.nbytes,
+                group * spec.nbytes, *desc["out_slots"],
             ]
             lines.insert(0, "        buf = _a(_sh, _d, _nb)")
             lines.append(f"        _mm({a_expr}, {b_expr}, out=buf)")
-            result = "buf"
-        assigns = "".join(
-            f"\n    {reg} = {result}[{i}]"
-            for i, reg in enumerate(_regs("_o", group))
-        )
-        params += [*_names("_o", group), *_names("_c", len(clear))]
-        values += [*desc["out_slots"], *clear]
+            assigns = "".join(
+                f"\n    regs[_o{i}] = buf[{i}]" for i in range(group)
+            )
+        params += _names("_c", len(clear))
+        values += clear
         src = (
             f"def step(regs, {', '.join(params)}):\n"
             "    try:\n"
@@ -474,34 +620,40 @@ class PlanCodegen:
         step._batched = True
         return step
 
-    def _make_fused_step(self, chain, out_slot, clear, static):
+    def _make_fused_step(self, chain, out_slot, clear, static, template):
         tail = chain[-1][1]
-        kernels, in_slots = [], []
-        members: tuple[tuple[bool, ...], ...] = ()
+        kernels, operands = [], []
+        members: tuple[tuple[str, ...], ...] = ()
         for op, node, pattern in chain:
-            kernels.append(op.kernel(node))
-            member: tuple[bool, ...] = ()
+            kernels += [op.kernel(node)]
+            member: tuple[str, ...] = ()
             for s in pattern:
-                member += (s < 0,)
-                if s >= 0:
-                    in_slots.append(s)
+                if s < 0:
+                    member += ("acc",)
+                elif template[s] is None:
+                    member += ("reg",)
+                    operands += [s]
+                else:
+                    member += ("fix",)
+                    operands += [template[s]]
             members += (member,)
         if static is None:
             spec = tail.out_specs[0]
-            buffer = (self.arena.acquire_fresh, spec.shape, spec.dtype,
-                      spec.nbytes)
+            values = (
+                *kernels, self.arena.acquire_fresh, spec.shape, spec.dtype,
+                spec.nbytes, *operands, out_slot, *clear,
+            )
         else:
-            buffer = (static,)
+            values = (*kernels, static, *operands, *clear)
         src = _fused_source(members, static is None, len(clear))
-        step = self._bake(
-            src, (*kernels, *buffer, *in_slots, out_slot, *clear), tail
-        )
+        step = self._bake(src, values, tail)
         step._fused = True
         #: for the plan's failure replay, which names the member
         step._chain = chain
         return step
 
-    def _make_alias_step(self, node, in_slots, out_slots, indices, clear):
+    def _make_alias_step(self, node, in_slots, out_slots, indices, clear,
+                         template):
         """An elided copy: bind a view of the input register, run nothing.
 
         ``indices`` has one entry per output slot — an index object
@@ -511,80 +663,47 @@ class PlanCodegen:
         copy kernel would have produced, so downstream kernels are
         bitwise-unchanged; only the copy's launch and its buffer are gone.
         """
-        params: list[str] = []
+        array = template[in_slots[0]]
+        operand = in_slots[0] if array is None else array
+        indexed: tuple[bool, ...] = ()
         values: list = []
-        lines = []
-        for j, index in enumerate(indices):
-            if index is None:
-                lines.append(f"\n    regs[_o{j}] = regs[_i0]")
-            else:
-                params.append(f"_ix{j}")
-                values.append(index)
-                lines.append(f"\n    regs[_o{j}] = regs[_i0][_ix{j}]")
-        params += [
-            "_i0", *_names("_o", len(out_slots)), *_names("_c", len(clear)),
-        ]
-        values += [in_slots[0], *out_slots, *clear]
-        src = (
-            f"def step(regs, {', '.join(params)}):"
-            f"{''.join(lines)}{_clear_src(len(clear))}\n"
+        for index in indices:
+            indexed += (index is not None,)
+            if index is not None:
+                values += [index]
+        src = _alias_source(array is not None, indexed, len(clear))
+        return self._bake(
+            src, (*values, operand, *out_slots, *clear), node
         )
-        return self._bake(src, tuple(values), node)
 
-    def _make_view_step(self, node, in_slots, out_slots, clear):
-        slots = ", ".join(
-            _names("_i", len(in_slots)) + ("_o",) + _names("_c", len(clear))
-        )
+    def _make_view_step(self, node, in_slots, out_slots, clear, template):
+        ins, operands = _operands(in_slots, template)
         if node.op.name == "reshape" and len(in_slots) == 1:
             # The dominant view op; the target shape is static, so the
             # step is a bare ndarray.reshape (same view ``compute`` makes).
-            head, values = "_sh", (node.out_specs[0].shape,)
-            work = "regs[_i0].reshape(_sh)"
+            values = (node.out_specs[0].shape,)
+            src = _view_source(ins, len(clear), True)
         else:
-            head, values = "_n, _f", (node, node.op.compute)
-            args = ", ".join(_regs("_i", len(in_slots)))
-            work = f"_f(_n, [{args}])[0]"
-        src = (
-            f"def step(regs, {head}, {slots}):\n"
-            f"    regs[_o] = {work}{_clear_src(len(clear))}\n"
-        )
+            values = (node, node.op.compute)
+            src = _view_source(ins, len(clear), False)
         return self._bake(
-            src, (*values, *in_slots, out_slots[0], *clear), node
+            src, (*values, *operands, out_slots[0], *clear), node
         )
 
-    def _make_generic_step(self, node, in_slots, out_slots, clear, guard):
-        compute = node.op.compute
-        specs = list(node.out_specs)
-        plan = self.plan
-        lock = self.lock
-
-        def step(regs):
-            results = compute(node, [regs[s] for s in in_slots])
-            if lock is None:
-                plan.generic_alloc_count += len(results)
-            else:
-                with lock:
-                    plan.generic_alloc_count += len(results)
-            for j, (s, arr) in enumerate(zip(out_slots, results)):
-                expected = specs[j]
-                if tuple(arr.shape) != expected.shape:
-                    raise ExecutionError(
-                        f"{node.name} output {j}: kernel produced shape "
-                        f"{arr.shape}, spec says {expected.shape}"
-                    )
-                for g in guard:
-                    src = regs[g]
-                    if arr is src or (
-                        arr.base is not None and np.may_share_memory(arr, src)
-                    ):
-                        # The kernel returned (a view of) an input whose
-                        # static buffer later instructions overwrite;
-                        # detach it.
-                        arr = arr.copy()
-                        break
-                regs[s] = arr
-            for s in clear:
-                regs[s] = None
-
-        step._node = node
-        return step
+    def _make_generic_step(self, node, in_slots, out_slots, clear, guard,
+                           template):
+        """``compute``'s results, shape-checked and detached from any
+        static-buffered input they alias (see :func:`_generic_source`)."""
+        ins, operands = _operands(in_slots, template)
+        guards, guard_values = _operands(guard, template)
+        src = _generic_source(ins, len(out_slots), guards, len(clear))
+        shapes = [spec.shape for spec in node.out_specs]
+        return self._bake(
+            src,
+            (
+                node.op.compute, node, node.name, ExecutionError,
+                np.may_share_memory, *operands, *guard_values, *shapes,
+                *out_slots, *clear,
+            ),
+            node,
+        )

@@ -88,7 +88,7 @@ class CompiledPlan:
         self.fuse = fuse
         self.threads = max(1, int(threads))
         #: result arrays allocated by generic (non-``out=``) instructions,
-        #: cumulative across runs (benchmarks read deltas)
+        #: cumulative across completed runs (benchmarks read deltas)
         self.generic_alloc_count = 0
         #: program item finalizing each slot's value (wavefront plans);
         #: drives the level-completion hook consumers key overlap off of
@@ -126,8 +126,9 @@ class CompiledPlan:
         if self.threads > 1 and descs:
             layout = plan_program(self, low, device)
 
-        # The register file a run starts from: constants and folded views
-        # of static storage in place, sources bound per run.
+        # The register file a run starts from: constants here, then every
+        # register codegen fixes (static buffers, views of static storage);
+        # sources are bound per run.
         template: list[np.ndarray | None] = [None] * len(slot_of)
         bindings: list[tuple[int, Node, str]] = []
         for n in order:
@@ -136,7 +137,7 @@ class CompiledPlan:
             elif n.op.name in SOURCE_OPS:
                 bindings.append((slot_of[(n.uid, 0)], n, n.op.name))
 
-        gen = PlanCodegen(self, self.arena, self.threads)
+        gen = PlanCodegen(self.arena)
         # In program mode register clears move to segment/level
         # boundaries — level order may execute a slot's stream-last
         # consumer before another consumer in a deeper level, so inline
@@ -163,6 +164,8 @@ class CompiledPlan:
         #: process-wide :data:`repro.runtime.codegen.TEMPLATES` memo
         self.templates_compiled = gen.templates_compiled
         self.template_hits = gen.template_hits
+        #: results the generic steps allocate per run
+        self.generic_outputs_per_run = gen.generic_outputs
         self._slot_of = slot_of
         self._output_slots = [slot_of[t.key] for t in self.outputs]
 
@@ -333,4 +336,5 @@ class CompiledPlan:
                     f"kernel failure in {node!r}: {exc}"
                 ) from exc
             raise ExecutionError(f"kernel failure: {first}") from first
+        self.generic_alloc_count += self.generic_outputs_per_run
         return [regs[s] for s in self._output_slots]

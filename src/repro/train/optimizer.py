@@ -31,8 +31,14 @@ class Optimizer:
     ) -> float:
         """Apply one update in place; returns the pre-clip gradient norm."""
         self._step += 1
+        # np.square widens each element as it squares: the same values as
+        # squaring a float64 copy, summed pairwise over the same shape,
+        # without materialising the copy
         norm = math.sqrt(
-            sum(float(np.sum(g.astype(np.float64) ** 2)) for g in grads.values())
+            sum(
+                float(np.sum(np.square(g, dtype=np.float64)))
+                for g in grads.values()
+            )
         )
         scale = 1.0
         if self.clip_norm is not None and norm > self.clip_norm:

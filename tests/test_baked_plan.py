@@ -4,13 +4,16 @@ Bytecode counts differ between interpreter versions, so the steady-state
 shape of the harness plans (word-LM and NMT (16,16), Echo on, serial and
 ``threads=2``) is pinned instead:
 
-* every instruction step except ``generic`` ones is generated code;
+* every instruction step is generated code;
 * no ``view`` / ``alias`` step over static storage remains — those views
   are folded into the register file every run starts from;
+* no step reads or writes a *fixed* register (a constant, a static
+  buffer, a view of one) through the register file;
 * binding well-formed feeds never reaches :func:`bind_source`;
 * the plan still matches the reference walk bit for bit and certifies.
 """
 
+import re
 import sys
 
 import numpy as np
@@ -45,17 +48,75 @@ def harness_plan(request):
     return graph, training.executor
 
 
-def test_only_generic_steps_are_hand_written(harness_plan):
+def test_no_step_is_hand_written(harness_plan):
     _graph, ex = harness_plan
     plan = ex.plan
-    generic = {
-        d["node"] for d in plan.lowering.descs if d["kind"] == "generic"
-    }
-    hand_written = [
-        s for s in plan._steps if s.__code__.co_filename != PLAN_FILENAME
+    assert plan.instruction_kinds["generic"] > 0
+    assert [
+        s._node for s in plan._steps
+        if s.__code__.co_filename != PLAN_FILENAME
+    ] == []
+    assert not hasattr(plan, "lock")
+
+
+#: generated-closure parameters that name a register slot
+_SLOT_PARAM = re.compile(r"_[iocgxy]\d+$")
+
+
+def _slot_defaults(fn):
+    """``(name, slot)`` for every slot-naming default of a baked closure."""
+    code = fn.__code__
+    names = code.co_varnames[:code.co_argcount]
+    defaults = fn.__defaults__ or ()
+    bound = zip(names[len(names) - len(defaults):], defaults)
+    return [(name, v) for name, v in bound if _SLOT_PARAM.match(name)]
+
+
+def _fixed_slots(plan):
+    """Registers holding the same array on every run, derived from the
+    lowering: constants, static outputs of kernel instructions, and the
+    outputs of view / alias descriptors that have no step."""
+    low = plan.lowering
+    stepped = {s._node for s in plan._steps}
+    fixed = set(low.constant_slots)
+    for d in low.descs:
+        if d["kind"] in ("out", "fused", "batched"):
+            fixed.update(
+                s for s in d["out_slots"] if low.root[s] in low.static_views
+            )
+        elif d["kind"] in ("view", "alias") and d["node"] not in stepped:
+            fixed.update(d["out_slots"])
+    return fixed
+
+
+def test_no_step_touches_a_fixed_register_through_regs(harness_plan):
+    _graph, ex = harness_plan
+    plan = ex.plan
+    fixed = _fixed_slots(plan)
+    assert len(fixed) > len(plan.lowering.constant_slots)
+    bodies = [plan._body]
+    clears = []
+    for _kind, payload, item_clears in plan._program or ():
+        bodies += payload if isinstance(payload, list) else [payload]
+        clears += item_clears or ()
+    named = [
+        (getattr(fn, "_node", fn), name, slot)
+        for fn in plan._steps + bodies
+        for name, slot in _slot_defaults(fn)
     ]
-    assert {s._node for s in hand_written} <= generic
-    assert len(hand_written) == len(generic)
+    assert named, "fixture steps must bind slots"
+    assert [n for n in named if n[2] in fixed] == []
+    assert [s for s in clears if s in fixed] == []
+    # ... and the fixed registers are read as bound arrays instead
+    template = plan._bind.__defaults__[0]
+    assert all(template[s] is not None for s in fixed)
+    bound = {
+        id(v)
+        for fn in plan._steps
+        for v in fn.__defaults__
+        if isinstance(v, np.ndarray)
+    }
+    assert sum(id(template[s]) in bound for s in fixed) > len(fixed) // 2
 
 
 def test_no_view_step_over_static_storage_remains(harness_plan):

@@ -97,6 +97,90 @@ class TestActivationForward:
         np.testing.assert_allclose(out[[0, -1]], [0.0, 1.0], atol=1e-20)
 
 
+def _classic_sigmoid(x):
+    """The classic piecewise sigmoid, gathered per branch: 1/(1+exp(-x))
+    where x >= 0, exp(x)/(1+exp(x)) elsewhere, both through exp(-|x|)."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    for mask, numerator in ((pos, None), (~pos, "t")):
+        t = np.exp(-np.abs(x[mask]))
+        out[mask] = (t if numerator else 1.0) / (1.0 + t)
+    return out
+
+
+def _bits(a):
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+def _float32_sweep():
+    """Every 997th float32 bit pattern (NaNs, infinities, subnormals) plus
+    the exact specials."""
+    pattern = np.arange(0, 2 ** 32, 997, dtype=np.uint64).astype(np.uint32)
+    specials = np.array(
+        [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-45, -1e-45],
+        dtype=np.float32,
+    )
+    return np.concatenate([pattern.view(np.float32), specials])
+
+
+def _float64_randoms():
+    x = rng(41).standard_normal(20_000) * 40.0
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 745.2]
+    return np.concatenate([x, specials])
+
+
+class TestBranchFreeSigmoid:
+    """``_sigmoid_into`` is bit-identical to the classic piecewise form."""
+
+    @pytest.mark.parametrize("make", [_float32_sweep, _float64_randoms])
+    def test_matches_piecewise_bit_for_bit(self, make):
+        from repro.ops.activation import _sigmoid_into
+
+        x = make()
+        out, y = np.empty_like(x), x.copy()
+        with np.errstate(invalid="ignore"):  # exp of a signalling NaN
+            want = _classic_sigmoid(x)
+            _sigmoid_into(x, out)
+            _sigmoid_into(y, y)  # in place: ``out is x``
+        assert np.array_equal(_bits(out), _bits(want))
+        assert np.array_equal(_bits(y), _bits(want))
+
+    def test_strided_column_slices(self):
+        from repro.ops.activation import _sigmoid_into
+
+        base = (rng(42).standard_normal((16, 48)) * 8).astype(np.float32)
+        x = base[:, 5:29]
+        want = _classic_sigmoid(np.ascontiguousarray(x))
+        out = np.empty_like(x)
+        _sigmoid_into(x, out)
+        assert np.array_equal(_bits(out), _bits(want))
+        # into a column slice of a wider buffer, and in place on one
+        wide = np.zeros((16, 64), np.float32)
+        _sigmoid_into(x, wide[:, 7:31])
+        assert np.array_equal(_bits(wide[:, 7:31]), _bits(want))
+        assert not wide[:, :7].any() and not wide[:, 31:].any()
+        _sigmoid_into(x, x)
+        assert np.array_equal(_bits(base[:, 5:29]), _bits(want))
+
+    @pytest.mark.parametrize("shape", [(32, 512), (16, 256), (3, 20)])
+    def test_split_gates_matches_per_gate_form(self, shape):
+        from repro.ops.fused_rnn import _split_gates
+
+        gates = (rng(43).standard_normal(shape) * 4).astype(np.float32)
+        h = shape[1] // 4
+        want = (
+            _classic_sigmoid(gates[:, 0:h]),
+            _classic_sigmoid(gates[:, h:2 * h]),
+            np.tanh(gates[:, 2 * h:3 * h]),
+            _classic_sigmoid(gates[:, 3 * h:4 * h]),
+        )
+        got = _split_gates(gates)
+        assert len(got) == 4
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert np.array_equal(_bits(np.ascontiguousarray(a)), _bits(b))
+
+
 class TestMatmulForward:
     def test_matmul_all_transposes(self):
         a = rng(4).standard_normal((3, 5))

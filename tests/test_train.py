@@ -145,6 +145,30 @@ class TestUpdatePassesGradientsThrough:
                 assert params_new[k].tobytes() == params_old[k].tobytes()
 
 
+class TestGradientNorm:
+    def test_norm_equals_float64_copy_expression(self):
+        """``update`` widens while squaring instead of squaring a float64
+        copy; the norm it returns is bit-for-bit the old expression's, over
+        every parameter shape of the harness NMT model."""
+        from repro.models import NmtConfig, build_nmt
+        from repro.nn import Backend
+        from tests.test_compile_linear import HARNESS_NMT
+
+        model = build_nmt(NmtConfig(backend=Backend.CUDNN, **HARNESS_NMT))
+        params = model.store.initialize(seed=5)
+        gen = np.random.default_rng(6)
+        grads = {
+            name: (gen.standard_normal(p.shape) * 10.0 ** gen.integers(-4, 3))
+            .astype(p.dtype)
+            for name, p in params.items()
+        }
+        want = math.sqrt(sum(
+            float(np.sum(g.astype(np.float64) ** 2)) for g in grads.values()
+        ))
+        got = SGD(0.1).update({k: v.copy() for k, v in params.items()}, grads)
+        assert got == want
+
+
 class TestMetrics:
     def test_perplexity(self):
         assert perplexity(0.0) == 1.0
