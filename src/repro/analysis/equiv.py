@@ -196,6 +196,9 @@ class _ExprBuilder:
         self.findings: list[Finding] = []
         self.flagged: set[int] = set()
         self._memo: dict[tuple[int, int], int] = {}
+        #: node uid -> the operand values the graph side applied it to
+        #: (nodes valued through :meth:`apply`, RNG ops excepted)
+        self.operands: dict[int, tuple[int, ...]] = {}
         #: canonical attrs per node object (a node is applied once on the
         #: graph side and once per instruction executing it)
         self._attrs: dict[Node, tuple[Any, ...]] = {}
@@ -264,6 +267,8 @@ class _ExprBuilder:
                 ),
                 n.uid,
             )
+        if op not in _RNG_OPS:
+            self.operands[n.uid] = children
         for i in range(len(n.out_specs)):
             self._memo[(n.uid, i)] = self.apply(n, children, i)
 
@@ -327,6 +332,16 @@ class _ExprBuilder:
         return self.table.expr("unresolved", (t.node.uid, t.index))
 
     # -- shared application (graph and stream sides) -------------------------
+
+    def value(self, n: Node, children: tuple[int, ...], index: int) -> int:
+        """:meth:`apply`, read from the graph side when it applied ``n``
+        to the same operands: hash-consing maps that application to the
+        value number the graph side already interned."""
+        if self.operands.get(n.uid) == children:
+            vn = self._memo.get((n.uid, index))
+            if vn is not None:
+                return vn
+        return self.apply(n, children, index)
 
     def apply(self, n: Node, children: tuple[int, ...], index: int) -> int:
         """Canonical value of applying ``n``'s op to symbolic operands."""
@@ -433,10 +448,11 @@ def check_equivalence(
         )
 
     def compare(idx: int, desc: dict[str, Any], out_pos: int,
-                computed: int | None, suppress: bool) -> None:
-        """Compare one produced register against the graph, then assign."""
+                computed: int | None, suppress: bool,
+                expected: int | None) -> None:
+        """Compare one produced register against the graph's value
+        ``expected`` (:func:`expected_of` its slot), then assign."""
         oslot = desc["out_slots"][out_pos]
-        expected = expected_of(oslot)
         if expected is None:
             if computed is not None:
                 sym[oslot] = computed
@@ -470,23 +486,33 @@ def check_equivalence(
         kind = desc["kind"]
         if kind == "fused":
             findings.extend(
-                _check_fused(idx, desc, witnesses, builder, child_of, compare)
+                _check_fused(
+                    idx, desc, witnesses, builder, child_of, compare,
+                    expected_of,
+                )
             )
         elif kind == "batched":
             findings.extend(
                 _check_batched(
-                    idx, desc, witnesses, builder, child_of, compare
+                    idx, desc, witnesses, builder, child_of, compare,
+                    expected_of,
                 )
             )
         elif kind == "alias":
             findings.extend(
-                _check_alias(idx, desc, witnesses, builder, child_of, compare)
+                _check_alias(
+                    idx, desc, witnesses, builder, child_of, compare,
+                    expected_of,
+                )
             )
         else:
             node = desc["node"]
-            children = tuple(child_of(s) for s in desc["in_slots"])
-            for i in range(len(desc["out_slots"])):
-                compare(idx, desc, i, builder.apply(node, children, i), False)
+            children = tuple([child_of(s) for s in desc["in_slots"]])
+            for i, oslot in enumerate(desc["out_slots"]):
+                # The graph side first, so the stream side can read it.
+                expected = expected_of(oslot)
+                compare(idx, desc, i, builder.value(node, children, i),
+                        False, expected)
 
     findings.extend(_check_inplace(low, witnesses))
     findings.extend(_check_roots(low, witnesses))
@@ -501,6 +527,7 @@ def _check_fused(
     builder: _ExprBuilder,
     child_of: Any,
     compare: Any,
+    expected_of: Any,
 ) -> list[Finding]:
     """Expand one fused chain symbolically and verify its witness."""
     findings: list[Finding] = []
@@ -560,16 +587,19 @@ def _check_fused(
                 )
             )
             suppress = True
+    # The tail's graph value first: it values every member on the graph
+    # side, so the expansion below can read them.
+    expected = expected_of(desc["out_slots"][0])
     acc: int | None = None
     for _op, member, pattern in chain:
-        children = tuple(
+        children = tuple([
             (acc if acc is not None else builder.graph_expr(member))
             if s < 0
             else child_of(s)
             for s in pattern
-        )
-        acc = builder.apply(member, children, 0)
-    compare(idx, desc, 0, acc, suppress)
+        ])
+        acc = builder.value(member, children, 0)
+    compare(idx, desc, 0, acc, suppress, expected)
     return findings
 
 
@@ -580,6 +610,7 @@ def _check_batched(
     builder: _ExprBuilder,
     child_of: Any,
     compare: Any,
+    expected_of: Any,
 ) -> list[Finding]:
     """Un-stack one batched GEMM group and verify member wiring."""
     findings: list[Finding] = []
@@ -665,9 +696,9 @@ def _check_batched(
                     )
                 )
                 suppress = True
-        compare(
-            idx, desc, k, builder.apply(member, (a_vn, b_vn), 0), suppress
-        )
+        computed = builder.apply(member, (a_vn, b_vn), 0)
+        compare(idx, desc, k, computed, suppress,
+                expected_of(desc["out_slots"][k]))
     return findings
 
 
@@ -678,6 +709,7 @@ def _check_alias(
     builder: _ExprBuilder,
     child_of: Any,
     compare: Any,
+    expected_of: Any,
 ) -> list[Finding]:
     """Verify one elided copy's view witness against a re-derivation."""
     findings: list[Finding] = []
@@ -761,9 +793,11 @@ def _check_alias(
             )
         )
     # Value side: a correct view binds exactly the op's value.
-    children = tuple(child_of(s) for s in desc["in_slots"])
-    for i in range(len(desc["out_slots"])):
-        compare(idx, desc, i, builder.apply(node, children, i), False)
+    children = tuple([child_of(s) for s in desc["in_slots"]])
+    for i, oslot in enumerate(desc["out_slots"]):
+        expected = expected_of(oslot)
+        compare(idx, desc, i, builder.value(node, children, i), False,
+                expected)
     return findings
 
 
@@ -775,10 +809,7 @@ def _check_inplace(low: PlanLowering, witnesses: WitnessSet) -> list[Finding]:
     pinned = set(low.source_slots) | set(low.constant_slots) | set(
         low.output_slots
     )
-    reads_at: dict[int, list[int]] = {}
-    for idx, desc in enumerate(low.descs):
-        for s in desc["in_slots"]:
-            reads_at.setdefault(s, []).append(idx)
+    reads_at = low.slot_index().consumers
     for w in witnesses.inplace:
         if not 0 <= w.instr < len(low.descs):
             findings.append(
@@ -870,7 +901,9 @@ def _check_roots(low: PlanLowering, witnesses: WitnessSet) -> list[Finding]:
     view instructions, alias (elision) instructions, batched groups, and
     witnessed in-place redirects — and compares it against the lowered
     root table. A merge nothing explains means storage is being shared
-    by an unwitnessed rewrite.
+    by an unwitnessed rewrite. The partitions are equal when one map
+    between their roots holds both ways; the groups themselves are
+    built only to word a finding.
     """
     nslots = len(low.root)
     parent = list(range(nslots))
@@ -898,6 +931,17 @@ def _check_roots(low: PlanLowering, witnesses: WitnessSet) -> list[Finding]:
     for w in witnesses.inplace:
         if 0 <= w.out < nslots and 0 <= w.target < nslots:
             union(w.out, w.target)
+
+    to_actual: dict[int, int] = {}
+    to_expected: dict[int, int] = {}
+    for s, r in enumerate(low.root):
+        e = parent[s]
+        if parent[e] != e:
+            e = find(e)
+        if to_actual.setdefault(e, r) != r or to_expected.setdefault(r, e) != e:
+            break
+    else:
+        return []
 
     expected_groups: dict[int, list[int]] = {}
     actual_groups: dict[int, list[int]] = {}

@@ -6,7 +6,11 @@ compilation — assumes the graph is a DAG of nodes whose annotated
 can silently rot: Echo's ``_clone_as_mirror`` deliberately copies
 ``out_specs`` without re-running inference, rollbacks re-point inputs in
 place, and source nodes are bound *by name* at run time. This linter
-re-derives each property from scratch and reports divergence:
+re-derives each property and reports divergence. Acyclicity is proved
+from the topological order the state's :class:`~repro.graph.GraphFacts`
+record already holds (every output's node listed, every input listed
+before its consumer: one subscript per edge); the cycle search runs only
+when that proof fails, to name the cycle:
 
 * **IR001** — cycle among the nodes reachable from the outputs (a rewrite
   that re-pointed an input upstream of itself);
@@ -36,6 +40,31 @@ __all__ = ["lint_graph"]
 
 _ANALYZER = "ir-lint"
 _SOURCE_OPS = ("placeholder", "variable")
+
+
+def _order_is_topological(
+    outputs: Sequence[Tensor], facts: GraphFacts
+) -> bool:
+    """Whether ``facts.nodes`` proves the graph under ``outputs`` acyclic.
+
+    It does when the order lists every output's node and each node's
+    current inputs before the node: the reachable set is then inside the
+    order and every edge points backwards in it. The record may be stale
+    (inputs re-pointed since it was taken); an edge to a node outside it
+    fails the proof like an edge pointing forwards.
+    """
+    pos = facts.index
+    for t in outputs:
+        if t.node.uid not in pos:
+            return False
+    try:
+        for i, node in enumerate(facts.nodes):
+            for t in node.inputs:
+                if pos[t.node.uid] >= i:
+                    return False
+    except KeyError:
+        return False
+    return True
 
 
 def _find_cycle(roots: Sequence[Node]) -> list[Node] | None:
@@ -87,30 +116,40 @@ def lint_graph(
     as IR006 — the reachability walk alone cannot see them, precisely
     because nothing consumes them. ``facts`` is the state's
     :class:`~repro.graph.GraphFacts` record when the caller holds a
-    current one: the reachable set and the consumer lists are read from
-    it (the cycle search and every per-node check still run from
-    scratch).
+    current one: the topological order that proves the graph acyclic,
+    the reachable set and the consumer lists are read from it (every
+    per-node check still runs from scratch).
     """
-    findings: list[Finding] = []
-
-    cycle = _find_cycle([t.node for t in outputs])
-    if cycle is not None:
-        names = " -> ".join(n.name for n in cycle[:6])
-        if len(cycle) > 6:
-            names += " -> ..."
-        findings.append(
-            finding(
-                "IR001",
-                f"dataflow cycle of {len(cycle)} nodes: {names}",
-                _ANALYZER,
-                node=cycle[0].name,
-            )
-        )
-        # Topological order does not exist; nothing below is meaningful.
-        return findings
-
     if facts is None:
         facts = GraphFacts(outputs)
+    if not _order_is_topological(outputs, facts):
+        cycle = _find_cycle([t.node for t in outputs])
+        if cycle is not None:
+            # Topological order does not exist; nothing below is
+            # meaningful.
+            return [_cycle_finding(cycle)]
+    return _lint_acyclic(outputs, sources, facts)
+
+
+def _cycle_finding(cycle: list[Node]) -> Finding:
+    names = " -> ".join(n.name for n in cycle[:6])
+    if len(cycle) > 6:
+        names += " -> ..."
+    return finding(
+        "IR001",
+        f"dataflow cycle of {len(cycle)} nodes: {names}",
+        _ANALYZER,
+        node=cycle[0].name,
+    )
+
+
+def _lint_acyclic(
+    outputs: Sequence[Tensor],
+    sources: Sequence[Tensor],
+    facts: GraphFacts,
+) -> list[Finding]:
+    """Every check after IR001, over an acyclic graph's ``facts``."""
+    findings: list[Finding] = []
     nodes = facts.nodes
 
     # IR002: dangling output references (from outputs and from inputs).

@@ -39,6 +39,7 @@ from repro.runtime.arena import storage_base
 from repro.runtime.lowering import PlanLowering
 
 from repro.analysis.findings import Finding, finding
+from repro.analysis.overlap import overlapping_pairs
 
 __all__ = ["check_lifetimes"]
 
@@ -208,21 +209,32 @@ def check_lifetimes(plan: Any) -> list[Finding]:
                 (idx, end, blo, bhi, f"{scratch_key} of instruction {idx}")
             )
 
+    findings.extend(_check_sharing(intervals))
+    return findings
+
+
+def _check_sharing(
+    intervals: dict[int, list[tuple[int, int, int, int, str]]]
+) -> list[Finding]:
+    """LT103 over ``(lo, hi, byte_lo, byte_hi, label)`` intervals per raw
+    buffer: a pair live at once whose byte ranges overlap."""
+    findings: list[Finding] = []
     for ranges in intervals.values():
+        if len(ranges) < 2:
+            continue
         ranges.sort()
-        for i, (lo_a, hi_a, blo_a, bhi_a, label_a) in enumerate(ranges):
-            for lo_b, hi_b, blo_b, bhi_b, label_b in ranges[i + 1:]:
-                if lo_b > hi_a:
-                    break  # sorted by lo: nothing later overlaps a in time
-                if blo_a < bhi_b and blo_b < bhi_a:
-                    findings.append(
-                        finding(
-                            "LT103",
-                            f"{label_a} (live [{lo_a}, {hi_a}]) and "
-                            f"{label_b} (live [{lo_b}, {hi_b}]) overlap in "
-                            "one raw arena buffer",
-                            _ANALYZER,
-                            instr=lo_b,
-                        )
-                    )
+        lo, hi, blo, bhi, _labels = zip(*ranges)
+        for a, b in overlapping_pairs(lo, hi, blo, bhi):
+            lo_a, hi_a, _, _, label_a = ranges[a]
+            lo_b, hi_b, _, _, label_b = ranges[b]
+            findings.append(
+                finding(
+                    "LT103",
+                    f"{label_a} (live [{lo_a}, {hi_a}]) and "
+                    f"{label_b} (live [{lo_b}, {hi_b}]) overlap in "
+                    "one raw arena buffer",
+                    _ANALYZER,
+                    instr=lo_b,
+                )
+            )
     return findings

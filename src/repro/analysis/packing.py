@@ -27,11 +27,13 @@ reported under MP402.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any
 
 from repro.runtime.lowering import PlanLowering
 
 from repro.analysis.findings import Finding, finding
+from repro.analysis.overlap import overlapping_pairs
 
 __all__ = ["check_packing"]
 
@@ -120,24 +122,26 @@ def _check_placements(low: PlanLowering, record: Any) -> list[Finding]:
                 )
             )
         placed.append((lo, hi, off, nbytes, key))
-    placed.sort(key=lambda p: (p[0], p[2]))
-    for i, (lo_a, hi_a, off_a, nb_a, key_a) in enumerate(placed):
-        for lo_b, hi_b, off_b, nb_b, key_b in placed[i + 1:]:
-            if lo_b > hi_a:
-                break  # sorted by lo: nothing later overlaps a in time
-            if off_a < off_b + nb_b and off_b < off_a + nb_a:
-                findings.append(
-                    finding(
-                        "MP402",
-                        f"placements {key_a!r} (live [{lo_a}, {hi_a}], "
-                        f"bytes [{off_a}, {off_a + nb_a})) and {key_b!r} "
-                        f"(live [{lo_b}, {hi_b}], bytes "
-                        f"[{off_b}, {off_b + nb_b})) overlap in time and "
-                        "memory",
-                        _ANALYZER,
-                        instr=lo_b,
-                    )
-                )
+    placed.sort(key=itemgetter(0, 2))
+    if not placed:
+        return findings
+    lo, hi, off, nbytes, _keys = zip(*placed)
+    end = [o + nb for o, nb in zip(off, nbytes)]
+    for a, b in overlapping_pairs(lo, hi, off, end):
+        lo_a, hi_a, off_a, nb_a, key_a = placed[a]
+        lo_b, hi_b, off_b, nb_b, key_b = placed[b]
+        findings.append(
+            finding(
+                "MP402",
+                f"placements {key_a!r} (live [{lo_a}, {hi_a}], "
+                f"bytes [{off_a}, {off_a + nb_a})) and {key_b!r} "
+                f"(live [{lo_b}, {hi_b}], bytes "
+                f"[{off_b}, {off_b + nb_b})) overlap in time and "
+                "memory",
+                _ANALYZER,
+                instr=lo_b,
+            )
+        )
     return findings
 
 

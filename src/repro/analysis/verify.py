@@ -24,6 +24,7 @@ import os
 from typing import Any, Iterable, Sequence
 
 from repro.graph import GraphFacts, Node, Tensor
+from repro.runtime.collector import pauses_collector
 
 from repro.analysis.equiv import check_equivalence
 from repro.analysis.findings import AnalysisReport
@@ -98,6 +99,7 @@ def verify_graph(
     return report
 
 
+@pauses_collector
 def verify_plan(
     plan: Any,
     outputs: Sequence[Tensor] | None = None,

@@ -89,8 +89,14 @@ def build_gradients(
     }
 
     # Tag every node that is not part of the forward graph as BACKWARD.
-    grads_present = [g for g in result.values() if g is not None]
-    for node in topo_order(grads_present):
-        if node.uid not in forward_uids:
+    # The forward graph is closed under inputs, so the walk from the
+    # gradients stops at it: what lies past a forward node is forward.
+    seen = forward_uids
+    stack = [g for g in result.values() if g is not None]
+    while stack:
+        node = stack.pop().node
+        if node.uid not in seen:
+            seen.add(node.uid)
             node.stage = Stage.BACKWARD
+            stack.extend(node.inputs)
     return result

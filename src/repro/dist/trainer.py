@@ -92,6 +92,7 @@ from repro.dist.group import (
 )
 from repro.obs import trace as obs_trace
 from repro.runtime import PlanCache, TrainingExecutor
+from repro.runtime.collector import pauses_collector
 from repro.train.metrics import perplexity
 from repro.train.optimizer import Optimizer
 from repro.train.trainer import Trainer, TrainRecord
@@ -121,6 +122,7 @@ class _Run:
 class DistributedTrainer(Trainer):
     """One rank of a synchronous data-parallel cohort."""
 
+    @pauses_collector
     def __init__(
         self,
         group: ProcessGroup,

@@ -35,6 +35,7 @@ from repro.gpumodel import DeviceModel
 from repro.graph import Node, Stage
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.runtime.collector import pauses_collector
 from repro.runtime.memory import MemoryPlan
 from repro.runtime.plancache import PlanCache, default_plan_cache
 
@@ -129,6 +130,7 @@ class EchoPass:
         plan = self.plan_cache.plan_for(outputs, order=order, facts=facts)
         return facts, order, plan
 
+    @pauses_collector
     def run(self, graph: TrainingGraph) -> EchoReport:
         """Run the pass; one ``echo.pass`` span covers the whole search."""
         with obs_trace.span("echo.pass", "echo") as sp:

@@ -19,6 +19,7 @@ from repro.autodiff import TrainingGraph, compile_training
 from repro.graph import Tensor, scope
 from repro.nn import Backend, OutputLayer, ParamStore
 from repro.nn.rnn import bidirectional_lstm
+from repro.runtime.collector import pauses_collector
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,7 @@ class DeepSpeechModel:
     logits: Tensor
 
 
+@pauses_collector
 def build_deepspeech(
     config: DeepSpeechConfig, store: ParamStore | None = None
 ) -> DeepSpeechModel:

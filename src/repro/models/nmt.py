@@ -38,6 +38,7 @@ from repro.nn import (
     WordEmbedding,
 )
 from repro.nn.rnn import bidirectional_lstm, lstm_layer, unstack_time
+from repro.runtime.collector import pauses_collector
 
 
 @dataclass(frozen=True)
@@ -167,6 +168,7 @@ def _decoder_step(
     return att_hidden, new_states
 
 
+@pauses_collector
 def build_nmt(config: NmtConfig, store: ParamStore | None = None) -> NmtModel:
     """Construct the full training graph (teacher forcing).
 

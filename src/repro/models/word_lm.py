@@ -18,6 +18,7 @@ from repro.graph import scope
 from repro.graph import Tensor
 from repro.nn import Backend, OutputLayer, ParamStore, WordEmbedding
 from repro.nn.rnn import gru_layer, lstm_layer, multilayer_lstm
+from repro.runtime.collector import pauses_collector
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,7 @@ def _recurrent_stack(
     return current
 
 
+@pauses_collector
 def build_word_lm(
     config: WordLmConfig, store: ParamStore | None = None
 ) -> WordLmModel:

@@ -27,6 +27,7 @@ from repro.graph import GraphFacts, Tensor
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime.arena import Arena
+from repro.runtime.collector import collector_paused
 from repro.runtime.compiled import CompiledPlan
 from repro.runtime.memory import (
     Category,
@@ -97,7 +98,8 @@ class PlanCache:
     the graph and the cost model. The cache only names the tuning store
     (by default the ``REPRO_TUNE_DIR`` one) whose counters
     ``InferenceSession.warmup`` and ``repro.obs.dump`` report; the
-    parameter goes with harness v2 (ROADMAP item 2).
+    parameter goes with ROADMAP item 2, which follows harness v2
+    (item 1).
     """
 
     def __init__(self, capacity: int = 64, store: Any = _UNSET) -> None:
@@ -141,15 +143,16 @@ class PlanCache:
                 self.misses += 1
                 if reg is not None:
                     reg.counter("plancache.misses").inc()
-                if traced:
-                    kind = key[0] if isinstance(key, tuple) and key else key
-                    with obs_trace.span(
-                        "cache.lookup", "cache",
-                        {"hit": False, "kind": str(kind)},
-                    ):
+                with collector_paused():
+                    if traced:
+                        kind = key[0] if isinstance(key, tuple) and key else key
+                        with obs_trace.span(
+                            "cache.lookup", "cache",
+                            {"hit": False, "kind": str(kind)},
+                        ):
+                            value = builder()
+                    else:
                         value = builder()
-                else:
-                    value = builder()
                 self._entries[key] = value
                 while len(self._entries) > self.capacity:
                     self._entries.popitem(last=False)
@@ -196,7 +199,8 @@ class PlanCache:
                 if reg is not None:
                     reg.counter("plan.facts.reuses").inc()
                 return held, True
-            facts = GraphFacts(outputs, inherit=held)
+            with collector_paused():
+                facts = GraphFacts(outputs, inherit=held)
             self._remember(key, facts)
             if reg is not None:
                 reg.counter("plan.facts.builds").inc()

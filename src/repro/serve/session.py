@@ -30,6 +30,7 @@ from repro.data.bucketing import BucketSpec, bucket_for, pad_to_bucket
 from repro.models.nmt import NmtConfig
 from repro.nn import ParamStore
 from repro.runtime import Arena, PlanCache
+from repro.runtime.collector import pauses_collector
 from repro.serve.request import Request, RequestKind
 from repro.train.beam import BeamSearchDecoder
 from repro.train.decode import GreedyDecoder
@@ -130,6 +131,7 @@ class InferenceSession:
 
         return self.plan_cache.memo(key, build)
 
+    @pauses_collector
     def warmup(self) -> dict:
         """Pre-compile every bucket's plans; returns a small report.
 

@@ -20,6 +20,7 @@ from repro.models.nmt import NmtConfig, build_nmt
 from repro.nn import ParamStore
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime import Arena, PlanCache
+from repro.runtime.collector import pauses_collector
 from repro.train.optimizer import Optimizer
 from repro.train.trainer import TrainRecord, Trainer
 
@@ -32,6 +33,7 @@ class BucketedTrainer:
     so an update made through any bucket is visible to all.
     """
 
+    @pauses_collector
     def __init__(
         self,
         base_config: NmtConfig,

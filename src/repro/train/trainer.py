@@ -20,6 +20,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime import Arena, PlanCache, TrainingExecutor
+from repro.runtime.collector import pauses_collector
 from repro.train.metrics import perplexity
 from repro.train.optimizer import Optimizer
 
@@ -62,6 +63,7 @@ class Speedometer:
 class Trainer:
     """Drives iterations of one compiled training graph."""
 
+    @pauses_collector
     def __init__(
         self,
         graph: TrainingGraph,

@@ -338,3 +338,157 @@ def reference_apply_candidate(candidate, order, output_keys,
         candidate, mirrors, first_consumer_priority, order, workspace_sharing
     )
     return applied
+
+
+def reference_lt103(intervals):
+    """The lifetime sanitizer's old nested-loop LT103 sweep, kept as the
+    test oracle for :func:`repro.analysis.overlap.overlapping_pairs`:
+    ``(lo, hi, byte_lo, byte_hi, label)`` intervals per raw buffer."""
+    from repro.analysis.findings import finding
+
+    findings = []
+    for ranges in intervals.values():
+        ranges.sort()
+        for i, (lo_a, hi_a, blo_a, bhi_a, label_a) in enumerate(ranges):
+            for lo_b, hi_b, blo_b, bhi_b, label_b in ranges[i + 1:]:
+                if lo_b > hi_a:
+                    break  # sorted by lo: nothing later overlaps a in time
+                if blo_a < bhi_b and blo_b < bhi_a:
+                    findings.append(
+                        finding(
+                            "LT103",
+                            f"{label_a} (live [{lo_a}, {hi_a}]) and "
+                            f"{label_b} (live [{lo_b}, {hi_b}]) overlap in "
+                            "one raw arena buffer",
+                            "lifetime",
+                            instr=lo_b,
+                        )
+                    )
+    return findings
+
+
+def reference_check_placements(record):
+    """The packing analyzer's old nested-loop MP402 sweep over a memplan
+    record's placements (extent bounds first), kept as the test oracle."""
+    from repro.analysis.findings import finding
+
+    findings = []
+    extent = record.extent_bytes
+    placed = []
+    for key, (lo, hi, off, nbytes) in record.placements.items():
+        if off < 0 or off + nbytes > extent:
+            findings.append(
+                finding(
+                    "MP402",
+                    f"placement {key!r} spans bytes [{off}, {off + nbytes}) "
+                    f"outside the {extent}-byte extent",
+                    "packing",
+                    instr=lo,
+                )
+            )
+        placed.append((lo, hi, off, nbytes, key))
+    placed.sort(key=lambda p: (p[0], p[2]))
+    for i, (lo_a, hi_a, off_a, nb_a, key_a) in enumerate(placed):
+        for lo_b, hi_b, off_b, nb_b, key_b in placed[i + 1:]:
+            if lo_b > hi_a:
+                break  # sorted by lo: nothing later overlaps a in time
+            if off_a < off_b + nb_b and off_b < off_a + nb_a:
+                findings.append(
+                    finding(
+                        "MP402",
+                        f"placements {key_a!r} (live [{lo_a}, {hi_a}], "
+                        f"bytes [{off_a}, {off_a + nb_a})) and {key_b!r} "
+                        f"(live [{lo_b}, {hi_b}], bytes "
+                        f"[{off_b}, {off_b + nb_b})) overlap in time and "
+                        "memory",
+                        "packing",
+                        instr=lo_b,
+                    )
+                )
+    return findings
+
+
+def reference_lint_graph(outputs, sources=(), facts=None):
+    """The IR linter's old DFS-first form, kept as the test oracle: the
+    three-color cycle search runs on every call, before the graph's
+    topological order is taken (or read from ``facts``)."""
+    from repro.analysis.ir_lint import _cycle_finding, _find_cycle, _lint_acyclic
+    from repro.graph import GraphFacts
+
+    cycle = _find_cycle([t.node for t in outputs])
+    if cycle is not None:
+        return [_cycle_finding(cycle)]
+    if facts is None:
+        facts = GraphFacts(outputs)
+    return _lint_acyclic(outputs, sources, facts)
+
+
+def reference_backward_uids(loss, grads):
+    """uids ``build_gradients`` used to tag BACKWARD with a second whole-
+    graph walk: every node under the gradients outside the forward graph
+    of ``loss``, kept as the test oracle for the walk that stops there."""
+    forward = {n.uid for n in topo_order([loss])}
+    return {
+        n.uid for n in topo_order([g for g in grads if g is not None])
+        if n.uid not in forward
+    }
+
+
+def reference_check_roots(low, witnesses):
+    """The equivalence certifier's old EQ602 root check, kept as the test
+    oracle: both alias partitions built as groups and compared per slot."""
+    from repro.analysis.findings import finding
+
+    nslots = len(low.root)
+    parent = list(range(nslots))
+
+    def find(s):
+        while parent[s] != s:
+            parent[s] = parent[parent[s]]
+            s = parent[s]
+        return s
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+
+    for desc in low.descs:
+        kind = desc["kind"]
+        if kind in ("view", "alias") and desc["in_slots"]:
+            for o in desc["out_slots"]:
+                union(desc["in_slots"][0], o)
+        elif kind == "batched":
+            outs = desc["out_slots"]
+            for o in outs[1:]:
+                union(outs[0], o)
+    for w in witnesses.inplace:
+        if 0 <= w.out < nslots and 0 <= w.target < nslots:
+            union(w.out, w.target)
+
+    expected_groups = {}
+    actual_groups = {}
+    for s in range(nslots):
+        expected_groups.setdefault(find(s), []).append(s)
+        actual_groups.setdefault(low.root[s], []).append(s)
+
+    findings = []
+    expected_of = {s: tuple(g) for g in expected_groups.values() for s in g}
+    actual_of = {s: tuple(g) for g in actual_groups.values() for s in g}
+    reported = set()
+    for s in range(nslots):
+        if expected_of[s] != actual_of[s] and actual_of[s] not in reported:
+            reported.add(actual_of[s])
+            findings.append(
+                finding(
+                    "EQ602",
+                    f"alias-root table merges slots {list(actual_of[s])} "
+                    "but no view/alias/batch/in-place witness explains "
+                    f"that group (expected {list(expected_of[s])})",
+                    "equiv",
+                    slot=s,
+                )
+            )
+            if len(findings) >= 8:
+                break
+    return findings

@@ -3,8 +3,9 @@
 Three layers:
 
 * **counts, not clocks** — build + Echo + lower + ``verify(equiv=True)``
-  of the benchmark harness's word-LM shape at ``seq_len`` 20 / 40 / 80
-  under ``sys.setprofile``: the call count may at most 2.2x per doubling
+  of the benchmark harness's word-LM shape at ``seq_len`` 20 / 40 / 80,
+  and of its NMT shape at src / tgt 4 / 8 / 16, under ``sys.setprofile``:
+  the call count may at most 2.2x per doubling
   (a pass that rescans the stream per rewrite shows as 2.4-2.7x) and the
   ``seq_len`` 20 build stays under an absolute ceiling;
 * **indices equal the scans they replaced** — the union-find alias roots
@@ -66,8 +67,9 @@ HARNESS_WORDLM = dict(
 GOLDEN = pathlib.Path(__file__).parent / "data" / "compile_golden.json"
 
 
-def _nmt_graph():
-    return build_nmt(NmtConfig(backend=Backend.CUDNN, **HARNESS_NMT)).graph
+def _nmt_graph(**shape):
+    cfg = NmtConfig(backend=Backend.CUDNN, **{**HARNESS_NMT, **shape})
+    return build_nmt(cfg).graph
 
 
 def _wordlm_graph(seq_len=HARNESS_WORDLM["seq_len"]):
@@ -131,6 +133,24 @@ class TestCompileScalesLinearly:
         assert calls[20] <= 1_500_000, calls
         assert calls[40] <= 2.2 * calls[20], calls
         assert calls[80] <= 2.2 * calls[40], calls
+
+    def test_attention_call_count_per_doubling(self, plain_process):
+        """The harness NMT shape (MLP attention over every source step)
+        at src / tgt 4 / 8 / 16: the same 2.2x bound per doubling."""
+        def build(length):
+            def run():
+                _, executor, _ = _compiled(
+                    _nmt_graph(src_len=length, tgt_len=length)
+                )
+                executor.simulate_cost()
+                assert executor.executor.verify(equiv=True).ok
+
+            return run
+
+        build(4)()  # closure templates and lazy imports, off the count
+        calls = {n: _count_calls(build(n)) for n in (4, 8, 16)}
+        assert calls[8] <= 2.2 * calls[4], calls
+        assert calls[16] <= 2.2 * calls[8], calls
 
 
 # -- indices equal the scans they replaced -----------------------------------
