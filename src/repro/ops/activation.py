@@ -31,14 +31,16 @@ def _sigmoid_into(x: np.ndarray, out: np.ndarray) -> None:
     # and one division by 1 + t gives exactly the classic piecewise form —
     # 1/(1+exp(-x)) for x >= 0, exp(x)/(1+exp(x)) otherwise — bit for bit
     # (NaN stays NaN: it fails x >= 0 and wins the max). Alias-safe when
-    # ``out is x``: x is only read up to the first write to out.
+    # ``out is x``: x is only read up to the first write to out. ``out``
+    # goes positionally (one bytecode less per pass) except to
+    # np.maximum, which deprecates a third positional argument.
     t = np.abs(x)
-    np.negative(t, out=t)
-    np.exp(t, out=t)
-    np.greater_equal(x, 0, out=out)
+    np.negative(t, t)
+    np.exp(t, t)
+    np.greater_equal(x, 0, out)
     np.maximum(t, out, out=out)
-    np.add(t, 1.0, out=t)
-    np.divide(out, t, out=out)
+    np.add(t, 1.0, t)
+    np.divide(out, t, out)
 
 
 class _ElementwiseSameShape(Op):

@@ -13,6 +13,7 @@ Convention: ``gates`` is the pre-activation [B x 4H] laid out as
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -21,30 +22,83 @@ from repro.graph import Node, Op, ShapeError, Tensor, TensorSpec, register
 from repro.ops.activation import _sigmoid
 
 
-def _split_gates(gates: np.ndarray) -> tuple[np.ndarray, ...]:
-    h = gates.shape[-1] // 4
-    # One sigmoid pass over all four gate blocks, sliced for i, f and o:
-    # sigmoid is elementwise, so each slice is bit-identical to a
-    # per-gate call (the g~ columns of the pass go unused).
+def _gate_blocks(h: int) -> tuple[tuple[slice, slice], ...]:
+    """``[:, j*h:(j+1)*h]`` index tuples of the four gate blocks of a
+    [B x 4H] array, in [input | forget | cell | output] order."""
+    return tuple((slice(None), slice(j * h, (j + 1) * h)) for j in range(4))
+
+
+def _activate(gates, h):
+    """(i, f, g~, o): one sigmoid pass over all four blocks, sliced for i,
+    f and o (sigmoid is elementwise, so each slice is bit-identical to a
+    per-gate call; the g~ columns of the pass go unused), and tanh of the
+    g~ block."""
+    bi, bf, bg, bo = _gate_blocks(h)
     act = _sigmoid(gates)
-    return (
-        act[:, 0 * h:1 * h],
-        act[:, 1 * h:2 * h],
-        np.tanh(gates[:, 2 * h:3 * h]),
-        act[:, 3 * h:4 * h],
-    )
+    return act[bi], act[bf], np.tanh(gates[bg]), act[bo]
 
 
-def _lstm_gates_into(gates, c_prev, h_out, c_out):
-    i, f, g, o = _split_gates(gates)
-    # Same expression tree as ``compute``: c = (f*c_prev) + (i*g),
-    # h = o * tanh(c); the gate temporaries i/g are dead afterwards and
-    # double as scratch.
-    np.multiply(f, c_prev, out=c_out)
-    np.multiply(i, g, out=i)
-    np.add(c_out, i, out=c_out)
-    np.tanh(c_out, out=g)
-    np.multiply(o, g, out=h_out)
+@functools.lru_cache(maxsize=None)
+def _lstm_gates_kernel(h: int):
+    """The forward kernel for hidden size ``h``, built once per size: the
+    gate blocks are closure constants and the seven passes of
+    :func:`~repro.ops.activation._sigmoid_into` run inline."""
+    bi, bf, bg, bo = _gate_blocks(h)
+
+    def k(gates, c_prev, h_out, c_out):
+        t = np.abs(gates)
+        np.negative(t, t)
+        np.exp(t, t)
+        act = np.empty_like(gates)
+        np.greater_equal(gates, 0, act)
+        np.maximum(t, act, out=act)
+        np.add(t, 1.0, t)
+        np.divide(act, t, act)
+        # Same expression tree as ``compute``: c = (f*c_prev) + (i*g),
+        # h = o * tanh(c); the i block of ``act`` and g are dead after
+        # their product and double as scratch.
+        i = act[bi]
+        g = np.tanh(gates[bg])
+        np.multiply(act[bf], c_prev, c_out)
+        np.multiply(i, g, i)
+        np.add(c_out, i, c_out)
+        np.tanh(c_out, g)
+        np.multiply(act[bo], g, h_out)
+
+    return k
+
+
+@functools.lru_cache(maxsize=None)
+def _lstm_gates_grad_kernel(h: int):
+    """The backward kernel for hidden size ``h``, built once per size, with
+    the same arithmetic as ``LstmGatesGradOp.compute``: each gate's
+    derivative is computed whole and stored into its block of ``dgates``."""
+    bi, bf, bg, bo = _gate_blocks(h)
+
+    def k(gates, c_prev, c, dh, dc, dgates_out, dc_prev_out):
+        t = np.abs(gates)
+        np.negative(t, t)
+        np.exp(t, t)
+        act = np.empty_like(gates)
+        np.greater_equal(gates, 0, act)
+        np.maximum(t, act, out=act)
+        np.add(t, 1.0, t)
+        np.divide(act, t, act)
+        i, f, o = act[bi], act[bf], act[bo]
+        g = np.tanh(gates[bg])
+        tanh_c = np.tanh(c)
+        dc_total = dc + dh * o * (1.0 - tanh_c * tanh_c)
+        do = dh * tanh_c
+        di = dc_total * g
+        df = dc_total * c_prev
+        dg = dc_total * i
+        np.multiply(dc_total, f, dc_prev_out)
+        dgates_out[bi] = di * i * (1.0 - i)
+        dgates_out[bf] = df * f * (1.0 - f)
+        dgates_out[bg] = dg * (1.0 - g * g)
+        dgates_out[bo] = do * o * (1.0 - o)
+
+    return k
 
 
 class LstmGatesOp(Op):
@@ -71,14 +125,14 @@ class LstmGatesOp(Op):
 
     def compute(self, node, inputs):
         gates, c_prev = inputs
-        i, f, g, o = _split_gates(gates)
+        i, f, g, o = _activate(gates, c_prev.shape[-1])
         c = f * c_prev + i * g
         h = o * np.tanh(c)
         dtype = gates.dtype
         return [np.asarray(h, dtype=dtype), np.asarray(c, dtype=dtype)]
 
     def kernel(self, node):
-        return _lstm_gates_into
+        return _lstm_gates_kernel(node.out_specs[0].shape[-1])
 
     def gradient(self, node, out_grads):
         from repro.ops.source import zeros
@@ -129,7 +183,7 @@ class LstmGatesGradOp(Op):
 
     def compute(self, node, inputs):
         gates, c_prev, c, dh, dc = inputs
-        i, f, g, o = _split_gates(gates)
+        i, f, g, o = _activate(gates, c_prev.shape[-1])
         tanh_c = np.tanh(c)
         dc_total = dc + dh * o * (1.0 - tanh_c * tanh_c)
         do = dh * tanh_c
@@ -153,27 +207,7 @@ class LstmGatesGradOp(Op):
         ]
 
     def kernel(self, node):
-        h = node.out_specs[1].shape[-1]
-        # ``[:, j*h:(j+1)*h]`` for the four gate blocks of ``dgates``
-        bi, bf, bg, bo = [
-            (slice(None), slice(j * h, (j + 1) * h)) for j in range(4)
-        ]
-
-        def k(gates, c_prev, c, dh, dc, dgates_out, dc_prev_out):
-            i, f, g, o = _split_gates(gates)
-            tanh_c = np.tanh(c)
-            dc_total = dc + dh * o * (1.0 - tanh_c * tanh_c)
-            do = dh * tanh_c
-            di = dc_total * g
-            df = dc_total * c_prev
-            dg = dc_total * i
-            np.multiply(dc_total, f, out=dc_prev_out)
-            dgates_out[bi] = di * i * (1.0 - i)
-            dgates_out[bf] = df * f * (1.0 - f)
-            dgates_out[bg] = dg * (1.0 - g * g)
-            dgates_out[bo] = do * o * (1.0 - o)
-
-        return k
+        return _lstm_gates_grad_kernel(node.out_specs[1].shape[-1])
 
     def flops(self, node: Node) -> int:
         return 20 * node.inputs[0].spec.num_elements

@@ -49,15 +49,22 @@ class LayerNormOp(Op):
     def compute(self, node, inputs):
         x, gamma, beta = inputs
         mean = np.mean(x, axis=-1, keepdims=True)
-        var = np.var(x, axis=-1, keepdims=True)
+        # ``x - mean`` once, for the variance and the output: np.var(x) is
+        # np.mean((x - m)**2) for this very m (numpy takes the row sum,
+        # divides it by the count and subtracts it), bit for bit
+        d = x - mean
+        var = np.mean(d * d, axis=-1, keepdims=True)
         rstd = 1.0 / np.sqrt(var + _EPS)
-        y = gamma * (x - mean) * rstd + beta
-        dtype = node.out_specs[0].dtype
-        return [
-            np.asarray(y, dtype=dtype),
-            np.asarray(mean, dtype=dtype),
-            np.asarray(rstd, dtype=dtype),
-        ]
+        if not x.dtype == gamma.dtype == beta.dtype:
+            # mixed precision: the wider chain rounds once, at the end
+            y = (gamma * d * rstd + beta).astype(x.dtype, copy=False)
+            return [y, mean, rstd]
+        # y = gamma * d * rstd + beta, built in d with each operation's
+        # operand order kept (so even a NaN's payload is the same)
+        np.multiply(gamma, d, d)
+        d *= rstd
+        d += beta
+        return [d, mean, rstd]
 
     def gradient(self, node, out_grads):
         dy = out_grads[0]
@@ -90,23 +97,36 @@ class LayerNormGradOp(Op):
 
     def compute(self, node, inputs):
         x, gamma, mean, rstd, dy = inputs
-        xhat = (x - mean) * rstd
-        dxhat = dy * gamma
-        # Standard layer-norm backward identities.
-        dx = rstd * (
-            dxhat
-            - np.mean(dxhat, axis=-1, keepdims=True)
-            - xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True)
-        )
         reduce_axes = tuple(range(x.ndim - 1))
-        dgamma = np.sum(dy * xhat, axis=reduce_axes)
         dbeta = np.sum(dy, axis=reduce_axes)
-        dtype = x.dtype
-        return [
-            np.asarray(dx, dtype=dtype),
-            np.asarray(dgamma, dtype=dtype),
-            np.asarray(dbeta, dtype=dtype),
-        ]
+        if not x.dtype == gamma.dtype == mean.dtype == rstd.dtype == dy.dtype:
+            # mixed precision: the standard layer-norm backward identities
+            # in the wider type, rounded once at the end
+            xhat = (x - mean) * rstd
+            dxhat = dy * gamma
+            dx = rstd * (
+                dxhat
+                - np.mean(dxhat, axis=-1, keepdims=True)
+                - xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True)
+            )
+            dgamma = np.sum(dy * xhat, axis=reduce_axes)
+            return [
+                a.astype(x.dtype, copy=False) for a in (dx, dgamma, dbeta)
+            ]
+        # The same identities as an in-place chain, operand order kept:
+        # dx = rstd * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)).
+        xhat = x - mean
+        xhat *= rstd
+        dxhat = dy * gamma
+        t = dxhat * xhat
+        m2 = np.mean(t, axis=-1, keepdims=True)
+        np.multiply(dy, xhat, t)
+        dgamma = np.sum(t, axis=reduce_axes)
+        dxhat -= np.mean(dxhat, axis=-1, keepdims=True)
+        xhat *= m2
+        dxhat -= xhat
+        np.multiply(rstd, dxhat, dxhat)
+        return [dxhat, dgamma, dbeta]
 
 
 _LAYER_NORM = register(LayerNormOp())

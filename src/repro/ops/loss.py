@@ -41,13 +41,13 @@ class SoftmaxCrossEntropyOp(Op):
     def compute(self, node, inputs):
         logits, labels = inputs
         # float64 softmax of the picked entries only, through one [N x V]
-        # temporary: subtract-and-widen, exponentiate in place, normalize
-        # just the gathered column — the same per-element operations as
+        # temporary: widen, subtract the (exactly widened) row max and
+        # exponentiate in place, normalize just the gathered column — the
+        # same per-element operations as
         # ``softmax_array(logits.astype(float64))[rows, labels]``.
-        e = np.subtract(
-            logits, np.max(logits, axis=-1, keepdims=True), dtype=np.float64
-        )
-        np.exp(e, out=e)
+        e = logits.astype(np.float64)
+        e -= np.max(logits, axis=-1, keepdims=True)
+        np.exp(e, e)
         total = np.sum(e, axis=-1)
         valid = labels != node.attrs["ignore_label"]
         count = max(int(valid.sum()), 1)

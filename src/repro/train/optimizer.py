@@ -100,10 +100,13 @@ class Adam(Optimizer):
         epsilon: float = 1e-8,
         clip_norm: float | None = None,
     ) -> None:
-        super().__init__(learning_rate, clip_norm)
+        # Python floats scale in the moments' own dtype, which is what
+        # lets ``_update_one`` update in place (a numpy float64 would
+        # widen the expression's temporaries, not an in-place buffer)
+        super().__init__(float(learning_rate), clip_norm)
         self.beta1 = beta1
         self.beta2 = beta2
-        self.epsilon = epsilon
+        self.epsilon = float(epsilon)
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
 
@@ -114,10 +117,21 @@ class Adam(Optimizer):
         v = self._v.get(name)
         if v is None:
             v = self._v[name] = np.zeros_like(param)
+        # param -= lr * m_hat / (sqrt(v_hat) + eps) through four
+        # parameter-sized temporaries: each in-place binop below computes
+        # what the expression's node computed, in the same dtype
         m *= self.beta1
         m += (1 - self.beta1) * grad
         v *= self.beta2
-        v += (1 - self.beta2) * grad * grad
-        m_hat = m / (1 - self.beta1 ** self._step)
-        v_hat = v / (1 - self.beta2 ** self._step)
-        param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        g2 = (1 - self.beta2) * grad
+        g2 *= grad
+        v += g2
+        step = m / (1 - self.beta1 ** self._step)
+        den = v / (1 - self.beta2 ** self._step)
+        # a 0-d parameter's moments divide to numpy scalars, which take
+        # no ``out=``
+        den = np.sqrt(den, out=den) if den.shape else np.sqrt(den)
+        den += self.epsilon
+        step *= self.learning_rate
+        step /= den
+        param -= step

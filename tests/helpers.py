@@ -23,6 +23,14 @@ def rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def same_bits(got, want) -> bool:
+    """Equal dtype, shape and bytes: unlike ``np.array_equal`` this tells
+    -0.0 from +0.0 and matches a NaN (payload and sign included)."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
 class AboveGateDevice(DeviceModel):
     """Prices every kernel at one host second — far above the wavefront
     gate's hand-off — so every level with independent instructions goes
@@ -492,3 +500,113 @@ def reference_check_roots(low, witnesses):
             if len(findings) >= 8:
                 break
     return findings
+
+
+# -- kernel oracles: the hot kernels as they were before they were made to
+# compute each value once ------------------------------------------------------
+
+_LN_EPS = 1e-5
+
+
+def reference_layer_norm(x, gamma, beta):
+    """Layer norm's old forward: ``x - mean`` twice (in np.var and in the
+    output), every result re-wrapped to ``x``'s dtype."""
+    mean = np.mean(x, axis=-1, keepdims=True)
+    var = np.var(x, axis=-1, keepdims=True)
+    rstd = 1.0 / np.sqrt(var + _LN_EPS)
+    y = gamma * (x - mean) * rstd + beta
+    dtype = x.dtype
+    return [np.asarray(a, dtype=dtype) for a in (y, mean, rstd)]
+
+
+def reference_layer_norm_grad(x, gamma, mean, rstd, dy):
+    """Layer norm's old backward: the identities as one expression tree."""
+    xhat = (x - mean) * rstd
+    dxhat = dy * gamma
+    dx = rstd * (
+        dxhat
+        - np.mean(dxhat, axis=-1, keepdims=True)
+        - xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True)
+    )
+    reduce_axes = tuple(range(x.ndim - 1))
+    dgamma = np.sum(dy * xhat, axis=reduce_axes)
+    dbeta = np.sum(dy, axis=reduce_axes)
+    return [np.asarray(a, dtype=x.dtype) for a in (dx, dgamma, dbeta)]
+
+
+def reference_softmax_cross_entropy(logits, labels, ignore_label=-1):
+    """The loss's old forward: subtract-and-widen through numpy's buffered
+    casting (``np.subtract(..., dtype=float64)``)."""
+    e = np.subtract(
+        logits, np.max(logits, axis=-1, keepdims=True), dtype=np.float64
+    )
+    np.exp(e, out=e)
+    total = np.sum(e, axis=-1)
+    valid = labels != ignore_label
+    count = max(int(valid.sum()), 1)
+    rows = np.arange(logits.shape[0])[valid]
+    picked = e[rows, labels[valid]] / total[rows]
+    loss = -np.sum(np.log(np.maximum(picked, 1e-30))) / count
+    return np.asarray(loss, dtype=logits.dtype)
+
+
+def reference_adam_update_one(opt, name, param, grad):
+    """``Adam._update_one`` as one expression per moment and one for the
+    step (nine parameter-sized temporaries); bind it over an instance's
+    ``_update_one`` to run the old update."""
+    m = opt._m.get(name)
+    if m is None:
+        m = opt._m[name] = np.zeros_like(param)
+    v = opt._v.get(name)
+    if v is None:
+        v = opt._v[name] = np.zeros_like(param)
+    m *= opt.beta1
+    m += (1 - opt.beta1) * grad
+    v *= opt.beta2
+    v += (1 - opt.beta2) * grad * grad
+    m_hat = m / (1 - opt.beta1 ** opt._step)
+    v_hat = v / (1 - opt.beta2 ** opt._step)
+    param -= opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.epsilon)
+
+
+def _reference_split_gates(gates):
+    from repro.ops.activation import _sigmoid
+
+    h = gates.shape[-1] // 4
+    act = _sigmoid(gates)
+    return (
+        act[:, 0 * h:1 * h],
+        act[:, 1 * h:2 * h],
+        np.tanh(gates[:, 2 * h:3 * h]),
+        act[:, 3 * h:4 * h],
+    )
+
+
+def reference_lstm_gates_into(gates, c_prev, h_out, c_out):
+    """The old LSTM forward kernel: gate blocks sliced per call."""
+    i, f, g, o = _reference_split_gates(gates)
+    np.multiply(f, c_prev, out=c_out)
+    np.multiply(i, g, out=i)
+    np.add(c_out, i, out=c_out)
+    np.tanh(c_out, out=g)
+    np.multiply(o, g, out=h_out)
+
+
+def reference_lstm_gates_grad_into(gates, c_prev, c, dh, dc, dgates_out,
+                                   dc_prev_out):
+    """The old LSTM backward kernel: gate blocks sliced per call."""
+    h = c_prev.shape[-1]
+    bi, bf, bg, bo = [(slice(None), slice(j * h, (j + 1) * h))
+                      for j in range(4)]
+    i, f, g, o = _reference_split_gates(gates)
+    tanh_c = np.tanh(c)
+    dc_total = dc + dh * o * (1.0 - tanh_c * tanh_c)
+    do = dh * tanh_c
+    di = dc_total * g
+    df = dc_total * c_prev
+    dg = dc_total * i
+    np.multiply(dc_total, f, out=dc_prev_out)
+    dgates_out[bi] = di * i * (1.0 - i)
+    dgates_out[bf] = df * f * (1.0 - f)
+    dgates_out[bg] = dg * (1.0 - g * g)
+    dgates_out[bo] = do * o * (1.0 - o)

@@ -7,7 +7,7 @@ import repro.ops as O
 from repro.graph import Node, ShapeError, get_op, registered_ops
 from repro.layout import Layout
 from repro.runtime import GraphExecutor
-from tests.helpers import rng
+from tests.helpers import rng, same_bits
 
 
 def run_op(out, feeds=None):
@@ -163,22 +163,24 @@ class TestBranchFreeSigmoid:
         assert np.array_equal(_bits(base[:, 5:29]), _bits(want))
 
     @pytest.mark.parametrize("shape", [(32, 512), (16, 256), (3, 20)])
-    def test_split_gates_matches_per_gate_form(self, shape):
-        from repro.ops.fused_rnn import _split_gates
+    def test_lstm_gates_match_per_gate_form(self, shape):
+        """The baked forward kernel's one whole-width sigmoid pass, sliced
+        per gate, is the classic sigmoid of each gate block on its own."""
+        from repro.ops.fused_rnn import _lstm_gates_kernel
 
         gates = (rng(43).standard_normal(shape) * 4).astype(np.float32)
-        h = shape[1] // 4
-        want = (
-            _classic_sigmoid(gates[:, 0:h]),
-            _classic_sigmoid(gates[:, h:2 * h]),
-            np.tanh(gates[:, 2 * h:3 * h]),
-            _classic_sigmoid(gates[:, 3 * h:4 * h]),
-        )
-        got = _split_gates(gates)
-        assert len(got) == 4
-        for a, b in zip(got, want):
-            assert a.shape == b.shape and a.dtype == b.dtype
-            assert np.array_equal(_bits(np.ascontiguousarray(a)), _bits(b))
+        b, h = shape[0], shape[1] // 4
+        c_prev = rng(44).standard_normal((b, h)).astype(np.float32)
+        i, f, o = (_classic_sigmoid(np.ascontiguousarray(gates[:, j * h:
+                                                               (j + 1) * h]))
+                   for j in (0, 1, 3))
+        c_want = f * c_prev + i * np.tanh(gates[:, 2 * h:3 * h])
+        h_want = o * np.tanh(c_want)
+        h_out, c_out = np.empty((b, h), np.float32), np.empty((b, h),
+                                                               np.float32)
+        _lstm_gates_kernel(h)(gates, c_prev, h_out, c_out)
+        assert np.array_equal(_bits(c_out), _bits(c_want))
+        assert np.array_equal(_bits(h_out), _bits(h_want))
 
 
 class TestMatmulForward:
@@ -516,6 +518,19 @@ _INT_A, _INT_B = _i64([5, -7, 9], [3, 2, 8]), _i64([2, 3, -4], [1, 5, 3])
 _X3 = _f32(5, (2, 3, 4))
 _LOGITS = _f32(6, (6, 9)) * 4
 
+
+def _specials(seed, shape):
+    """float32 normals with +-0, +-inf and both NaN signs planted at
+    seeded positions."""
+    a = _f32(seed, shape).reshape(-1)
+    values = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]
+    at = rng(seed).permutation(a.size)[:len(values)]
+    a[at] = np.asarray(values, np.float32)[:len(at)]
+    return a.reshape(shape)
+
+
+_SA, _SB = _specials(30, (3, 4)), _specials(31, (3, 4))
+
 #: (case id, op name, inputs, attrs): every attribute variant of every
 #: ``supports_out`` op — transposes, layouts +- bias, negative axes,
 #: keepdims, 2- and 3-input concat — plus integer dtypes, which take the
@@ -589,6 +604,15 @@ KERNEL_CASES = [
     ("lstm_gates", "lstm_gates", [_f32(20, (3, 8)), _f32(21, (3, 2))], {}),
     ("lstm_gates_grad", "lstm_gates_grad",
      [_f32(22, (3, 8)), *[_f32(23 + j, (3, 2)) for j in range(4)]], {}),
+    # +-0, +-inf and NaN of either sign through the LSTM cell's kernels
+    *[(f"{name}-specials", name, [_SA], {}) for name in ("tanh", "sigmoid")],
+    *[(f"{name}-specials", name, [np.tanh(_SA), _SB], {})
+      for name in ("tanh_grad", "sigmoid_grad")],
+    ("lstm_gates-specials", "lstm_gates",
+     [_specials(32, (3, 8)), _specials(33, (3, 2))], {}),
+    ("lstm_gates_grad-specials", "lstm_gates_grad",
+     [_specials(34, (3, 8)), *[_specials(35 + j, (3, 2)) for j in range(4)]],
+     {}),
     ("zeros", "zeros", [], {"shape": (2, 3), "dtype": np.dtype(np.float32)}),
 ]
 
@@ -608,23 +632,117 @@ class TestKernelContract:
         op = get_op(name)
         node = Node(op, [place(f"k{j}", a) for j, a in enumerate(inputs)],
                     attrs)
-        want = op.compute(node, [a.copy() for a in inputs])
+        with np.errstate(all="ignore"):  # the rows of specials
+            want = op.compute(node, [a.copy() for a in inputs])
         specs = node.out_specs
         assert [w.dtype for w in want] == [s.dtype for s in specs]
         kernel = op.kernel(node)
 
         args = [a.copy() for a in inputs]
         outs = [np.empty(s.shape, s.dtype) for s in specs]
-        kernel(*args, *outs)
+        with np.errstate(all="ignore"):
+            kernel(*args, *outs)
         for got, exp in zip(outs, want):
-            assert np.array_equal(got, exp), name
+            assert same_bits(got, exp), name
         for arg, a in zip(args, inputs):
-            assert np.array_equal(arg, a), "kernel wrote an input"
+            assert same_bits(arg, a), "kernel wrote an input"
 
         # ``out`` *is* the input at every in-place position
         for pos in op.inplace_operands:
             if inputs[pos].shape != specs[0].shape:
                 continue  # a broadcast operand cannot be the output
             args = [a.copy() for a in inputs]
-            kernel(*args, args[pos])
-            assert np.array_equal(args[pos], want[0]), (name, pos)
+            with np.errstate(all="ignore"):
+                kernel(*args, args[pos])
+            assert same_bits(args[pos], want[0]), (name, pos)
+
+
+# -- the generic-op output contract, registry-wide ---------------------------
+
+_F64 = np.float64
+_LN_X, _LN_G, _LN_B = _f32(40, (2, 3, 5)), _f32(41, (5,)), _f32(42, (5,))
+_LN_MEAN, _LN_RSTD = _f32(43, (2, 3, 1)), _f32(44, (2, 3, 1), low=0.5)
+_LN_DY = _f32(45, (2, 3, 5))
+_CONV_X, _CONV_W = _f32(46, (2, 3, 5, 5)), _f32(47, (4, 3, 3, 3))
+_CONV_DY = _f32(48, (2, 4, 3, 3))  # stride 1 / pad 0 and stride 2 / pad 1
+_CTC_LOGITS = _f32(49, (6, 2, 5))
+_CTC_LABELS = _i64([1, 2, -1], [3, -1, -1])
+_CE_LABELS = _i64(0, 3, -1, 2, 5, 1)
+
+
+def _max_grad_inputs(axis, keepdims):
+    y = np.max(_X3, axis=axis, keepdims=keepdims)
+    return [_X3, y, _f32(50, y.shape)]
+
+
+#: (case id, op name, inputs, attrs): every registered op without an
+#: ``out=`` kernel, sources aside — float32, float64 and, where an op's
+#: inputs may differ in dtype, mixed — whose ``compute`` a generic step runs
+GENERIC_CASES = [
+    ("layer_norm", "layer_norm", [_LN_X, _LN_G, _LN_B], {}),
+    ("layer_norm-f64", "layer_norm",
+     [_LN_X.astype(_F64), _LN_G.astype(_F64), _LN_B.astype(_F64)], {}),
+    ("layer_norm-f64-gamma", "layer_norm",
+     [_LN_X, _LN_G.astype(_F64), _LN_B], {}),
+    ("layer_norm-f64-beta", "layer_norm",
+     [_LN_X, _LN_G, _LN_B.astype(_F64)], {}),
+    ("layer_norm_grad", "layer_norm_grad",
+     [_LN_X, _LN_G, _LN_MEAN, _LN_RSTD, _LN_DY], {}),
+    ("layer_norm_grad-f64", "layer_norm_grad",
+     [a.astype(_F64) for a in (_LN_X, _LN_G, _LN_MEAN, _LN_RSTD, _LN_DY)],
+     {}),
+    ("layer_norm_grad-f64-gamma", "layer_norm_grad",
+     [_LN_X, _LN_G.astype(_F64), _LN_MEAN, _LN_RSTD, _LN_DY], {}),
+    ("layer_norm_grad-f64-dy", "layer_norm_grad",
+     [_LN_X, _LN_G, _LN_MEAN, _LN_RSTD, _LN_DY.astype(_F64)], {}),
+    ("softmax_cross_entropy", "softmax_cross_entropy",
+     [_LOGITS, _CE_LABELS], {"ignore_label": -1}),
+    ("softmax_cross_entropy-f64", "softmax_cross_entropy",
+     [_LOGITS.astype(_F64), _CE_LABELS], {"ignore_label": -1}),
+    ("sequence_reverse", "sequence_reverse", [_X3], {"parallel": True}),
+    *[(f"dropout-p{p}", "dropout", [_A], {"p": p, "seed": 1})
+      for p in (0.0, 0.5)],
+    ("dropout-f64", "dropout", [_A.astype(_F64)], {"p": 0.5, "seed": 1}),
+    *[(f"reduce_max_grad-axis{axis}-keep{int(keep)}", "reduce_max_grad",
+       _max_grad_inputs(axis, keep), {"axis": axis, "keepdims": keep})
+      for axis, keep in ((None, False), (1, True), (-1, False))],
+    ("reshape", "reshape", [_X3], {"shape": (6, 4)}),
+    ("expand_dims", "expand_dims", [_A], {"axis": 1}),
+    ("conv2d", "conv2d", [_CONV_X, _CONV_W], {"stride": 1, "pad": 0}),
+    ("conv2d-bias-stride2-pad1", "conv2d",
+     [_CONV_X, _CONV_W, _f32(51, (4,))], {"stride": 2, "pad": 1}),
+    ("conv2d_grad_x", "conv2d_grad_x", [_CONV_W, _CONV_DY],
+     {"stride": 1, "pad": 0, "x_shape": _CONV_X.shape}),
+    ("conv2d_grad_w", "conv2d_grad_w", [_CONV_X, _CONV_DY],
+     {"stride": 1, "pad": 0, "w_shape": _CONV_W.shape}),
+    ("ctc_loss", "ctc_loss", [_CTC_LOGITS, _CTC_LABELS], {}),
+    ("ctc_loss_grad", "ctc_loss_grad",
+     [_CTC_LOGITS, _CTC_LABELS, np.asarray(0.5, np.float32)], {}),
+]
+
+
+class TestGenericOutputContract:
+    """``compute`` returns arrays of exactly the dtypes and shapes of
+    ``out_specs``. A generic step checks only the shapes; the dtypes are
+    this contract's to keep."""
+
+    def test_every_generic_op_has_a_case(self):
+        generic = {n for n, op in registered_ops().items()
+                   if not op.supports_out
+                   and type(op).__module__ != "repro.ops.source"}
+        assert generic == {case[1] for case in GENERIC_CASES}
+
+    @pytest.mark.parametrize(
+        "name,inputs,attrs", [case[1:] for case in GENERIC_CASES],
+        ids=[case[0] for case in GENERIC_CASES],
+    )
+    def test_compute_matches_out_specs(self, name, inputs, attrs):
+        op = get_op(name)
+        node = Node(op, [place(f"g{j}", a) for j, a in enumerate(inputs)],
+                    attrs)
+        got = op.compute(node, [a.copy() for a in inputs])
+        assert len(got) == len(node.out_specs)
+        for j, (array, spec) in enumerate(zip(got, node.out_specs)):
+            assert isinstance(array, np.ndarray), (name, j)
+            assert (array.dtype, array.shape) == (spec.dtype, spec.shape), (
+                name, j)
