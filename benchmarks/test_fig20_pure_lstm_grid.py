@@ -6,7 +6,9 @@ L in {1..4}. The paper's claims, asserted per point:
 
 * Echo always beats Default significantly (up to ~3x);
 * Echo beats CuDNN at most points; where CuDNN wins (deep multi-layer
-  configs benefiting from wavefront overlap) the gap stays within ~20%.
+  configs, where the modelled cuDNN runs cell (t, l) beside cell
+  (t+1, l-1) as a diagonal wavefront across layers) the gap stays within
+  ~20%.
 """
 
 import pytest

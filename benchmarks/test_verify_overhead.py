@@ -59,7 +59,7 @@ def test_verify_overhead_bound(save_result):
         lambda: PlanCache().compiled_for(outputs, Arena(), order=order)
     )
 
-    executor = GraphExecutor(outputs, plan_cache=plan_cache, threads=1)
+    executor = GraphExecutor(outputs, plan_cache=plan_cache)
     sources = [*graph.placeholders.values(), *graph.params.values()]
 
     def verify():
@@ -127,7 +127,7 @@ def test_equiv_certification_overhead(save_result):
         lambda: PlanCache().compiled_for(outputs, Arena(), order=order)
     )
 
-    executor = GraphExecutor(outputs, plan_cache=plan_cache, threads=1)
+    executor = GraphExecutor(outputs, plan_cache=plan_cache)
 
     def certify():
         assert check_equivalence(executor.plan) == []

@@ -1,13 +1,11 @@
-"""Static analysis of graphs, compiled plans, and wavefront schedules.
+"""Static analysis of graphs and compiled plans.
 
-Seven analyzer families, each independently re-deriving an invariant the
+Six analyzer families, each independently re-deriving an invariant the
 compiler or a rewrite is supposed to maintain:
 
 * :func:`lint_graph` — dataflow-graph well-formedness (IR0xx);
 * :func:`check_lifetimes` — arena slot liveness vs. the compiled plan's
   static buffer replay (LT1xx);
-* :func:`check_plan_races` / :func:`check_schedule` — happens-before
-  verification of wavefront schedules (RC2xx);
 * :func:`check_recompute_safety` — Echo recompute-region invariants over
   a schedule (EC3xx);
 * :func:`check_packing` — memplan alias/coloring/in-place safety over
@@ -44,7 +42,6 @@ from repro.analysis.equiv import (
 from repro.analysis.ir_lint import lint_graph
 from repro.analysis.lifetime import check_lifetimes
 from repro.analysis.packing import check_packing
-from repro.analysis.races import check_plan_races, check_schedule, labeled_edges
 from repro.analysis.recompute import check_recompute_safety
 from repro.analysis.verify import (
     PlanVerificationError,
@@ -56,7 +53,6 @@ from repro.analysis.verify import (
 )
 from repro.analysis.witness import (
     AliasWitness,
-    BatchWitness,
     FusionWitness,
     InplaceWitness,
     MirrorWitness,
@@ -73,9 +69,6 @@ __all__ = [
     "check_rank_layouts",
     "check_lifetimes",
     "check_packing",
-    "check_plan_races",
-    "check_schedule",
-    "labeled_edges",
     "check_recompute_safety",
     "check_equivalence",
     "certify_outputs",
@@ -87,7 +80,6 @@ __all__ = [
     "verify_graph",
     "verify_plan",
     "AliasWitness",
-    "BatchWitness",
     "FusionWitness",
     "InplaceWitness",
     "MirrorWitness",

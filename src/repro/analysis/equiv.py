@@ -1,11 +1,11 @@
 """Translation validation: symbolic equivalence certification (EQ6xx).
 
-Every other analyzer in this package verifies a *safety* property (races,
-lifetimes, packing); this one verifies *functional equivalence* — that
-the lowered instruction stream denotes exactly the function the source
-graph denotes, per compiled plan, in the translation-validation tradition
-(Pnueli et al.; Necula 2000): certify each compilation instead of
-verifying the compiler once.
+Every other analyzer in this package verifies a *safety* property
+(lifetimes, packing, recompute regions); this one verifies *functional
+equivalence* — that the lowered instruction stream denotes exactly the
+function the source graph denotes, per compiled plan, in the
+translation-validation tradition (Pnueli et al.; Necula 2000): certify
+each compilation instead of verifying the compiler once.
 
 Both sides are hash-consed into one canonical symbolic expression DAG
 (:class:`SymbolicTable`), under normalization rules that erase exactly
@@ -19,7 +19,6 @@ the rewrites the pipeline is allowed to make:
 * **recompute mirrors** substitute their forward originals after a
   structural equality check (EQ607 on disagreement);
 * **fused chains** expand member by member through the accumulator;
-* **batched GEMMs** un-stack into per-member applications;
 * **unstable RNG** nodes (a ``dropout`` whose seed is not a plain int is
   a function of the ambient RNG clock, not of its inputs) become opaque
   per-node leaves, so any duplication or reordering of them is visible.
@@ -30,20 +29,19 @@ Findings:
 
 * **EQ601** — a lowered instruction's value differs from the source
   graph's value for that register;
-* **EQ602** — a rewrite with no justifying witness (fused/batched/alias
+* **EQ602** — a rewrite with no justifying witness (fused/alias
   instruction missing from the plan's :class:`~repro.analysis.witness.
   WitnessSet`, a RECOMPUTE node with no mirror, an alias-root merge no
   witness explains);
-* **EQ603** — a witness failing shape/dtype/member/wiring checks
-  (including a swapped batched-GEMM member);
+* **EQ603** — a witness failing shape/dtype/member/wiring checks;
 * **EQ604** — an in-place redirect that changes an observable value
   (target group read after the overwrite, read at a non-in-place
   position, or pinned by a source/constant/output);
 * **EQ605** — an alias view whose index disagrees with the witness or
   with an independent re-derivation from the node's attrs;
 * **EQ606** — reordering across an RNG-clock boundary (unstable RNG
-  mirrored, stream order inverting the schedule order of unstable RNG
-  nodes, or two of them sharing one parallel wavefront level);
+  mirrored, or stream order inverting the schedule order of unstable
+  RNG nodes);
 * **EQ607** — a recompute mirror structurally inequivalent to its
   original.
 
@@ -87,8 +85,8 @@ _SOURCE_OPS = ("placeholder", "variable")
 _COMMUTATIVE_OPS = frozenset({"add", "mul"})
 #: ops reading the ambient RNG clock (pure iff their seed is a plain int)
 _RNG_OPS = frozenset({"dropout"})
-#: attrs that never change numerics: cost-model steering ("layout", the
-#: ``gemm_batch_key`` precedent) and rewrite provenance marks
+#: attrs that never change numerics: cost-model steering ("layout") and
+#: rewrite provenance marks
 _IGNORED_ATTRS = frozenset({"layout", "echo_manual_recompute"})
 
 
@@ -381,8 +379,6 @@ def _rng_members(desc: dict[str, Any]) -> list[Node]:
     """Unstable RNG nodes an instruction executes (incl. fused members)."""
     if desc["kind"] == "fused":
         nodes = [member for _op, member, _p in desc["chain"]]
-    elif desc["kind"] == "batched":
-        nodes = list(desc["nodes"])
     else:
         nodes = [desc["node"]]
     return [n for n in nodes if n.op.name in _RNG_OPS and not _stable_rng(n)]
@@ -491,13 +487,6 @@ def check_equivalence(
                     expected_of,
                 )
             )
-        elif kind == "batched":
-            findings.extend(
-                _check_batched(
-                    idx, desc, witnesses, builder, child_of, compare,
-                    expected_of,
-                )
-            )
         elif kind == "alias":
             findings.extend(
                 _check_alias(
@@ -600,105 +589,6 @@ def _check_fused(
         ])
         acc = builder.value(member, children, 0)
     compare(idx, desc, 0, acc, suppress, expected)
-    return findings
-
-
-def _check_batched(
-    idx: int,
-    desc: dict[str, Any],
-    witnesses: WitnessSet,
-    builder: _ExprBuilder,
-    child_of: Any,
-    compare: Any,
-    expected_of: Any,
-) -> list[Finding]:
-    """Un-stack one batched GEMM group and verify member wiring."""
-    findings: list[Finding] = []
-    nodes: list[Node] = list(desc["nodes"])
-    head = nodes[0]
-    group_suppress = False
-    w = witnesses.batches.get(idx)
-    if w is None:
-        findings.append(
-            finding(
-                "EQ602",
-                f"batched GEMM instruction {idx} ({head.name} group) has "
-                "no batch witness",
-                _ANALYZER,
-                node=head.name,
-                instr=idx,
-            )
-        )
-    else:
-        spec = head.out_specs[0]
-        if (
-            w.members != tuple(n.uid for n in nodes)
-            or w.a_slots != tuple(desc["a_slots"])
-            or w.b_slots != tuple(desc["b_slots"])
-            or w.ta != desc["ta"]
-            or w.tb != desc["tb"]
-            or w.shape != spec.shape
-            or w.dtype != dtype_name(spec.dtype)
-        ):
-            findings.append(
-                finding(
-                    "EQ603",
-                    f"batch witness for instruction {idx} disagrees with "
-                    "the lowered group (members/slots/transpose/shape)",
-                    _ANALYZER,
-                    node=head.name,
-                    instr=idx,
-                )
-            )
-            group_suppress = True
-    # Isomorphism: every member must be the same GEMM configuration.
-    for n in nodes:
-        if (
-            n.op.name != head.op.name
-            or n.out_specs != head.out_specs
-            or n.attrs.get("ta") != head.attrs.get("ta")
-            or n.attrs.get("tb") != head.attrs.get("tb")
-            or n.stage is not head.stage
-        ):
-            findings.append(
-                finding(
-                    "EQ603",
-                    f"batched instruction {idx}: member {n.name!r} is not "
-                    "isomorphic to the group head (op/shape/transpose/stage)",
-                    _ANALYZER,
-                    node=n.name,
-                    instr=idx,
-                )
-            )
-            group_suppress = True
-    for k, member in enumerate(nodes):
-        suppress = group_suppress
-        a_vn = child_of(desc["a_slots"][k])
-        b_vn = child_of(desc["b_slots"][k])
-        if len(member.inputs) >= 2:
-            exp_a = builder.graph_expr(
-                member.inputs[0].node, member.inputs[0].index
-            )
-            exp_b = builder.graph_expr(
-                member.inputs[1].node, member.inputs[1].index
-            )
-            if (a_vn, b_vn) != (exp_a, exp_b) and not suppress:
-                findings.append(
-                    finding(
-                        "EQ603",
-                        f"batched instruction {idx}: member {k} "
-                        f"({member.name}) is wired to operand slots that "
-                        "hold another member's values (swapped member)",
-                        _ANALYZER,
-                        node=member.name,
-                        instr=idx,
-                        slot=desc["out_slots"][k],
-                    )
-                )
-                suppress = True
-        computed = builder.apply(member, (a_vn, b_vn), 0)
-        compare(idx, desc, k, computed, suppress,
-                expected_of(desc["out_slots"][k]))
     return findings
 
 
@@ -898,8 +788,8 @@ def _check_roots(low: PlanLowering, witnesses: WitnessSet) -> list[Finding]:
     """EQ602: every alias-root merge must be explained by some rewrite.
 
     Reconstructs the expected alias partition from first principles —
-    view instructions, alias (elision) instructions, batched groups, and
-    witnessed in-place redirects — and compares it against the lowered
+    view instructions, alias (elision) instructions and witnessed
+    in-place redirects — and compares it against the lowered
     root table. A merge nothing explains means storage is being shared
     by an unwitnessed rewrite. The partitions are equal when one map
     between their roots holds both ways; the groups themselves are
@@ -920,14 +810,9 @@ def _check_roots(low: PlanLowering, witnesses: WitnessSet) -> list[Finding]:
             parent[rb] = ra
 
     for desc in low.descs:
-        kind = desc["kind"]
-        if kind in ("view", "alias") and desc["in_slots"]:
+        if desc["kind"] in ("view", "alias") and desc["in_slots"]:
             for o in desc["out_slots"]:
                 union(desc["in_slots"][0], o)
-        elif kind == "batched":
-            outs = desc["out_slots"]
-            for o in outs[1:]:
-                union(outs[0], o)
     for w in witnesses.inplace:
         if 0 <= w.out < nslots and 0 <= w.target < nslots:
             union(w.out, w.target)
@@ -974,7 +859,7 @@ def _check_roots(low: PlanLowering, witnesses: WitnessSet) -> list[Finding]:
 def _check_rng_clock(
     low: PlanLowering, order: Sequence[Node]
 ) -> list[Finding]:
-    """EQ606: unstable RNG nodes must keep their clock order, serially."""
+    """EQ606: unstable RNG nodes must keep their clock order."""
     findings: list[Finding] = []
     stream: list[tuple[int, Node]] = []
     for idx, desc in enumerate(low.descs):
@@ -1001,24 +886,6 @@ def _check_rng_clock(
             )
         prev_pos = max(prev_pos, pos)
         prev_name = n.name if pos >= prev_pos else prev_name
-    if low.program_layout is not None:
-        rng_instrs = {idx for idx, _n in stream}
-        for kind, members in low.program_layout:
-            if kind != "parallel":
-                continue
-            level = [i for chunk in members for i in chunk if i in rng_instrs]
-            if len(level) > 1:
-                findings.append(
-                    finding(
-                        "EQ606",
-                        f"parallel wavefront level runs {len(level)} "
-                        "unstable RNG instructions concurrently "
-                        f"(instructions {sorted(level)}); their clock "
-                        "order is nondeterministic",
-                        _ANALYZER,
-                        instr=min(level),
-                    )
-                )
     return findings
 
 

@@ -53,13 +53,6 @@ CODES: dict[str, tuple[Severity, str]] = {
     "LT103": (Severity.ERROR, "overlapping live ranges share arena storage"),
     "LT104": (Severity.ERROR, "pinned slot backed by recycled static storage"),
     "LT105": (Severity.WARNING, "dead slot is never freed (leak)"),
-    # -- wavefront race detector -------------------------------------------
-    "RC201": (Severity.ERROR, "write-write storage conflict in one level"),
-    "RC202": (Severity.ERROR, "read-write storage conflict in one level"),
-    "RC203": (Severity.ERROR, "parallel level crosses an Echo stage barrier"),
-    "RC204": (Severity.ERROR, "value dependency inside one parallel level"),
-    "RC205": (Severity.ERROR, "schedule drops or duplicates an instruction"),
-    "RC206": (Severity.ERROR, "dependency ordered after its consumer"),
     # -- recomputation safety checker --------------------------------------
     "EC301": (Severity.ERROR, "recompute node consumes a backward value"),
     "EC302": (Severity.ERROR, "mirror disagrees with its forward original"),

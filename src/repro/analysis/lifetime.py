@@ -169,9 +169,7 @@ def check_lifetimes(plan: Any) -> list[Finding]:
 
     # LT103: live ranges of alias groups sharing one raw buffer must be
     # disjoint. A group's range spans from its earliest member def to its
-    # latest member use; batched-GEMM input scratch is acquired at its
-    # instruction and deliberately never released, so it owns its pages
-    # from that point to the end of the stream.
+    # latest member use.
     group_def: dict[int, int] = {}
     group_use: dict[int, int] = {}
     for s, d in def_at.items():
@@ -182,7 +180,6 @@ def check_lifetimes(plan: Any) -> list[Finding]:
         use = last_use.get(s, d)
         group_use[r] = max(group_use.get(r, use), use)
 
-    end = len(descs)
     # (lo, hi, byte_lo, byte_hi, label) intervals per raw buffer. The
     # byte bounds matter because *every* static view is a slice of one
     # shared extent: two groups may share the raw buffer freely as long
@@ -196,18 +193,6 @@ def check_lifetimes(plan: Any) -> list[Finding]:
         intervals.setdefault(base, []).append(
             (group_def[r], group_use[r], blo, bhi, f"slot group {r}")
         )
-    for idx, desc in enumerate(descs):
-        if desc["kind"] != "batched":
-            continue
-        for scratch_key in ("scratch_a", "scratch_b"):
-            scratch = desc.get(scratch_key)
-            if scratch is None:
-                continue
-            base = id(storage_base(scratch))
-            blo, bhi = byte_bounds(scratch)
-            intervals.setdefault(base, []).append(
-                (idx, end, blo, bhi, f"{scratch_key} of instruction {idx}")
-            )
 
     findings.extend(_check_sharing(intervals))
     return findings

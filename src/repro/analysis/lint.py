@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.analysis.lint                        # all models
     python -m repro.analysis.lint --model nmt --json
-    python -m repro.analysis.lint --model word-lm --no-echo --threads 4
+    python -m repro.analysis.lint --model word-lm --no-echo
     python -m repro.analysis.lint --strict --ignore IR006,EC306
     python -m repro.analysis.lint --equiv --strict       # + certification
     python -m repro.analysis.lint --list-codes           # code catalog
@@ -134,8 +134,6 @@ def list_codes() -> str:
 def lint_model(
     name: str,
     echo: bool = True,
-    threads: int = 1,
-    threads_probe: int = 4,
     equiv: bool = False,
 ) -> AnalysisReport:
     """Build one benchmark model, compile its plan, run all analyzers."""
@@ -151,15 +149,12 @@ def lint_model(
             EchoPass(plan_cache=plan_cache).run(graph)
         outputs = graph.outputs
         order = plan_cache.schedule_for(outputs)
-        plan = plan_cache.compiled_for(
-            outputs, Arena(), order=order, threads=threads
-        )
+        plan = plan_cache.compiled_for(outputs, Arena(), order=order)
     sources = [*graph.placeholders.values(), *graph.params.values()]
     return verify_plan(
         plan,
         outputs=outputs,
         order=order,
-        threads_probe=threads_probe,
         sources=sources,
         equiv=equiv,
     )
@@ -188,19 +183,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         dest="echo",
         action="store_false",
         help="lint the un-rewritten graph",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="compile the plan for N wavefront threads (default 1)",
-    )
-    parser.add_argument(
-        "--threads-probe",
-        type=int,
-        default=4,
-        help="worker count of the race detector's maximal-parallelism "
-        "probe on serial plans (default 4)",
     )
     parser.add_argument(
         "--equiv",
@@ -243,8 +225,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         report = lint_model(
             name,
             echo=args.echo,
-            threads=args.threads,
-            threads_probe=args.threads_probe,
             equiv=args.equiv,
         )
         if ignore:

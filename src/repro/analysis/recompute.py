@@ -22,7 +22,7 @@ re-verifies each invariant from scratch:
   seed, same dropout rate, same axis... attrs are the kernel's compile
   -time constants);
 * **EC305** — a FORWARD node consumes a RECOMPUTE value (the Echo stage
-  barrier the wavefront executor relies on would be violated);
+  barrier lowering relies on would be violated);
 * **EC306** — a recompute node none of whose outputs reach a BACKWARD or
   RECOMPUTE consumer (warning: a dead mirror, typically rollback debris —
   wasted replay work but no wrong numerics);

@@ -2,8 +2,7 @@
 
 :func:`verify_plan` is the aggregation point — graph IR lint, recompute
 safety over the schedule, arena lifetime sanity over the lowering,
-memplan packing/rewrite safety, race detection over the wavefront
-schedule (stored or probed), and (``equiv=True``) symbolic equivalence
+memplan packing/rewrite safety, and (``equiv=True``) symbolic equivalence
 certification of the whole rewrite pipeline — returning a single
 :class:`AnalysisReport`. :func:`assert_plan_safe` turns an unclean report
 into a :class:`PlanVerificationError`.
@@ -31,7 +30,6 @@ from repro.analysis.findings import AnalysisReport
 from repro.analysis.ir_lint import lint_graph
 from repro.analysis.lifetime import check_lifetimes
 from repro.analysis.packing import check_packing
-from repro.analysis.races import check_plan_races
 from repro.analysis.recompute import check_recompute_safety
 
 __all__ = [
@@ -69,7 +67,7 @@ def verification_tier() -> str | None:
     """The ``REPRO_VERIFY`` tier: None (off), ``"basic"``, or ``"full"``.
 
     ``full``/``equiv`` adds symbolic equivalence certification on top of
-    the five safety analyzers; any other truthy value selects ``basic``.
+    the four safety analyzers; any other truthy value selects ``basic``.
     """
     raw = os.environ.get(VERIFY_ENV, "").strip().lower()
     if raw in _FULL:
@@ -104,7 +102,6 @@ def verify_plan(
     plan: Any,
     outputs: Sequence[Tensor] | None = None,
     order: Sequence[Node] | None = None,
-    threads_probe: int = 4,
     sources: Sequence[Tensor] = (),
     equiv: bool = False,
     facts: GraphFacts | None = None,
@@ -127,7 +124,6 @@ def verify_plan(
     report.extend(check_recompute_safety(order, {t.key for t in outputs}))
     report.extend(check_lifetimes(plan))
     report.extend(check_packing(plan))
-    report.extend(check_plan_races(plan, threads_probe=threads_probe))
     if equiv:
         report.extend(
             check_equivalence(plan, outputs=outputs, order=order)
@@ -139,7 +135,6 @@ def assert_plan_safe(
     plan: Any,
     outputs: Sequence[Tensor] | None = None,
     order: Sequence[Node] | None = None,
-    threads_probe: int = 4,
     ignore: Iterable[str] = (),
     equiv: bool = False,
     facts: GraphFacts | None = None,
@@ -151,8 +146,7 @@ def assert_plan_safe(
     :func:`verify_plan`.
     """
     report = verify_plan(
-        plan, outputs=outputs, order=order, threads_probe=threads_probe,
-        equiv=equiv, facts=facts,
+        plan, outputs=outputs, order=order, equiv=equiv, facts=facts,
     )
     ignore = tuple(ignore)
     if ignore:

@@ -6,9 +6,6 @@ of *why* it is legal, in terms the equivalence certifier
 
 * :class:`FusionWitness` — "instruction ``i`` computes the composition of
   these chain members, accumulated in one buffer of this shape/dtype";
-* :class:`BatchWitness` — "instruction ``i`` is the stack of these
-  isomorphic GEMM members, member ``k`` wired to operand slots
-  ``(a_slots[k], b_slots[k])``";
 * :class:`AliasWitness` — "instruction ``i``'s copy kernel was elided:
   each output is exactly this view of the source register";
 * :class:`InplaceWitness` — "instruction ``i`` overwrites its dying
@@ -32,7 +29,6 @@ from typing import Any
 
 __all__ = [
     "FusionWitness",
-    "BatchWitness",
     "AliasWitness",
     "InplaceWitness",
     "MirrorWitness",
@@ -49,23 +45,6 @@ class FusionWitness:
     #: member node uids, chain (execution) order; the tail is last
     members: tuple[int, ...]
     #: shape/dtype of the single accumulator buffer (= every member's)
-    shape: tuple[int, ...]
-    dtype: str
-
-
-@dataclass(frozen=True)
-class BatchWitness:
-    """One stacked GEMM group: instruction = stack(member matmuls)."""
-
-    instr: int
-    #: member node uids, group (stack) order
-    members: tuple[int, ...]
-    #: per-member operand slots, aligned with ``members``
-    a_slots: tuple[int, ...]
-    b_slots: tuple[int, ...]
-    ta: bool
-    tb: bool
-    #: per-member output shape/dtype (each stacked slice)
     shape: tuple[int, ...]
     dtype: str
 
@@ -117,14 +96,12 @@ class WitnessSet:
     """All plan-level witnesses of one lowering, keyed by instruction."""
 
     fusions: dict[int, FusionWitness] = field(default_factory=dict)
-    batches: dict[int, BatchWitness] = field(default_factory=dict)
     aliases: dict[int, AliasWitness] = field(default_factory=dict)
     inplace: tuple[InplaceWitness, ...] = ()
 
     def __len__(self) -> int:
         return (
             len(self.fusions)
-            + len(self.batches)
             + len(self.aliases)
             + len(self.inplace)
         )

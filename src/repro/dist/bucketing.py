@@ -6,10 +6,9 @@ flat buffer would serialize communication behind the full backward
 pass. Buckets are the standard middle ground: parameters are assigned —
 in parameter order, greedily, capped at ``bucket_bytes`` — to flat
 float buffers, and each bucket becomes one chunked ring all-reduce that
-can launch as soon as the *last* gradient it covers is produced, while
-the rest of backward is still executing (see
-:class:`~repro.dist.trainer.DistributedTrainer`'s level-completion
-hook).
+could launch as soon as the *last* gradient it covers is produced
+(see :class:`~repro.dist.trainer.DistributedTrainer`'s completion
+hook, which today fires once, after backward).
 
 Bitwise note: packing is pure data movement. Concatenating gradients
 into a bucket, ring-reducing the bucket, and slicing the results back

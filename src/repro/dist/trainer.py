@@ -11,19 +11,16 @@ shard_feeds`), so the cohort consumes exactly the batches a single
   the leader, and every rank's gradient-bucket layout fingerprint is
   all-gathered and compared before step one (a mismatched model build
   fails loudly instead of producing garbage numerics);
-* **one collective per program item** — gradients are packed into flat
-  buckets (:mod:`repro.dist.bucketing`); when the executor retires a
-  program item (the ``on_item`` level-completion hook), every bucket
-  whose last gradient that item finalized is flattened into *one* buffer
-  and handed to a per-rank communicator thread as one chunk-pipelined
-  ring all-reduce. A plan with parallel wavefront levels has several
-  items, so reductions launched by the earlier ones run under the tail
-  of backward; a serial plan is one item, its step one gradient
-  collective plus the loss. Cutting a serial body at the points where
-  buckets become ready, to keep that overlap, was measured and rejected:
-  17.2 ms against 16.0 ms per step on the 2-core host, where the
-  communicator only takes the interpreter lock away from a
-  dispatch-bound main thread;
+* **one gradient collective per step** — gradients are packed into flat
+  buckets (:mod:`repro.dist.bucketing`); when the plan's body has run
+  (the ``on_item`` completion hook), every same-dtype run of buckets is
+  flattened into *one* buffer and handed to a per-rank communicator
+  thread as one chunk-pipelined ring all-reduce, so a step is one
+  gradient collective plus the loss. Cutting the body at the points
+  where buckets become ready, to overlap reduction with the tail of
+  backward, was measured and rejected: 17.2 ms against 16.0 ms per step
+  on the 2-core host, where the communicator only takes the interpreter
+  lock away from a dispatch-bound main thread;
 * **global clipping** — the optimizer update (and hence ``clip_norm``)
   runs on the *reduced* mean gradients, so the clip norm is the global
   norm — identical on every rank — not a per-shard norm;
@@ -120,7 +117,11 @@ class _Run:
 
 
 class DistributedTrainer(Trainer):
-    """One rank of a synchronous data-parallel cohort."""
+    """One rank of a synchronous data-parallel cohort.
+
+    ``threads`` (among ``trainer_kwargs``) is accepted and ignored, as on
+    :class:`~repro.train.Trainer`.
+    """
 
     @pauses_collector
     def __init__(
@@ -173,7 +174,8 @@ class DistributedTrainer(Trainer):
 
         plan = self.executor.executor.plan
         ready = plan.output_ready_items()
-        self._last_item = plan.program_item_count - 1
+        #: the plan's one run item: every bucket is reduced after it
+        self._last_item = max(ready, default=0)
         # Buckets by the program item that finalizes their last gradient,
         # in bucket order (identical on every rank), split where the
         # dtype changes.
@@ -295,7 +297,7 @@ class DistributedTrainer(Trainer):
                     self._step_done.set()
 
     def _on_item(self, item_idx: int, regs: list) -> None:
-        """Level-completion hook: launch ready buckets' reductions."""
+        """Completion hook: launch ready buckets' reductions."""
         if self._comm_error is not None:
             raise self._comm_error
         plan = self.executor.executor.plan

@@ -380,14 +380,14 @@ class EchoPass:
 def check_barrier_legality(order: list[Node]) -> None:
     """Verify the rewritten schedule respects Echo's stage barriers.
 
-    The wavefront executor treats stage transitions in the schedule as
-    hard barriers (see :func:`repro.runtime.wavefront.analyze_wavefronts`)
-    — that is only a *complete* fence around a recompute region if no
-    FORWARD node ever consumes a RECOMPUTE value (the forward pass must be
-    closed under the barrier, or a recompute region would need to replay
-    before parts of the pass it was mirrored from) and every recompute
-    region drains into the backward pass. Violations indicate a broken
-    rewrite, not a planning choice, so this raises instead of degrading.
+    Lowering treats stage transitions in the schedule as hard barriers
+    (no fused chain crosses one) — that is only a *complete* fence around
+    a recompute region if no FORWARD node ever consumes a RECOMPUTE value
+    (the forward pass must be closed under the barrier, or a recompute
+    region would need to replay before parts of the pass it was mirrored
+    from) and every recompute region drains into the backward pass.
+    Violations indicate a broken rewrite, not a planning choice, so this
+    raises instead of degrading.
     """
     recompute_uids = {n.uid for n in order if n.stage is Stage.RECOMPUTE}
     if not recompute_uids:

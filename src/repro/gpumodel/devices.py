@@ -33,9 +33,8 @@ _BANDWIDTH_WAVE_BYTES = 512 * 1024
 #: numbers measured on the 2-core CI-class host (single-threaded OpenBLAS
 #: sgemm 95-115 GFLOP/s from 64^3 to 512^3; ``np.add`` 22-48 GB/s,
 #: ``np.tanh`` ~17 GB/s of operand traffic; ~1.5 us of interpreter work
-#: per kernel call). Only the wavefront gate reads it, and only to compare
-#: a level's saving with a thread hand-off, so a factor of two either way
-#: moves no decision that matters.
+#: per kernel call). Only :meth:`DeviceModel.predict_host_seconds` reads
+#: it, and no planning decision depends on that answer.
 _HOST_DISPATCH_SECONDS = 1.5e-6
 _HOST_BYTES_PER_SECOND = 20e9
 _HOST_FLOPS_PER_SECOND = 100e9

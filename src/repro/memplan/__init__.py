@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from repro.memplan.coloring import (
     PackResult,
-    atomic_tokens,
     pack_intervals,
     waterline,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "BufferAssignment",
     "MemplanRecord",
     "PackResult",
-    "atomic_tokens",
     "pack_intervals",
     "plan_buffers",
     "waterline",

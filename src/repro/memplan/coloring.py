@@ -27,9 +27,8 @@ sweep the placements are checked against.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -130,33 +129,3 @@ def pack_intervals(
         extent_bytes=extent,
         planned_peak_bytes=waterline(live),
     )
-
-
-def atomic_tokens(
-    placements: Mapping[Hashable, tuple[int, int]]
-) -> dict[Hashable, tuple[int, ...]]:
-    """Storage-hazard tokens for byte ranges sharing one extent.
-
-    With every static buffer carved from a single raw extent, the rule
-    "same storage base ⇒ serialize" would serialize the whole plan.
-    Instead the extent is cut into *atomic intervals* at every placement
-    boundary and each placement is labeled with the atoms its byte range
-    covers: two placements intersect in memory iff they share an atom, so
-    the wavefront hazard edges stay exact. ``placements`` maps a key to
-    ``(offset, nbytes)``; zero-byte entries get no tokens.
-    """
-    bounds: set[int] = set()
-    for off, nbytes in placements.values():
-        if nbytes > 0:
-            bounds.add(off)
-            bounds.add(off + nbytes)
-    cuts = sorted(bounds)
-    tokens: dict[Hashable, tuple[int, ...]] = {}
-    for key, (off, nbytes) in placements.items():
-        if nbytes <= 0:
-            tokens[key] = ()
-            continue
-        a = bisect_left(cuts, off)
-        b = bisect_left(cuts, off + nbytes)
-        tokens[key] = tuple(range(a, b))
-    return tokens

@@ -15,12 +15,6 @@ arena's extent pool and immediately parked again, so a later sibling plan
 sharing the arena (the bucketed trainer) overlays it when it fits — and
 takes a fresh extent of its own when it does not, which is every plan of
 an ascending bucket list.
-
-Storage-hazard tokens: with one extent backing every static buffer, a
-"same raw base" rule would serialize the whole wavefront schedule, so
-each placement is labeled with the atomic byte-range tokens of
-:func:`repro.memplan.coloring.atomic_tokens`; two instructions conflict
-iff their placements actually intersect in memory.
 """
 
 from __future__ import annotations
@@ -30,7 +24,7 @@ from typing import Any, Hashable
 
 import numpy as np
 
-from repro.memplan.coloring import Request, atomic_tokens, pack_intervals
+from repro.memplan.coloring import Request, pack_intervals
 from repro.memplan.elision import elide_copies, rewrite_inplace
 from repro.memplan.slotindex import SlotIndex, StorageSpec
 from repro.obs import trace as obs_trace
@@ -40,9 +34,8 @@ from repro.obs import trace as obs_trace
 class MemplanRecord:
     """What the planner decided, for analyzers and plan stats.
 
-    ``placements`` maps a storage key — an alias-group root slot, or
-    ``("scratch", instr_idx, "a"|"b")`` for batched-GEMM stacking scratch
-    — to ``(first_instr, last_instr, offset, nbytes)`` within the extent.
+    ``placements`` maps an alias-group root slot to ``(first_instr,
+    last_instr, offset, nbytes)`` within the extent.
     """
 
     extent_bytes: int = 0
@@ -64,8 +57,6 @@ class BufferAssignment:
     frees_at: dict[int, list[tuple[int, int, bool]]]
     static_views: dict[int, np.ndarray]
     record: MemplanRecord
-    #: placement byte-range tokens for hazard edges
-    storage_tokens: dict[Hashable, tuple[int, ...]]
 
 
 def _liveness(
@@ -148,7 +139,6 @@ def _assign_storage(
         index, root, never_freed, releasable
     )
 
-    end = max(len(descs) - 1, 0)
     requests: list[Request] = []
     specs_of: dict[Hashable, StorageSpec] = {}
     for r, group in members.items():
@@ -163,24 +153,6 @@ def _assign_storage(
         hi = max(last_use.get(m, lo) for m in group)
         requests.append((r, lo, hi, spec[2]))
         specs_of[r] = spec
-    for idx, desc in enumerate(descs):
-        if desc["kind"] != "batched":
-            continue
-        node = desc["node"]
-        a, b = node.inputs
-        group = len(desc["out_slots"])
-        for which, operand in (("a", a), ("b", b)):
-            if desc[f"shared_{which}"]:
-                continue
-            nbytes = group * operand.nbytes
-            if nbytes <= 0:
-                continue
-            key = ("scratch", idx, which)
-            # Scratch is owned for the plan's whole life: it is rewritten
-            # every iteration, so it must never time-share bytes with any
-            # other placement.
-            requests.append((key, idx, end, nbytes))
-            specs_of[key] = ((group,) + operand.shape, operand.dtype, nbytes)
 
     packed = pack_intervals(requests)
     extent_bytes = packed.extent_bytes
@@ -188,37 +160,16 @@ def _assign_storage(
 
     static_views: dict[int, np.ndarray] = {}
     placements: dict[Hashable, tuple[int, int, int, int]] = {}
-    byte_ranges: dict[Hashable, tuple[int, int]] = {}
     for key, lo, hi, nbytes in requests:
         shape, dtype, _n = specs_of[key]
         off = packed.offsets[key]
         assert raw is not None
-        view = raw[off:off + nbytes].view(dtype).reshape(shape)
+        static_views[key] = raw[off:off + nbytes].view(dtype).reshape(shape)
         placements[key] = (lo, hi, off, nbytes)
-        byte_ranges[key] = (off, nbytes)
-        if isinstance(key, tuple):
-            _tag, idx, which = key
-            descs[idx][f"scratch_{which}"] = view
-        else:
-            static_views[key] = view
     if raw is not None:
         # Park the extent for sibling plans compiled against this arena;
         # the views above keep it alive.
         arena.release_extent(raw)
-
-    # Zero-byte scratch still needs an array for the stacked kernel view.
-    for idx, desc in enumerate(descs):
-        if desc["kind"] != "batched":
-            continue
-        node = desc["node"]
-        a, b = node.inputs
-        group = len(desc["out_slots"])
-        for which, operand in (("a", a), ("b", b)):
-            if desc[f"shared_{which}"] or desc[f"scratch_{which}"] is not None:
-                continue
-            desc[f"scratch_{which}"] = np.empty(
-                (group,) + operand.shape, dtype=operand.dtype
-            )
 
     record = MemplanRecord(
         extent_bytes=extent_bytes,
@@ -232,7 +183,6 @@ def _assign_storage(
         frees_at=frees_at,
         static_views=static_views,
         record=record,
-        storage_tokens=atomic_tokens(byte_ranges),
     )
 
 

@@ -64,21 +64,16 @@ class SlotIndex:
         self, descs: Sequence[dict[str, Any]], slot: int
     ) -> StorageSpec | None:
         """Spec of the arena buffer ``slot``'s producer writes, or None
-        when no ``out=`` kernel produces it (views, aliases, generic ops
-        and batched members other than the group's first)."""
+        when no ``out=`` kernel produces it (views, aliases, generic
+        ops)."""
         made = self.producer.get(slot)
         if made is None:
             return None
         idx, pos = made
         desc = descs[idx]
-        kind = desc["kind"]
-        if kind in ("out", "fused"):
+        if desc["kind"] in ("out", "fused"):
             spec = desc["node"].out_specs[pos]
             return (spec.shape, spec.dtype, spec.nbytes)
-        if kind == "batched" and pos == 0:
-            spec = desc["node"].out_specs[0]
-            group = len(desc["out_slots"])
-            return ((group,) + spec.shape, spec.dtype, group * spec.nbytes)
         return None
 
 

@@ -16,8 +16,8 @@ prints the merged registry snapshot (see :mod:`repro.obs.dump`).
 
 Both switches are *inert by contract*: enabling them may never change a
 computed value. The property test in ``tests/test_obs.py`` proves
-traced and untraced runs bitwise-identical across the threads x echo x
-memplan matrix plus a 2-rank distributed leg.
+traced and untraced runs bitwise-identical across the echo x memplan
+matrix plus a 2-rank distributed leg.
 """
 
 from repro.obs.metrics import (

@@ -10,7 +10,6 @@ merged snapshot as JSON (default) or a table.
 Options::
 
     --steps N        training steps to run (default 3)
-    --threads N      execution lanes (default: REPRO_THREADS)
     --table          human-readable table instead of JSON
     --trace PATH     also export the Chrome trace of the workload
 
@@ -31,7 +30,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
 
-def run_workload(steps: int = 3, threads: int | None = None) -> dict:
+def run_workload(steps: int = 3) -> dict:
     """Train a tiny word LM with obs enabled; returns the snapshot."""
     from dataclasses import replace
 
@@ -56,8 +55,7 @@ def run_workload(steps: int = 3, threads: int | None = None) -> dict:
     EchoPass(plan_cache=plan_cache).run(model.graph)
     params = model.store.initialize(seed=0)
     trainer = Trainer(
-        model.graph, params, SGD(0.1), plan_cache=plan_cache,
-        threads=threads, metrics=reg,
+        model.graph, params, SGD(0.1), plan_cache=plan_cache, metrics=reg
     )
     corpus = markov_corpus(cfg.vocab_size, 600, seed=3)
     batches = list(itertools.islice(
@@ -72,7 +70,7 @@ def run_workload(steps: int = 3, threads: int | None = None) -> dict:
         shard = build_word_lm(replace(cfg, batch_size=cfg.batch_size // 2))
         with DistributedTrainer(
             group, shard.graph, shard.store.initialize(seed=0), SGD(0.1),
-            threads=threads, metrics=reg,
+            metrics=reg,
         ) as dist_trainer:
             for feeds in batches:
                 dist_trainer.step(feeds)
@@ -118,12 +116,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         description="run a small instrumented workload and dump metrics",
     )
     parser.add_argument("--steps", type=int, default=3)
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--table", action="store_true")
     parser.add_argument("--trace", default=None, metavar="PATH")
     args = parser.parse_args(argv)
 
-    snapshot = run_workload(steps=args.steps, threads=args.threads)
+    snapshot = run_workload(steps=args.steps)
     if args.trace:
         t = obs_trace.tracer()
         if t is not None:

@@ -4,12 +4,11 @@ One process-global :class:`Tracer` records **spans** — named, nested
 intervals on a monotonic clock, tagged with the recording thread and
 (for distributed runs) the rank — at every pipeline boundary: plan
 compile/lower/verify, plan-cache lookups, Echo accept/reject, memplan
-packing, wavefront level execution per worker, GEMM-batch grouping,
-ring-collective chunk send/recv, and the serving request lifecycle.
-The export (:meth:`Tracer.export_chrome`) is the Chrome trace-event
-format — strict ``B``/``E`` begin/end pairs per thread, microsecond
-timestamps — loadable directly in Perfetto (ui.perfetto.dev) or
-``chrome://tracing``.
+packing, plan body execution, ring-collective chunk send/recv, and the
+serving request lifecycle. The export (:meth:`Tracer.export_chrome`) is
+the Chrome trace-event format — strict ``B``/``E`` begin/end pairs per
+thread, microsecond timestamps — loadable directly in Perfetto
+(ui.perfetto.dev) or ``chrome://tracing``.
 
 **Zero overhead when disabled.** Tracing is off unless ``REPRO_TRACE``
 is set (or :func:`enable` is called): the module-level :data:`TRACING`

@@ -282,38 +282,6 @@ _BATCH_DOT = register(BatchDotOp())
 _FULLY_CONNECTED = register(FullyConnectedOp())
 
 
-def gemm_batch_key(node: Node):
-    """Isomorphism key for the compiled executor's batched-GEMM pre-pass.
-
-    Two ``matmul`` nodes with equal keys compute the same-shape GEMM with
-    the same transpose flags and dtype, so a group of them can execute as
-    one stacked ``np.matmul`` over a leading group axis — numerically the
-    same per-slice BLAS call, issued once. Returns ``None`` for nodes the
-    pre-pass must not touch: non-GEMMs, mixed-dtype GEMMs (whose
-    ``kernel`` cast path the stacked kernel would not reproduce),
-    and empty outputs. The ``layout`` attr is deliberately excluded — it
-    steers the *cost model*, not the numerics, and the simulated cost
-    stays node-based regardless of batching.
-    """
-    if node.op.name != "matmul":
-        return None
-    a, b = node.inputs
-    out = node.out_specs[0]
-    if a.dtype != out.dtype or b.dtype != out.dtype or out.nbytes == 0:
-        return None
-    return (a.shape, b.shape, node.attrs["ta"], node.attrs["tb"], out.dtype.str)
-
-
-def stacked_operand(stack: np.ndarray, transpose: bool) -> np.ndarray:
-    """Per-slice transpose view of a [G x M x K] operand stack.
-
-    ``np.matmul`` on the swapped view issues the same per-slice BLAS call
-    (same dims, leading strides, transpose flags) as the 2-D
-    ``op(A[i]) @ op(B[i])`` it replaces, so batching is bitwise-exact.
-    """
-    return np.swapaxes(stack, 1, 2) if transpose else stack
-
-
 def matmul(
     a: Tensor,
     b: Tensor,

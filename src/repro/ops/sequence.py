@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
 
 from repro.graph import Node, Op, ShapeError, Tensor, TensorSpec, register
 
@@ -38,7 +37,9 @@ class SequenceReverseOp(Op):
         return [TensorSpec(x.shape, x.dtype)]
 
     def compute(self, node, inputs):
-        return [np.ascontiguousarray(inputs[0][::-1])]
+        # An unconditional copy: ``np.ascontiguousarray`` hands back the
+        # input itself at T == 1, where ``[::-1]`` is already contiguous.
+        return [inputs[0][::-1].copy()]
 
     def gradient(self, node, out_grads):
         (dy,) = out_grads

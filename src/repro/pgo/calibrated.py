@@ -1,7 +1,7 @@
 """The calibrated device model: measured records first, roofline fallback.
 
-Every cost-driven decision in the stack — Echo accept/reject, GEMM
-batching, FC layout selection, the wavefront gate — asks a
+Every cost-driven decision in the stack — Echo accept/reject, FC layout
+selection — asks a
 :class:`repro.gpumodel.DeviceModel` to price nodes. This module swaps in a
 subclass that answers from the calibration database whenever a node's
 shape class has measured coverage, and defers to the analytical model
@@ -13,10 +13,8 @@ constant factor (numpy vs. a modeled GPU), so for the *simulated* unit
 system (:meth:`CalibratedDeviceModel.node_cost`) measured values are
 mapped through the database's geometric-mean domain scale before mixing
 — relative structure (which op dominates, which GEMM shape is slower) is
-what transfers. The wavefront gate compares against a thread hand-off
-measured on the host, so it asks in host seconds
-(:meth:`CalibratedDeviceModel.predict_host_seconds`) and gets the records
-unscaled.
+what transfers. :meth:`CalibratedDeviceModel.predict_host_seconds`
+answers in host seconds, with the records unscaled.
 """
 
 from __future__ import annotations
@@ -85,8 +83,8 @@ class CalibratedDeviceModel(DeviceModel):
         )
 
     def predict_host_seconds(self, node: Node) -> float:
-        """Predicted *host* wall-clock of one node (the wavefront gate's
-        unit, and the benchmark's comparison against measured timings).
+        """Predicted *host* wall-clock of one node (the calibration
+        benchmark's comparison against measured timings).
 
         Covered classes answer in measured units directly; uncovered ones
         fall back to the fixed host roofline of the base model.

@@ -5,8 +5,8 @@ Layout under ``REPRO_TUNE_DIR``::
     calibration.json            decayed cost records (CalibrationDB)
     autotune.json               backend-selection results per config
 
-Only measurements persist. Schedules, memory plans and wavefront layouts
-are a deterministic function of the graph and the cost model and are
+Only measurements persist. Schedules and memory plans are a
+deterministic function of the graph and the cost model and are
 recomputed by every process; a ``plans/`` directory left behind by an
 older checkout is never opened.
 

@@ -22,14 +22,6 @@ from repro.runtime.plancache import (
     graph_signature,
 )
 from repro.runtime.scheduler import SchedulingError, schedule, validate_schedule
-from repro.runtime.wavefront import (
-    InstrInfo,
-    Wavefront,
-    WavefrontSchedule,
-    analyze_wavefronts,
-    partition_chunks,
-)
-from repro.runtime.workers import WorkerPool, default_thread_count, shared_pool
 
 __all__ = [
     "schedule",
@@ -50,12 +42,4 @@ __all__ = [
     "NullPlanCache",
     "default_plan_cache",
     "graph_signature",
-    "InstrInfo",
-    "Wavefront",
-    "WavefrontSchedule",
-    "analyze_wavefronts",
-    "partition_chunks",
-    "WorkerPool",
-    "default_thread_count",
-    "shared_pool",
 ]

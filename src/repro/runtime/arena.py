@@ -47,8 +47,8 @@ class Arena:
     the plan.
 
     The extent list and the counters each sit behind their own lock:
-    wavefront chunks allocate outputs concurrently, and concurrent session
-    compiles share an arena.
+    concurrent session compiles and thread-backend ranks can reach one
+    arena.
     """
 
     def __init__(self) -> None:

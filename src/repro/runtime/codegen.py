@@ -17,7 +17,7 @@ instructions) call ``compute`` through the same kind of template.
 
 What a run never decides is baked (:meth:`PlanCodegen.bake_steps`): a
 register that holds the same array on every run — a constant, a static
-buffer, a batched member, a view of static storage — is *fixed*. Its
+buffer, a view of static storage — is *fixed*. Its
 array is placed in the register file every run starts from, no step
 writes it, and every step that reads it binds the array itself as a
 default instead of loading it from the register file; views of static
@@ -25,8 +25,7 @@ storage are computed here once and their steps dropped. One generated
 binder per plan binds the feeds.
 
 Every closure reproduces its op's ``compute`` bit for bit: kernels are
-bitwise-identical to ``compute`` by contract, and a stacked GEMM issues
-the same per-slice BLAS call as the matmuls it replaces.
+bitwise-identical to ``compute`` by contract.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from repro.graph import Node
-from repro.ops.matmul import stacked_operand
 from repro.runtime.arena import Arena
 from repro.runtime.lowering import PlanLowering
 
@@ -346,22 +344,18 @@ class PlanCodegen:
         self.template_hits = 0
 
     def bake_steps(
-        self,
-        low: PlanLowering,
-        clears_at: dict[int, tuple[int, ...]],
-        template: list,
+        self, low: PlanLowering, template: list
     ) -> list[Callable[[list], None] | None]:
-        """One closure per descriptor; ``clears_at`` inlines register
-        clears (empty when a wavefront program re-homes them). Static
-        buffers are looked up by alias-group *root*, so in-place-rewritten
-        slots resolve to the dying input's buffer.
+        """One closure per descriptor, with the lowering's register clears
+        inlined. Static buffers are looked up by alias-group *root*, so
+        in-place-rewritten slots resolve to the dying input's buffer.
 
         ``template`` — the register file every run starts from, holding
         the plan's constants on entry — also records which registers are
         *fixed*: those holding the same array on every run. Slots are
         single-assignment, static-rooted registers are never cleared and a
         static buffer's address is fixed for the plan's life, so each
-        static ``out`` / ``fused`` output and batched member is fixed: its
+        static ``out`` / ``fused`` output is fixed: its
         array goes into ``template`` and its step stores nothing. Every
         step reading a fixed register binds its array as a default instead
         of loading the register.
@@ -372,7 +366,7 @@ class PlanCodegen:
         register then holds exactly the view the step would have bound.
         """
         root, static_views = low.root, low.static_views
-        descs = low.descs
+        descs, clears_at = low.descs, low.clears_at
         steps: list[Callable[[list], None] | None] = [None] * len(descs)
         for idx, desc in enumerate(descs):
             clear = clears_at[idx] if idx in clears_at else ()
@@ -394,13 +388,6 @@ class PlanCodegen:
                     desc["node"], desc["in_slots"], out_slots,
                     desc["alias_index"], clear, template,
                 )
-            elif kind == "batched":
-                head = root[out_slots[0]]
-                static = static_views[head] if head in static_views else None
-                step = self._make_batched_step(desc, clear, static, template)
-                if static is not None:
-                    for i, s in enumerate(out_slots):
-                        template[s] = static[i]
             elif kind == "generic":
                 guard: tuple[int, ...] = ()
                 for s in desc["in_slots"]:
@@ -469,29 +456,19 @@ class PlanCodegen:
         )
         return self._bake(src, tuple(values))
 
-    def bake_body(
-        self, step_indices: Sequence[int], clears: tuple[int, ...]
-    ) -> Callable[[list], None]:
-        """One straight-line function calling the given steps in order.
-
-        Used for the full serial body, for serial program segments, and
-        for parallel chunks (no iterator machinery anywhere in the hot
-        loop); folded descriptors have no step and are skipped. ``clears``
-        appends register drops after the last step. The source depends
-        only on the two counts, so same-shape plans and equal-sized chunks
-        share one template.
+    def bake_body(self) -> Callable[[list], None]:
+        """One straight-line function calling every baked step in order
+        (no iterator machinery in the hot loop); folded descriptors have no
+        step and are skipped. The source depends only on the step count,
+        so same-shape plans share one template.
         """
-        all_steps = self.steps
-        steps = [
-            all_steps[i] for i in step_indices if all_steps[i] is not None
-        ]
-        if not steps and not clears:
+        steps = [step for step in self.steps if step is not None]
+        if not steps:
             return lambda regs: None
         callees = _names("_s", len(steps))
-        params = ", ".join(("regs",) + callees + _names("_c", len(clears)))
+        params = ", ".join(("regs",) + callees)
         calls = "".join(f"\n    {name}(regs)" for name in callees)
-        src = f"def body({params}):{calls}{_clear_src(len(clears))}\n"
-        return self._bake(src, (*steps, *clears))
+        return self._bake(f"def body({params}):{calls}\n", tuple(steps))
 
     # -- closure factories ---------------------------------------------------
 
@@ -540,85 +517,6 @@ class PlanCodegen:
         ins, operands = _operands(in_slots, template)
         src = _out_source(ins, len(clear), fresh)
         return self._bake(src, (*values, *operands, *outs, *clear), node)
-
-    def _make_batched_step(self, desc, clear, static, template):
-        """One stacked GEMM instruction covering a batched group.
-
-        Member inputs are copied into permanent scratch stacks (skipped
-        when the operand is shared by every member — the attention-scoring
-        case, where one key matrix serves all decoder steps), the stacked
-        kernel runs once, and each member's register receives its slice of
-        the stacked result — except over a ``static`` stack, whose slices
-        are fixed registers nothing stores.
-        """
-        node = desc["node"]
-        group = len(desc["out_slots"])
-        spec = node.out_specs[0]
-        params = ["_mm", "_cp", "_EE", "_t"]
-        values: list = [np.matmul, np.copyto, ExecutionError, node]
-        lines: list[str] = []
-
-        # Operands: member rows copied into the scratch stack, or the one
-        # shared register read directly.
-        operands = []
-        for side, slots, shared, scratch, trans in (
-            ("x", desc["a_slots"], desc["shared_a"], desc["scratch_a"],
-             desc["ta"]),
-            ("y", desc["b_slots"], desc["shared_b"], desc["scratch_b"],
-             desc["tb"]),
-        ):
-            fixed, bound = _operands(slots[:1] if shared else slots, template)
-            side_params, exprs = _reads(f"_{side}", fixed)
-            if shared:
-                params += side_params
-                values += bound
-                operands.append(exprs[0] + (".T" if trans else ""))
-                continue
-            params += [f"_{side}d", f"_{side}s", *side_params]
-            values += [
-                tuple(scratch[i] for i in range(group)),
-                stacked_operand(scratch, trans),
-                *bound,
-            ]
-            lines.extend(
-                f"        _cp(_{side}d[{i}], {expr})"
-                for i, expr in enumerate(exprs)
-            )
-            operands.append(f"_{side}s")
-        a_expr, b_expr = operands
-
-        assigns = ""
-        if static is not None:
-            params.append("_S")
-            values.append(static)
-            lines.append(f"        _mm({a_expr}, {b_expr}, out=_S)")
-        else:
-            params += ["_a", "_sh", "_d", "_nb", *_names("_o", group)]
-            values += [
-                self.arena.acquire_fresh, (group,) + spec.shape, spec.dtype,
-                group * spec.nbytes, *desc["out_slots"],
-            ]
-            lines.insert(0, "        buf = _a(_sh, _d, _nb)")
-            lines.append(f"        _mm({a_expr}, {b_expr}, out=buf)")
-            assigns = "".join(
-                f"\n    regs[_o{i}] = buf[{i}]" for i in range(group)
-            )
-        params += _names("_c", len(clear))
-        values += clear
-        src = (
-            f"def step(regs, {', '.join(params)}):\n"
-            "    try:\n"
-            + "\n".join(lines) + "\n"
-            "    except Exception as exc:\n"
-            "        raise _EE(\n"
-            "            f'kernel failure in batched GEMM group at "
-            "{_t!r}: {exc}'\n"
-            "        ) from exc"
-            f"{assigns}{_clear_src(len(clear))}\n"
-        )
-        step = self._bake(src, tuple(values), node)
-        step._batched = True
-        return step
 
     def _make_fused_step(self, chain, out_slot, clear, static, template):
         tail = chain[-1][1]

@@ -28,7 +28,6 @@ from repro.runtime.arena import Arena
 from repro.runtime.compiled import CompiledPlan, ExecutionError
 from repro.runtime.memory import Category, MemoryPlan, TensorKey
 from repro.runtime.plancache import PlanCache, default_plan_cache
-from repro.runtime.workers import default_thread_count
 
 __all__ = [
     "ExecutionError",
@@ -101,19 +100,12 @@ class GraphExecutor:
         pinned_categories: Mapping[TensorKey, Category] | None = None,
         arena: Arena | None = None,
         plan_cache: PlanCache | None = None,
-        threads: int | None = None,
     ) -> None:
         self.outputs = list(outputs)
         self.device = device
         self.arena = arena if arena is not None else Arena()
         self.plan_cache = (
             plan_cache if plan_cache is not None else default_plan_cache()
-        )
-        # None defers to the REPRO_THREADS environment default, so the CI
-        # matrix (and users) can flip the whole process to wavefront
-        # execution without touching call sites.
-        self.threads = default_thread_count() if threads is None else max(
-            1, int(threads)
         )
         # One facts record serves all three planning artifacts of this
         # state — the one Echo's final re-plan left in the cache, when the
@@ -140,12 +132,7 @@ class GraphExecutor:
         per-iteration check.
         """
         return self.plan_cache.compiled_for(
-            self.outputs,
-            self.arena,
-            order=self.order,
-            threads=self.threads,
-            device=self.device,
-            facts=self._facts,
+            self.outputs, self.arena, order=self.order, facts=self._facts
         )
 
     def compile(self) -> CompiledPlan:
@@ -160,11 +147,11 @@ class GraphExecutor:
         the profiler adds optimizer state and framework overheads)."""
         return self.memory_plan.peak_bytes
 
-    def verify(self, threads_probe: int = 4, equiv: bool = False):
+    def verify(self, equiv: bool = False):
         """Statically verify this executor's compiled plan.
 
         Runs the :mod:`repro.analysis` analyzers — IR lint, recompute
-        safety, arena lifetimes, packing, wavefront races, and
+        safety, arena lifetimes, packing, and
         (``equiv=True``) symbolic equivalence certification — against the
         plan and returns the
         :class:`~repro.analysis.findings.AnalysisReport` (``report.ok``
@@ -177,7 +164,6 @@ class GraphExecutor:
             self.plan,
             outputs=self.outputs,
             order=self.order,
-            threads_probe=threads_probe,
             equiv=equiv,
             facts=self.plan_cache.facts_for(self.outputs),
         )
@@ -193,9 +179,9 @@ class GraphExecutor:
 
         ``feeds`` maps placeholder node names to arrays; ``params`` maps
         variable node names to arrays. Missing bindings raise.
-        ``on_item`` is the plan's level-completion hook (see
-        :meth:`CompiledPlan.run`), used to overlap work — distributed
-        gradient reduction — with the tail of execution.
+        ``on_item`` is the plan's completion hook (see
+        :meth:`CompiledPlan.run`); the distributed trainer launches its
+        gradient reduction from it.
         """
         set_global_step(self._iteration)
         self._iteration += 1
@@ -257,7 +243,6 @@ class TrainingExecutor:
         device: Any | None = None,
         arena: Arena | None = None,
         plan_cache: PlanCache | None = None,
-        threads: int | None = None,
     ) -> None:
         self.graph = graph
         pinned = {g.key: Category.GRADIENT for g in graph.grads.values()}
@@ -267,7 +252,6 @@ class TrainingExecutor:
             pinned_categories=pinned,
             arena=arena,
             plan_cache=plan_cache,
-            threads=threads,
         )
 
     @property

@@ -1,20 +1,16 @@
 """Lowering: a schedule becomes a slot-indexed instruction stream with a
 static buffer plan — every decision of a compiled plan except its code.
 
-:func:`lower` runs once per (schedule, arena, thread config) and returns a
+:func:`lower` runs once per (schedule, arena) and returns a
 :class:`PlanLowering`:
 
 * tensors get dense integer **slots** into a list register file;
 * chains of single-consumer elementwise/activation nodes are **fused**
   into one instruction that streams a single accumulator buffer through
   the chain with ``out=`` kernels (the cuDNN-style pointwise fusion the
-  paper's Figure 7a launch-bound story rests on). In the serial lowering
-  a chain may start at a GEMM and never makes a member wait, so fusion
-  shortens the stream without lengthening a live range (``_fuse_chains``);
-* at ``threads > 1`` isomorphic single-consumer ``matmul`` nodes are
-  **batched** into one stacked GEMM instruction: same-shape groups — the
-  per decoder-step attention scoring GEMMs are the signature case —
-  execute as one ``np.matmul`` over a leading group axis;
+  paper's Figure 7a launch-bound story rests on). A chain may start at a
+  GEMM and never makes a member wait, so fusion shortens the stream
+  without lengthening a live range (``_fuse_chains``);
 * because the stream repeats identically every iteration, buffer reuse is
   decided here (:mod:`repro.memplan`): copies become aliases, last-use
   writes land in their dying input, and every remaining intermediate gets
@@ -24,16 +20,14 @@ static buffer plan — every decision of a compiled plan except its code.
   use, and every rewrite leaves a **witness** for the equivalence
   certifier (:mod:`repro.analysis.equiv`).
 
-Cost: one pass over the schedule, a batching pass when ``threads > 1``,
-and one buffer plan (which takes the extent from the arena and parks it
-again). No closure is
-generated and nothing executes — the analyzers in :mod:`repro.analysis`
+Cost: one pass over the schedule and one buffer plan (which takes the
+extent from the arena and parks it again). No closure is generated and
+nothing executes — the analyzers in :mod:`repro.analysis`
 check the record as it stands, and :mod:`repro.runtime.codegen` bakes it.
 
 Numerics are untouched by every decision here: fusion only reorders
 *where* a kernel runs (legal because a chain's interior values have
-exactly one consumer), batching issues the same per-slice BLAS call
-through a stacked view, and neither crosses a stage boundary, so Echo's
+exactly one consumer) and never crosses a stage boundary, so Echo's
 mirrored recompute regions keep their checkpoint semantics.
 """
 
@@ -46,9 +40,7 @@ import numpy as np
 
 from repro.graph import Node, Tensor, dtype_name
 from repro.memplan.planner import MemplanRecord, plan_buffers
-from repro.memplan.slotindex import SlotIndex, resolve_roots
-from repro.obs import trace as obs_trace
-from repro.ops.matmul import gemm_batch_key
+from repro.memplan.slotindex import SlotIndex
 from repro.runtime.arena import Arena, storage_base
 from repro.runtime.memory import TensorKey
 
@@ -68,11 +60,9 @@ class PlanLowering:
     and cross-check the plan without executing it.
 
     ``descs`` entries are dicts with at least ``kind`` (``out`` /
-    ``generic`` / ``view`` / ``fused`` / ``batched`` / ``alias``),
-    ``node``, ``in_slots`` and ``out_slots``; batched entries
-    additionally carry ``nodes``, ``a_slots``/``b_slots`` and
-    ``scratch_a``/``scratch_b`` arrays; alias entries (copy elision)
-    carry ``alias_index``. They are the compiler's own
+    ``generic`` / ``view`` / ``fused`` / ``alias``), ``node``,
+    ``in_slots`` and ``out_slots``; alias entries (copy elision) carry
+    ``alias_index``. They are the compiler's own
     working records (shared, not copied) — treat them as read-only
     unless deliberately corrupting a fixture.
     """
@@ -81,7 +71,7 @@ class PlanLowering:
     descs: list[dict[str, Any]]
     #: tensor key -> register slot
     slot_of: dict[TensorKey, int]
-    #: alias-group root of each slot (views/batched members share storage)
+    #: alias-group root of each slot (views share their input's storage)
     root: list[int]
     source_slots: frozenset[int]
     constant_slots: frozenset[int]
@@ -94,20 +84,10 @@ class PlanLowering:
     static_views: dict[int, np.ndarray]
     #: the buffer planner's record (placements, elisions, in-place rewrites)
     memplan: MemplanRecord
-    #: placement byte-range hazard tokens keyed like ``memplan.placements``
-    storage_tokens: dict[Any, tuple[int, ...]]
-    #: wavefront program layout (serial runs / parallel chunk lists) when
-    #: the plan compiled a parallel program, else None
-    program_layout: list[tuple[str, Any]] | None = None
-    #: the ``repro.runtime.wavefront.InstrInfo`` list the wavefront
-    #: analysis ran on (threads > 1 only)
-    infos: list[Any] | None = None
-    #: the ``WavefrontSchedule`` the program was baked from (threads > 1)
-    schedule: Any = None
     #: id(raw buffer) -> nbytes for every distinct static storage base
     static_bases: dict[int, int] = field(default_factory=dict)
     #: :class:`repro.analysis.witness.WitnessSet` of every rewrite the
-    #: lowering performed (fusion/batching/elision/in-place), consumed by
+    #: lowering performed (fusion/elision/in-place), consumed by
     #: the equivalence certifier; None only for hand-built fixtures
     witnesses: Any = None
     #: producer/consumer-by-slot index of ``descs``, built at lowering
@@ -129,14 +109,11 @@ def lower(
     outputs: Sequence[Tensor],
     arena: Arena,
     fuse: bool = True,
-    threads: int = 1,
 ) -> PlanLowering:
     """Lower ``order`` into a :class:`PlanLowering`; no code is generated.
 
     ``fuse=False`` keeps every node its own instruction (the reference
-    lowering fusion is measured against). ``threads > 1`` batches
-    isomorphic GEMMs and keeps every GEMM free-standing for the wavefront
-    gate; ``threads == 1`` lets fused chains start at a GEMM.
+    lowering fusion is measured against).
     """
     output_keys = {t.key for t in outputs}
 
@@ -149,7 +126,7 @@ def lower(
     ]
 
     if fuse:
-        chains = _fuse_chains(body, output_keys, serial=threads == 1)
+        chains = _fuse_chains(body, output_keys)
     else:
         chains = [[n] for n in body]
 
@@ -207,8 +184,8 @@ def lower(
                     "in_slots": tuple(in_slots),
                     "out_slots": out_slots,
                     # Rewrite witness, stamped where the decision is
-                    # made (position-independent: final instruction
-                    # indices are assigned after batching).
+                    # made (position-independent: the planner may
+                    # rewrite the stream's kinds, never its order).
                     "witness": {
                         "members": tuple(m.uid for m in chain),
                         "tail": tail.uid,
@@ -238,16 +215,6 @@ def lower(
                 "out_slots": out_slots,
             }
         )
-
-    # Isomorphic-GEMM batching pre-pass: rewrite groups of independent
-    # same-shape matmul instructions into stacked batched instructions.
-    if threads > 1:
-        with obs_trace.span("gemm.batch", "plan") as sp:
-            descs, groups = _batch_isomorphic_gemms(
-                descs, output_slots, root, arena_produced
-            )
-            sp["groups"] = len(groups)
-            sp["nodes"] = sum(len(g) for g in groups)
 
     # Buffer planning (repro.memplan): releasability, liveness, and
     # static storage assignment. The planner first rewrites the stream —
@@ -303,7 +270,6 @@ def lower(
         static_views=dict(static_views),
         static_bases=dict(raws),
         memplan=assignment.record,
-        storage_tokens=assignment.storage_tokens,
         witnesses=_witnesses(descs, assignment.record),
         index=index,
         clears_at=clears_at,
@@ -316,7 +282,6 @@ def _witnesses(descs: list[dict[str, Any]], record: MemplanRecord) -> Any:
     # level, and the witness dataclasses are deliberately dependency-free.
     from repro.analysis.witness import (
         AliasWitness,
-        BatchWitness,
         FusionWitness,
         InplaceWitness,
         WitnessSet,
@@ -325,9 +290,7 @@ def _witnesses(descs: list[dict[str, Any]], record: MemplanRecord) -> Any:
     witness_set = WitnessSet()
     for idx, desc in enumerate(descs):
         payload = desc.get("witness")
-        if payload is None:
-            continue
-        if desc["kind"] == "fused":
+        if payload is not None:
             witness_set.fusions[idx] = FusionWitness(
                 instr=idx,
                 tail_uid=payload["tail"],
@@ -335,8 +298,6 @@ def _witnesses(descs: list[dict[str, Any]], record: MemplanRecord) -> Any:
                 shape=payload["shape"],
                 dtype=payload["dtype"],
             )
-        elif desc["kind"] == "batched":
-            witness_set.batches[idx] = BatchWitness(instr=idx, **payload)
     for rec in record.elided:
         witness_set.aliases[rec["instr"]] = AliasWitness(
             instr=rec["instr"],
@@ -359,9 +320,7 @@ def _witnesses(descs: list[dict[str, Any]], record: MemplanRecord) -> Any:
 
 
 def _fuse_chains(
-    body: list[Node],
-    output_keys: set[TensorKey],
-    serial: bool = False,
+    body: list[Node], output_keys: set[TensorKey]
 ) -> list[list[Node]]:
     """Group the body into maximal single-consumer chains.
 
@@ -374,9 +333,8 @@ def _fuse_chains(
     Echo's mirrored recompute regions stay intact.
 
     A chain executes at its tail's position, so every member it makes
-    wait keeps that member's operands live. The ``serial`` lowering
-    (``threads == 1``) therefore adds two rules that keep fusion from
-    lengthening a live range: a chain may also *start* at a
+    wait keeps that member's operands live. Two rules therefore keep
+    fusion from lengthening a live range: a chain may also *start* at a
     ``fusion_head`` GEMM, and of a consumer's fusable producers the one
     scheduled *last* takes it — the others are complete by then and are
     read as external operands. Gradient accumulation ``add(acc,
@@ -384,13 +342,6 @@ def _fuse_chains(
     the matmul's own position, reading the running sum: two live buffers
     per shared weight. First-producer-wins chains every ``add`` at the end
     of backward instead and keeps all T partial products live until then.
-
-    With ``threads > 1`` the stream stays as it was: the batcher and the
-    wavefront gate reason about free-standing ``matmul`` instructions, and
-    GEMM heads at ``threads=2`` dissolved batched groups — measured
-    ``iter_host_ops`` 85 802 -> 86 746 (+1.1%, bound 1%) on the harness
-    ``wordlm_dist2``. The condition goes when that layer does (ROADMAP
-    item 2).
     """
     consumers: dict[TensorKey, list[tuple[Node, int]]] = {}
     for n in body:
@@ -401,9 +352,9 @@ def _fuse_chains(
     prev_of: dict[int, Node] = {}
     # Claims are first come, first served: walking the stream backwards
     # hands each consumer to its last-scheduled producer.
-    for a in reversed(body) if serial else body:
+    for a in reversed(body):
         if len(a.out_specs) != 1 or not (
-            a.op.fusion_eligible or (serial and a.op.fusion_head)
+            a.op.fusion_eligible or a.op.fusion_head
         ):
             continue
         key = (a.uid, 0)
@@ -440,135 +391,3 @@ def _fuse_chains(
         chain.reverse()
         chains.append(chain)
     return chains
-
-
-def _batch_isomorphic_gemms(
-    descs: list[dict[str, Any]],
-    output_slots: set[int],
-    root: list[int],
-    arena_produced: list[bool],
-) -> tuple[list[dict[str, Any]], list[list[int]]]:
-    """Group independent isomorphic matmul instructions into stacks.
-
-    Eligible members are single-output ``out``-kind matmuls whose
-    result has exactly one consumer and does not escape as a graph
-    output. A group closes when the stream consumes any member's
-    output (so members are dataflow-independent: any dependency path
-    between two matmuls passes through a consumer of the earlier one,
-    which would sit between them in the topological stream) or when
-    the stream crosses a stage boundary (batching never spans an Echo
-    barrier). The merged instruction executes at the *last* member's
-    position — every member input is produced before it, every
-    consumer after — and each member slot receives a view of the
-    stacked result, so downstream instructions are untouched.
-
-    Returns the rewritten stream and the merged groups (stream indices
-    of their members before the rewrite).
-    """
-    consumer_count: dict[int, int] = {}
-    for desc in descs:
-        for s in desc["in_slots"]:
-            consumer_count[s] = consumer_count.get(s, 0) + 1
-
-    def eligible(desc: dict[str, Any]):
-        if desc["kind"] != "out":
-            return None
-        node = desc["node"]
-        key = gemm_batch_key(node)
-        if key is None:
-            return None
-        out_slot = desc["out_slots"][0]
-        if out_slot in output_slots:
-            return None
-        if consumer_count.get(out_slot, 0) != 1:
-            return None
-        return (node.stage, *key)
-
-    groups: list[list[int]] = []
-    open_groups: dict[Any, list[int]] = {}
-    member_out: dict[Any, set[int]] = {}
-
-    def close(key: Any) -> None:
-        grp = open_groups.pop(key, None)
-        member_out.pop(key, None)
-        if grp and len(grp) >= 2:
-            groups.append(grp)
-
-    prev_stage = None
-    for idx, desc in enumerate(descs):
-        stage = desc["node"].stage
-        if stage is not prev_stage:
-            for key in list(open_groups):
-                close(key)
-            prev_stage = stage
-        reads = set(desc["in_slots"])
-        for key in list(open_groups):
-            if reads & member_out[key]:
-                close(key)
-        key = eligible(desc)
-        if key is not None:
-            open_groups.setdefault(key, []).append(idx)
-            member_out.setdefault(key, set()).add(desc["out_slots"][0])
-    for key in list(open_groups):
-        close(key)
-
-    if not groups:
-        return descs, groups
-
-    drop: set[int] = set()
-    merged_at: dict[int, dict[str, Any]] = {}
-    for grp in groups:
-        nodes = [descs[i]["node"] for i in grp]
-        a_slots = tuple(descs[i]["in_slots"][0] for i in grp)
-        b_slots = tuple(descs[i]["in_slots"][1] for i in grp)
-        out_slots = tuple(descs[i]["out_slots"][0] for i in grp)
-        # A shared operand (one slot feeds every member — the fixed key
-        # matrix in attention scoring) skips stacking entirely:
-        # np.matmul broadcasts it across the group. At most one side
-        # stays 2-D so the stacked kernel always emits [G x M x N].
-        shared_a = len(set(a_slots)) == 1
-        shared_b = not shared_a and len(set(b_slots)) == 1
-        merged = {
-            "kind": "batched",
-            "node": nodes[0],
-            "nodes": nodes,
-            "a_slots": a_slots,
-            "b_slots": b_slots,
-            "shared_a": shared_a,
-            "shared_b": shared_b,
-            "ta": nodes[0].attrs["ta"],
-            "tb": nodes[0].attrs["tb"],
-            "in_slots": tuple(dict.fromkeys(a_slots + b_slots)),
-            "out_slots": out_slots,
-            "scratch_a": None,
-            "scratch_b": None,
-            # Rewrite witness for the equivalence certifier: the
-            # exact member/operand wiring this stack claims.
-            "witness": {
-                "members": tuple(n.uid for n in nodes),
-                "a_slots": a_slots,
-                "b_slots": b_slots,
-                "ta": nodes[0].attrs["ta"],
-                "tb": nodes[0].attrs["tb"],
-                "shape": nodes[0].out_specs[0].shape,
-                "dtype": dtype_name(nodes[0].out_specs[0].dtype),
-            },
-        }
-        merged_at[grp[-1]] = merged
-        drop.update(grp[:-1])
-        # Member slots form one alias group rooted at the first slot:
-        # they are views of one stacked buffer, released together.
-        # (Each member is its own root until now; slots already
-        # aliasing a member follow it when the table is resolved.)
-        group_root = out_slots[0]
-        for s in out_slots:
-            root[s] = group_root
-        arena_produced[group_root] = True
-
-    resolve_roots(root)
-    rewritten: list[dict[str, Any]] = []
-    for idx, desc in enumerate(descs):
-        if idx in drop:
-            continue
-        rewritten.append(merged_at.get(idx, desc))
-    return rewritten, groups

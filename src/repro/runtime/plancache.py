@@ -87,8 +87,8 @@ class PlanCache:
     pool). ``hits``/``misses`` count builder invocations saved/paid.
 
     The cache is thread-safe: lookup, insertion, and LRU eviction run
-    under one reentrant lock, so the wavefront worker pool and the
-    serving layer's concurrent sessions can share an instance. The lock
+    under one reentrant lock, so the serving layer's concurrent sessions
+    and thread-backend ranks can share an instance. The lock
     is held *across the builder call* — concurrent requests for the same
     key build exactly once — and is reentrant because builders legally
     nest (compiling a serving decoder memoizes its schedule, memory
@@ -287,24 +287,16 @@ class PlanCache:
         outputs: Sequence[Tensor],
         arena: Arena,
         order: Sequence | None = None,
-        threads: int = 1,
-        device: Any | None = None,
         facts: GraphFacts | None = None,
     ) -> CompiledPlan:
-        """Cached :class:`CompiledPlan` for (graph, arena, thread config).
+        """Cached :class:`CompiledPlan` for (graph, arena).
 
-        Keyed by ``id(arena)``/``id(device)`` — safe because the cached
-        plan holds references to both, so the ids cannot be recycled while
-        the entry lives. The thread count is part of the key: a serial
-        and a wavefront-parallel plan for the same graph are different
-        lowered programs and coexist in the cache.
+        Keyed by ``id(arena)`` — safe because the cached plan holds a
+        reference to it, so the id cannot be recycled while the entry
+        lives.
         """
         facts = self._facts_lookup(outputs, facts)[0]
-        sig = facts.signature
-        key = (
-            "compiled", sig, id(arena), threads,
-            id(device) if device is not None else None,
-        )
+        key = ("compiled", facts.signature, id(arena))
         def build() -> CompiledPlan:
             start = time.perf_counter()
             plan = CompiledPlan(
@@ -312,8 +304,6 @@ class PlanCache:
                 else schedule(outputs, facts=facts),
                 outputs,
                 arena=arena,
-                threads=threads,
-                device=device,
             )
             _maybe_verify(plan, facts)
             reg = obs_metrics.registry()
@@ -324,10 +314,7 @@ class PlanCache:
             return plan
 
         def traced_build() -> CompiledPlan:
-            with obs_trace.span(
-                "plan.compile", "plan",
-                {"threads": threads},
-            ):
+            with obs_trace.span("plan.compile", "plan"):
                 return build()
 
         return self.memo(key, traced_build if obs_trace.TRACING else build)

@@ -34,6 +34,7 @@ from repro.runtime.collector import pauses_collector
 from repro.serve.request import Request, RequestKind
 from repro.train.beam import BeamSearchDecoder
 from repro.train.decode import GreedyDecoder
+from repro.train.trainer import check_threads
 
 __all__ = ["InferenceSession"]
 
@@ -50,6 +51,8 @@ class InferenceSession:
     batches must run one at a time. :class:`repro.serve.InferenceServer`
     serializes all execution on its dispatcher thread; concurrency lives
     in admission, not execution (exactly how one GPU would be driven).
+    ``threads`` is accepted and ignored (see
+    :func:`repro.train.trainer.check_threads`).
     """
 
     def __init__(
@@ -68,6 +71,7 @@ class InferenceSession:
         bos: int = 1,
         eos: int = 2,
     ) -> None:
+        check_threads(threads)
         if decoder not in ("greedy", "beam"):
             raise ValueError(f"unknown decoder kind {decoder!r}")
         if max_batch_size < 1:
@@ -88,7 +92,6 @@ class InferenceSession:
         # default cache so a full bucket table never self-evicts.
         self.plan_cache = plan_cache or PlanCache(capacity=256)
         self.arena = arena if arena is not None else Arena()
-        self.threads = threads
         self.pad_token = pad_token
         self.bos = bos
         self.eos = eos
@@ -121,12 +124,11 @@ class InferenceSession:
                 return BeamSearchDecoder(
                     cfg, self.store, beam_size=self.beam_size,
                     bos=self.bos, eos=self.eos, arena=self.arena,
-                    plan_cache=self.plan_cache, threads=self.threads,
+                    plan_cache=self.plan_cache,
                 )
             return GreedyDecoder(
                 cfg, self.store, bos=self.bos, eos=self.eos,
                 arena=self.arena, plan_cache=self.plan_cache,
-                threads=self.threads,
             )
 
         return self.plan_cache.memo(key, build)
@@ -165,7 +167,7 @@ class InferenceSession:
             report["tune_store"] = store.stats()
         return report
 
-    def verify(self, threads_probe: int = 4, equiv: bool = False):
+    def verify(self, equiv: bool = False):
         """Statically verify every bucket decoder's compiled plans.
 
         Compiles any cold bucket (same path as :meth:`warmup`), runs the
@@ -181,11 +183,7 @@ class InferenceSession:
         for bucket in self.buckets:
             decoder = self.decoder_for(bucket)
             for executor in (decoder._encoder, decoder._step):
-                report.extend(
-                    executor.verify(
-                        threads_probe=threads_probe, equiv=equiv
-                    ).findings
-                )
+                report.extend(executor.verify(equiv=equiv).findings)
         return report
 
     # -- batch execution ----------------------------------------------------

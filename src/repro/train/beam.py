@@ -54,7 +54,6 @@ class BeamSearchDecoder:
         eos: int = 2,
         arena: Any | None = None,
         plan_cache: Any | None = None,
-        threads: int | None = None,
     ) -> None:
         if beam_size < 1:
             raise ValueError("beam_size must be at least 1")
@@ -63,8 +62,7 @@ class BeamSearchDecoder:
         self.length_penalty = length_penalty
         self.bos = bos
         self.eos = eos
-        exec_kwargs = dict(arena=arena, plan_cache=plan_cache,
-                           threads=threads)
+        exec_kwargs = dict(arena=arena, plan_cache=plan_cache)
         self._encoder = GraphExecutor(
             [build_encoder_inference(config, store)], **exec_kwargs
         )

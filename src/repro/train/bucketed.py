@@ -22,7 +22,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.runtime import Arena, PlanCache
 from repro.runtime.collector import pauses_collector
 from repro.train.optimizer import Optimizer
-from repro.train.trainer import TrainRecord, Trainer
+from repro.train.trainer import TrainRecord, Trainer, check_threads
 
 
 class BucketedTrainer:
@@ -30,7 +30,8 @@ class BucketedTrainer:
 
     All buckets share one :class:`ParamStore` (hence one parameter set and
     one optimizer state); per-bucket trainers share the same params dict,
-    so an update made through any bucket is visible to all.
+    so an update made through any bucket is visible to all. ``threads`` is
+    accepted and ignored (see :func:`repro.train.trainer.check_threads`).
     """
 
     @pauses_collector
@@ -45,6 +46,7 @@ class BucketedTrainer:
         threads: int | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
+        check_threads(threads)
         if not buckets:
             raise ValueError("need at least one bucket")
         self.buckets = buckets
@@ -75,9 +77,8 @@ class BucketedTrainer:
                 ).run(model.graph)
             if self.params is None:
                 self.params = store.initialize()
-            # Buckets share the arena AND the thread config: the plan cache
-            # keys compiled plans by both, so every bucket's wavefront plan
-            # overlays the same storage and the same worker pool.
+            # Buckets share the arena: the plan cache keys compiled plans
+            # by it, so every bucket's plan overlays the same storage.
             self._trainers[bucket] = Trainer(
                 model.graph,
                 self.params,
@@ -86,7 +87,6 @@ class BucketedTrainer:
                 batch_size=cfg.batch_size,
                 arena=self.arena,
                 plan_cache=self.plan_cache,
-                threads=threads,
                 metrics=metrics,
             )
         self.store = store

@@ -32,22 +32,20 @@ from repro.runtime import GraphExecutor
 class GreedyDecoder:
     """Greedy (argmax) decoder over a trained NMT parameter set.
 
-    ``arena``/``plan_cache``/``threads`` plumb straight
-    into the underlying :class:`GraphExecutor`\\ s so callers (the serving
-    layer's per-bucket sessions, chiefly) can share one arena and one
-    thread-safe plan cache across many decoders.
+    ``arena``/``plan_cache`` plumb straight into the underlying
+    :class:`GraphExecutor`\\ s so callers (the serving layer's per-bucket
+    sessions, chiefly) can share one arena and one thread-safe plan cache
+    across many decoders.
     """
 
     def __init__(self, config: NmtConfig, store: ParamStore,
                  bos: int = 1, eos: int = 2,
                  arena: Any | None = None,
-                 plan_cache: Any | None = None,
-                 threads: int | None = None) -> None:
+                 plan_cache: Any | None = None) -> None:
         self.config = config
         self.bos = bos
         self.eos = eos
-        exec_kwargs = dict(arena=arena, plan_cache=plan_cache,
-                           threads=threads)
+        exec_kwargs = dict(arena=arena, plan_cache=plan_cache)
         self._encoder = GraphExecutor(
             [build_encoder_inference(config, store)], **exec_kwargs
         )

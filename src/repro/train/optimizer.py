@@ -13,7 +13,8 @@ import numpy as np
 
 
 class Optimizer:
-    """Base class; subclasses implement :meth:`_update_one`."""
+    """Base class; subclasses implement :meth:`_update_one`, and may
+    override :meth:`_start_step` for values shared by every parameter."""
 
     #: extra per-parameter arrays kept (profiler accounting)
     state_copies: float = 0.0
@@ -31,6 +32,7 @@ class Optimizer:
     ) -> float:
         """Apply one update in place; returns the pre-clip gradient norm."""
         self._step += 1
+        self._start_step()
         # np.square widens each element as it squares: the same values as
         # squaring a float64 copy, summed pairwise over the same shape,
         # without materialising the copy
@@ -52,6 +54,9 @@ class Optimizer:
             for name, grad in grads.items():
                 self._update_one(name, params[name], grad * scale)
         return norm
+
+    def _start_step(self) -> None:
+        """Per-update values, computed once before the first parameter."""
 
     def _update_one(self, name: str, param: np.ndarray, grad: np.ndarray) -> None:
         raise NotImplementedError
@@ -110,6 +115,14 @@ class Adam(Optimizer):
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
 
+    def _start_step(self) -> None:
+        # The same Python floats every parameter's expressions computed
+        # for themselves, so hoisting them changes no bit.
+        self._keep1 = 1 - self.beta1
+        self._keep2 = 1 - self.beta2
+        self._bias1 = 1 - self.beta1 ** self._step
+        self._bias2 = 1 - self.beta2 ** self._step
+
     def _update_one(self, name, param, grad):
         m = self._m.get(name)
         if m is None:
@@ -121,13 +134,13 @@ class Adam(Optimizer):
         # parameter-sized temporaries: each in-place binop below computes
         # what the expression's node computed, in the same dtype
         m *= self.beta1
-        m += (1 - self.beta1) * grad
+        m += self._keep1 * grad
         v *= self.beta2
-        g2 = (1 - self.beta2) * grad
+        g2 = self._keep2 * grad
         g2 *= grad
         v += g2
-        step = m / (1 - self.beta1 ** self._step)
-        den = v / (1 - self.beta2 ** self._step)
+        step = m / self._bias1
+        den = v / self._bias2
         # a 0-d parameter's moments divide to numpy scalars, which take
         # no ``out=``
         den = np.sqrt(den, out=den) if den.shape else np.sqrt(den)

@@ -29,6 +29,21 @@ from repro.train.optimizer import Optimizer
 _UPDATE_SECONDS_PER_PARAM = 2.0e-11
 
 
+def check_threads(threads: int | None) -> None:
+    """Validate an inert ``threads=`` argument: None or an int >= 1.
+
+    A plan has one shape and runs on the calling thread whatever thread
+    count it is given, so the value is otherwise ignored. The argument
+    stays only because ``benchmarks/harness`` passes it (ROADMAP item 1
+    removes it).
+    """
+    if threads is not None and (
+        not isinstance(threads, int) or isinstance(threads, bool)
+        or threads < 1
+    ):
+        raise ValueError(f"threads must be an int >= 1, got {threads!r}")
+
+
 @dataclass
 class TrainRecord:
     """One training step on the curves."""
@@ -61,7 +76,10 @@ class Speedometer:
 
 
 class Trainer:
-    """Drives iterations of one compiled training graph."""
+    """Drives iterations of one compiled training graph.
+
+    ``threads`` is accepted and ignored (see :func:`check_threads`).
+    """
 
     @pauses_collector
     def __init__(
@@ -76,6 +94,7 @@ class Trainer:
         threads: int | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
+        check_threads(threads)
         self.graph = graph
         self.params = params
         self.optimizer = optimizer
@@ -88,7 +107,6 @@ class Trainer:
             device=self.device,
             arena=arena,
             plan_cache=plan_cache,
-            threads=threads,
         )
         self.executor.executor.compile()
         self.batch_size = batch_size or _infer_batch(graph)

@@ -1,7 +1,7 @@
 """Seeded-defect corpus: what every analyzer family reports on known defects.
 
 Each entry builds a fresh plan or graph, plants one defect (the IR0xx,
-LT1xx, MP4xx, EQ6xx and RC2xx fixtures of ``test_analysis``,
+LT1xx, MP4xx and EQ6xx fixtures of ``test_analysis``,
 ``test_memplan`` and ``test_equiv``, plus four planted in an
 Echo-rewritten TINY NMT plan) and returns the findings of the analyzer
 that owns it. :func:`describe` runs them all under a restarted node
@@ -28,7 +28,6 @@ from repro.analysis import (
     check_equivalence,
     check_lifetimes,
     check_packing,
-    check_schedule,
     lint_graph,
 )
 from repro.echo import EchoConfig, EchoPass
@@ -39,11 +38,9 @@ from repro.memplan.elision import inplace_positions
 from repro.models import build_nmt
 from repro.nn import Backend
 from repro.runtime import Arena, CompiledPlan, PlanCache, schedule
-from repro.runtime.wavefront import Wavefront, WavefrontSchedule
-from tests.test_analysis import _diamond_plan, info
+from tests.test_analysis import _diamond_plan
 from tests.test_equiv import (
     _aliased_plan,
-    _batched_plan,
     _clone_node,
     _mirrored_plan,
     _mlp_plan,
@@ -264,17 +261,6 @@ def eq602_unexplained_root_merge():
 
 
 @defect
-def eq603_swapped_batched_member():
-    plan = _batched_plan()
-    low = plan.lowering
-    idx = next(iter(low.witnesses.batches))
-    a = list(low.descs[idx]["a_slots"])
-    a[0], a[1] = a[1], a[0]
-    low.descs[idx]["a_slots"] = tuple(a)
-    return check_equivalence(plan)
-
-
-@defect
 def eq603_corrupted_fusion_witness():
     plan, _order, _outs = _mlp_plan(fuse=True)
     fusions = plan.lowering.witnesses.fusions
@@ -418,65 +404,6 @@ def tiny_mp402_overlap():
     lo, hi, off, nbytes = record.placements[keys[len(keys) // 2]]
     record.placements[keys[len(keys) // 3]] = (lo, hi, off, nbytes)
     return check_packing(plan)
-
-
-# -- RC2xx ---------------------------------------------------------------------
-
-
-def _schedule(levels, regions=1):
-    return WavefrontSchedule(
-        levels=[Wavefront(list(m), float(len(m)), par) for m, par in levels],
-        region_count=regions,
-    )
-
-
-@defect
-def rc201_removed_hazard_edge():
-    infos = [
-        info(0, writes=[0], wb=[100]),
-        info(1, writes=[1], wb=[100]),
-        info(2, reads=[0, 1], writes=[2], rb=[100], wb=[300]),
-    ]
-    return check_schedule(infos, _schedule([([0, 1], True), ([2], False)]))
-
-
-@defect
-def rc202_read_write_conflict():
-    infos = [
-        info(0, writes=[0], wb=[100]),
-        info(1, reads=[0], writes=[1], rb=[100], wb=[200]),
-        info(2, writes=[2], wb=[100]),
-    ]
-    return check_schedule(infos, _schedule([([0], False), ([1, 2], True)]))
-
-
-@defect
-def rc203_stage_mixing():
-    infos = [
-        info(0, writes=[0], stage=Stage.FORWARD),
-        info(1, writes=[1], stage=Stage.BACKWARD),
-    ]
-    return check_schedule(infos, _schedule([([0, 1], True)], regions=2))
-
-
-@defect
-def rc204_value_dependency_in_level():
-    infos = [info(0, writes=[0]), info(1, reads=[0], writes=[1])]
-    return check_schedule(infos, _schedule([([0, 1], True)]))
-
-
-@defect
-def rc205_coverage():
-    infos = [info(0, writes=[0]), info(1, writes=[1])]
-    return check_schedule(
-        infos, _schedule([([0, 1], False), ([1], False)])
-    ) + check_schedule(infos, _schedule([([0], False)]))
-
-
-@defect
-def rc206_happens_before_inversion():
-    infos = [info(0, writes=[0]), info(1, reads=[0], writes=[1])]
-    return check_schedule(infos, _schedule([([1], False), ([0], False)]))
 
 
 def describe() -> dict[str, list[dict]]:

@@ -10,7 +10,6 @@ import numpy as np
 
 import repro.ops as O
 from repro.autodiff import build_gradients
-from repro.gpumodel import DeviceModel
 from repro.graph import Tensor
 from repro.graph.traversal import topo_order
 from repro.memplan.coloring import PackResult, waterline
@@ -29,24 +28,6 @@ def same_bits(got, want) -> bool:
     got, want = np.asarray(got), np.asarray(want)
     return (got.dtype == want.dtype and got.shape == want.shape
             and got.tobytes() == want.tobytes())
-
-
-class AboveGateDevice(DeviceModel):
-    """Prices every kernel at one host second — far above the wavefront
-    gate's hand-off — so every level with independent instructions goes
-    parallel however small the tensors are. The one device every
-    parallel-execution test compiles with: tiny test graphs would
-    otherwise (correctly) fall back to the serial body and the test would
-    silently stop covering the worker pool. Users assert
-    ``plan.parallel_level_count > 0``. Simulated-GPU pricing
-    (``node_cost``) is the plain analytic model's."""
-
-    @property
-    def cache_token(self) -> tuple:
-        return ("above-gate", "test")
-
-    def predict_host_seconds(self, node) -> float:
-        return 1.0
 
 
 def check_gradients(
@@ -287,16 +268,11 @@ def reference_producer_spec(descs, r):
     """The packing analyzer's old per-lookup scan, kept as the test oracle:
     (shape, dtype, nbytes) of the buffer backing group root ``r``."""
     for desc in descs:
-        kind = desc["kind"]
-        if kind in ("out", "fused"):
+        if desc["kind"] in ("out", "fused"):
             for j, s in enumerate(desc["out_slots"]):
                 if s == r:
                     spec = desc["node"].out_specs[j]
                     return (spec.shape, spec.dtype, spec.nbytes)
-        elif kind == "batched" and desc["out_slots"][0] == r:
-            spec = desc["node"].out_specs[0]
-            group = len(desc["out_slots"])
-            return ((group,) + spec.shape, spec.dtype, group * spec.nbytes)
     return None
 
 
@@ -462,14 +438,9 @@ def reference_check_roots(low, witnesses):
             parent[rb] = ra
 
     for desc in low.descs:
-        kind = desc["kind"]
-        if kind in ("view", "alias") and desc["in_slots"]:
+        if desc["kind"] in ("view", "alias") and desc["in_slots"]:
             for o in desc["out_slots"]:
                 union(desc["in_slots"][0], o)
-        elif kind == "batched":
-            outs = desc["out_slots"]
-            for o in outs[1:]:
-                union(outs[0], o)
     for w in witnesses.inplace:
         if 0 <= w.out < nslots and 0 <= w.target < nslots:
             union(w.out, w.target)

@@ -4,11 +4,11 @@ Three layers:
 1. seeded-defect fixtures — hand-corrupted plans, schedules, and Echo
    regions, each caught with its expected finding code (the analyzers
    must *detect*, not just stay quiet on clean inputs);
-2. clean-input checks — the shipped benchmark models, serial and
-   wavefront-parallel, report zero errors end to end (CLI included);
+2. clean-input checks — the shipped benchmark models report zero errors
+   end to end (CLI included);
 3. the property test — randomized DAGs whose plans pass the lifetime
-   sanitizer and race detector execute bitwise-identically serial vs.
-   wavefront-parallel at 4 threads.
+   sanitizer execute bitwise-identically to the reference walk, fused
+   and unfused.
 """
 
 import json
@@ -24,10 +24,7 @@ from repro.analysis import (
     AnalysisReport,
     Severity,
     check_lifetimes,
-    check_plan_races,
     check_recompute_safety,
-    check_schedule,
-    labeled_edges,
     lint_graph,
     verify_plan,
 )
@@ -38,8 +35,7 @@ from repro.echo.pass_ import EchoPass
 from repro.echo.rewrite import _clone_as_mirror
 from repro.graph import Stage, Tensor
 from repro.runtime import Arena, CompiledPlan, PlanCache, schedule
-from repro.runtime.wavefront import InstrInfo, Wavefront, WavefrontSchedule
-from tests.helpers import AboveGateDevice
+from tests.helpers import reference_run
 
 
 def _small_training_graph():
@@ -51,7 +47,7 @@ def _small_training_graph():
     return compile_training(loss, {"w": w}, {"x": x})
 
 
-def _diamond_plan(fuse=False, threads=1, **kw):
+def _diamond_plan(fuse=False):
     """add/sub both live into mul: two overlapping static live ranges."""
     x = O.placeholder((16, 16), name="x")
     y = O.placeholder((16, 16), name="y")
@@ -60,21 +56,14 @@ def _diamond_plan(fuse=False, threads=1, **kw):
     out = O.matmul(a, b)
     outputs = [out]
     order = schedule(outputs)
-    plan = CompiledPlan(order, outputs, arena=Arena(), fuse=fuse,
-                        threads=threads, **kw)
+    plan = CompiledPlan(order, outputs, arena=Arena(), fuse=fuse)
     return plan, order, outputs
-
-
-def info(i, reads=(), writes=(), rb=(), wb=(), stage=Stage.FORWARD,
-         cost=1.0):
-    return InstrInfo(i, tuple(reads), tuple(writes), tuple(rb), tuple(wb),
-                     stage, cost)
 
 
 class TestFindingModel:
     def test_catalog_is_consistent(self):
         for code, (severity, desc) in CODES.items():
-            assert code[:2] in ("IR", "LT", "RC", "EC", "MP", "DS", "EQ")
+            assert code[:2] in ("IR", "LT", "EC", "MP", "DS", "EQ")
             assert isinstance(severity, Severity)
             assert desc
 
@@ -149,7 +138,7 @@ class TestLifetimeSanitizer:
         plan, _, _ = _diamond_plan()
         assert check_lifetimes(plan) == []
 
-    def test_clean_fused_and_batched_nmt(self):
+    def test_clean_fused_nmt(self):
         from repro.models import NmtConfig, build_nmt
 
         cfg = NmtConfig(
@@ -159,8 +148,8 @@ class TestLifetimeSanitizer:
         )
         tg = build_nmt(cfg).graph
         order = schedule(tg.outputs)
-        plan = CompiledPlan(order, tg.outputs, arena=Arena(), threads=2)
-        assert plan.batched_gemm_groups > 0
+        plan = CompiledPlan(order, tg.outputs, arena=Arena())
+        assert plan.fused_chain_count > 0
         assert check_lifetimes(plan) == []
 
     def test_corrupted_slot_assignment_is_lt103(self):
@@ -215,128 +204,6 @@ class TestLifetimeSanitizer:
             and f.severity is Severity.WARNING
             for f in findings
         )
-
-
-class TestRaceDetector:
-    def test_hazard_edges_labeled(self):
-        infos = [
-            info(0, writes=[0], wb=[100]),
-            info(1, reads=[0], writes=[1], rb=[100], wb=[200]),
-            info(2, writes=[2], wb=[100]),
-        ]
-        kinds = {(p, s, k) for p, s, k, _ in labeled_edges(infos)}
-        assert (0, 1, "raw") in kinds
-        assert (1, 2, "war") in kinds  # 2 overwrites base 100 after 1 read it
-        assert (0, 2, "waw") in kinds
-
-    def test_clean_schedule(self):
-        infos = [
-            info(0, writes=[0], wb=[100]),
-            info(1, writes=[1], wb=[200]),
-            info(2, reads=[0, 1], writes=[2], rb=[100, 200], wb=[300]),
-        ]
-        sched = WavefrontSchedule(
-            levels=[Wavefront([0, 1], 2.0, True), Wavefront([2], 1.0, False)],
-            region_count=1,
-        )
-        assert check_schedule(infos, sched) == []
-
-    def test_removed_hazard_edge_is_caught(self):
-        # The seeded fixture from the issue: a schedule built as if the
-        # WAW storage hazard between 0 and 1 had been dropped.
-        infos = [
-            info(0, writes=[0], wb=[100]),
-            info(1, writes=[1], wb=[100]),  # same raw buffer
-            info(2, reads=[0, 1], writes=[2], rb=[100], wb=[300]),
-        ]
-        racy = WavefrontSchedule(
-            levels=[Wavefront([0, 1], 2.0, True), Wavefront([2], 1.0, False)],
-            region_count=1,
-        )
-        findings = check_schedule(infos, racy)
-        assert {f.code for f in findings} == {"RC201"}
-        assert findings[0].instr == 1
-
-    def test_read_write_conflict_is_rc202(self):
-        infos = [
-            info(0, writes=[0], wb=[100]),
-            info(1, reads=[0], writes=[1], rb=[100], wb=[200]),
-            info(2, writes=[2], wb=[100]),
-        ]
-        racy = WavefrontSchedule(
-            levels=[Wavefront([0], 1.0, False), Wavefront([1, 2], 2.0, True)],
-            region_count=1,
-        )
-        codes = {f.code for f in check_schedule(infos, racy)}
-        assert "RC202" in codes
-
-    def test_value_dependency_in_level_is_rc204(self):
-        infos = [
-            info(0, writes=[0]),
-            info(1, reads=[0], writes=[1]),
-        ]
-        racy = WavefrontSchedule(
-            levels=[Wavefront([0, 1], 2.0, True)], region_count=1
-        )
-        codes = {f.code for f in check_schedule(infos, racy)}
-        assert codes == {"RC204"}
-
-    def test_stage_mixing_is_rc203(self):
-        infos = [
-            info(0, writes=[0], stage=Stage.FORWARD),
-            info(1, writes=[1], stage=Stage.BACKWARD),
-        ]
-        sched = WavefrontSchedule(
-            levels=[Wavefront([0, 1], 2.0, True)], region_count=2
-        )
-        codes = {f.code for f in check_schedule(infos, sched)}
-        assert "RC203" in codes
-
-    def test_coverage_violations_are_rc205(self):
-        infos = [info(0, writes=[0]), info(1, writes=[1])]
-        missing = WavefrontSchedule(
-            levels=[Wavefront([0], 1.0, False)], region_count=1
-        )
-        assert {f.code for f in check_schedule(infos, missing)} == {"RC205"}
-        duplicated = WavefrontSchedule(
-            levels=[
-                Wavefront([0, 1], 2.0, False),
-                Wavefront([1], 1.0, False),
-            ],
-            region_count=1,
-        )
-        assert {f.code for f in check_schedule(infos, duplicated)} == {"RC205"}
-
-    def test_happens_before_inversion_is_rc206(self):
-        infos = [
-            info(0, writes=[0]),
-            info(1, reads=[0], writes=[1]),
-        ]
-        inverted = WavefrontSchedule(
-            levels=[Wavefront([1], 1.0, False), Wavefront([0], 1.0, False)],
-            region_count=1,
-        )
-        codes = {f.code for f in check_schedule(infos, inverted)}
-        assert codes == {"RC206"}
-
-    def test_serial_plan_probe_is_clean(self):
-        plan, _, _ = _diamond_plan()
-        assert check_plan_races(plan) == []
-
-    def test_parallel_plan_stored_schedule_is_clean(self):
-        from repro.models import NmtConfig, build_nmt
-
-        cfg = NmtConfig(
-            src_vocab_size=40, tgt_vocab_size=40, embed_size=16,
-            hidden_size=16, encoder_layers=1, decoder_layers=1,
-            src_len=4, tgt_len=4, batch_size=2,
-        )
-        tg = build_nmt(cfg).graph
-        order = schedule(tg.outputs)
-        plan = CompiledPlan(order, tg.outputs, arena=Arena(), threads=4,
-                            device=AboveGateDevice())
-        assert plan.parallel_level_count > 0
-        assert check_plan_races(plan) == []
 
 
 class TestRecomputeChecker:
@@ -476,7 +343,7 @@ class TestVerifyFacade:
         from repro.runtime import GraphExecutor
 
         tg = _small_training_graph()
-        ex = GraphExecutor(tg.outputs, threads=1)
+        ex = GraphExecutor(tg.outputs)
         report = ex.verify()
         assert report.ok
 
@@ -539,10 +406,10 @@ def random_dag_program(draw):
     return steps
 
 
-class TestSerialParallelProperty:
+class TestRandomDagProperty:
     @settings(max_examples=20, deadline=None)
     @given(program=random_dag_program(), seed=st.integers(0, 2**16))
-    def test_verified_plans_execute_bitwise_identically(self, program, seed):
+    def test_verified_plans_match_reference(self, program, seed):
         x = O.placeholder((6, 6), name="pa")
         y = O.placeholder((6, 6), name="pb")
         values = [x, y]
@@ -554,39 +421,24 @@ class TestSerialParallelProperty:
         out = O.reduce_mean(values[-1])
         outputs = [out, values[-1]]
         order = schedule(outputs)
+        plans = [
+            CompiledPlan(order, outputs, arena=Arena(), fuse=fuse)
+            for fuse in (True, False)
+        ]
 
-        serial = CompiledPlan(order, outputs, arena=Arena(), threads=1)
-        parallel = CompiledPlan(
-            order, outputs, arena=Arena(), threads=4,
-            device=AboveGateDevice(),
-        )
-
-        # The property's precondition: both plans pass the lifetime
-        # sanitizer and the race detector (and the graph lints clean).
+        # The property's precondition: every plan passes the lifetime
+        # sanitizer (and the graph lints clean).
         assert lint_graph(outputs) == []
-        for plan in (serial, parallel):
+        for plan in plans:
             assert check_lifetimes(plan) == []
-            assert check_plan_races(plan) == []
 
         rng = np.random.default_rng(seed)
         feeds = {
             "pa": rng.standard_normal((6, 6)).astype(np.float32),
             "pb": rng.standard_normal((6, 6)).astype(np.float32),
         }
-        res_s = serial.run(feeds)
-        res_p = parallel.run(feeds)
-        for arr_s, arr_p in zip(res_s, res_p):
-            assert arr_s.dtype == arr_p.dtype
-            assert np.array_equal(arr_s, arr_p)
-
-    def test_unit_cost_device_forces_parallelism(self):
-        # Guard against the property silently degrading to serial-only.
-        x = O.placeholder((6, 6), name="wa")
-        y = O.placeholder((6, 6), name="wb")
-        outputs = [O.matmul(O.add(x, y), O.sub(x, y))]
-        order = schedule(outputs)
-        plan = CompiledPlan(
-            order, outputs, arena=Arena(), threads=4,
-            device=AboveGateDevice(),
-        )
-        assert plan.parallel_level_count >= 1
+        want = reference_run(outputs, feeds, {})
+        for plan in plans:
+            for got, ref in zip(plan.run(feeds), want):
+                assert got.dtype == ref.dtype
+                assert np.array_equal(got, ref)

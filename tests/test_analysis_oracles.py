@@ -201,13 +201,13 @@ def test_every_stage_matches_the_full_walk(model):
 
 @st.composite
 def root_tables(draw):
-    """A stream of view / alias / batched descriptors and in-place
+    """A stream of view / alias / out descriptors and in-place
     witnesses over ``n`` slots, and a random root table."""
     n = draw(st.integers(1, 24))
     slot = st.integers(0, n - 1)
     descs = []
     for _ in range(draw(st.integers(0, 10))):
-        kind = draw(st.sampled_from(["view", "alias", "batched", "out"]))
+        kind = draw(st.sampled_from(["view", "alias", "out"]))
         ins = tuple(draw(st.lists(slot, max_size=2)))
         outs = tuple(draw(st.lists(slot, min_size=1, max_size=3)))
         descs.append({"kind": kind, "in_slots": ins, "out_slots": outs})
@@ -262,9 +262,6 @@ def _group_of(low, witnesses, slot):
         if d["kind"] in ("view", "alias") and d["in_slots"]:
             for o in d["out_slots"]:
                 link(d["in_slots"][0], o)
-        elif d["kind"] == "batched":
-            for o in d["out_slots"][1:]:
-                link(d["out_slots"][0], o)
     for w in witnesses.inplace:
         if 0 <= w.out < n and 0 <= w.target < n:
             link(w.out, w.target)
@@ -287,5 +284,5 @@ def test_seeded_defects_report_as_recorded():
     moved = sorted(name for name in golden if got[name] != golden[name])
     assert not moved, {name: got[name] for name in moved}
     assert {f["code"][:2] for fs in golden.values() for f in fs} == {
-        "IR", "LT", "MP", "EQ", "RC",
+        "IR", "LT", "MP", "EQ",
     }

@@ -1,8 +1,8 @@
 """What a baked plan leaves to run time, pinned structurally.
 
 Bytecode counts differ between interpreter versions, so the steady-state
-shape of the harness plans (word-LM and NMT (16,16), Echo on, serial and
-``threads=2``) is pinned instead:
+shape of the harness plans (word-LM and NMT (16,16), Echo on) is pinned
+instead:
 
 * every instruction step is generated code;
 * no ``view`` / ``alias`` step over static storage remains — those views
@@ -38,13 +38,10 @@ def _bindings(graph, seed=0):
     return feeds, params
 
 
-@pytest.fixture(scope="module", params=[
-    ("wordlm", 1), ("wordlm", 2), ("nmt16", 1), ("nmt16", 2),
-], ids=lambda p: f"{p[0]}-threads{p[1]}")
+@pytest.fixture(scope="module", params=["wordlm", "nmt16"])
 def harness_plan(request):
-    model, threads = request.param
-    graph = _nmt_graph() if model == "nmt16" else _wordlm_graph()
-    _report, training, _cache = _compiled(graph, threads=threads)
+    graph = _nmt_graph() if request.param == "nmt16" else _wordlm_graph()
+    _report, training, _cache = _compiled(graph)
     return graph, training.executor
 
 
@@ -79,7 +76,7 @@ def _fixed_slots(plan):
     stepped = {s._node for s in plan._steps}
     fixed = set(low.constant_slots)
     for d in low.descs:
-        if d["kind"] in ("out", "fused", "batched"):
+        if d["kind"] in ("out", "fused"):
             fixed.update(
                 s for s in d["out_slots"] if low.root[s] in low.static_views
             )
@@ -93,19 +90,13 @@ def test_no_step_touches_a_fixed_register_through_regs(harness_plan):
     plan = ex.plan
     fixed = _fixed_slots(plan)
     assert len(fixed) > len(plan.lowering.constant_slots)
-    bodies = [plan._body]
-    clears = []
-    for _kind, payload, item_clears in plan._program or ():
-        bodies += payload if isinstance(payload, list) else [payload]
-        clears += item_clears or ()
     named = [
         (getattr(fn, "_node", fn), name, slot)
-        for fn in plan._steps + bodies
+        for fn in plan._steps + [plan._body]
         for name, slot in _slot_defaults(fn)
     ]
     assert named, "fixture steps must bind slots"
     assert [n for n in named if n[2] in fixed] == []
-    assert [s for s in clears if s in fixed] == []
     # ... and the fixed registers are read as bound arrays instead
     template = plan._bind.__defaults__[0]
     assert all(template[s] is not None for s in fixed)

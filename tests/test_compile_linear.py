@@ -16,8 +16,8 @@ Three layers:
   ``tests/helpers.py``);
 * **same outputs as before the rewrite** — schedule orders, memory plans,
   placements, witnesses and Echo reports of the harness NMT (16, 16) and
-  word-LM builds at threads {1, 2}, digested and compared with the
-  digests recorded from the commit before this pass structure
+  word-LM builds, digested and compared with the digests recorded from
+  the commit before this pass structure
   (``tests/data/compile_golden.json``; regenerate with
   ``PYTHONPATH=src python -m tests.test_compile_linear``).
 """
@@ -77,14 +77,12 @@ def _wordlm_graph(seq_len=HARNESS_WORDLM["seq_len"]):
     return build_word_lm(replace(cfg, seq_len=seq_len)).graph
 
 
-def _compiled(graph, threads=1):
+def _compiled(graph):
     """Echo + executor over one cache, as a trainer builds them."""
     device = DeviceModel()
     cache = PlanCache(store=None)
     report = EchoPass(EchoConfig(), device, plan_cache=cache).run(graph)
-    executor = TrainingExecutor(
-        graph, device=device, plan_cache=cache, threads=threads
-    )
+    executor = TrainingExecutor(graph, device=device, plan_cache=cache)
     return report, executor, cache
 
 
@@ -113,7 +111,7 @@ class TestCompileScalesLinearly:
     @pytest.fixture
     def plain_process(self, monkeypatch):
         """No ambient switch that adds work to a compile."""
-        for name in ("REPRO_VERIFY", "REPRO_THREADS", "REPRO_TUNE_DIR"):
+        for name in ("REPRO_VERIFY", "REPRO_TUNE_DIR"):
             monkeypatch.delenv(name, raising=False)
         monkeypatch.setattr(obs_trace, "TRACING", False)
         monkeypatch.setattr(obs_trace, "_tracer", None)
@@ -239,9 +237,9 @@ class TestIndicesMatchScans:
         assert all(root[r] == r for r in root)
 
     def test_slot_index_equals_producer_scan_on_nmt(self):
-        _, executor, _ = _compiled(_nmt_graph(), threads=2)
+        _, executor, _ = _compiled(_nmt_graph())
         low = executor.executor.plan.lowering
-        assert any(d["kind"] == "batched" for d in low.descs)
+        assert any(d["kind"] == "fused" for d in low.descs)
         index = low.slot_index()
         assert index is low.index  # built at lowering time, still current
         for slot in range(len(low.root)):
@@ -327,13 +325,13 @@ def _digest(value) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
 
 
-def describe_build(graph, threads) -> dict:
+def describe_build(graph) -> dict:
     """Process-stable digests of everything one build decides.
 
     Node uids are offsets from the graph's first node (the global counter
     makes absolute uids depend on what ran before).
     """
-    report, training, cache = _compiled(graph, threads)
+    report, training, cache = _compiled(graph)
     gx = training.executor
     base = min(n.uid for n in topo_order(graph.outputs))
 
@@ -384,15 +382,14 @@ def describe_build(graph, threads) -> dict:
             sorted([i, f.tail_uid - base, [m - base for m in f.members],
                     list(f.shape), f.dtype]
                    for i, f in wit.fusions.items()),
-            sorted([i, [m - base for m in b.members], list(b.a_slots),
-                    list(b.b_slots)] for i, b in wit.batches.items()),
+            # the stacked-GEMM witness slot, always empty now: kept so the
+            # recorded digests of the section still hold
+            [],
             sorted([i, a.op, a.src_slot, list(a.out_slots), repr(a.indices)]
                    for i, a in wit.aliases.items()),
             [[w.instr, w.out, w.target, w.root, list(w.members)]
              for w in wit.inplace],
         ],
-        "wavefront": [plan.wavefront_level_count, plan.parallel_level_count,
-                      plan.gated_level_count],
         "memory_plan": memory(mem),
         "echo_report": {
             "counts": [report.baseline_peak_bytes,
@@ -423,27 +420,22 @@ def describe_build(graph, threads) -> dict:
 
 
 def describe_all() -> dict:
-    out = {}
-    for threads in (1, 2):
-        out[f"nmt16.t{threads}"] = describe_build(_nmt_graph(), threads)
-        out[f"wordlm.t{threads}"] = describe_build(_wordlm_graph(), threads)
-    return out
+    return {
+        "nmt16.t1": describe_build(_nmt_graph()),
+        "wordlm.t1": describe_build(_wordlm_graph()),
+    }
 
 
 class TestSameOutputsAsBefore:
     @pytest.fixture
     def default_process(self, monkeypatch):
-        for name in ("REPRO_THREADS", "REPRO_TUNE_DIR"):
-            monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv("REPRO_TUNE_DIR", raising=False)
 
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("model", ["nmt16", "wordlm"])
-    def test_build_matches_recorded_digests(
-        self, default_process, model, threads
-    ):
-        golden = json.loads(GOLDEN.read_text())[f"{model}.t{threads}"]
+    def test_build_matches_recorded_digests(self, default_process, model):
+        golden = json.loads(GOLDEN.read_text())[f"{model}.t1"]
         graph = _nmt_graph() if model == "nmt16" else _wordlm_graph()
-        got = describe_build(graph, threads)
+        got = describe_build(graph)
         assert got == golden, sorted(
             name for name in golden if got.get(name) != golden[name]
         )

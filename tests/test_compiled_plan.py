@@ -19,7 +19,8 @@ from repro.runtime import (
     schedule,
 )
 from repro.runtime.lowering import _fuse_chains
-from tests.helpers import AboveGateDevice, reference_run
+from repro.train import SGD, Trainer
+from tests.helpers import reference_run
 
 
 def small_lm(dropout=0.0):
@@ -41,6 +42,35 @@ def lm_feeds(cfg, seed=0):
         "tokens": rng.integers(0, cfg.vocab_size, (cfg.seq_len, cfg.batch_size)),
         "labels": rng.integers(-1, cfg.vocab_size, (cfg.seq_len, cfg.batch_size)),
     }
+
+
+class TestOnePlanShape:
+    """A plan runs one way: a thread count changes neither the plan nor a
+    bit of what it computes."""
+
+    def test_thread_counts_share_one_plan(self):
+        model = small_lm(dropout=0.3)
+        start = model.store.initialize(seed=2)
+        cache, arena = PlanCache(), Arena()
+        trainers = [
+            Trainer(model.graph, {k: v.copy() for k, v in start.items()},
+                    SGD(0.1), plan_cache=cache, arena=arena, threads=threads)
+            for threads in (1, 2)
+        ]
+        plans = [t.executor.executor.plan for t in trainers]
+        assert plans[0] is plans[1]
+        assert plans[0].parallel_level_count == 0
+        for step in range(3):
+            feeds = lm_feeds(model.config, seed=step)
+            one, two = (t.step(feeds).loss for t in trainers)
+            assert np.float64(one).tobytes() == np.float64(two).tobytes()
+
+    @pytest.mark.parametrize("threads", [0, -1, 1.5, "2", True])
+    def test_threads_must_be_an_int_of_at_least_one(self, threads):
+        model = small_lm()
+        with pytest.raises(ValueError, match="threads"):
+            Trainer(model.graph, model.store.initialize(seed=0), SGD(0.1),
+                    threads=threads)
 
 
 class TestParity:
@@ -116,9 +146,8 @@ def _generic_view(x, how):
 class TestGenericStep:
     """Contracts of the one instruction kind that calls ``compute``."""
 
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("how", ["self", "view"])
-    def test_result_aliasing_a_static_input_is_detached(self, how, threads):
+    def test_result_aliasing_a_static_input_is_detached(self, how):
         x = O.placeholder((4, 3), np.float64, name="gx")
         a = O.mul_scalar(x, 2.0)
         v = _generic_view(a, how)
@@ -126,9 +155,7 @@ class TestGenericStep:
         # storage and overwrites it (unfused, so ``w`` is a static buffer)
         w = O.add(v, x)
         e = O.tanh(w)
-        plan = CompiledPlan(
-            schedule([v, e]), [v, e], fuse=False, threads=threads
-        )
+        plan = CompiledPlan(schedule([v, e]), [v, e], fuse=False)
         low = plan.lowering
         a_slot, w_slot = low.slot_of[a.key], low.slot_of[w.key]
         assert np.may_share_memory(
@@ -144,11 +171,10 @@ class TestGenericStep:
             assert np.array_equal(got_v, 2.0 * scale * feed)
             assert np.array_equal(got_e, np.tanh(3.0 * scale * feed))
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_wrong_output_shape_names_node_and_specs(self, threads):
+    def test_wrong_output_shape_names_node_and_specs(self):
         x = O.placeholder((4, 3), np.float64, name="gx")
         v = _generic_view(O.mul_scalar(x, 2.0), "bad-shape")
-        plan = CompiledPlan(schedule([v]), [v], threads=threads)
+        plan = CompiledPlan(schedule([v]), [v])
         msg = (
             f"{v.node.name} output 0: kernel produced shape (1, 3), "
             "spec says (4, 3)"
@@ -463,7 +489,7 @@ class TestTemplatedCodegen:
         )
 
         def build(which):
-            bt = BucketedTrainer(cfg, which, Adam(1e-3), echo=True, threads=1)
+            bt = BucketedTrainer(cfg, which, Adam(1e-3), echo=True)
             return [bt.trainer_for(b).executor.executor.plan for b in which]
 
         plans = build(buckets)
@@ -506,8 +532,7 @@ class TestTemplatedCodegen:
         )
         assert ex.plan._body.__code__.co_filename == "<compiled-plan>"
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_echo_plan_parity_and_certification(self, threads):
+    def test_echo_plan_parity_and_certification(self):
         from repro.echo import optimize
 
         model = small_lm(dropout=0.2)
@@ -515,11 +540,7 @@ class TestTemplatedCodegen:
         optimize(model.graph, plan_cache=cache)
         params = model.store.initialize(seed=9)
         feeds = lm_feeds(model.config)
-        ex = GraphExecutor(
-            model.graph.outputs, plan_cache=cache, threads=threads,
-            device=AboveGateDevice(),
-        )
-        assert (ex.plan.parallel_level_count > 0) == (threads > 1)
+        ex = GraphExecutor(model.graph.outputs, plan_cache=cache)
         assert ex.verify(equiv=True).ok
         for step in range(2):  # same dropout step sequence on both sides
             got = ex.run(feeds, params).outputs

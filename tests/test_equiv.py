@@ -2,8 +2,8 @@
 
 Three layers of evidence:
 
-* a **clean matrix** — every pass combination ({echo on/off} x {threads
-  1,4} x {batching on/off}) certifies with zero EQ findings AND executes
+* a **clean matrix** — every pass combination ({echo on/off} x {fusion
+  on/off}) certifies with zero EQ findings AND executes
   bitwise-identically to the arena-free ``reference_run``;
 * a **mutation corpus** — ten seeded semantic defects, each injected
   into a freshly compiled plan and each caught by exactly the expected
@@ -47,7 +47,7 @@ from repro.runtime import (
     TrainingExecutor,
     schedule,
 )
-from tests.helpers import AboveGateDevice, reference_run
+from tests.helpers import reference_run
 
 
 def _codes(findings):
@@ -72,21 +72,6 @@ def _mlp_plan(**kw):
     outs = tg.outputs
     order = schedule(outs)
     return CompiledPlan(order, outs, Arena(), **kw), order, outs
-
-
-def _batched_plan():
-    """Two independent isomorphic GEMMs: one batched group of two."""
-    x1 = O.placeholder((8, 8), name="b1")
-    x2 = O.placeholder((8, 8), name="b2")
-    w = O.variable((8, 8), name="bw")
-    # One consumer needing both products keeps the GEMMs adjacent in any
-    # schedule, so the batching pre-pass always sees an open group of 2.
-    out = O.reduce_mean(O.add(O.matmul(x1, w), O.matmul(x2, w)))
-    outputs = [out]
-    order = schedule(outputs)
-    plan = CompiledPlan(order, outputs, Arena(), fuse=False, threads=2)
-    assert plan.lowering.witnesses.batches, "fixture must batch"
-    return plan
 
 
 def _aliased_plan():
@@ -148,7 +133,7 @@ class TestCleanMatrix:
             "w2": rng.standard_normal((4, 12)).astype(np.float32),
         }
         # The un-rewritten graph, walked without any plan: Echo and
-        # threads (which batch GEMMs) must all leave its bits alone.
+        # fusion must both leave its bits alone.
         reference = reference_run(_mlp_graph().outputs, feeds, params)
         for echo in (False, True):
             tg = _mlp_graph()
@@ -156,13 +141,9 @@ class TestCleanMatrix:
                 EchoPass(plan_cache=PlanCache()).run(tg)
             outs = tg.outputs
             order = schedule(outs)
-            for threads in (1, 4):
-                plan = CompiledPlan(
-                    order, outs, Arena(), threads=threads,
-                    device=AboveGateDevice(),
-                )
-                tag = (echo, threads)
-                assert (plan.parallel_level_count > 0) == (threads > 1), tag
+            for fuse in (True, False):
+                plan = CompiledPlan(order, outs, Arena(), fuse=fuse)
+                tag = (echo, fuse)
                 assert check_equivalence(plan) == [], tag
                 set_global_step(0)
                 got = plan.run(feeds, params)
@@ -172,7 +153,6 @@ class TestCleanMatrix:
                     assert np.array_equal(ref, arr), tag
 
     def test_fixture_plans_certify_clean(self):
-        assert check_equivalence(_batched_plan()) == []
         assert check_equivalence(_aliased_plan()) == []
         plan, _fwd, _mirror = _mirrored_plan()
         assert check_equivalence(plan) == []
@@ -231,19 +211,8 @@ class TestMutationCorpus:
         low.root[b] = a
         assert _codes(check_equivalence(plan)) == {"EQ602"}
 
-    def test_eq603_swapped_batched_member(self):
-        # Mutation 5: two batched-GEMM members trade operand slots — each
-        # member now computes the other's product.
-        plan = _batched_plan()
-        low = plan.lowering
-        idx, w = next(iter(low.witnesses.batches.items()))
-        a = list(low.descs[idx]["a_slots"])
-        a[0], a[1] = a[1], a[0]
-        low.descs[idx]["a_slots"] = tuple(a)
-        assert "EQ603" in _codes(check_equivalence(plan))
-
     def test_eq603_corrupted_fusion_witness(self):
-        # Mutation 6: a fusion witness claims a different member list
+        # Mutation 5: a fusion witness claims a different member list
         # than the chain the instruction actually composes.
         plan, _order, _outs = _mlp_plan(fuse=True)
         low = plan.lowering
@@ -255,7 +224,7 @@ class TestMutationCorpus:
         assert _codes(check_equivalence(plan)) == {"EQ603"}
 
     def test_eq604_inplace_redirect_over_live_target(self):
-        # Mutation 7: an in-place redirect overwrites a register some
+        # Mutation 6: an in-place redirect overwrites a register some
         # later instruction still reads — fabricated witness plus the
         # matching root merge, so only the value check can object. The
         # instruction is one the planner itself left writing a fresh buffer.
@@ -292,7 +261,7 @@ class TestMutationCorpus:
         assert _codes(check_equivalence(plan)) == {"EQ604"}
 
     def test_eq605_misranged_alias_view(self):
-        # Mutation 8: the baked view index of an elided copy is narrowed
+        # Mutation 7: the baked view index of an elided copy is narrowed
         # — the bound view no longer holds the copy kernel's values.
         plan = _aliased_plan()
         low = plan.lowering
@@ -304,7 +273,7 @@ class TestMutationCorpus:
         assert _codes(check_equivalence(plan)) == {"EQ605"}
 
     def test_eq606_unstable_rng_reordered(self):
-        # Mutation 9: two clock-dependent dropouts swap stream positions,
+        # Mutation 8: two clock-dependent dropouts swap stream positions,
         # inverting the RNG-clock order the schedule promised.
         x = O.placeholder((8, 8), name="rx2")
         d1 = O.dropout(x, 0.5, seed=O.stable_seed("eq606", 0))
@@ -327,7 +296,7 @@ class TestMutationCorpus:
         assert _codes(check_equivalence(plan)) == {"EQ606"}
 
     def test_eq606_mirrored_unstable_rng(self):
-        # Mutation 10: an unstable (clock-seeded) dropout gets mirrored —
+        # Mutation 9: an unstable (clock-seeded) dropout gets mirrored —
         # replaying it advances the clock and draws a different mask.
         plan, fwd, mirror = _mirrored_plan()
         fwd.attrs["seed"] = None
@@ -335,7 +304,7 @@ class TestMutationCorpus:
         assert _codes(check_equivalence(plan)) == {"EQ606"}
 
     def test_eq607_perturbed_mirror(self):
-        # Mutation 11: a recompute mirror's attrs drift from the
+        # Mutation 10: a recompute mirror's attrs drift from the
         # original's — it no longer recomputes the same function.
         plan, _fwd, mirror = _mirrored_plan()
         mirror.attrs["p"] = 0.75
@@ -372,7 +341,7 @@ class TestOpaqueLeaves:
         graph = build_word_lm(cfg).graph
         cache = PlanCache(store=None)
         assert EchoPass(plan_cache=cache).run(graph).accepted
-        ex = TrainingExecutor(graph, plan_cache=cache, threads=1)
+        ex = TrainingExecutor(graph, plan_cache=cache)
         assert check_equivalence(ex.executor.plan) == []
         assert interned and "unresolved" not in interned
 
@@ -399,10 +368,9 @@ class TestRandomPipelines:
         act=st.sampled_from(["tanh", "sigmoid", "relu"]),
         use_dropout=st.booleans(),
         fuse=st.booleans(),
-        threads=st.sampled_from([1, 4]),
     )
     def test_random_training_graph_certifies_clean(
-        self, hidden, depth, act, use_dropout, fuse, threads
+        self, hidden, depth, act, use_dropout, fuse
     ):
         activation = {"tanh": O.tanh, "sigmoid": O.sigmoid,
                       "relu": O.relu}[act]
@@ -424,8 +392,7 @@ class TestRandomPipelines:
         tg = compile_training(loss, params, {"x": x, "y": y})
         outs = tg.outputs
         order = schedule(outs)
-        plan = CompiledPlan(order, outs, Arena(), fuse=fuse,
-                            threads=threads, device=AboveGateDevice())
+        plan = CompiledPlan(order, outs, Arena(), fuse=fuse)
         assert check_equivalence(plan) == []
 
 

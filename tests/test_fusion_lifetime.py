@@ -1,9 +1,11 @@
 """Fusion never lengthens a live range (serial lowering).
 
 * **the invariant** — a fused plan never plans more bytes than the
-  unfused plan of the same schedule, on the harness shapes and, in its
-  structural form, on a T-step shared-weight graph (at most two of the
-  weight's gradient partials are ever live);
+  unfused plan of the same schedule, on the harness shapes (its waterline
+  always; its packed static storage on every harness plan but one NMT
+  bucket, where the packer misses) and, in its structural form, on a
+  T-step shared-weight graph (at most two of the weight's gradient
+  partials are ever live);
 * **parity** — ``[matmul -> add]``, ``[fully_connected -> add]`` and
   ``[batch_dot -> add]`` chains execute bitwise like
   ``tests.helpers.reference_run`` and certify, Echo on and off;
@@ -15,6 +17,7 @@
 """
 
 import dataclasses
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from repro.echo import optimize
 from repro.gpumodel import DeviceModel
 from repro.layout.layouts import Layout
 from repro.memplan.elision import inplace_positions
-from repro.models import NmtConfig, build_nmt
+from repro.models import NmtConfig, WordLmConfig, build_nmt, build_word_lm
 from repro.nn import Backend
 from repro.ops.matmul import MatMulOp
 from repro.runtime import (
@@ -40,7 +43,12 @@ from repro.runtime import (
     schedule,
 )
 from tests.helpers import reference_run
-from tests.test_compile_linear import _compiled, _nmt_graph, _wordlm_graph
+from tests.test_compile_linear import (
+    HARNESS_WORDLM,
+    _compiled,
+    _nmt_graph,
+    _wordlm_graph,
+)
 
 GEMMS = ("matmul", "batch_dot", "fully_connected")
 
@@ -118,6 +126,36 @@ class TestFusionNeverPlansMore:
         assert fused.planned_peak_bytes <= unfused.planned_peak_bytes
         assert fused.num_instructions < unfused.num_instructions
 
+    @pytest.mark.parametrize("shape", [
+        pytest.param(
+            ("nmt", 4, 6), id="nmt4x6",
+            marks=pytest.mark.xfail(strict=True, reason=(
+                "the packer places the fused plan at 3 284 992 B against "
+                "3 227 648 B unfused: 107 520 B over the plan's waterline "
+                "of 3 177 472 B (ROADMAP item 3)"
+            )),
+        ),
+        pytest.param(("nmt", 8, 10), id="nmt8x10"),
+        pytest.param(("nmt", 12, 14), id="nmt12x14"),
+        pytest.param(("nmt", 16, 16), id="nmt16x16"),
+        pytest.param(("wordlm", 16), id="wordlm-b16"),
+        pytest.param(("wordlm", 8), id="wordlm-b8"),
+    ])
+    def test_fusion_never_costs_static_bytes(self, shape):
+        """The harness plans, Echo on: the NMT buckets, the word-LM and
+        the word-LM at the batch of one of ``wordlm_dist2``'s two ranks."""
+        if shape[0] == "nmt":
+            graph = _nmt_graph(src_len=shape[1], tgt_len=shape[2])
+        else:
+            cfg = WordLmConfig(backend=Backend.DEFAULT, **HARNESS_WORDLM)
+            graph = build_word_lm(replace(cfg, batch_size=shape[1])).graph
+        _, training, _ = _compiled(graph)
+        ex = training.executor
+        fused = CompiledPlan(ex.order, ex.outputs, Arena(), fuse=True)
+        unfused = CompiledPlan(ex.order, ex.outputs, Arena(), fuse=False)
+        assert fused.static_storage_bytes == ex.plan.static_storage_bytes
+        assert fused.static_storage_bytes <= unfused.static_storage_bytes
+
     def test_at_most_two_gradient_partials_live(self):
         graph = _rnn_graph()
         plan = CompiledPlan(schedule(graph.outputs), graph.outputs, Arena())
@@ -147,7 +185,7 @@ class TestGemmHeadChains:
         cache = PlanCache()
         if echo:
             optimize(graph, plan_cache=cache)
-        ex = GraphExecutor(graph.outputs, plan_cache=cache, threads=1)
+        ex = GraphExecutor(graph.outputs, plan_cache=cache)
         chains = _chains(ex.plan)
         assert ("fully_connected", "add", "tanh") in chains
         assert ("matmul", "add") in chains
@@ -165,8 +203,7 @@ class TestGemmHeadChains:
         cache = PlanCache()
         if echo:
             assert optimize(model.graph, plan_cache=cache).accepted
-        ex = GraphExecutor(model.graph.outputs, plan_cache=cache,
-                           threads=1)
+        ex = GraphExecutor(model.graph.outputs, plan_cache=cache)
         heads = {chain[0] for chain in _chains(ex.plan)}
         assert set(GEMMS) <= heads
         assert ex.verify(equiv=True).ok
@@ -205,18 +242,6 @@ class TestGemmHeadChains:
         out = low.descs[idx]["out_slots"][0]
         assert low.root[out] == out
         assert check_packing(plan) == []
-
-    def test_gemms_stay_free_standing_outside_the_serial_lowering(self):
-        graph = _rnn_graph()
-        order = schedule(graph.outputs)
-        serial = CompiledPlan(order, graph.outputs, Arena())
-        other = CompiledPlan(order, graph.outputs, Arena(), threads=2,
-                             device=DeviceModel())
-        assert any(chain[0] in GEMMS for chain in _chains(serial))
-        assert not any(chain[0] in GEMMS for chain in _chains(other))
-        feeds, params = _bindings(graph)
-        for a, b in zip(serial.run(feeds, params), other.run(feeds, params)):
-            assert np.array_equal(a, b)
 
 
 # -- the checkers are not vacuous for the new form ---------------------------

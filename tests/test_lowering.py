@@ -105,10 +105,8 @@ def _imports(path):
 @pytest.mark.parametrize(
     "module, forbidden",
     [
-        ("runtime/lowering.py", ("codegen", "compiled", "wavefront",
-                                 "workers")),
-        ("runtime/arena.py", ("codegen", "compiled", "wavefront",
-                              "workers")),
+        ("runtime/lowering.py", ("codegen", "compiled")),
+        ("runtime/arena.py", ("codegen", "compiled")),
         ("analysis/lifetime.py", ("codegen", "compiled")),
         ("analysis/packing.py", ("codegen", "compiled")),
         ("analysis/equiv.py", ("codegen", "compiled")),

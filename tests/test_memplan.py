@@ -2,13 +2,12 @@
 
 Four layers of coverage:
 
-* unit tests + hypothesis properties for the interval packer and the
-  atomic byte-range tokens;
+* unit tests + hypothesis properties for the interval packer;
 * the headline property — planned executions (copy elision, in-place
   rewriting, interval coloring, footprint-aware scheduling) are
-  bitwise-identical to the arena-free ``reference_run`` across threads
-  {1, 4} and with/without the Echo rewrite, and never hold more static
-  bytes than a size-class free-list replay of the same placements;
+  bitwise-identical to the arena-free ``reference_run`` with and without
+  the Echo rewrite, and never hold more static bytes than a size-class
+  free-list replay of the same placements;
 * seeded-defect fixtures proving the MP401/MP402/MP403 analyzers catch
   a corrupted alias root table, overlapping colorings, and unsafe
   in-place records;
@@ -29,11 +28,7 @@ import repro.ops as O
 from repro.analysis import check_packing
 from repro.autodiff import compile_training
 from repro.echo import EchoConfig, optimize
-from repro.memplan import (
-    atomic_tokens,
-    pack_intervals,
-    waterline,
-)
+from repro.memplan import pack_intervals, waterline
 from repro.memplan.coloring import ALIGN
 from repro.graph import GraphFacts
 from repro.runtime import (
@@ -46,7 +41,6 @@ from repro.runtime import (
     validate_schedule,
 )
 from tests.helpers import (
-    AboveGateDevice,
     reference_pack_intervals,
     reference_run,
     reference_size_class_bytes,
@@ -154,15 +148,6 @@ class TestPackIntervals:
         assert len(requests) > 900
         assert pack_intervals(requests) == reference_pack_intervals(requests)
 
-    def test_atomic_tokens_intersect_iff_bytes_do(self):
-        tokens = atomic_tokens(
-            {"a": (0, 128), "b": (64, 128), "c": (256, 64), "z": (0, 0)}
-        )
-        assert set(tokens["a"]) & set(tokens["b"])  # [0,128) vs [64,192)
-        assert not set(tokens["a"]) & set(tokens["c"])
-        assert not set(tokens["b"]) & set(tokens["c"])
-        assert tokens["z"] == ()
-
 
 # -- the bitwise-identity property -------------------------------------------
 
@@ -207,19 +192,15 @@ def _assert_matches_reference(graph, rows, cols, seed):
     feeds = {"mp_x": gen.standard_normal((rows, cols))}
     params = {"mp_w": gen.standard_normal((rows, cols))}
     want = reference_run(graph.outputs, feeds, params)
-    for threads in (1, 4):
-        ex = TrainingExecutor(
-            graph, plan_cache=PlanCache(store=None), threads=threads,
-            device=AboveGateDevice(),
-        )
-        loss, grads, _ = ex.run(feeds, params)
-        assert loss == float(want[0]), threads
-        for k, ref in zip(graph.grads, want[1:]):
-            np.testing.assert_array_equal(grads[k], ref)
-        plan = ex.executor.plan
-        assert plan.static_storage_bytes <= reference_size_class_bytes(
-            plan.lowering.memplan.placements
-        )
+    ex = TrainingExecutor(graph, plan_cache=PlanCache(store=None))
+    loss, grads, _ = ex.run(feeds, params)
+    assert loss == float(want[0])
+    for k, ref in zip(graph.grads, want[1:]):
+        np.testing.assert_array_equal(grads[k], ref)
+    plan = ex.executor.plan
+    assert plan.static_storage_bytes <= reference_size_class_bytes(
+        plan.lowering.memplan.placements
+    )
 
 
 class TestBitwiseIdentity:

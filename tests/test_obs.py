@@ -5,13 +5,13 @@ Four layers of coverage:
 * Chrome trace-event schema validation — required keys, ``ph``/``pid``/
   ``tid`` types, strictly nested ``B``/``E`` pairs per thread, monotone
   timestamps — run against real exports from instrumented workloads;
-* the nine-boundary acceptance trace: a 2-rank distributed NMT training
-  step (echo on, verify on, wavefront threads, GEMM batching) must emit
-  spans for every instrumented pipeline boundary;
+* the pipeline-boundary acceptance trace: a 2-rank distributed NMT
+  training step (echo on, verify on) must emit spans for every
+  instrumented pipeline boundary;
 * cross-rank merge: per-rank payloads from the process backend align by
   the collective (generation, seq) tags;
 * the inertness contract — tracing + metrics enabled is bitwise
-  identical to disabled, across threads x echo x memplan (hypothesis)
+  identical to disabled, across echo x memplan (hypothesis)
   plus a 2-rank distributed leg — and the metrics primitives themselves
   (exact-bucket percentiles, absorb, typed registration).
 """
@@ -40,7 +40,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime import PlanCache, TrainingExecutor
 from repro.train import SGD, Trainer
-from tests.helpers import AboveGateDevice, reference_run
+from tests.helpers import reference_run
 from tests.test_memplan import shape_heavy_training_graph
 
 
@@ -117,8 +117,7 @@ def validate_chrome_payload(payload: dict) -> None:
         assert not stack, f"unclosed spans on {thread}: {stack}"
 
 
-def _tiny_lm_steps(steps: int = 2, threads: int | None = None,
-                   echo: bool = False, seed: int = 0):
+def _tiny_lm_steps(steps: int = 2, echo: bool = False, seed: int = 0):
     """Run a tiny word-LM training loop; returns (losses, grads-free params)."""
     cfg = WordLmConfig(
         vocab_size=30, embed_size=8, hidden_size=8, num_layers=1,
@@ -128,10 +127,7 @@ def _tiny_lm_steps(steps: int = 2, threads: int | None = None,
     if echo:
         optimize(model.graph)
     params = model.store.initialize(seed=seed)
-    trainer = Trainer(model.graph, params, SGD(0.1), threads=threads,
-                      device=AboveGateDevice())
-    plan = trainer.executor.executor.plan
-    assert (plan.parallel_level_count > 0) == (plan.threads > 1)
+    trainer = Trainer(model.graph, params, SGD(0.1))
     gen = np.random.default_rng(seed)
     losses = []
     for _ in range(steps):
@@ -148,7 +144,7 @@ def _tiny_lm_steps(steps: int = 2, threads: int | None = None,
 class TestTraceSchema:
     def test_export_of_real_workload_validates(self, traced):
         tracer, _ = traced
-        _tiny_lm_steps(steps=2, threads=2)
+        _tiny_lm_steps(steps=2)
         payload = tracer.export_payload()
         validate_chrome_payload(payload)
         assert tracer.span_count() > 0
@@ -208,20 +204,19 @@ class TestTraceSchema:
         assert len(tids) == 3
 
 
-# -- the nine-boundary acceptance trace --------------------------------------
+# -- the pipeline-boundary acceptance trace ----------------------------------
 
 #: one span name per instrumented pipeline boundary of a distributed
 #: training step (the serve lifecycle is covered in test_serve.py)
-NINE_BOUNDARIES = {
+BOUNDARIES = {
     "plan.compile",     # 1 plan cache compile tier
     "plan.lower",       # 2 lowering
     "plan.verify",      # 3 static verification tier
     "cache.lookup",     # 4 PlanCache hit/miss
     "echo.pass",        # 5 Echo accept/reject search
     "memplan.pack",     # 6 memory-plan packing
-    "wavefront.item",   # 7 wavefront level execution
-    "gemm.batch",       # 8 GEMM-batch dispatch
-    "dist.allreduce",   # 9 ring collective (chunk send/recv below it)
+    "exec.body",        # 7 plan body execution
+    "dist.allreduce",   # 8 ring collective (chunk send/recv below it)
 }
 
 
@@ -237,7 +232,6 @@ def _nmt_rank(group, batches):
     params = model.store.initialize(seed=11)
     with DistributedTrainer(
         group, model.graph, params, SGD(0.1),
-        threads=2, device=AboveGateDevice(),
         batch_axes={"src_tokens": 1, "tgt_tokens": 1, "tgt_labels": 1},
     ) as trainer:
         records = [trainer.step(feeds) for feeds in batches]
@@ -257,7 +251,7 @@ def _nmt_batches(steps: int, global_batch: int = 4, seed: int = 3):
     ]
 
 
-class TestNineBoundaries:
+class TestPipelineBoundaries:
     def test_two_rank_nmt_trace_covers_every_boundary(
         self, traced, monkeypatch
     ):
@@ -274,7 +268,7 @@ class TestNineBoundaries:
         payload = tracer.export_payload()
         validate_chrome_payload(payload)
         names = tracer.span_names()
-        missing = NINE_BOUNDARIES - names
+        missing = BOUNDARIES - names
         assert not missing, f"boundaries missing from trace: {missing}"
         # The collective's wire-level children are present too.
         assert "dist.chunk.send" in names and "dist.chunk.recv" in names
@@ -396,31 +390,27 @@ class TestInertness:
                 optimize(graph)
             assert obs_trace.tracer() is None
             want = reference_run(graph.outputs, feeds, params)
-            for threads in (1, 4):
-                obs_trace.enable(fresh=True)
-                obs_metrics.enable(fresh=True)
-                try:
-                    loss, grads, _ = TrainingExecutor(
-                        graph, plan_cache=PlanCache(store=None),
-                        threads=threads, device=AboveGateDevice(),
-                    ).run(feeds, params)
-                finally:
-                    obs_trace.disable()
-                    obs_metrics.disable()
-                assert loss == float(want[0]), (echo, threads)
-                for k, ref in zip(graph.grads, want[1:]):
-                    np.testing.assert_array_equal(
-                        grads[k], ref, err_msg=str((echo, threads, k))
-                    )
+            obs_trace.enable(fresh=True)
+            obs_metrics.enable(fresh=True)
+            try:
+                loss, grads, _ = TrainingExecutor(
+                    graph, plan_cache=PlanCache(store=None)
+                ).run(feeds, params)
+            finally:
+                obs_trace.disable()
+                obs_metrics.disable()
+            assert loss == float(want[0]), echo
+            for k, ref in zip(graph.grads, want[1:]):
+                np.testing.assert_array_equal(
+                    grads[k], ref, err_msg=str((echo, k))
+                )
 
     def test_traced_trainer_matches_untraced(self, untraced):
-        ref_losses, ref_params = _tiny_lm_steps(steps=3, threads=2,
-                                                echo=True, seed=4)
+        ref_losses, ref_params = _tiny_lm_steps(steps=3, echo=True, seed=4)
         obs_trace.enable(fresh=True)
         obs_metrics.enable(fresh=True)
         try:
-            losses, params = _tiny_lm_steps(steps=3, threads=2,
-                                            echo=True, seed=4)
+            losses, params = _tiny_lm_steps(steps=3, echo=True, seed=4)
             assert obs_trace.tracer().span_count() > 0
         finally:
             obs_trace.disable()
@@ -554,9 +544,7 @@ class TestMetrics:
         # stream per data-parallel rank
         assert snap["memplan.pack.calls"] == 1 + 2
         assert snap["memplan.pack_s"]["count"] == 1 + 2
-        # the wavefront gate's verdicts and the communicator wait
-        for key in ("levels", "levels_parallel", "levels_gated"):
-            assert snap[f"plan.wavefront.{key}"] >= 0
+        # the communicator wait
         assert snap["dist.comm_wait_s"]["count"] == 2  # ranks x steps
         validate_chrome_payload(
             json.loads((tmp_path / "t.json").read_text())

@@ -1,11 +1,16 @@
 """Forward-semantics tests: every operator against its numpy reference."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 import repro.ops as O
 from repro.graph import Node, ShapeError, get_op, registered_ops
 from repro.layout import Layout
+from repro.ops.dropout import stable_seed
 from repro.runtime import GraphExecutor
 from tests.helpers import rng, same_bits
 
@@ -721,6 +726,42 @@ GENERIC_CASES = [
 ]
 
 
+def _one_row(*arrays):
+    """Copies of ``arrays`` cut to a size-1 leading axis."""
+    return [a[:1].copy() for a in arrays]
+
+
+#: transcripts one frame can align to
+_CTC_ONE_LABELS = _i64([1, -1, -1], [3, -1, -1])
+
+
+#: (op name, inputs, attrs): one case per generic op that declares its
+#: output never aliases an input (``may_alias`` False), with every input
+#: that carries the output's leading axis cut to one row — the shape at
+#: which a ``[::-1]`` or a full slice is the input itself
+ONE_ROW_CASES = [
+    ("layer_norm", [*_one_row(_LN_X), _LN_G, _LN_B], {}),
+    ("layer_norm_grad",
+     [_one_row(_LN_X)[0], _LN_G, *_one_row(_LN_MEAN, _LN_RSTD, _LN_DY)], {}),
+    ("softmax_cross_entropy", _one_row(_LOGITS, _CE_LABELS),
+     {"ignore_label": -1}),
+    ("sequence_reverse", _one_row(_X3), {"parallel": True}),
+    ("dropout", _one_row(_A), {"p": 0.5, "seed": 1}),
+    ("reduce_max_grad",
+     [*_one_row(_X3), np.max(_X3[:1], axis=-1), _f32(50, (1, 3))],
+     {"axis": -1, "keepdims": False}),
+    ("conv2d", [*_one_row(_CONV_X), _CONV_W], {"stride": 1, "pad": 0}),
+    ("conv2d_grad_x", [_CONV_W, *_one_row(_CONV_DY)],
+     {"stride": 1, "pad": 0, "x_shape": (1,) + _CONV_X.shape[1:]}),
+    ("conv2d_grad_w", _one_row(_CONV_X, _CONV_DY),
+     {"stride": 1, "pad": 0, "w_shape": _CONV_W.shape}),
+    ("ctc_loss", [*_one_row(_CTC_LOGITS), _CTC_ONE_LABELS], {}),
+    ("ctc_loss_grad",
+     [*_one_row(_CTC_LOGITS), _CTC_ONE_LABELS, np.asarray(0.5, np.float32)],
+     {}),
+]
+
+
 class TestGenericOutputContract:
     """``compute`` returns arrays of exactly the dtypes and shapes of
     ``out_specs``. A generic step checks only the shapes; the dtypes are
@@ -746,3 +787,84 @@ class TestGenericOutputContract:
             assert isinstance(array, np.ndarray), (name, j)
             assert (array.dtype, array.shape) == (spec.dtype, spec.shape), (
                 name, j)
+
+    def test_every_non_aliasing_generic_op_has_a_one_row_case(self):
+        declared = {case[1] for case in GENERIC_CASES
+                    if not get_op(case[1]).may_alias}
+        assert declared == {case[0] for case in ONE_ROW_CASES}
+
+    @pytest.mark.parametrize(
+        "name,inputs,attrs", ONE_ROW_CASES,
+        ids=[case[0] for case in ONE_ROW_CASES],
+    )
+    def test_no_output_shares_an_input_at_one_row(self, name, inputs, attrs):
+        op = get_op(name)
+        node = Node(op, [place(f"g{j}", a) for j, a in enumerate(inputs)],
+                    attrs)
+        inputs = [a.copy() for a in inputs]
+        got = op.compute(node, inputs)
+        assert len(got) == len(node.out_specs)
+        for j, array in enumerate(got):
+            assert array.shape == node.out_specs[j].shape, (name, j)
+            assert not any(np.shares_memory(array, a) for a in inputs), (
+                name, j)
+
+
+class TestStableDropoutSeed:
+    def test_stable_seed_is_pure(self):
+        assert stable_seed("enc", 0) == stable_seed("enc", 0)
+        assert stable_seed("enc", 0) != stable_seed("enc", 1)
+        assert 0 <= stable_seed("enc", 0) <= 0xFFFF
+
+    def test_seed_stable_across_hash_randomization(self):
+        """Regression: rnn.py used process-salted hash((prefix, layer)) —
+        masks differed between processes. stable_seed must not."""
+        code = (
+            "import sys; sys.path.insert(0, 'src');"
+            "from repro.ops.dropout import stable_seed;"
+            "print(stable_seed('lm.rnn', 0), stable_seed('enc.fwd', 1),"
+            "      hash(('lm.rnn', 0)))"
+        )
+        outs = []
+        for hashseed in ("0", "12345"):
+            env = dict(os.environ, PYTHONHASHSEED=hashseed)
+            result = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True,
+                text=True, env=env, cwd=os.path.dirname(os.path.dirname(
+                    os.path.abspath(__file__))),
+                check=True,
+            )
+            outs.append(result.stdout.split())
+        (a0, a1, ahash), (b0, b1, bhash) = outs
+        assert (a0, a1) == (b0, b1)  # stable digest: identical seeds
+        assert ahash != bhash  # hash() really is salted — the old bug
+
+    def test_lm_dropout_masks_reproduce_across_processes(self):
+        code = (
+            "import sys; sys.path.insert(0, 'src');"
+            "import numpy as np;"
+            "from repro.models import WordLmConfig, build_word_lm;"
+            "from repro.runtime import GraphExecutor, PlanCache;"
+            "cfg = WordLmConfig(vocab_size=60, embed_size=8, hidden_size=8,"
+            "                   num_layers=2, seq_len=5, batch_size=3,"
+            "                   dropout=0.3);"
+            "m = build_word_lm(cfg);"
+            "p = m.store.initialize(seed=7);"
+            "rng = np.random.default_rng(0);"
+            "feeds = {'tokens': rng.integers(0, 60, (5, 3)),"
+            "         'labels': rng.integers(-1, 60, (5, 3))};"
+            "ex = GraphExecutor(m.graph.outputs, plan_cache=PlanCache());"
+            "out = ex.run(feeds, p).outputs;"
+            "print(repr(float(out[0])))"
+        )
+        losses = []
+        for hashseed in ("0", "999"):
+            env = dict(os.environ, PYTHONHASHSEED=hashseed)
+            result = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True,
+                text=True, env=env, cwd=os.path.dirname(os.path.dirname(
+                    os.path.abspath(__file__))),
+                check=True,
+            )
+            losses.append(result.stdout.strip())
+        assert losses[0] == losses[1]

@@ -282,8 +282,9 @@ class TestWarmPlans:
         ``tests/data/retired_plans`` holds what the last commit that
         persisted plans wrote for this graph (``DeviceModel()``,
         ``threads=4``): a valid ``{fp}.memaware.order.json`` and the serial
-        marker as ``.mcolor.hostgate.wavefront.json`` — loading that one
-        skipped the wavefront analysis, leaving the level counters at 0.
+        marker of a wavefront layout as ``.mcolor.hostgate.wavefront.json``
+        (its instruction count is that of the retired ``threads=4``
+        lowering).
         Beside them, the two retired flavours: a plain-priority order (a
         valid schedule, not the one ``schedule()`` returns) as
         ``{fp}.order.json`` and an ``.mgreedy`` layout. None is opened or
@@ -295,21 +296,16 @@ class TestWarmPlans:
             store = TuneStore(tune_dir)
             ex = TrainingExecutor(
                 graph, plan_cache=PlanCache(store=store),
-                device=DeviceModel(), threads=4,
+                device=DeviceModel(),
             )
             facts = GraphFacts(graph.outputs)
-            plan = ex.executor.plan
             built = {
                 "order": [facts.index[n.uid] for n in ex.executor.order],
-                "instructions": len(plan.lowering.descs),
-                "levels": plan.wavefront_level_count,
-                "gated": plan.gated_level_count,
-                "parallel": plan.parallel_level_count,
+                "instructions": len(ex.executor.plan.lowering.descs),
             }
             return facts, built, store.stats()
 
         facts, cold, _ = build()
-        assert cold["levels"] > 0 and cold["gated"] > 0  # analyzed, all gated
         plans = tune_dir / "plans"
         assert not plans.exists()
 
@@ -317,9 +313,7 @@ class TestWarmPlans:
         (order_file,) = plans.glob("*.memaware.order.json")
         (layout_file,) = plans.glob("*.mcolor.hostgate.wavefront.json")
         assert json.loads(order_file.read_text())["order"] == cold["order"]
-        assert json.loads(layout_file.read_text())["artifact"] == {
-            "instructions": cold["instructions"], "serial": True,
-        }
+        assert json.loads(layout_file.read_text())["artifact"]["serial"]
         plain = sorted(facts.nodes, key=lambda n: n.priority)
         validate_schedule(plain)
         stale_perm = [facts.index[n.uid] for n in plain]
@@ -357,7 +351,7 @@ class TestWarmPlans:
 
     def test_store_none_means_no_persistence(self, tune_dir):
         graph, _, _ = small_graph()
-        TrainingExecutor(graph, plan_cache=PlanCache(store=None), threads=4)
+        TrainingExecutor(graph, plan_cache=PlanCache(store=None))
         assert not (tune_dir / "plans").exists() or not any(
             (tune_dir / "plans").iterdir()
         )

@@ -110,6 +110,7 @@ class TestUpdatePassesGradientsThrough:
     def _scaled_copy_update(opt, params, grads):
         """``Optimizer.update`` as it was: always ``grad * scale``."""
         opt._step += 1
+        opt._start_step()
         norm = math.sqrt(sum(
             float(np.sum(g.astype(np.float64) ** 2)) for g in grads.values()
         ))
