@@ -20,6 +20,7 @@ from repro.graph.facts import GraphFacts
 from repro.graph.traversal import (
     ancestors,
     consumers_map,
+    dependency_levels,
     topo_order,
 )
 
@@ -41,6 +42,7 @@ __all__ = [
     "topo_order",
     "consumers_map",
     "ancestors",
+    "dependency_levels",
     "GraphFacts",
     "summarize",
     "format_graph",

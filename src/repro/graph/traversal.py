@@ -49,6 +49,23 @@ def consumers_map(nodes: Iterable[Node]) -> dict[tuple[int, int], list[Node]]:
     return dict(out)
 
 
+def dependency_levels(nodes: Iterable[Node]) -> dict[int, int]:
+    """Longest-path depth of each node over the value-dependence edges.
+
+    Maps ``node.uid`` to its level: sources sit at level 0 and every node
+    sits one past its deepest input producer, so nodes sharing a level are
+    mutually independent through dataflow. ``nodes`` must be
+    topologically ordered; producers outside the iterable are treated as
+    already-available level-(-1) sources.
+    """
+    level: dict[int, int] = {}
+    for node in nodes:
+        level[node.uid] = 1 + max(
+            (level.get(t.node.uid, -1) for t in node.inputs), default=-1
+        )
+    return level
+
+
 def ancestors(
     tensors: Iterable[Tensor],
     stop: Callable[[Tensor], bool] | None = None,

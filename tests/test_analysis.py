@@ -138,7 +138,8 @@ class TestLifetimeSanitizer:
         plan, _, _ = _diamond_plan()
         assert check_lifetimes(plan) == []
 
-    def test_clean_fused_nmt(self):
+    def test_clean_fused_and_batched_nmt(self):
+        """Fused chains and batched (``batch_dot``) attention GEMMs."""
         from repro.models import NmtConfig, build_nmt
 
         cfg = NmtConfig(
@@ -150,6 +151,7 @@ class TestLifetimeSanitizer:
         order = schedule(tg.outputs)
         plan = CompiledPlan(order, tg.outputs, arena=Arena())
         assert plan.fused_chain_count > 0
+        assert any(n.op.name == "batch_dot" for n in plan.order)
         assert check_lifetimes(plan) == []
 
     def test_corrupted_slot_assignment_is_lt103(self):
@@ -204,6 +206,53 @@ class TestLifetimeSanitizer:
             and f.severity is Severity.WARNING
             for f in findings
         )
+
+
+class TestRaceDetector:
+    """A plan runs its stream in order on the calling thread, so no level
+    schedule is left to race-check. The plans the race detector used to
+    probe are pinned through the verify tier instead: their storage reuse
+    passes the lifetime, packing and equivalence checks."""
+
+    def test_clean_schedule(self):
+        # two independent producers, then one reader of both
+        x = O.placeholder((8, 8), name="cx")
+        y = O.placeholder((8, 8), name="cy")
+        outputs = [O.add(O.tanh(x), O.sigmoid(y))]
+        plan = CompiledPlan(schedule(outputs), outputs, arena=Arena(),
+                            fuse=False)
+        report = verify_plan(plan, equiv=True)
+        assert report.ok and not report.findings
+        feeds = {"cx": np.full((8, 8), 0.5, np.float32),
+                 "cy": np.full((8, 8), -0.5, np.float32)}
+        (got,) = plan.run(feeds)
+        (want,) = reference_run(outputs, feeds, {})
+        assert np.array_equal(got, want)
+
+    def test_serial_plan_probe_is_clean(self):
+        plan, _, _ = _diamond_plan()
+        report = verify_plan(plan, equiv=True)
+        assert report.ok and not report.findings
+
+    def test_parallel_plan_stored_schedule_is_clean(self):
+        """The NMT plan a ``threads=4`` trainer gets is the one serial
+        plan, and its stored schedule verifies clean."""
+        from repro.models import NmtConfig, build_nmt
+        from repro.train import SGD, Trainer
+
+        cfg = NmtConfig(
+            src_vocab_size=40, tgt_vocab_size=40, embed_size=16,
+            hidden_size=16, encoder_layers=1, decoder_layers=1,
+            src_len=4, tgt_len=4, batch_size=2,
+        )
+        model = build_nmt(cfg)
+        trainer = Trainer(model.graph, model.store.initialize(seed=0),
+                          SGD(0.1), plan_cache=PlanCache(), threads=4)
+        plan = trainer.executor.executor.plan
+        assert plan.parallel_level_count == 0
+        assert plan.order == schedule(model.graph.outputs)
+        report = verify_plan(plan, equiv=True)
+        assert report.ok and not report.findings
 
 
 class TestRecomputeChecker:
@@ -406,10 +455,13 @@ def random_dag_program(draw):
     return steps
 
 
-class TestRandomDagProperty:
+class TestSerialParallelProperty:
+    """Verified plans, fused and unfused, execute bitwise like the serial
+    reference walk (the plan itself no longer has a parallel form)."""
+
     @settings(max_examples=20, deadline=None)
     @given(program=random_dag_program(), seed=st.integers(0, 2**16))
-    def test_verified_plans_match_reference(self, program, seed):
+    def test_verified_plans_execute_bitwise_identically(self, program, seed):
         x = O.placeholder((6, 6), name="pa")
         y = O.placeholder((6, 6), name="pb")
         values = [x, y]

@@ -1,7 +1,8 @@
 """What a baked plan leaves to run time, pinned structurally.
 
 Bytecode counts differ between interpreter versions, so the steady-state
-shape of the harness plans (word-LM and NMT (16,16), Echo on) is pinned
+shape of the harness plans (word-LM and NMT (16,16), Echo on, built by
+a trainer at ``threads`` 1 and 2, which get the one plan) is pinned
 instead:
 
 * every instruction step is generated code;
@@ -21,7 +22,7 @@ import pytest
 
 from repro.runtime.codegen import PLAN_FILENAME, bind_source
 from tests.helpers import reference_run
-from tests.test_compile_linear import _compiled, _nmt_graph, _wordlm_graph
+from tests.test_compile_linear import _nmt_graph, _trained, _wordlm_graph
 
 
 def _bindings(graph, seed=0):
@@ -38,10 +39,13 @@ def _bindings(graph, seed=0):
     return feeds, params
 
 
-@pytest.fixture(scope="module", params=["wordlm", "nmt16"])
+@pytest.fixture(scope="module", params=[
+    ("wordlm", 1), ("wordlm", 2), ("nmt16", 1), ("nmt16", 2),
+], ids=lambda p: f"{p[0]}-threads{p[1]}")
 def harness_plan(request):
-    graph = _nmt_graph() if request.param == "nmt16" else _wordlm_graph()
-    _report, training, _cache = _compiled(graph)
+    model, threads = request.param
+    graph = _nmt_graph() if model == "nmt16" else _wordlm_graph()
+    _report, training, _cache = _trained(graph, threads)
     return graph, training.executor
 
 

@@ -16,8 +16,9 @@ Three layers:
   ``tests/helpers.py``);
 * **same outputs as before the rewrite** — schedule orders, memory plans,
   placements, witnesses and Echo reports of the harness NMT (16, 16) and
-  word-LM builds, digested and compared with the digests recorded from
-  the commit before this pass structure
+  word-LM builds at threads {1, 2} (one plan: the thread count is
+  ignored), digested and compared with the digests recorded from the
+  commit before this pass structure
   (``tests/data/compile_golden.json``; regenerate with
   ``PYTHONPATH=src python -m tests.test_compile_linear``).
 """
@@ -47,6 +48,7 @@ from repro.nn import Backend
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime import PlanCache, TrainingExecutor
+from repro.train import SGD, Trainer
 from tests.helpers import (
     reference_apply_candidate,
     reference_elide_copies,
@@ -84,6 +86,17 @@ def _compiled(graph):
     report = EchoPass(EchoConfig(), device, plan_cache=cache).run(graph)
     executor = TrainingExecutor(graph, device=device, plan_cache=cache)
     return report, executor, cache
+
+
+def _trained(graph, threads):
+    """Echo, then the executor a ``Trainer(threads=threads)`` builds over
+    the same cache: the harness's path, thread count included."""
+    device = DeviceModel()
+    cache = PlanCache(store=None)
+    report = EchoPass(EchoConfig(), device, plan_cache=cache).run(graph)
+    trainer = Trainer(graph, {}, SGD(0.1), device=device, plan_cache=cache,
+                      threads=threads)
+    return report, trainer.executor, cache
 
 
 # -- counts ------------------------------------------------------------------
@@ -325,13 +338,13 @@ def _digest(value) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
 
 
-def describe_build(graph) -> dict:
+def describe_build(graph, threads=1) -> dict:
     """Process-stable digests of everything one build decides.
 
     Node uids are offsets from the graph's first node (the global counter
     makes absolute uids depend on what ran before).
     """
-    report, training, cache = _compiled(graph)
+    report, training, cache = _trained(graph, threads)
     gx = training.executor
     base = min(n.uid for n in topo_order(graph.outputs))
 
@@ -431,11 +444,15 @@ class TestSameOutputsAsBefore:
     def default_process(self, monkeypatch):
         monkeypatch.delenv("REPRO_TUNE_DIR", raising=False)
 
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("model", ["nmt16", "wordlm"])
-    def test_build_matches_recorded_digests(self, default_process, model):
+    def test_build_matches_recorded_digests(
+        self, default_process, model, threads
+    ):
+        """Every thread count builds the one recorded plan."""
         golden = json.loads(GOLDEN.read_text())[f"{model}.t1"]
         graph = _nmt_graph() if model == "nmt16" else _wordlm_graph()
-        got = describe_build(graph)
+        got = describe_build(graph, threads)
         assert got == golden, sorted(
             name for name in golden if got.get(name) != golden[name]
         )

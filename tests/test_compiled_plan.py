@@ -146,8 +146,11 @@ def _generic_view(x, how):
 class TestGenericStep:
     """Contracts of the one instruction kind that calls ``compute``."""
 
+    @pytest.mark.parametrize("plans", [1, 2])
     @pytest.mark.parametrize("how", ["self", "view"])
-    def test_result_aliasing_a_static_input_is_detached(self, how):
+    def test_result_aliasing_a_static_input_is_detached(self, how, plans):
+        """With ``plans=2`` a second plan of the same schedule is built
+        over the same arena and the two run alternately."""
         x = O.placeholder((4, 3), np.float64, name="gx")
         a = O.mul_scalar(x, 2.0)
         v = _generic_view(a, how)
@@ -155,7 +158,10 @@ class TestGenericStep:
         # storage and overwrites it (unfused, so ``w`` is a static buffer)
         w = O.add(v, x)
         e = O.tanh(w)
-        plan = CompiledPlan(schedule([v, e]), [v, e], fuse=False)
+        order, arena = schedule([v, e]), Arena()
+        built = [CompiledPlan(order, [v, e], arena, fuse=False)
+                 for _ in range(plans)]
+        plan = built[-1]
         low = plan.lowering
         a_slot, w_slot = low.slot_of[a.key], low.slot_of[w.key]
         assert np.may_share_memory(
@@ -167,21 +173,25 @@ class TestGenericStep:
         ]
         feed = np.arange(12, dtype=np.float64).reshape(4, 3)
         for scale in (1.0, 3.0):  # steady state, not only the first run
-            got_v, got_e = plan.run({"gx": feed * scale})
-            assert np.array_equal(got_v, 2.0 * scale * feed)
-            assert np.array_equal(got_e, np.tanh(3.0 * scale * feed))
+            for each in built:
+                got_v, got_e = each.run({"gx": feed * scale})
+                assert np.array_equal(got_v, 2.0 * scale * feed)
+                assert np.array_equal(got_e, np.tanh(3.0 * scale * feed))
 
-    def test_wrong_output_shape_names_node_and_specs(self):
+    @pytest.mark.parametrize("plans", [1, 2])
+    def test_wrong_output_shape_names_node_and_specs(self, plans):
         x = O.placeholder((4, 3), np.float64, name="gx")
         v = _generic_view(O.mul_scalar(x, 2.0), "bad-shape")
-        plan = CompiledPlan(schedule([v]), [v])
+        order, arena = schedule([v]), Arena()
+        built = [CompiledPlan(order, [v], arena) for _ in range(plans)]
         msg = (
             f"{v.node.name} output 0: kernel produced shape (1, 3), "
             "spec says (4, 3)"
         )
-        with pytest.raises(ExecutionError) as err:
-            plan.run({"gx": np.ones((4, 3))})
-        assert str(err.value) == msg
+        for plan in built:
+            with pytest.raises(ExecutionError) as err:
+                plan.run({"gx": np.ones((4, 3))})
+            assert str(err.value) == msg
 
 
 class TestErrorContract:
@@ -532,7 +542,10 @@ class TestTemplatedCodegen:
         )
         assert ex.plan._body.__code__.co_filename == "<compiled-plan>"
 
-    def test_echo_plan_parity_and_certification(self):
+    @pytest.mark.parametrize("executors", [1, 2])
+    def test_echo_plan_parity_and_certification(self, executors):
+        """With ``executors=2`` a second executor over the same cache and
+        arena gets the cached plan, and the two run alternately."""
         from repro.echo import optimize
 
         model = small_lm(dropout=0.2)
@@ -540,13 +553,18 @@ class TestTemplatedCodegen:
         optimize(model.graph, plan_cache=cache)
         params = model.store.initialize(seed=9)
         feeds = lm_feeds(model.config)
-        ex = GraphExecutor(model.graph.outputs, plan_cache=cache)
-        assert ex.verify(equiv=True).ok
+        arena = Arena()
+        exs = [GraphExecutor(model.graph.outputs, arena=arena,
+                             plan_cache=cache)
+               for _ in range(executors)]
+        assert all(ex.plan is exs[0].plan for ex in exs)
+        assert exs[0].verify(equiv=True).ok
         for step in range(2):  # same dropout step sequence on both sides
-            got = ex.run(feeds, params).outputs
             want = reference_run(model.graph.outputs, feeds, params, step)
-            for a, b in zip(want, got):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+            for ex in exs:  # each executor counts its own steps
+                got = ex.run(feeds, params).outputs
+                for a, b in zip(want, got):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_memo_is_bounded_first_in_first_out(self):
         from repro.runtime.codegen import TemplateMemo

@@ -373,27 +373,3 @@ class TestConfigValidation:
     def test_negative_min_benefit_rejected(self):
         with pytest.raises(ValueError):
             EchoConfig(min_benefit_bytes=-1)
-
-
-class TestEchoBarrierLegality:
-    def test_optimized_graph_passes(self):
-        from repro.echo import EchoConfig, check_barrier_legality, optimize
-
-        model, _feeds = _tiny_nmt()
-        report = optimize(model.graph, EchoConfig(min_benefit_bytes=0),
-                          plan_cache=PlanCache())
-        assert report.accepted  # the check ran on a real rewrite
-        check_barrier_legality(schedule(model.graph.outputs))
-
-    def test_forward_consuming_recompute_rejected(self):
-        from repro.echo import check_barrier_legality
-
-        x = O.placeholder((4,), np.float64, name="blx")
-        a = O.add_scalar(x, 1.0)
-        y = O.mul_scalar(a, 2.0)
-        a.node.stage = Stage.RECOMPUTE  # forward y now reads a recompute
-        try:
-            with pytest.raises(RuntimeError, match="barrier violation"):
-                check_barrier_legality(schedule([y]))
-        finally:
-            a.node.stage = Stage.FORWARD

@@ -243,6 +243,23 @@ class TestGemmHeadChains:
         assert low.root[out] == out
         assert check_packing(plan) == []
 
+    def test_gemms_stay_free_standing_outside_the_serial_lowering(self):
+        """Outside the fused serial lowering (``fuse=False``) every GEMM
+        is a step of its own, and the bits are the same."""
+        graph = _rnn_graph()
+        order = schedule(graph.outputs)
+        serial = CompiledPlan(order, graph.outputs, Arena())
+        other = CompiledPlan(order, graph.outputs, Arena(), fuse=False)
+        assert any(chain[0] in GEMMS for chain in _chains(serial))
+        assert _chains(other) == []
+        gemms = [n for n in order if n.op.name in GEMMS]
+        alone = [d["node"] for d in other.lowering.descs
+                 if d["kind"] == "out" and d["node"].op.name in GEMMS]
+        assert gemms and alone == gemms
+        feeds, params = _bindings(graph)
+        for a, b in zip(serial.run(feeds, params), other.run(feeds, params)):
+            assert np.array_equal(a, b)
+
 
 # -- the checkers are not vacuous for the new form ---------------------------
 

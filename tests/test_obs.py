@@ -5,9 +5,9 @@ Four layers of coverage:
 * Chrome trace-event schema validation — required keys, ``ph``/``pid``/
   ``tid`` types, strictly nested ``B``/``E`` pairs per thread, monotone
   timestamps — run against real exports from instrumented workloads;
-* the pipeline-boundary acceptance trace: a 2-rank distributed NMT
-  training step (echo on, verify on) must emit spans for every
-  instrumented pipeline boundary;
+* the nine-boundary acceptance trace: a 2-rank distributed NMT training
+  step (echo on, verify on) must emit spans for every instrumented
+  pipeline boundary;
 * cross-rank merge: per-rank payloads from the process backend align by
   the collective (generation, seq) tags;
 * the inertness contract — tracing + metrics enabled is bitwise
@@ -204,19 +204,20 @@ class TestTraceSchema:
         assert len(tids) == 3
 
 
-# -- the pipeline-boundary acceptance trace ----------------------------------
+# -- the nine-boundary acceptance trace --------------------------------------
 
 #: one span name per instrumented pipeline boundary of a distributed
 #: training step (the serve lifecycle is covered in test_serve.py)
-BOUNDARIES = {
+NINE_BOUNDARIES = {
     "plan.compile",     # 1 plan cache compile tier
-    "plan.lower",       # 2 lowering
-    "plan.verify",      # 3 static verification tier
-    "cache.lookup",     # 4 PlanCache hit/miss
-    "echo.pass",        # 5 Echo accept/reject search
-    "memplan.pack",     # 6 memory-plan packing
-    "exec.body",        # 7 plan body execution
-    "dist.allreduce",   # 8 ring collective (chunk send/recv below it)
+    "plan.schedule",    # 2 footprint-aware scheduling
+    "plan.lower",       # 3 lowering
+    "plan.verify",      # 4 static verification tier
+    "cache.lookup",     # 5 PlanCache hit/miss
+    "echo.pass",        # 6 Echo accept/reject search
+    "memplan.pack",     # 7 memory-plan packing
+    "exec.body",        # 8 plan body execution
+    "dist.allreduce",   # 9 ring collective (chunk send/recv below it)
 }
 
 
@@ -251,7 +252,7 @@ def _nmt_batches(steps: int, global_batch: int = 4, seed: int = 3):
     ]
 
 
-class TestPipelineBoundaries:
+class TestNineBoundaries:
     def test_two_rank_nmt_trace_covers_every_boundary(
         self, traced, monkeypatch
     ):
@@ -268,7 +269,7 @@ class TestPipelineBoundaries:
         payload = tracer.export_payload()
         validate_chrome_payload(payload)
         names = tracer.span_names()
-        missing = BOUNDARIES - names
+        missing = NINE_BOUNDARIES - names
         assert not missing, f"boundaries missing from trace: {missing}"
         # The collective's wire-level children are present too.
         assert "dist.chunk.send" in names and "dist.chunk.recv" in names

@@ -1,7 +1,5 @@
 """Tests for the scheduler, memory planner, and executor."""
 
-import sys
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +9,6 @@ import repro.ops as O
 from repro.autodiff import compile_training
 from repro.graph import Stage
 from repro.runtime import (
-    Arena,
     Category,
     ExecutionError,
     GraphExecutor,
@@ -230,54 +227,3 @@ class TestPlanWithoutCompiling:
         ns = runpy.run_path(str(example / "footprint_explorer.py"))
         ns["main"]()
         assert "largest fitting batch" in capsys.readouterr().out
-
-
-class TestConcurrentArena:
-    def test_concurrent_acquire_release(self):
-        arena = Arena()
-        errors = []
-        acquired = []
-        barrier = threading.Barrier(4)
-
-        def worker(seed):
-            rng = np.random.default_rng(seed)
-            count = 0
-            try:
-                barrier.wait(timeout=30)
-                for _ in range(200):
-                    n = int(rng.integers(1, 5))
-                    size = int(rng.integers(1, 16385))
-                    extents = [arena.acquire_extent(size) for _ in range(n)]
-                    out = arena.acquire_fresh((size,), np.dtype(np.uint8), size)
-                    count += n + 1
-                    for j, raw in enumerate(extents):
-                        assert raw.nbytes >= size
-                        raw.fill(seed * 10 + j)
-                    out.fill(255)
-                    for j, raw in enumerate(extents):
-                        # no two concurrently-held extents alias, and an
-                        # escaping output never lands in one
-                        assert raw[0] == raw[-1] == seed * 10 + j
-                        arena.release_extent(raw)
-            except Exception as exc:  # noqa: BLE001
-                errors.append(exc)
-            acquired.append(count)
-
-        threads = [threading.Thread(target=worker, args=(s,))
-                   for s in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert not errors
-        # counters stay consistent under concurrency: every acquisition was
-        # either a parked extent or a fresh buffer, nothing lost or
-        # double-counted
-        assert arena.fresh_count + arena.reuse_count == sum(acquired)
-        assert arena.held_bytes > 0

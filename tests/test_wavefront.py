@@ -1,12 +1,24 @@
-"""Tests for wavefront-parallel execution: analysis, the host-seconds gate,
-workers (incl. fork safety), arena safety, batched GEMMs, and bitwise
-parallel/serial parity (incl. the Echo Fig. 13 configuration).
+"""What stays of wavefront execution: every thread count gets the one
+serial plan.
 
-Parity tests compile their parallel side with
-:class:`tests.helpers.AboveGateDevice` and assert
-``parallel_level_count > 0``: at test shapes the real gate keeps every
-level serial, which would leave the worker pool untested."""
+A plan used to split its stream into dependency levels and run the wide
+ones on a worker pool. No plan any model here builds ever had a parallel
+level, and a ``threads > 1`` plan gave up the serial lowering's fusion
+and buffer sharing, so that layer is gone. What it promised still holds
+and is pinned here:
 
+* a thread count given to a trainer changes neither the plan nor a bit
+  of what it computes (word-LM, NMT, the Echo Fig. 13 configuration,
+  generic ops), and ``REPRO_THREADS`` no longer picks one;
+* the plan attributes the benchmark harness reads report no parallel
+  structure, and independent instructions run in stream order, so
+  values that share bytes never have overlapping live ranges;
+* the neighbours of the old layer keep their tests: graph dependency
+  levels, the thread-safe arena, fork safety, Echo's barrier check and
+  stable dropout seeds.
+"""
+
+import itertools
 import multiprocessing
 import os
 import subprocess
@@ -15,8 +27,6 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import repro.ops as O
 from repro.gpumodel import DeviceModel
@@ -28,18 +38,12 @@ from repro.runtime import (
     Arena,
     CompiledPlan,
     GraphExecutor,
-    InstrInfo,
     PlanCache,
-    WorkerPool,
-    analyze_wavefronts,
-    partition_chunks,
     schedule,
-    shared_pool,
 )
 from repro.runtime.lowering import lower
-from repro.runtime.wavefront import HANDOFF_SECONDS
-from repro.runtime.workers import default_thread_count
-from tests.helpers import AboveGateDevice
+from repro.train import SGD, Trainer
+from tests.helpers import reference_run
 
 SMALL_NMT = NmtConfig(
     src_vocab_size=50, tgt_vocab_size=50, embed_size=8, hidden_size=8,
@@ -74,10 +78,27 @@ def lm_feeds(cfg, seed=0):
     }
 
 
-def info(i, reads=(), writes=(), rb=(), wb=(), stage=Stage.FORWARD, cost=1.0):
-    return InstrInfo(index=i, reads=tuple(reads), writes=tuple(writes),
-                     read_bases=tuple(rb), write_bases=tuple(wb),
-                     stage=stage, cost_seconds=cost)
+def trainer_executor(graph, threads, **kw):
+    """The forward/backward executor a ``Trainer(threads=threads)`` builds."""
+    trainer = Trainer(graph, {}, SGD(0.1), threads=threads, **kw)
+    return trainer.executor.executor
+
+
+def assert_no_parallel_structure(plan):
+    assert plan.parallel_level_count == 0
+    assert plan.parallel_instruction_count == 0
+    assert plan.max_wavefront_width == 0
+
+
+def assert_same_runs(want_ex, got_ex, feeds, want_params, got_params=None,
+                     steps=3):
+    """Both executors run ``steps`` times (same dropout step sequence)."""
+    for _ in range(steps):
+        want = want_ex.run(feeds, want_params).outputs
+        got = got_ex.run(feeds, got_params or want_params).outputs
+        for a, b in zip(want, got):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
 
 
 class TestDependencyLevels:
@@ -98,183 +119,48 @@ class TestDependencyLevels:
         assert levels[a.node.uid] == 0
 
 
+def _independent_gemms():
+    """Four independent GEMMs summed pairwise: one wide dependency level."""
+    xs = [O.placeholder((8, 8), np.float64, name=f"ix{i}") for i in range(4)]
+    w = O.variable((8, 8), np.float64, name="iw")
+    prods = [O.matmul(x, w) for x in xs]
+    return [O.add(O.add(prods[0], prods[1]), O.add(prods[2], prods[3]))]
+
+
 class TestWavefrontAnalysis:
-    def test_independent_instructions_share_a_level(self):
-        infos = [info(0, writes=[0]), info(1, writes=[1]),
-                 info(2, reads=[0, 1], writes=[2])]
-        sched = analyze_wavefronts(infos, threads=1)
-        members = [w.instructions for w in sched.levels]
-        assert members == [[0, 1], [2]]
+    def test_serial_threads_never_parallel(self):
+        """Independent instructions run as one straight-line body in
+        stream order."""
+        outs = _independent_gemms()
+        order = schedule(outs)
+        levels = dependency_levels(order)
+        gemm_levels = {levels[n.uid] for n in order if n.op.name == "matmul"}
+        assert len(gemm_levels) == 1  # all four could run side by side
+        plan = CompiledPlan(order, outs, Arena())
+        assert_no_parallel_structure(plan)
+        assert plan._body.__defaults__ == tuple(plan._steps)
+        rng = np.random.default_rng(0)
+        feeds = {f"ix{i}": rng.standard_normal((8, 8)) for i in range(4)}
+        params = {"iw": rng.standard_normal((8, 8))}
+        (got,) = plan.run(feeds, params)
+        (want,) = reference_run(outs, feeds, params)
+        assert np.array_equal(got, want)
 
     def test_storage_hazards_serialize(self):
-        # 0 writes base 7; 1 reads it; 2 reuses base 7 for its own output:
-        # WAR forces 2 after 1 even though no value flows between them.
-        infos = [
-            info(0, writes=[0], wb=[7]),
-            info(1, reads=[0], writes=[1], rb=[7]),
-            info(2, writes=[2], wb=[7]),
-        ]
-        sched = analyze_wavefronts(infos, threads=1)
-        level_of = {}
-        for lvl, w in enumerate(sched.levels):
-            for i in w.instructions:
-                level_of[i] = lvl
-        assert level_of[2] > level_of[1] > level_of[0]
-
-    def test_stage_transitions_are_barriers(self):
-        infos = [
-            info(0, writes=[0], stage=Stage.FORWARD),
-            info(1, writes=[1], stage=Stage.BACKWARD),
-        ]
-        sched = analyze_wavefronts(infos, threads=4)
-        assert sched.region_count == 2
-        assert [w.instructions for w in sched.levels] == [[0], [1]]
-
-    def test_cost_gate_keeps_cheap_levels_serial(self):
-        # Four independent 30 us kernels: no split buys back a hand-off.
-        cheap = [info(i, writes=[i], cost=30e-6) for i in range(4)]
-        sched = analyze_wavefronts(cheap, threads=4)
-        assert all(not w.parallel for w in sched.levels)
-        assert sched.gated_level_count == 1
-        assert sched.saving_seconds == 0.0
-        # Four independent kernels of three hand-offs each: worth 4 lanes.
-        rich = [info(i, writes=[i], cost=3 * HANDOFF_SECONDS)
-                for i in range(4)]
-        sched = analyze_wavefronts(rich, threads=4)
-        (level,) = sched.levels
-        assert level.parallel and len(level.chunks) == 4
-        assert sched.gated_level_count == 0
-        # 12H serial, 3H heaviest chunk, three hand-offs
-        assert level.saving_seconds == pytest.approx(6 * HANDOFF_SECONDS)
-
-    def test_level_parallel_iff_saving_exceeds_handoff(self):
-        # Two kernels: the saving of a 2-way split is the lighter one.
-        for lighter, want in ((0.9, False), (1.1, True)):
-            pair = [info(0, writes=[0], cost=5 * HANDOFF_SECONDS),
-                    info(1, writes=[1], cost=lighter * HANDOFF_SECONDS)]
-            (level,) = analyze_wavefronts(pair, threads=2).levels
-            assert level.parallel is want, lighter
-
-    def test_serial_threads_never_parallel(self):
-        rich = [info(i, writes=[i], cost=1.0) for i in range(4)]
-        sched = analyze_wavefronts(rich, threads=1)
-        assert not any(w.parallel for w in sched.levels)
-
-    def test_index_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="stream position"):
-            analyze_wavefronts([info(3)], threads=2)
-
-    def test_partition_chunks_balanced_and_deterministic(self):
-        items = list(range(6))
-        costs = [5.0, 1.0, 1.0, 1.0, 1.0, 1.0]
-        a = partition_chunks(items, costs, threads=2)
-        b = partition_chunks(items, costs, threads=2)
-        assert a == b
-        chunks, saving = a
-        assert len(chunks) == 2
-        assert sorted(i for c in chunks for i in c) == items
-        loads = [sum(costs[i] for i in c) for c in chunks]
-        assert max(loads) <= 5.0  # the heavy item sits alone
-        assert saving == pytest.approx(5.0 - HANDOFF_SECONDS)
-
-    def test_partition_charges_each_chunk_a_handoff(self):
-        # 4 x 1.0 s with a 0.6 s hand-off: two chunks save 2.0 - 0.6,
-        # three save 2.0 - 1.2, four save 3.0 - 1.8 — two chunks win.
-        chunks, saving = partition_chunks(
-            [0, 1, 2, 3], [1.0] * 4, threads=4, handoff_seconds=0.6
-        )
-        assert len(chunks) == 2 and saving == pytest.approx(1.4)
-        # At 2.5 s no chunk count buys its hand-offs back: one chunk.
-        chunks, saving = partition_chunks(
-            [0, 1, 2, 3], [1.0] * 4, threads=4, handoff_seconds=2.5
-        )
-        assert chunks == [[0, 1, 2, 3]] and saving == 0.0
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        costs=st.lists(st.integers(0, 5000), min_size=1, max_size=9),
-        threads=st.integers(1, 6),
-        handoff=st.integers(0, 3000),
-        scale=st.integers(1, 8),
-        extra=st.integers(0, 3000),
-    )
-    def test_gate_is_monotone(self, costs, threads, handoff, scale, extra):
-        """Scaling every cost up never turns a parallel level serial;
-        raising the hand-off never turns a serial level parallel.
-        (Integer-valued costs keep the float arithmetic exact.)"""
-        items = list(range(len(costs)))
-
-        def parallel(cs, h):
-            chunks, saving = partition_chunks(
-                items, [float(c) for c in cs], threads, float(h)
-            )
-            assert sorted(i for c in chunks for i in c) == items
-            assert (saving > 0) == (len(chunks) > 1)
-            return len(chunks) > 1
-
-        base = parallel(costs, handoff)
-        if base:
-            assert parallel([c * scale for c in costs], handoff)
-        else:
-            assert not parallel(costs, handoff + extra)
-
-
-class TestWorkerPool:
-    def test_run_level_executes_all_chunks(self):
-        pool = WorkerPool(2)
-        try:
-            regs = [0] * 6
-
-            def writer(slots):
-                def chunk(r):
-                    for s in slots:
-                        r[s] = s + 100
-                return chunk
-
-            pool.run_level([writer([0, 1]), writer([2, 3]), writer([4, 5])],
-                           regs)
-            assert regs == [100, 101, 102, 103, 104, 105]
-        finally:
-            pool.close()
-
-    def test_worker_exception_propagates(self):
-        pool = WorkerPool(1)
-        try:
-            def boom(_regs):
-                raise ValueError("kernel exploded")
-
-            with pytest.raises(ValueError, match="kernel exploded"):
-                pool.run_level([lambda r: None, boom], [])
-            # pool survives a failed level
-            out = []
-            pool.run_level([lambda r: out.append(1), lambda r: out.append(2)],
-                           [])
-            assert sorted(out) == [1, 2]
-        finally:
-            pool.close()
-
-    def test_shared_pool_identity(self, monkeypatch):
-        # Lift the process lane budget so distinct requests stay distinct
-        # (on small hosts the clamp would collapse them into one pool).
-        monkeypatch.setenv("REPRO_THREADS", "8")
-        assert shared_pool(2) is shared_pool(2)
-        assert shared_pool(2) is not shared_pool(3)
-
-    def test_shared_pool_clamps_to_lane_budget(self, monkeypatch):
-        monkeypatch.setenv("REPRO_THREADS", "3")
-        pool = shared_pool(16)
-        # 3 lanes = the caller + 2 workers; oversubscribed requests fold
-        # into the budgeted pool (run_level queues the excess chunks).
-        assert pool.num_workers == 2
-        assert shared_pool(2) is pool
-
-    def test_default_thread_count_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_THREADS", raising=False)
-        assert default_thread_count() == 1
-        monkeypatch.setenv("REPRO_THREADS", "4")
-        assert default_thread_count() == 4
-        monkeypatch.setenv("REPRO_THREADS", "garbage")
-        assert default_thread_count() == 1
+        """Values the planner places in the same bytes have disjoint live
+        ranges: the stream order is the only ordering a plan has."""
+        model = build_nmt(SMALL_NMT)
+        plan = CompiledPlan(schedule(model.graph.outputs),
+                            model.graph.outputs, Arena())
+        placed = list(plan.lowering.memplan.placements.values())
+        sharing = 0
+        for (f1, l1, o1, n1), (f2, l2, o2, n2) in itertools.combinations(
+            placed, 2
+        ):
+            if o1 < o2 + n2 and o2 < o1 + n1:  # the byte ranges meet
+                sharing += 1
+                assert l1 < f2 or l2 < f1, ((f1, l1), (f2, l2))
+        assert sharing > 0  # the plan really reuses storage
 
 
 class TestForkSafety:
@@ -283,18 +169,17 @@ class TestForkSafety:
         reason="needs the fork start method",
     )
     def test_forked_child_runs_parallel_plan(self):
-        """Regression: a forked child inherited the parent's shared pool —
-        a queue whose worker threads exist only in the parent — and every
-        parallel level hung until the launcher's timeout."""
+        """A forked child runs a warm plan the parent built (once a hang:
+        the child inherited a worker pool whose threads lived only in the
+        parent)."""
         x = O.placeholder((6, 6), np.float64, name="fx")
         y = O.placeholder((6, 6), np.float64, name="fy")
         outs = [O.matmul(O.add(x, y), O.sub(x, y))]
-        plan = CompiledPlan(schedule(outs), outs, Arena(), threads=2,
-                            device=AboveGateDevice())
-        assert plan.parallel_level_count > 0
+        plan = CompiledPlan(schedule(outs), outs, Arena())
+        assert_no_parallel_structure(plan)
         feeds = {"fx": np.arange(36.0).reshape(6, 6),
                  "fy": np.eye(6)}
-        want = plan.run(feeds)[0].copy()  # the pool now exists and is warm
+        want = plan.run(feeds)[0].copy()  # the plan is warm
 
         ctx = multiprocessing.get_context("fork")
         recv_end, send_end = ctx.Pipe(duplex=False)
@@ -310,7 +195,7 @@ class TestForkSafety:
         proc.start()
         send_end.close()
         try:
-            assert recv_end.poll(30.0), "forked child hung in a parallel level"
+            assert recv_end.poll(30.0), "forked child hung running the plan"
             got = recv_end.recv()
         finally:
             if proc.is_alive() and not recv_end.poll(0):
@@ -318,68 +203,29 @@ class TestForkSafety:
             proc.join(timeout=10.0)
         assert not proc.is_alive()
         assert np.array_equal(got, want)
-        # ... and the parent's own pool is untouched.
+        # ... and the parent's own plan is untouched.
         assert np.array_equal(plan.run(feeds)[0], want)
 
 
 class TestHostSecondsGate:
-    """The gate on real plans, priced by the plain analytic device."""
-
     def test_word_lm_harness_shape_stays_serial(self):
-        # benchmarks/harness/spec.py WORDLM: every wide level is a handful
-        # of 1-30 us LSTM-cell kernels (plus one pair of sub-millisecond
-        # output-layer GEMMs) — nothing buys back a hand-off, so the
-        # threads=2 plan *is* its batched lowering baked as one body.
+        # benchmarks/harness/spec.py WORDLM at the threads=2 the harness
+        # passes: the plan is the serial lowering, baked as one body.
         cfg = WordLmConfig(vocab_size=2000, embed_size=64, hidden_size=64,
                            num_layers=2, seq_len=20, batch_size=16)
         model = build_word_lm(cfg)
         outs = model.graph.outputs
-        order = schedule(outs)
-        gated = CompiledPlan(order, outs, Arena(), threads=2,
-                             device=DeviceModel())
-        low = lower(order, outs, Arena(), threads=2)
-        assert gated.wavefront_level_count > 0
-        assert gated.parallel_level_count == 0
-        assert gated.gated_level_count > 100
-        assert gated.wavefront_saving_seconds == 0.0
-        assert gated._program is None
-        assert gated.lowering.program_layout is None
-        assert gated.batched_gemm_groups > 0
-        assert [d["kind"] for d in gated.lowering.descs] == [
+        plan = trainer_executor(model.graph, 2, device=DeviceModel()).plan
+        low = lower(plan.order, outs, Arena())
+        assert_no_parallel_structure(plan)
+        assert plan.fused_chain_count > 0
+        assert [d["kind"] for d in plan.lowering.descs] == [
             d["kind"] for d in low.descs
         ]
         # one straight-line body over every step, clears inlined
-        assert gated._body.__defaults__ == tuple(gated._steps)
-        assert gated.lowering.clears_at == low.clears_at
-        assert gated.static_storage_bytes == sum(low.static_bases.values())
-
-    def test_large_independent_gemms_stay_parallel(self):
-        # Four independent ~512^3 sgemms (~2.7 ms each on the host
-        # roofline): a 2-way split saves ~5 ms for one hand-off. Distinct
-        # inner dimensions keep the batcher from stacking them.
-        rng = np.random.default_rng(0)
-        inner = (448, 480, 512, 544)
-        xs = [O.placeholder((512, k), np.float32, name=f"gx{i}")
-              for i, k in enumerate(inner)]
-        ws = [O.variable((k, 512), np.float32, name=f"gw{i}")
-              for i, k in enumerate(inner)]
-        prods = [O.matmul(x, w) for x, w in zip(xs, ws)]
-        outs = [O.add(O.add(prods[0], prods[1]), O.add(prods[2], prods[3]))]
-        order = schedule(outs)
-        feeds = {f"gx{i}": rng.standard_normal((512, k)).astype(np.float32)
-                 for i, k in enumerate(inner)}
-        params = {f"gw{i}": rng.standard_normal((k, 512)).astype(np.float32)
-                  for i, k in enumerate(inner)}
-        serial = CompiledPlan(order, outs, Arena(), threads=1)
-        parallel = CompiledPlan(order, outs, Arena(), threads=2,
-                                device=DeviceModel())
-        assert parallel.batched_gemm_groups == 0
-        assert parallel.parallel_level_count >= 1
-        assert parallel.wavefront_saving_seconds > 1e-3
-        want = serial.run(feeds, params)[0]
-        for _ in range(2):
-            got = parallel.run(feeds, params)[0]
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert plan._body.__defaults__ == tuple(plan._steps)
+        assert plan.lowering.clears_at == low.clears_at
+        assert plan.static_storage_bytes == sum(low.static_bases.values())
 
 
 class TestConcurrentArena:
@@ -434,28 +280,23 @@ class TestConcurrentArena:
 
 
 class TestBatchedGemms:
-    def test_nmt_attention_gemms_batched(self):
-        model = build_nmt(SMALL_NMT)
-        order = schedule(model.graph.outputs)
-        plan = CompiledPlan(order, model.graph.outputs, Arena(), threads=2)
-        assert plan.batched_gemm_groups > 0
-        assert plan.batched_gemm_nodes >= 2 * plan.batched_gemm_groups
-        assert plan.instruction_kinds["batched"] == plan.batched_gemm_groups
-
     def test_batched_bitwise_equal_serial(self):
+        """The NMT attention GEMMs a ``threads=2`` plan once stacked run
+        as steps of their own in the one plan, bit for bit."""
         model = build_nmt(SMALL_NMT)
         params = model.store.initialize(seed=1)
         feeds = nmt_feeds(SMALL_NMT)
         order = schedule(model.graph.outputs)
         plain = CompiledPlan(order, model.graph.outputs, Arena())
-        batched = CompiledPlan(order, model.graph.outputs, Arena(),
-                               threads=2)
-        assert batched.batched_gemm_groups > 0
+        requested = trainer_executor(model.graph, 2,
+                                     plan_cache=PlanCache()).plan
+        assert "batched" not in requested.instruction_kinds
+        assert requested.instruction_kinds == plain.instruction_kinds
         set_global_step(0)
         want = plain.run(feeds, params)
         for _ in range(3):
             set_global_step(0)
-            got = batched.run(feeds, params)
+            got = requested.run(feeds, params)
             for a, b in zip(want, got):
                 assert np.array_equal(a, b)
 
@@ -463,27 +304,14 @@ class TestBatchedGemms:
         x = O.placeholder((4, 4), np.float64, name="bx")
         w = O.variable((4, 4), np.float64, name="bw")
         outs = [O.matmul(x, w), O.matmul(w, x)]
-        plan = CompiledPlan(schedule(outs), outs, Arena(), threads=2)
-        assert plan.batched_gemm_groups == 0  # both escape as outputs
+        plan = CompiledPlan(schedule(outs), outs, Arena())
+        assert "batched" not in plan.instruction_kinds
+        gemm_steps = [d for d in plan.lowering.descs
+                      if d["kind"] == "out" and d["node"].op.name == "matmul"]
+        assert len(gemm_steps) == 2
         got = plan.run({"bx": np.eye(4)}, {"bw": np.arange(16.0).reshape(4, 4)})
         assert np.array_equal(got[0], np.arange(16.0).reshape(4, 4))
-
-
-class TestThreadKeyedPlanCache:
-    def test_thread_config_is_part_of_the_key(self):
-        model = build_word_lm(SMALL_LM)
-        cache = PlanCache()
-        arena = Arena()
-        serial = GraphExecutor(model.graph.outputs, arena=arena,
-                               plan_cache=cache, threads=1)
-        parallel = GraphExecutor(model.graph.outputs, arena=arena,
-                                 plan_cache=cache, threads=4)
-        again = GraphExecutor(model.graph.outputs, arena=arena,
-                              plan_cache=cache, threads=4)
-        assert serial.plan is not parallel.plan
-        assert parallel.plan is again.plan
-        assert serial.plan.threads == 1
-        assert parallel.plan.threads == 4
+        assert np.array_equal(got[1], np.arange(16.0).reshape(4, 4))
 
 
 class TestParallelParity:
@@ -491,38 +319,24 @@ class TestParallelParity:
     def test_word_lm_bitwise(self, threads):
         model = build_word_lm(SMALL_LM)
         params = model.store.initialize(seed=2)
-        feeds = lm_feeds(SMALL_LM)
-        serial = GraphExecutor(model.graph.outputs, plan_cache=PlanCache(),
-                               threads=1)
-        parallel = GraphExecutor(model.graph.outputs, plan_cache=PlanCache(),
-                                 threads=threads, device=AboveGateDevice())
-        assert parallel.plan.parallel_level_count > 0
-        for _ in range(3):  # same dropout step sequence on both sides
-            want = serial.run(feeds, params).outputs
-            got = parallel.run(feeds, params).outputs
-            for a, b in zip(want, got):
-                assert a.dtype == b.dtype
-                assert np.array_equal(a, b)
+        serial = GraphExecutor(model.graph.outputs, plan_cache=PlanCache())
+        requested = trainer_executor(model.graph, threads,
+                                     plan_cache=PlanCache())
+        assert_no_parallel_structure(requested.plan)
+        assert_same_runs(serial, requested, lm_feeds(SMALL_LM), params)
 
     def test_nmt_bitwise(self):
         model = build_nmt(SMALL_NMT)
         params = model.store.initialize(seed=3)
-        feeds = nmt_feeds(SMALL_NMT)
-        serial = GraphExecutor(model.graph.outputs, plan_cache=PlanCache(),
-                               threads=1)
-        parallel = GraphExecutor(model.graph.outputs, plan_cache=PlanCache(),
-                                 threads=4, device=AboveGateDevice())
-        assert parallel.plan.parallel_level_count > 0
-        for _ in range(3):
-            want = serial.run(feeds, params).outputs
-            got = parallel.run(feeds, params).outputs
-            for a, b in zip(want, got):
-                assert np.array_equal(a, b)
+        serial = GraphExecutor(model.graph.outputs, plan_cache=PlanCache())
+        requested = trainer_executor(model.graph, 4, plan_cache=PlanCache())
+        assert_no_parallel_structure(requested.plan)
+        assert_same_runs(serial, requested, nmt_feeds(SMALL_NMT), params)
 
     def test_echo_fig13_parity_and_report_unchanged(self):
-        """Fig. 13 configuration: Echo-rewritten NMT graph, parallel
-        execution bitwise-identical and the pass report field-for-field
-        independent of the thread config."""
+        """Fig. 13 configuration: the Echo-rewritten NMT graph under a
+        ``threads=4`` trainer runs bitwise like the serial executor, and
+        the pass report is field-for-field reproducible."""
         from repro.echo import EchoConfig, optimize
 
         def fields(report):
@@ -545,24 +359,25 @@ class TestParallelParity:
 
         params = model_a.store.initialize(seed=4)
         params_b = model_b.store.initialize(seed=4)
-        feeds = nmt_feeds(SMALL_NMT)
-        serial = GraphExecutor(model_a.graph.outputs, plan_cache=PlanCache(),
-                               threads=1)
-        parallel = GraphExecutor(model_b.graph.outputs, plan_cache=PlanCache(),
-                                 threads=4, device=AboveGateDevice())
-        assert parallel.plan.parallel_level_count > 0
-        for _ in range(2):
-            want = serial.run(feeds, params).outputs
-            got = parallel.run(feeds, params_b).outputs
-            for a, b in zip(want, got):
-                assert np.array_equal(a, b)
+        serial = GraphExecutor(model_a.graph.outputs, plan_cache=PlanCache())
+        requested = trainer_executor(model_b.graph, 4, plan_cache=PlanCache())
+        assert_no_parallel_structure(requested.plan)
+        assert_same_runs(serial, requested, nmt_feeds(SMALL_NMT), params,
+                         params_b, steps=2)
 
     def test_repro_threads_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_THREADS", "2")
+        """``REPRO_THREADS`` no longer picks a thread count: an executor
+        built with it set gets the plan one built without it gets."""
         model = build_word_lm(SMALL_LM)
-        ex = GraphExecutor(model.graph.outputs, plan_cache=PlanCache())
-        assert ex.threads == 2
-        assert ex.plan.threads == 2
+        cache, arena = PlanCache(), Arena()
+        monkeypatch.setenv("REPRO_THREADS", "2")
+        with_env = GraphExecutor(model.graph.outputs, arena=arena,
+                                 plan_cache=cache)
+        monkeypatch.delenv("REPRO_THREADS")
+        without = GraphExecutor(model.graph.outputs, arena=arena,
+                                plan_cache=cache)
+        assert with_env.plan is without.plan
+        assert_no_parallel_structure(with_env.plan)
 
 
 class TestEchoBarrierLegality:
@@ -591,8 +406,8 @@ class TestEchoBarrierLegality:
 
 class TestGenericOpsInParallel:
     def test_dropout_graph_parallel_parity(self):
-        # dropout is a generic (non-out=) instruction; its allocations go
-        # through the locked counter under parallel execution.
+        # dropout is a generic (non-out=) instruction: a threads=2 trainer
+        # runs it exactly like the serial executor
         x = O.placeholder((64, 64), np.float64, name="dx")
         h = O.tanh(O.dropout(x, 0.4, seed=11))
         g = O.sigmoid(O.dropout(x, 0.4, seed=12))
@@ -600,17 +415,11 @@ class TestGenericOpsInParallel:
         from repro.autodiff import compile_training
 
         graph = compile_training(y, params={}, placeholders={"x": x})
-        serial = GraphExecutor(graph.outputs, plan_cache=PlanCache(),
-                               threads=1)
-        parallel = GraphExecutor(graph.outputs, plan_cache=PlanCache(),
-                                 threads=2, device=AboveGateDevice())
-        assert parallel.plan.parallel_level_count > 0
+        serial = GraphExecutor(graph.outputs, plan_cache=PlanCache())
+        requested = trainer_executor(graph, 2, plan_cache=PlanCache())
+        assert_no_parallel_structure(requested.plan)
         arr = np.random.default_rng(5).standard_normal((64, 64))
-        for _ in range(3):
-            want = serial.run({"dx": arr}).outputs
-            got = parallel.run({"dx": arr}).outputs
-            for a, b in zip(want, got):
-                assert np.array_equal(a, b)
+        assert_same_runs(serial, requested, {"dx": arr}, {})
 
 
 class TestStableDropoutSeed:
@@ -670,21 +479,16 @@ class TestStableDropoutSeed:
 
 class TestWavefrontStats:
     def test_parallel_plan_reports_structure(self):
+        """The plan a ``threads=4`` trainer gets reports the structure the
+        harness reads, and it is the threads=1 plan's: none."""
         model = build_nmt(SMALL_NMT)
-        ex = GraphExecutor(model.graph.outputs, plan_cache=PlanCache(),
-                           threads=4, device=AboveGateDevice())
-        plan = ex.plan
-        assert plan.wavefront_region_count >= 2  # forward + backward runs
-        assert plan.wavefront_level_count > 0
-        assert plan.max_wavefront_width > 1
-        assert plan.parallel_level_count > 0
-        assert plan.parallel_instruction_count > plan.parallel_level_count
-        assert plan.gated_level_count == 0
-        assert plan.wavefront_saving_seconds > 0
+        cache, arena = PlanCache(), Arena()
+        four = trainer_executor(model.graph, 4, plan_cache=cache, arena=arena)
+        one = trainer_executor(model.graph, 1, plan_cache=cache, arena=arena)
+        assert four.plan is one.plan
+        assert_no_parallel_structure(four.plan)
 
     def test_serial_plan_reports_zero(self):
         model = build_word_lm(SMALL_LM)
-        ex = GraphExecutor(model.graph.outputs, plan_cache=PlanCache(),
-                           threads=1)
-        assert ex.plan.parallel_level_count == 0
-        assert ex.plan.wavefront_level_count == 0
+        ex = trainer_executor(model.graph, 1, plan_cache=PlanCache())
+        assert_no_parallel_structure(ex.plan)
