@@ -1,6 +1,7 @@
 """Execution substrate: scheduler, memory planner, executor (DESIGN.md S4)."""
 
 from repro.runtime.arena import Arena
+from repro.runtime.codegen import BoundParams
 from repro.runtime.compiled import CompiledPlan
 from repro.runtime.executor import (
     ExecutionError,
@@ -37,6 +38,7 @@ __all__ = [
     "NodeTiming",
     "ExecutionError",
     "Arena",
+    "BoundParams",
     "CompiledPlan",
     "PlanCache",
     "NullPlanCache",

@@ -11,6 +11,10 @@ parked and takes its own, so footprint is then the *sum* over buckets
 (``reuse_count`` 0; ROADMAP item 3). Sharing is safe because executors
 run one iteration to completion at a time and outputs never alias plan
 storage.
+
+Outputs that escape a plan are plain ``np.empty`` arrays the plan's steps
+allocate themselves; the arena only counts them, once per completed run
+(:meth:`Arena.count_fresh`), so no run takes its lock per output.
 """
 
 from __future__ import annotations
@@ -39,12 +43,12 @@ def round_up(nbytes: int, page: int = PAGE_BYTES) -> int:
 
 
 class Arena:
-    """Extent pool and output allocator behind a plan's ``out=`` kernels.
+    """Extent pool and allocation counters behind a plan's ``out=`` kernels.
 
     The buffer planner takes a plan's extent with :meth:`acquire_extent`
     at compile time and parks it again with :meth:`release_extent`. At
-    runtime only :meth:`acquire_fresh` is called, for outputs that escape
-    the plan.
+    runtime only :meth:`count_fresh` is called, once per completed run,
+    with the outputs that escaped the plan.
 
     The extent list and the counters each sit behind their own lock:
     concurrent session compiles and thread-backend ranks can reach one
@@ -66,21 +70,18 @@ class Arena:
         #: cumulative bytes of fresh buffers
         self.fresh_bytes = 0
 
-    def acquire_fresh(
-        self, shape: tuple[int, ...], dtype: np.dtype, nbytes: int
-    ) -> np.ndarray:
-        """A buffer that escapes the plan (a graph output).
+    def count_fresh(self, count: int, nbytes: int, zero_bytes: int) -> None:
+        """Count buffers that escaped a plan run: ``count`` of ``nbytes``
+        in total, plus ``zero_bytes`` empty ones.
 
-        Never served from a parked extent: that may be some plan's static
-        storage, and an output must survive later iterations.
+        Those buffers are ``np.empty`` arrays, never served from a parked
+        extent: that may be some plan's static storage, and an output must
+        survive later iterations.
         """
         with self._stats_lock:
-            if nbytes <= 0:
-                self.zero_byte_count += 1
-            else:
-                self.fresh_count += 1
-                self.fresh_bytes += nbytes
-        return np.empty(shape, dtype=dtype)
+            self.fresh_count += count
+            self.fresh_bytes += nbytes
+            self.zero_byte_count += zero_bytes
 
     def acquire_extent(self, nbytes: int) -> np.ndarray:
         """One contiguous raw extent for a plan's static buffers.

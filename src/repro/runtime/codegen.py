@@ -22,7 +22,10 @@ array is placed in the register file every run starts from, no step
 writes it, and every step that reads it binds the array itself as a
 default instead of loading it from the register file; views of static
 storage are computed here once and their steps dropped. One generated
-binder per plan binds the feeds.
+binder per plan binds the weights and the feeds; handed a
+:class:`BoundParams` (weights bound once, for many runs) it binds the
+feeds alone. Outputs that escape the plan are plain ``np.empty`` arrays,
+counted per run, not per allocation (``PlanCodegen.fresh_count``).
 
 Every closure reproduces its op's ``compute`` bit for bit: kernels are
 bitwise-identical to ``compute`` by contract.
@@ -39,7 +42,6 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from repro.graph import Node
-from repro.runtime.arena import Arena
 from repro.runtime.lowering import PlanLowering
 
 #: ``co_filename`` of every generated closure; profilers and the benchmark
@@ -71,6 +73,30 @@ def bind_source(
     if arr.dtype != spec.dtype:
         arr = arr.astype(spec.dtype)
     return arr
+
+
+class BoundParams:
+    """A plan's weights, validated once (``CompiledPlan.bind``).
+
+    ``regs`` is the register file every run of ``plan`` starts from, with
+    each ``variable`` source bound exactly as ``run(feeds, params)`` would
+    bind it. Passed to ``run`` in place of the mapping, it makes the run
+    bind only its feeds. It holds the arrays as they were at bind time: an
+    in-place update to one of them is seen by later runs, a dict entry
+    replaced after ``bind`` is not (bind again), and a converted value (a
+    list, another dtype) is the copy made then.
+    """
+
+    __slots__ = ("plan", "regs")
+
+    def __init__(self, plan: Any, regs: list) -> None:
+        self.plan = plan
+        self.regs = regs
+
+
+def _foreign(bound: BoundParams) -> None:
+    """The binder's refusal of parameters bound for another plan."""
+    raise ExecutionError("parameters bound for another plan")
 
 
 class TemplateMemo:
@@ -158,14 +184,14 @@ def _out_source(
 ) -> str:
     """``_k(<inputs>, _s0, ..)`` for an ``out`` instruction (``ins[j]``:
     input ``j`` is fixed); output ``j`` is the bound static buffer ``_sj``
-    — a fixed register nothing writes — or, where ``fresh[j]``, allocated
-    from ``_a`` and stored to ``regs[_oj]``. Memoized by form: most
-    instructions share a handful."""
-    params, lines = ["_k", "_a"], []
+    — a fixed register nothing writes — or, where ``fresh[j]``, a fresh
+    ``_e(_shj, _dj)`` (``np.empty``) stored to ``regs[_oj]``. Memoized by
+    form: most instructions share a handful."""
+    params, lines = ["_k", "_e"], []
     for j, is_fresh in enumerate(fresh):
         if is_fresh:
-            params += [f"_sh{j}", f"_d{j}", f"_nb{j}"]
-            lines.append(f"    _s{j} = _a(_sh{j}, _d{j}, _nb{j})")
+            params += [f"_sh{j}", f"_d{j}"]
+            lines.append(f"    _s{j} = _e(_sh{j}, _d{j})")
         else:
             params.append(f"_s{j}")
     in_params, args = _reads("_i", ins)
@@ -191,10 +217,10 @@ def _fused_source(
     ``p`` of member ``j`` is: ``"acc"``, a register (``"reg"``) or a fixed
     register's array (``"fix"``); external operands are numbered along
     the chain. The accumulator is the bound static buffer ``_s`` (a fixed
-    register: nothing stores it) or, where ``fresh``, allocated from
-    ``_a`` and stored to ``regs[_o]``."""
+    register: nothing stores it) or, where ``fresh``, a fresh
+    ``_e(_sh, _d)`` (``np.empty``) stored to ``regs[_o]``."""
     acc = "buf" if fresh else "_s"
-    lines = ["    buf = _a(_sh, _d, _nb)"] if fresh else []
+    lines = ["    buf = _e(_sh, _d)"] if fresh else []
     in_params: list[str] = []
     for j, pattern in enumerate(members):
         args = []
@@ -210,7 +236,7 @@ def _fused_source(
         lines.append("    regs[_o] = buf")
     params = [
         *_names("_k", len(members)),
-        *(("_a", "_sh", "_d", "_nb", *in_params, "_o") if fresh
+        *(("_e", "_sh", "_d", *in_params, "_o") if fresh
           else ("_s", *in_params)),
         *_names("_c", n_clear),
     ]
@@ -330,16 +356,20 @@ class PlanCodegen:
     """Bakes one plan's closures from its lowering.
 
     ``generic_outputs`` counts the results the plan's generic steps
-    allocate per run. ``templates_compiled`` / ``template_hits`` count
-    closure sources this plan had to ``compile`` / found in
-    :data:`TEMPLATES`.
+    allocate per run; ``fresh_count`` / ``fresh_bytes`` /
+    ``zero_byte_count`` the escaping outputs its ``out`` and fused steps
+    allocate per run, as :meth:`Arena.count_fresh` takes them.
+    ``templates_compiled`` / ``template_hits`` count closure sources this
+    plan had to ``compile`` / found in :data:`TEMPLATES`.
     """
 
-    def __init__(self, arena: Arena) -> None:
-        self.arena = arena
+    def __init__(self) -> None:
         #: one entry per descriptor, None where a view was folded
         self.steps: list[Callable[[list], None] | None] = []
         self.generic_outputs = 0
+        self.fresh_count = 0
+        self.fresh_bytes = 0
+        self.zero_byte_count = 0
         self.templates_compiled = 0
         self.template_hits = 0
 
@@ -432,45 +462,78 @@ class PlanCodegen:
         dtype is bound as is; anything else — a missing key, a list, a
         subclass, another shape or dtype — goes through
         :func:`bind_source`, which raises or converts exactly as before.
-        Nothing is cached across runs.
+
+        The ``variable`` blocks come first. ``params`` may be the
+        :class:`BoundParams` this binder made for its own plan (any other
+        is refused): the copy then starts from its registers and only the
+        ``placeholder`` blocks run. ``feeds=None`` stops after the
+        ``variable`` blocks — what ``CompiledPlan.bind`` calls.
         """
-        params = ["_t", "_nd", "_bs"]
-        values: list = [template, np.ndarray, bind_source]
-        lines = ["    regs = _t[:]"]
+        params = ["_t", "_nd", "_bs", "_bp", "_fp"]
+        values: list = [template, np.ndarray, bind_source, BoundParams,
+                        _foreign]
+        weights, sources = [], []
         for j, (slot, node, kind) in enumerate(bindings):
-            table = "feeds" if kind == "placeholder" else "params"
             spec = node.out_specs[0]
             params += [f"_n{j}", f"_sh{j}", f"_d{j}", f"_b{j}", f"_r{j}"]
             values += [node.name, spec.shape, spec.dtype, node, slot]
+            if kind == "placeholder":
+                table, lines, pad = "feeds", sources, "    "
+            else:
+                table, lines, pad = "params", weights, "        "
             lines.append(
-                f"    v = {table}.get(_n{j})\n"
-                f"    if type(v) is _nd and v.shape == _sh{j} "
+                f"{pad}v = {table}.get(_n{j})\n"
+                f"{pad}if type(v) is _nd and v.shape == _sh{j} "
                 f"and v.dtype == _d{j}:\n"
-                f"        regs[_r{j}] = v\n"
-                "    else:\n"
-                f"        regs[_r{j}] = _bs({table}, _b{j}, {kind!r})"
+                f"{pad}    regs[_r{j}] = v\n"
+                f"{pad}else:\n"
+                f"{pad}    regs[_r{j}] = _bs({table}, _b{j}, {kind!r})\n"
             )
         src = (
             f"def bind(feeds, params, {', '.join(params)}):\n"
-            + "\n".join(lines) + "\n    return regs\n"
+            "    if type(params) is _bp:\n"
+            "        if params.plan._template is not _t:\n"
+            "            _fp(params)\n"
+            "        regs = params.regs[:]\n"
+            "    else:\n"
+            "        regs = _t[:]\n"
+            f"{''.join(weights)}"
+            "        if feeds is None:\n"
+            "            return regs\n"
+            f"{''.join(sources)}"
+            "    return regs\n"
         )
         return self._bake(src, tuple(values))
 
-    def bake_body(self) -> Callable[[list], None]:
-        """One straight-line function calling every baked step in order
-        (no iterator machinery in the hot loop); folded descriptors have no
-        step and are skipped. The source depends only on the step count,
-        so same-shape plans share one template.
+    def bake_body(
+        self, output_slots: Sequence[int]
+    ) -> Callable[[list], list[np.ndarray]]:
+        """``body(regs) -> outputs``: one straight-line function calling
+        every baked step in order (no iterator machinery in the hot loop),
+        then gathering the output registers; folded descriptors have no
+        step and are skipped. The source depends only on the step and
+        output counts, so same-shape plans share one template.
         """
         steps = [step for step in self.steps if step is not None]
-        if not steps:
-            return lambda regs: None
         callees = _names("_s", len(steps))
-        params = ", ".join(("regs",) + callees)
-        calls = "".join(f"\n    {name}(regs)" for name in callees)
-        return self._bake(f"def body({params}):{calls}\n", tuple(steps))
+        outs = _names("_o", len(output_slots))
+        calls = "".join([f"\n    {name}(regs)" for name in callees])
+        gather = ", ".join([f"regs[{name}]" for name in outs])
+        return self._bake(
+            f"def body({', '.join(('regs',) + callees + outs)}):{calls}"
+            f"\n    return [{gather}]\n",
+            (*steps, *output_slots),
+        )
 
     # -- closure factories ---------------------------------------------------
+
+    def _count_fresh(self, nbytes: int) -> None:
+        """One escaping output a run allocates, for the per-run count."""
+        if nbytes > 0:
+            self.fresh_count += 1
+            self.fresh_bytes += nbytes
+        else:
+            self.zero_byte_count += 1
 
     def _bake(
         self, src: str, values: tuple, node: Node | None = None
@@ -501,14 +564,15 @@ class PlanCodegen:
     def _make_out_step(self, node, in_slots, out_slots, clear, statics,
                        template):
         """The node's kernel writes each output into its static buffer, or
-        into an array fresh from the arena where the output has none."""
-        values = [node.op.kernel(node), self.arena.acquire_fresh]
+        into a fresh ``np.empty`` array where the output has none."""
+        values = [node.op.kernel(node), np.empty]
         fresh: tuple[bool, ...] = ()
         outs: list[int] = []
         for j, static in enumerate(statics):
             if static is None:
                 spec = node.out_specs[j]
-                values += [spec.shape, spec.dtype, spec.nbytes]
+                values += [spec.shape, spec.dtype]
+                self._count_fresh(spec.nbytes)
                 outs += [out_slots[j]]
                 fresh += (True,)
             else:
@@ -538,9 +602,10 @@ class PlanCodegen:
         if static is None:
             spec = tail.out_specs[0]
             values = (
-                *kernels, self.arena.acquire_fresh, spec.shape, spec.dtype,
-                spec.nbytes, *operands, out_slot, *clear,
+                *kernels, np.empty, spec.shape, spec.dtype, *operands,
+                out_slot, *clear,
             )
+            self._count_fresh(spec.nbytes)
         else:
             values = (*kernels, static, *operands, *clear)
         src = _fused_source(members, static is None, len(clear))

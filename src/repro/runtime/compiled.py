@@ -12,8 +12,10 @@ walk done once, in three steps, each owned by its own module:
 2. :mod:`repro.runtime.codegen` — one templated closure per instruction
    and a straight-line dispatch body;
 3. :meth:`CompiledPlan.run` — bind the feeds through the plan's generated
-   binder, call the body, hand back the outputs; on a kernel failure,
-   replay step by step to name the node.
+   binder, call the body, hand back the outputs it gathers; on a kernel
+   failure, replay step by step to name the node. Weights that stay put
+   across runs (a decode loop's) are validated once by
+   :meth:`CompiledPlan.bind`, and each run then binds only its feeds.
 
 A plan has one shape: it runs its instructions one after another on the
 calling thread. There is no intra-plan parallel layer — no plan any model
@@ -39,7 +41,7 @@ from repro.graph import Node, Tensor
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime.arena import Arena
-from repro.runtime.codegen import ExecutionError, PlanCodegen
+from repro.runtime.codegen import BoundParams, ExecutionError, PlanCodegen
 from repro.runtime.lowering import SOURCE_OPS, lower
 
 
@@ -113,17 +115,19 @@ class CompiledPlan:
             elif n.op.name in SOURCE_OPS:
                 bindings.append((slot_of[(n.uid, 0)], n, n.op.name))
 
-        gen = PlanCodegen(self.arena)
+        gen = PlanCodegen()
         steps = gen.bake_steps(low, template)
         #: the baked steps in stream order (folded views have none)
         self._steps = [step for step in steps if step is not None]
         #: descriptors folded into the template instead of baked
         self.folded_view_count = len(steps) - len(self._steps)
+        self._output_slots = [slot_of[t.key] for t in self.outputs]
         # The dispatch loop itself is baked as one generated function —
         # a straight-line sequence of step calls with no iterator
-        # machinery. Error context is recovered by the step-by-step
-        # fallback in :meth:`run`.
-        self._body = gen.bake_body()
+        # machinery, returning the outputs. Error context is recovered by
+        # the step-by-step fallback in :meth:`run`.
+        self._body = gen.bake_body(self._output_slots)
+        self._template = template
         self._bind = gen.bake_binder(template, bindings)
         #: closure sources this plan had to ``compile`` / found in the
         #: process-wide :data:`repro.runtime.codegen.TEMPLATES` memo
@@ -132,7 +136,11 @@ class CompiledPlan:
         #: results the generic steps allocate per run
         self.generic_outputs_per_run = gen.generic_outputs
         self._slot_of = slot_of
-        self._output_slots = [slot_of[t.key] for t in self.outputs]
+        #: ``Arena.count_fresh`` arguments of one run: the escaping
+        #: outputs its ``out`` and fused steps allocate
+        self.fresh_per_run = (
+            gen.fresh_count, gen.fresh_bytes, gen.zero_byte_count
+        )
 
         reg = obs_metrics.registry()
         if reg is not None:
@@ -177,18 +185,35 @@ class CompiledPlan:
         ``on_item`` hook consumers)."""
         return regs[self._output_slots[index]]
 
+    def bind(
+        self, params: Mapping[str, np.ndarray] | None = None
+    ) -> BoundParams:
+        """Validate and bind the plan's weights once, for many runs.
+
+        Runs the binder's ``variable`` blocks — the same checks, error
+        text and conversions as ``run(feeds, params)`` — and returns the
+        :class:`~repro.runtime.codegen.BoundParams` that :meth:`run`
+        accepts in place of ``params``; a run given it binds only its
+        feeds.
+        """
+        return BoundParams(self, self._bind(None, params or {}))
+
     def run(
         self,
         feeds: Mapping[str, np.ndarray] | None = None,
-        params: Mapping[str, np.ndarray] | None = None,
+        params: Mapping[str, np.ndarray] | BoundParams | None = None,
         on_item: Any | None = None,
     ) -> list[np.ndarray]:
         """Execute one iteration; returns the output arrays.
 
-        ``on_item(0, regs)`` is invoked once the body has run, with the
-        live register file. Hook consumers may *read* output registers
-        (see :meth:`output_value`) but must never write any; exceptions
-        propagate as they are and abort the run.
+        ``params`` is a mapping of weights, or what :meth:`bind` returned
+        for this plan. ``on_item(0, regs)`` is invoked once the body has
+        run, with the live register file. Hook consumers may *read* output
+        registers (see :meth:`output_value`) but must never write any;
+        exceptions propagate as they are and abort the run.
+
+        A completed run adds its escaping outputs to the arena's counters
+        (:meth:`Arena.count_fresh`) in one call.
         """
         feeds = feeds or {}
         params = params or {}
@@ -196,9 +221,9 @@ class CompiledPlan:
         try:
             if obs_trace.TRACING:
                 with obs_trace.span("exec.body", "exec"):
-                    self._body(regs)
+                    outputs = self._body(regs)
             else:
-                self._body(regs)
+                outputs = self._body(regs)
         except ExecutionError:
             raise
         except Exception as first:
@@ -222,4 +247,5 @@ class CompiledPlan:
         if on_item is not None:
             on_item(0, regs)
         self.generic_alloc_count += self.generic_outputs_per_run
-        return [regs[s] for s in self._output_slots]
+        self.arena.count_fresh(*self.fresh_per_run)
+        return outputs

@@ -25,6 +25,7 @@ from repro.autodiff.training import TrainingGraph
 from repro.graph import Node, Tensor
 from repro.ops.dropout import set_global_step
 from repro.runtime.arena import Arena
+from repro.runtime.codegen import BoundParams
 from repro.runtime.compiled import CompiledPlan, ExecutionError
 from repro.runtime.memory import Category, MemoryPlan, TensorKey
 from repro.runtime.plancache import PlanCache, default_plan_cache
@@ -168,17 +169,26 @@ class GraphExecutor:
             facts=self.plan_cache.facts_for(self.outputs),
         )
 
+    def bind(
+        self, params: Mapping[str, np.ndarray] | None = None
+    ) -> BoundParams:
+        """``params`` validated once for many :meth:`run` calls (see
+        :meth:`CompiledPlan.bind`): what a decode loop passes at every
+        step, so no step re-checks a weight."""
+        return self.plan.bind(params)
+
     def run(
         self,
         feeds: Mapping[str, np.ndarray] | None = None,
-        params: Mapping[str, np.ndarray] | None = None,
+        params: Mapping[str, np.ndarray] | BoundParams | None = None,
         collect_timings: bool = False,
         on_item: Any | None = None,
     ) -> RunResult:
         """Execute one iteration through the compiled plan.
 
         ``feeds`` maps placeholder node names to arrays; ``params`` maps
-        variable node names to arrays. Missing bindings raise.
+        variable node names to arrays, or is what :meth:`bind` returned.
+        Missing bindings raise.
         ``on_item`` is the plan's completion hook (see
         :meth:`CompiledPlan.run`); the distributed trainer launches its
         gradient reduction from it.

@@ -23,6 +23,7 @@ from repro.models.nmt import (
 from repro.nn import ParamStore
 from repro.ops.softmax import log_softmax_array
 from repro.runtime import GraphExecutor
+from repro.train.decode import decode_length
 
 _NEG_INF = np.float32(-1e30)
 
@@ -95,11 +96,12 @@ class BeamSearchDecoder:
         cfg, beam = self.config, self.beam_size
         batch = cfg.batch_size
         rows = batch * beam
-        max_len = max_len or cfg.tgt_len
+        max_len = decode_length(max_len, cfg.tgt_len)
 
         enc = self._encoder.run(
             {"infer_src_tokens": src_tokens}, params
         ).outputs[0]
+        bound = self._step.bind(params)
         enc = np.repeat(enc, beam, axis=0)  # [B*K x T x H]
 
         att_hidden = np.zeros((rows, cfg.hidden_size), np.float32)
@@ -127,7 +129,7 @@ class BeamSearchDecoder:
             for layer, (h, c) in enumerate(states):
                 feeds[f"step_h{layer}"] = h
                 feeds[f"step_c{layer}"] = c
-            out = self._step.run(feeds, params).outputs
+            out = self._step.run(feeds, bound).outputs
             logits, att_hidden = out[0], out[1]
             states = [
                 (out[2 + 2 * i], out[3 + 2 * i])

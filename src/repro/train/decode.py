@@ -3,6 +3,9 @@
 Builds the encoder-inference graph and a single decoder-step graph once
 (sharing the training parameters through the model's :class:`ParamStore`),
 then unrolls decoding in numpy — the way real toolkits run inference.
+The encoder runs once per decode; the decoder-step plan binds its weights
+once per decode (``GraphExecutor.bind``), so each step of the loop
+validates only its feeds.
 
 Both entry points are *batched* and row-independent: every kernel in the
 inference graphs (GEMMs, LSTM gates, attention softmax, argmax) computes
@@ -27,6 +30,16 @@ from repro.models.nmt import (
 from repro.nn import ParamStore
 from repro.ops.softmax import log_softmax_array
 from repro.runtime import GraphExecutor
+
+
+def decode_length(max_len: int | None, default: int) -> int:
+    """The step budget of a decode: ``max_len``, or ``default`` when it is
+    None. Zero decodes nothing; a negative length is refused."""
+    if max_len is None:
+        return default
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
+    return max_len
 
 
 class GreedyDecoder:
@@ -71,7 +84,9 @@ class GreedyDecoder:
         ]
         return att_hidden, states
 
-    def _run_step(self, tokens, att_hidden, states, enc_states, params):
+    def _run_step(self, tokens, att_hidden, states, enc_states, bound):
+        """One decoder step; ``bound`` is the step plan's weights, bound
+        once per decode (``self._step.bind(params)``)."""
         feeds = {
             "step_prev_token": tokens,
             "step_att_hidden": att_hidden,
@@ -80,7 +95,7 @@ class GreedyDecoder:
         for layer, (h, c) in enumerate(states):
             feeds[f"step_h{layer}"] = h
             feeds[f"step_c{layer}"] = c
-        result = self._step.run(feeds, params).outputs
+        result = self._step.run(feeds, bound).outputs
         logits, att_hidden = result[0], result[1]
         states = [
             (result[2 + 2 * i], result[3 + 2 * i])
@@ -94,12 +109,14 @@ class GreedyDecoder:
         params: dict[str, np.ndarray],
         max_len: int | None = None,
     ) -> list[list[int]]:
-        """``src_tokens`` is [T_src x B]; returns token lists (EOS-trimmed)."""
+        """``src_tokens`` is [T_src x B]; returns token lists (EOS-trimmed)
+        of at most ``max_len`` tokens (default ``config.tgt_len``)."""
         cfg = self.config
         batch = cfg.batch_size
-        max_len = max_len or cfg.tgt_len
+        max_len = decode_length(max_len, cfg.tgt_len)
 
         enc_states = self._run_encoder(src_tokens, params)
+        bound = self._step.bind(params)
         att_hidden, states = self._initial_state()
         tokens = np.full((1, batch), self.bos, np.int64)
         finished = np.zeros(batch, bool)
@@ -107,7 +124,7 @@ class GreedyDecoder:
 
         for _ in range(max_len):
             logits, att_hidden, states = self._run_step(
-                tokens, att_hidden, states, enc_states, params
+                tokens, att_hidden, states, enc_states, bound
             )
             next_tokens = np.argmax(logits, axis=1)
             for b in range(batch):
@@ -145,6 +162,7 @@ class GreedyDecoder:
             )
 
         enc_states = self._run_encoder(src_tokens, params)
+        bound = self._step.bind(params)
         att_hidden, states = self._initial_state()
         prev = np.full((1, batch), self.bos, np.int64)
         totals = np.zeros(batch)
@@ -153,7 +171,7 @@ class GreedyDecoder:
 
         for t in range(max_steps):
             logits, att_hidden, states = self._run_step(
-                prev, att_hidden, states, enc_states, params
+                prev, att_hidden, states, enc_states, bound
             )
             logp = log_softmax_array(logits)
             nxt = np.full(batch, self.eos, np.int64)

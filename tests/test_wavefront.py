@@ -138,7 +138,7 @@ class TestWavefrontAnalysis:
         assert len(gemm_levels) == 1  # all four could run side by side
         plan = CompiledPlan(order, outs, Arena())
         assert_no_parallel_structure(plan)
-        assert plan._body.__defaults__ == tuple(plan._steps)
+        assert plan._body.__defaults__ == (*plan._steps, *plan._output_slots)
         rng = np.random.default_rng(0)
         feeds = {f"ix{i}": rng.standard_normal((8, 8)) for i in range(4)}
         params = {"iw": rng.standard_normal((8, 8))}
@@ -222,8 +222,9 @@ class TestHostSecondsGate:
         assert [d["kind"] for d in plan.lowering.descs] == [
             d["kind"] for d in low.descs
         ]
-        # one straight-line body over every step, clears inlined
-        assert plan._body.__defaults__ == tuple(plan._steps)
+        # one straight-line body over every step, clears inlined, then
+        # the output gather
+        assert plan._body.__defaults__ == (*plan._steps, *plan._output_slots)
         assert plan.lowering.clears_at == low.clears_at
         assert plan.static_storage_bytes == sum(low.static_bases.values())
 
@@ -244,7 +245,10 @@ class TestConcurrentArena:
                     n = int(rng.integers(1, 5))
                     size = int(rng.integers(1, 16385))
                     extents = [arena.acquire_extent(size) for _ in range(n)]
-                    out = arena.acquire_fresh((size,), np.dtype(np.uint8), size)
+                    # an escaping output: a plain array, counted by the
+                    # arena the way a completed plan run counts its own
+                    out = np.empty(size, np.uint8)
+                    arena.count_fresh(1, size, 0)
                     count += n + 1
                     for j, raw in enumerate(extents):
                         assert raw.nbytes >= size
